@@ -401,13 +401,20 @@ def read_conll(fh) -> list[LabeledSequence]:
         text, essay_id, seq_idx, start, end, label = cols
         if label not in LABELS:
             raise CorpusIntegrityError(f"line {lineno}: unknown label {label!r}")
+        try:
+            seq_idx, start, end = int(seq_idx), int(start), int(end)
+        except ValueError:
+            raise CorpusIntegrityError(
+                f"line {lineno}: sequence index, start and end must be integers, "
+                f"got {seq_idx!r}, {start!r}, {end!r}"
+            ) from None
         if meta is None:
-            meta = (essay_id, int(seq_idx))
-        elif meta != (essay_id, int(seq_idx)):
+            meta = (essay_id, seq_idx)
+        elif meta != (essay_id, seq_idx):
             raise CorpusIntegrityError(
                 f"line {lineno}: sequence changed id without a blank separator"
             )
-        tokens.append(Token(text, int(start), int(end)))
+        tokens.append(Token(text, start, end))
         labels.append(label)
     flush()
     return sequences

@@ -9,19 +9,23 @@ be checked or trained without any global tape.
 
 Shape convention: batches are (B, T, F) with a (B, T) validity mask; padded
 positions hold zero vectors, produce zero outputs and receive zero gradient.
+
+LSTM parameters are fused per direction, with gate blocks in the order
+i|f|o|g (input, forget and output gates, then the candidate).  The BiLSTM
+runs its recurrence time-major over the positions that still carry a
+sequence and evaluates all four gates with one tanh.
 """
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
-from scipy.special import expit
 
 from .errors import ConfigurationError, ContractViolation, DimensionError
 from .numeric import BatchTensor, Parameter, glorot_uniform, softmax_rows
 
 NEG_INF = -1e9  # additive mask applied to logits of padded keys
-
-GATES = ("i", "f", "c", "o")
 
 
 class Layer:
@@ -47,179 +51,214 @@ class Layer:
 # LSTM
 # ---------------------------------------------------------------------------
 
+# Blocks are drawn from the generator in the order i, f, g, o (block indices
+# 0, 1, 3, 2), so a seed gives the same numbers as the per-gate parameters
+# of checkpoint format 1.
+_DRAW_ORDER = (0, 1, 3, 2)
+
 
 class LstmCell:
-    """One LSTM direction: gates i, f, o and candidate c (tanh).
+    """One LSTM direction with fused gate parameters.
 
-    Parameters per gate g: input matrix W_g (input_dim, hidden), recurrent
-    matrix U_g (hidden, hidden) and bias b_g (hidden,).  The forget-gate bias
-    starts at 1.0 so memory is initially carried.
+    ``W`` (input_dim, 4*hidden), ``U`` (hidden, 4*hidden) and ``b``
+    (4*hidden,) each hold four column blocks in the order i|f|o|g: the input,
+    forget and output gates (sigmoid), then the candidate g (tanh).  For
+    a = x W + h_prev U + b split into those blocks,
+    c_t = f*c_prev + i*g and h_t = o*tanh(c_t).  The forget-gate bias starts
+    at 1.0 so memory is initially carried.
     """
 
     def __init__(self, input_dim: int, hidden: int, rng, name: str = "lstm"):
         self.name = name
         self.input_dim = input_dim
         self.hidden = hidden
-        self.w = {g: Parameter(f"{name}.W_{g}", glorot_uniform(rng, input_dim, hidden)) for g in GATES}
-        self.u = {g: Parameter(f"{name}.U_{g}", glorot_uniform(rng, hidden, hidden)) for g in GATES}
-        self.b = {g: Parameter(f"{name}.b_{g}", np.zeros(hidden)) for g in GATES}
-        self.b["f"].value[:] = 1.0
+        w = np.empty((input_dim, 4 * hidden))
+        u = np.empty((hidden, 4 * hidden))
+        for fused, fan_in in ((w, input_dim), (u, hidden)):
+            for k in _DRAW_ORDER:
+                fused[:, k * hidden : (k + 1) * hidden] = glorot_uniform(rng, fan_in, hidden)
+        b = np.zeros(4 * hidden)
+        b[hidden : 2 * hidden] = 1.0
+        self.w = Parameter(f"{name}.W", w)
+        self.u = Parameter(f"{name}.U", u)
+        self.b = Parameter(f"{name}.b", b)
 
     def params(self) -> list[Parameter]:
-        return [self.w[g] for g in GATES] + [self.u[g] for g in GATES] + [self.b[g] for g in GATES]
+        return [self.w, self.u, self.b]
 
-    # concatenated views, gate order i|f|c|o
-    def w_cat(self) -> np.ndarray:
-        return np.concatenate([self.w[g].value for g in GATES], axis=1)
+    def halved(self) -> list[np.ndarray]:
+        """Copies of W, U and b with the sigmoid columns (i|f|o) halved.
 
-    def u_cat(self) -> np.ndarray:
-        return np.concatenate([self.u[g].value for g in GATES], axis=1)
-
-    def b_cat(self) -> np.ndarray:
-        return np.concatenate([self.b[g].value for g in GATES])
-
-    def add_cat_grads(self, dw_cat, du_cat, db_cat):
-        h = self.hidden
-        for k, g in enumerate(GATES):
-            self.w[g].grad += dw_cat[:, k * h : (k + 1) * h]
-            self.u[g].grad += du_cat[:, k * h : (k + 1) * h]
-            self.b[g].grad += db_cat[k * h : (k + 1) * h]
+        One tanh over pre-activations built from them gives every gate, since
+        sigmoid(a) = (1 + tanh(a/2)) / 2.  Halving is exact in binary.
+        """
+        scale = np.repeat([0.5, 1.0], [3 * self.hidden, self.hidden])
+        return [p.value * scale for p in self.params()]
 
 
-def lstm_cell_step(cell: LstmCell, x_t: np.ndarray, h_prev: np.ndarray, c_prev: np.ndarray):
-    """Single step: returns (h_t, c_t) for 1-D or (B, *) inputs.
+class _Positions(NamedTuple):
+    """Where the recurrence over a (B, T) mask does work.
 
-    i = sigmoid(x W_i + h U_i + b_i), f and o likewise, g = tanh(x W_c + h U_c + b_c);
-    c_t = f*c_prev + i*g; h_t = o*tanh(c_t).
+    Rows are ranked by their last valid step, latest first, so the rows
+    still running at step t are ranks 0 .. n_t - 1.  The M running (t, rank)
+    pairs are listed time-major; step t owns [starts[t], starts[t + 1]).
+    When each row's valid tokens form a prefix, M is the number of valid
+    tokens and no step runs over padding.
     """
-    x_t = np.asarray(x_t, dtype=np.float64)
-    h_prev = np.asarray(h_prev, dtype=np.float64)
-    c_prev = np.asarray(c_prev, dtype=np.float64)
-    single = x_t.ndim == 1
-    if single:
-        x_t, h_prev, c_prev = x_t[None, :], h_prev[None, :], c_prev[None, :]
-    if x_t.shape[1] != cell.input_dim or h_prev.shape[1] != cell.hidden:
-        raise DimensionError(
-            f"{cell.name}: got input {x_t.shape}, state {h_prev.shape}, "
-            f"expected dims ({cell.input_dim}, {cell.hidden})"
+
+    starts: list[int]
+    bt: np.ndarray  # flat b*T + t of each running position, into (B, T, .) arrays
+    tr: np.ndarray  # flat t*B + rank of each running position, into (T, B, .) arrays
+    valid: np.ndarray  # (M, 1): the running position is a real token
+    partial: list[bool]  # step t runs over padding, which carries the state
+
+
+def _positions(mask: np.ndarray) -> _Positions:
+    bsz, tlen = mask.shape
+    last = np.max(mask * np.arange(1, tlen + 1), axis=1, initial=0) - 1  # -1: no token
+    order = np.argsort(-last, kind="stable")
+    running = (last[order][None, :] >= np.arange(tlen)[:, None]).sum(axis=1)
+    starts = np.concatenate([[0], np.cumsum(running)])
+    t_run = np.repeat(np.arange(tlen), running)
+    rank = np.arange(starts[-1]) - np.repeat(starts[:-1], running)
+    b_run = order[rank]
+    valid = mask[b_run, t_run]
+    pad_steps = np.bincount(t_run[~valid], minlength=tlen)
+    return _Positions(
+        starts=starts.tolist(),
+        bt=b_run * tlen + t_run,
+        tr=t_run * bsz + rank,
+        valid=valid[:, None],
+        partial=(pad_steps > 0).tolist(),
+    )
+
+
+def _steps(tlen: int, reverse: bool) -> list[tuple[int, int, int]]:
+    """(t, slot of the state entering step t, slot step t writes), in order.
+
+    States live in (T+1, B, H) buffers indexed by rank; the zero initial
+    state is slot 0 going forward and slot T going in reverse.
+    """
+    if reverse:
+        return [(t, t + 1, t) for t in range(tlen - 1, -1, -1)]
+    return [(t, t, t + 1) for t in range(tlen)]
+
+
+def _run_direction(halved, x_run, pos: _Positions, cache, reverse: bool):
+    """Forward pass of one direction, time-major, into caller-allocated arrays.
+
+    ``halved`` is the cell's :meth:`LstmCell.halved` parameters and
+    ``x_run`` the (M, D) inputs at the running positions, zero where padded.
+    ``cache`` = (acts, hs, cs, tanh_c): acts (M, 4H) receives the gate
+    activations; hs and cs (T+1, B, H) the states; tanh_c (T, B, H) tanh(c).
+    A padded step carries the state through unchanged.
+    """
+    w, u, b = halved
+    acts, hs, cs, tanh_c = cache
+    bsz, hdim = hs.shape[1:]
+    sig = 3 * hdim
+    np.matmul(x_run, w, out=acts)
+    acts += b  # padded positions hold only the bias
+    z = np.empty((bsz, 4 * hdim))
+    ig = np.empty((bsz, hdim))
+    for t, prev, new in _steps(len(pos.partial), reverse):
+        lo, hi = pos.starts[t], pos.starts[t + 1]
+        n = hi - lo
+        a = acts[lo:hi]
+        h_prev, c_prev, c = hs[prev, :n], cs[prev, :n], cs[new, :n]
+        np.matmul(h_prev, u, out=z[:n])
+        a += z[:n]
+        np.tanh(a, out=a)
+        a[:, :sig] *= 0.5
+        a[:, :sig] += 0.5
+        np.multiply(a[:, hdim : 2 * hdim], c_prev, out=c)
+        np.multiply(a[:, :hdim], a[:, sig:], out=ig[:n])
+        c += ig[:n]
+        np.tanh(c, out=tanh_c[t, :n])
+        np.multiply(a[:, 2 * hdim : sig], tanh_c[t, :n], out=hs[new, :n])
+        if pos.partial[t]:
+            pad = ~pos.valid[lo:hi]
+            np.copyto(hs[new, :n], h_prev, where=pad)
+            np.copyto(c, c_prev, where=pad)
+
+
+def _direction_backward(cell: LstmCell, cache, grad_run, x_run, pos: _Positions, work,
+                        reverse: bool):
+    """Backward pass of one direction into caller-allocated arrays.
+
+    ``grad_run`` (M, H) is the direction's upstream gradient at the running
+    positions.  Parameter gradients accumulate into ``cell``; ``work`` =
+    (d_acts, h_in, dx_run, dw, du) receives the gate gradients, the states
+    entering each step and the input gradient, all at the running positions,
+    and the two weight-gradient products before they are accumulated.
+    """
+    acts, hs, cs, tanh_c = cache
+    d_acts, h_in, dx_run, dw, du = work
+    bsz, hdim = hs.shape[1:]
+    sig = 3 * hdim
+    u_t = cell.u.value.T
+    dh = np.zeros((bsz, hdim))
+    dc = np.zeros((bsz, hdim))
+    gh = np.empty((bsz, hdim))
+    gc = np.empty((bsz, hdim))
+    tmp = np.empty((bsz, hdim))
+    dsig = np.empty((bsz, sig))
+    for t, prev, _ in reversed(_steps(len(pos.partial), reverse)):
+        lo, hi = pos.starts[t], pos.starts[t + 1]
+        n = hi - lo
+        a, da = acts[lo:hi], d_acts[lo:hi]
+        i, f, o, g = (a[:, k * hdim : (k + 1) * hdim] for k in range(4))
+        tc = tanh_c[t, :n]
+        dh_n, dc_n, gh_n, gc_n, tmp_n, dsig_n = (
+            m[:n] for m in (dh, dc, gh, gc, tmp, dsig)
         )
-    hdim = cell.hidden
-    a = x_t @ cell.w_cat() + h_prev @ cell.u_cat() + cell.b_cat()
-    i = expit(a[:, :hdim])
-    f = expit(a[:, hdim : 2 * hdim])
-    g = np.tanh(a[:, 2 * hdim : 3 * hdim])
-    o = expit(a[:, 3 * hdim :])
-    c_t = f * c_prev + i * g
-    h_t = o * np.tanh(c_t)
-    if single:
-        return h_t[0], c_t[0]
-    return h_t, c_t
-
-
-def _run_direction(cell: LstmCell, values: np.ndarray, mask: np.ndarray, reverse: bool):
-    """Unrolled pass of one direction over (B, T, F) with mask gating.
-
-    At padded steps the state is carried through unchanged and the emitted
-    output is zero, so trailing padding neither perturbs valid states nor
-    leaks into downstream layers.  The reverse direction runs on the flipped
-    sequence, which makes it start right after any trailing padding.
-    """
-    if reverse:
-        values = values[:, ::-1]
-        mask = mask[:, ::-1]
-    bsz, tlen, _ = values.shape
-    hdim = cell.hidden
-    w_cat, u_cat, b_cat = cell.w_cat(), cell.u_cat(), cell.b_cat()
-
-    gates_x = values.reshape(bsz * tlen, -1) @ w_cat
-    gates_x = gates_x.reshape(bsz, tlen, 4 * hdim) + b_cat
-
-    fmask = mask.astype(np.float64)[:, :, None]
-    h = np.zeros((bsz, hdim))
-    c = np.zeros((bsz, hdim))
-    h_prev = np.empty((bsz, tlen, hdim))
-    c_prev = np.empty((bsz, tlen, hdim))
-    acts = np.empty((bsz, tlen, 4 * hdim))  # i | f | g | o activations
-    tanh_c = np.empty((bsz, tlen, hdim))
-    out = np.zeros((bsz, tlen, hdim))
-
-    for t in range(tlen):
-        m = fmask[:, t]
-        h_prev[:, t] = h
-        c_prev[:, t] = c
-        a = gates_x[:, t] + h @ u_cat
-        i = expit(a[:, :hdim])
-        f = expit(a[:, hdim : 2 * hdim])
-        g = np.tanh(a[:, 2 * hdim : 3 * hdim])
-        o = expit(a[:, 3 * hdim :])
-        c_new = f * c + i * g
-        tc = np.tanh(c_new)
-        h_new = o * tc
-        acts[:, t, :hdim] = i
-        acts[:, t, hdim : 2 * hdim] = f
-        acts[:, t, 2 * hdim : 3 * hdim] = g
-        acts[:, t, 3 * hdim :] = o
-        tanh_c[:, t] = tc
-        out[:, t] = m * h_new
-        h = m * h_new + (1.0 - m) * h
-        c = m * c_new + (1.0 - m) * c
-
-    cache = (values, fmask, h_prev, c_prev, acts, tanh_c, reverse)
-    return (out[:, ::-1] if reverse else out), cache
-
-
-def _direction_backward(cell: LstmCell, cache, grad_out: np.ndarray) -> np.ndarray:
-    values, fmask, h_prev, c_prev, acts, tanh_c, reverse = cache
-    if reverse:
-        grad_out = grad_out[:, ::-1]
-    bsz, tlen, _ = values.shape
-    hdim = cell.hidden
-    w_cat, u_cat = cell.w_cat(), cell.u_cat()
-    u_cat_t = u_cat.T
-
-    d_gates = np.empty((bsz, tlen, 4 * hdim))
-    dh_carry = np.zeros((bsz, hdim))
-    dc_carry = np.zeros((bsz, hdim))
-
-    for t in range(tlen - 1, -1, -1):
-        m = fmask[:, t]
-        i = acts[:, t, :hdim]
-        f = acts[:, t, hdim : 2 * hdim]
-        g = acts[:, t, 2 * hdim : 3 * hdim]
-        o = acts[:, t, 3 * hdim :]
-        tc = tanh_c[:, t]
-
-        g_hnew = m * (grad_out[:, t] + dh_carry)
-        g_cnew = m * dc_carry + g_hnew * o * (1.0 - tc * tc)
-
-        d_o = g_hnew * tc
-        d_i = g_cnew * g
-        d_g = g_cnew * i
-        d_f = g_cnew * c_prev[:, t]
-
-        da = d_gates[:, t]
-        da[:, :hdim] = d_i * i * (1.0 - i)
-        da[:, hdim : 2 * hdim] = d_f * f * (1.0 - f)
-        da[:, 2 * hdim : 3 * hdim] = d_g * (1.0 - g * g)
-        da[:, 3 * hdim :] = d_o * o * (1.0 - o)
-
-        dh_carry = (1.0 - m) * dh_carry + da @ u_cat_t
-        dc_carry = g_cnew * f + (1.0 - m) * dc_carry
-
-    flat_x = values.reshape(bsz * tlen, -1)
-    flat_h = h_prev.reshape(bsz * tlen, hdim)
-    flat_da = d_gates.reshape(bsz * tlen, 4 * hdim)
-    cell.add_cat_grads(flat_x.T @ flat_da, flat_h.T @ flat_da, flat_da.sum(axis=0))
-
-    dx = (flat_da @ w_cat.T).reshape(bsz, tlen, -1)
-    return dx[:, ::-1] if reverse else dx
+        np.add(grad_run[lo:hi], dh_n, out=gh_n)  # dL/dh_t
+        np.multiply(tc, tc, out=gc_n)
+        np.subtract(1.0, gc_n, out=gc_n)
+        gc_n *= o
+        gc_n *= gh_n
+        gc_n += dc_n  # dL/dc_t
+        np.multiply(gc_n, g, out=da[:, :hdim])
+        np.multiply(gc_n, cs[prev, :n], out=da[:, hdim : 2 * hdim])
+        np.multiply(gh_n, tc, out=da[:, 2 * hdim : sig])
+        np.subtract(1.0, a[:, :sig], out=dsig_n)
+        dsig_n *= a[:, :sig]
+        da[:, :sig] *= dsig_n
+        dg = da[:, sig:]
+        np.multiply(g, g, out=dg)
+        np.subtract(1.0, dg, out=dg)
+        dg *= i
+        dg *= gc_n
+        if pos.partial[t]:  # padded rows pass their gradient on unchanged
+            keep = pos.valid[lo:hi]
+            np.copyto(da, 0.0, where=~keep)
+            np.matmul(da, u_t, out=tmp_n)
+            np.copyto(dh_n, tmp_n, where=keep)
+            np.multiply(gc_n, f, out=tmp_n)
+            np.copyto(dc_n, tmp_n, where=keep)
+        else:
+            np.matmul(da, u_t, out=dh_n)
+            np.multiply(gc_n, f, out=dc_n)
+    # mode="clip" writes straight into ``out``; the default buffers it
+    np.take(hs.reshape(-1, hdim), pos.tr + bsz if reverse else pos.tr, axis=0,
+            out=h_in, mode="clip")
+    np.matmul(x_run.T, d_acts, out=dw)
+    cell.w.grad += dw
+    np.matmul(h_in.T, d_acts, out=du)
+    cell.u.grad += du
+    cell.b.grad += d_acts.sum(axis=0)
+    np.matmul(d_acts, cell.w.value.T, out=dx_run)
 
 
 class BiLstm(Layer):
     """Two LSTM directions over the same sequence, outputs concatenated.
 
     Output features = 2*hidden; position t holds [forward state at t,
-    backward state at t].
+    backward state at t].  Both directions run time-major over the running
+    positions only (see :class:`_Positions`): the input projection and the
+    input-side gradient GEMMs cover the valid tokens, gathered once per
+    call, and step t works on the rows that have not yet ended.  The two
+    directions run one after the other on the calling thread.
     """
 
     def __init__(self, input_dim: int, hidden: int, rng, name: str = "bilstm"):
@@ -236,28 +275,62 @@ class BiLstm(Layer):
     def params(self) -> list[Parameter]:
         return self.fwd.params() + self.bwd.params()
 
+    @staticmethod
+    def _gather_inputs(values: np.ndarray, pos: _Positions) -> np.ndarray:
+        """Inputs at the running positions; padded ones enter as zero."""
+        x_run = np.take(values.reshape(-1, values.shape[2]), pos.bt, axis=0)
+        if not pos.valid.all():
+            x_run *= pos.valid
+        return x_run
+
     def forward(self, x: BatchTensor):
         if x.features != self.input_dim:
             raise DimensionError(
                 f"{self.name}: input has {x.features} features, expected {self.input_dim}"
             )
-        out_f, cache_f = _run_direction(self.fwd, x.values, x.mask, reverse=False)
-        out_b, cache_b = _run_direction(self.bwd, x.values, x.mask, reverse=True)
-        return x.with_values(np.concatenate([out_f, out_b], axis=2)), (cache_f, cache_b)
+        bsz, tlen, _ = x.values.shape
+        h = self.hidden
+        pos = _positions(x.mask)
+        x_run = self._gather_inputs(x.values, pos)
+        caches = [
+            (
+                np.empty((len(pos.bt), 4 * h)),
+                np.zeros((tlen + 1, bsz, h)),
+                np.zeros((tlen + 1, bsz, h)),
+                np.empty((tlen, bsz, h)),
+            )
+            for _ in range(2)
+        ]
+        for cell, cache, reverse in zip((self.fwd, self.bwd), caches, (False, True)):
+            _run_direction(cell.halved(), x_run, pos, cache, reverse)
+        # each direction emits the state written at step t: slot t+1 going
+        # forward, slot t in reverse; padded positions stay zero
+        out = np.zeros((bsz, tlen, 2 * h))
+        emit = pos.valid[:, 0]
+        for k, (cache, slots) in enumerate(zip(caches, (pos.tr + bsz, pos.tr))):
+            out.reshape(-1, 2 * h)[pos.bt[emit], k * h : (k + 1) * h] = (
+                cache[1].reshape(-1, h)[slots[emit]]
+            )
+        return x.with_values(out), (x.values, pos, caches)
 
     def backward(self, cache, grad_out: np.ndarray) -> np.ndarray:
-        cache_f, cache_b = cache
+        values, pos, caches = cache
+        dim = values.shape[2]
         h = self.hidden
-        dx = _direction_backward(self.fwd, cache_f, grad_out[:, :, :h])
-        dx += _direction_backward(self.bwd, cache_b, grad_out[:, :, h:])
+        n_run = len(pos.bt)
+        x_run = self._gather_inputs(values, pos)
+        grad_run = np.take(grad_out.reshape(-1, 2 * h), pos.bt, axis=0)
+        d_acts, h_in = np.empty((n_run, 4 * h)), np.empty((n_run, h))
+        dw, du = np.empty((dim, 4 * h)), np.empty((h, 4 * h))
+        dx_runs = np.empty((2, n_run, dim))
+        for k, (cell, reverse) in enumerate(((self.fwd, False), (self.bwd, True))):
+            _direction_backward(cell, caches[k], grad_run[:, k * h : (k + 1) * h], x_run, pos,
+                                (d_acts, h_in, dx_runs[k], dw, du), reverse)
+        dx_run = dx_runs[0]
+        dx_run += dx_runs[1]
+        dx = np.zeros_like(values)
+        dx.reshape(-1, dim)[pos.bt] = dx_run
         return dx
-
-
-def bilstm_forward(fwd: LstmCell, bwd: LstmCell, seq: BatchTensor) -> BatchTensor:
-    """Functional form: run two prebuilt cells over ``seq`` and concatenate."""
-    out_f, _ = _run_direction(fwd, seq.values, seq.mask, reverse=False)
-    out_b, _ = _run_direction(bwd, seq.values, seq.mask, reverse=True)
-    return seq.with_values(np.concatenate([out_f, out_b], axis=2))
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,7 @@ from enum import Enum
 
 import numpy as np
 
+from .corpus import LABELS
 from .errors import ConfigurationError, DimensionError, FormatError
 from .layers import (
     AdditiveSelfAttention,
@@ -32,8 +33,6 @@ from .layers import (
     choose_heads,
 )
 from .numeric import BatchTensor, Parameter, make_rng
-
-LABELS = ("B", "I", "O")
 
 
 class ArchitectureId(Enum):
@@ -202,7 +201,11 @@ def predict_labels(model: Model, batch: BatchTensor) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 _CKPT_MAGIC = b"ARGSEG-CKPT"
-_CKPT_VERSION = 1
+_CKPT_VERSION = 2
+# Format 1 stored each fused LSTM tensor as four per-gate tensors named
+# <cell>.W_i, <cell>.W_f, <cell>.W_c and <cell>.W_o (likewise U and b); this
+# is their order in the fused i|f|o|g layout.
+_V1_GATES = ("i", "f", "o", "c")
 
 
 def _spec_to_lines(spec: ModelSpec) -> list[str]:
@@ -253,8 +256,24 @@ def save_checkpoint(model: Model, path):
         fh.write(buf.getvalue())
 
 
+def _join_v1_gates(tensors: dict[str, np.ndarray], name: str) -> np.ndarray | None:
+    """The fused LSTM tensor ``name`` from its format-1 per-gate blocks, if present."""
+    base, _, kind = name.rpartition(".")
+    keys = [f"{base}.{kind}_{g}" for g in _V1_GATES]
+    if not all(k in tensors for k in keys):
+        return None
+    blocks = [tensors.pop(k) for k in keys]
+    if len({b.shape for b in blocks}) != 1:
+        return None
+    return np.concatenate(blocks, axis=-1)
+
+
 def load_checkpoint(path) -> Model:
-    """Rebuild the model from a checkpoint; round-trips byte-exactly."""
+    """Rebuild the model from a checkpoint; round-trips byte-exactly.
+
+    Reads format 2 and format 1, whose per-gate LSTM blocks are joined into
+    the fused tensors.  Any malformed file raises :class:`FormatError`.
+    """
     with open(path, "rb") as fh:
         data = fh.read()
     buf = io.BytesIO(data)
@@ -263,13 +282,23 @@ def load_checkpoint(path) -> Model:
         raw = buf.readline()
         if not raw.endswith(b"\n"):
             raise FormatError("checkpoint is truncated inside the header")
-        return raw[:-1].decode("utf-8")
+        try:
+            return raw[:-1].decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"checkpoint header is not UTF-8: {exc}") from None
+
+    def read_int(text: str, what: str) -> int:
+        try:
+            return int(text)
+        except ValueError:
+            raise FormatError(f"checkpoint {what} is not an integer: {text!r}") from None
 
     first = read_line().split()
     if len(first) != 2 or first[0].encode() != _CKPT_MAGIC:
         raise FormatError("not a checkpoint file (bad magic string)")
-    if int(first[1]) != _CKPT_VERSION:
-        raise FormatError(f"unsupported checkpoint version {first[1]}")
+    version = read_int(first[1], "version")
+    if version not in (1, _CKPT_VERSION):
+        raise FormatError(f"unsupported checkpoint version {version}")
 
     fields: dict[str, str] = {}
     n_tensors = None
@@ -279,34 +308,43 @@ def load_checkpoint(path) -> Model:
             break
         key, _, value = line.partition(" ")
         if key == "tensors":
-            n_tensors = int(value)
+            n_tensors = read_int(value, "tensor count")
         else:
             fields[key] = value
     if n_tensors is None:
         raise FormatError("checkpoint header lacks a tensor count")
-
     model = build_model(_spec_from_fields(fields))
-    params = model.params()
-    if n_tensors != len(params):
-        raise FormatError(
-            f"checkpoint holds {n_tensors} tensors, model needs {len(params)}"
-        )
-    for p in params:
+
+    tensors: dict[str, np.ndarray] = {}
+    for _ in range(n_tensors):
         header = read_line().split()
-        if not header or header[0] != "tensor":
-            raise FormatError(f"expected a tensor block for {p.name}")
-        name, ndim = header[1], int(header[2])
-        shape = tuple(int(d) for d in header[3 : 3 + ndim])
-        if name != p.name or shape != p.value.shape:
-            raise FormatError(
-                f"tensor mismatch: file has {name} {shape}, model expects "
-                f"{p.name} {p.value.shape}"
-            )
-        nbytes = int(np.prod(shape)) * 8 if shape else 8
+        if len(header) < 3 or header[0] != "tensor":
+            raise FormatError(f"malformed tensor line {' '.join(header)!r}")
+        name = header[1]
+        ndim = read_int(header[2], f"rank of tensor {name}")
+        if len(header) != 3 + ndim:
+            raise FormatError(f"tensor {name} has rank {ndim} but {len(header) - 3} dimensions")
+        shape = tuple(read_int(d, f"dimension of tensor {name}") for d in header[3:])
+        if any(d < 0 for d in shape) or name in tensors:
+            raise FormatError(f"bad or repeated tensor line for {name}")
+        nbytes = int(np.prod(shape)) * 8
         raw = buf.read(nbytes)
         if len(raw) != nbytes:
             raise FormatError(f"checkpoint is truncated inside tensor {name}")
-        p.value[...] = np.frombuffer(raw, dtype="<f8").reshape(shape)
+        tensors[name] = np.frombuffer(raw, dtype="<f8").reshape(shape)
     if buf.read(1):
         raise FormatError("trailing bytes after the last tensor block")
+
+    for p in model.params():
+        value = tensors.pop(p.name, None)
+        if value is None and version == 1:
+            value = _join_v1_gates(tensors, p.name)
+        if value is None or value.shape != p.value.shape:
+            found = "nothing" if value is None else str(value.shape)
+            raise FormatError(
+                f"tensor mismatch: model expects {p.name} {p.value.shape}, file has {found}"
+            )
+        p.value[...] = value
+    if tensors:
+        raise FormatError(f"checkpoint holds tensors the model lacks: {sorted(tensors)}")
     return model

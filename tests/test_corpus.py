@@ -280,3 +280,14 @@ class TestConll:
         with open(path, "r", encoding="utf-8") as fh:
             with pytest.raises(CorpusIntegrityError, match="line 1"):
                 read_conll(fh)
+
+    @pytest.mark.parametrize("column", [2, 3, 4])  # seq_index, start, end
+    def test_non_integer_field_rejected(self, tmp_path, column):
+        cols = ["word", "essay001", "0", "0", "4", "O"]
+        good = "\t".join(cols) + "\n"
+        cols[column] = "x1"
+        path = tmp_path / "bad.conll"
+        path.write_text(good + "\t".join(cols) + "\n", encoding="utf-8")
+        with open(path, "r", encoding="utf-8") as fh:
+            with pytest.raises(CorpusIntegrityError, match="line 2"):
+                read_conll(fh)

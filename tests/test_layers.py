@@ -2,8 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import expit
 
-from argseg.errors import ConfigurationError, ContractViolation
+from argseg.errors import ConfigurationError, ContractViolation, DimensionError
 from argseg.layers import (
     AdditiveSelfAttention,
     BiLstm,
@@ -11,9 +12,7 @@ from argseg.layers import (
     LstmCell,
     MultiHeadSelfAttention,
     TimeDistributedLinear,
-    bilstm_forward,
     choose_heads,
-    lstm_cell_step,
 )
 from argseg.numeric import BatchTensor, grad_check
 
@@ -24,8 +23,65 @@ def full_batch(values):
 
 
 # ---------------------------------------------------------------------------
-# scalar-loop LSTM reference (independent of the vectorized implementation)
+# LSTM references (independent of the time-major kernel in argseg.layers)
 # ---------------------------------------------------------------------------
+
+
+GATES = ("i", "f", "o", "g")  # column blocks of the fused LSTM parameters
+
+
+def gate_block(p, gate):
+    """The columns of a fused i|f|o|g parameter that belong to one gate."""
+    k = GATES.index(gate)
+    h = p.value.shape[-1] // 4
+    return p.value[..., k * h : (k + 1) * h]
+
+
+def lstm_cell_step(cell: LstmCell, x_t, h_prev, c_prev):
+    """Single step: returns (h_t, c_t) for 1-D or (B, *) inputs.
+
+    i = sigmoid(x W_i + h U_i + b_i), f and o likewise, g = tanh(x W_g + h U_g + b_g);
+    c_t = f*c_prev + i*g; h_t = o*tanh(c_t).
+    """
+    x_t = np.asarray(x_t, dtype=np.float64)
+    h_prev = np.asarray(h_prev, dtype=np.float64)
+    c_prev = np.asarray(c_prev, dtype=np.float64)
+    single = x_t.ndim == 1
+    if single:
+        x_t, h_prev, c_prev = x_t[None, :], h_prev[None, :], c_prev[None, :]
+    if x_t.shape[1] != cell.input_dim or h_prev.shape[1] != cell.hidden:
+        raise DimensionError(
+            f"{cell.name}: got input {x_t.shape}, state {h_prev.shape}, "
+            f"expected dims ({cell.input_dim}, {cell.hidden})"
+        )
+    hdim = cell.hidden
+    a = x_t @ cell.w.value + h_prev @ cell.u.value + cell.b.value
+    i = expit(a[:, :hdim])
+    f = expit(a[:, hdim : 2 * hdim])
+    o = expit(a[:, 2 * hdim : 3 * hdim])
+    g = np.tanh(a[:, 3 * hdim :])
+    c_t = f * c_prev + i * g
+    h_t = o * np.tanh(c_t)
+    if single:
+        return h_t[0], c_t[0]
+    return h_t, c_t
+
+
+def lstm_reference(layer: BiLstm, x: BatchTensor):
+    """Row-by-row, step-by-step BiLSTM: padded steps emit zero and carry the state."""
+    bsz, tlen, _ = x.values.shape
+    hdim = layer.hidden
+    out = np.zeros((bsz, tlen, 2 * hdim))
+    for b in range(bsz):
+        for cell, steps, lo in ((layer.fwd, range(tlen), 0),
+                                (layer.bwd, range(tlen - 1, -1, -1), hdim)):
+            h = np.zeros(hdim)
+            c = np.zeros(hdim)
+            for t in steps:
+                if x.mask[b, t]:
+                    h, c = lstm_cell_step(cell, x.values[b, t], h, c)
+                    out[b, t, lo : lo + hdim] = h
+    return out
 
 
 def scalar_sigmoid(x):
@@ -37,8 +93,8 @@ def scalar_lstm_step(cell, x, h_prev, c_prev):
     h_t = np.zeros(hidden)
     c_t = np.zeros(hidden)
     gates = {}
-    for g in ("i", "f", "c", "o"):
-        w, u, b = cell.w[g].value, cell.u[g].value, cell.b[g].value
+    for gate in GATES:
+        w, u, b = (gate_block(p, gate) for p in cell.params())
         pre = np.zeros(hidden)
         for j in range(hidden):
             acc = b[j]
@@ -47,12 +103,12 @@ def scalar_lstm_step(cell, x, h_prev, c_prev):
             for k in range(hidden):
                 acc += h_prev[k] * u[k, j]
             pre[j] = acc
-        gates[g] = pre
+        gates[gate] = pre
     for j in range(hidden):
         i = scalar_sigmoid(gates["i"][j])
         f = scalar_sigmoid(gates["f"][j])
         o = scalar_sigmoid(gates["o"][j])
-        g = math.tanh(gates["c"][j])
+        g = math.tanh(gates["g"][j])
         c_t[j] = f * c_prev[j] + i * g
         h_t[j] = o * math.tanh(c_t[j])
     return h_t, c_t
@@ -76,8 +132,8 @@ class TestLstmCell:
     def test_saturated_forget_gate_carries_cell_state(self):
         rng = np.random.default_rng(1)
         cell = LstmCell(3, 4, rng)
-        cell.b["f"].value[:] = 50.0  # forget gate pinned open
-        cell.b["i"].value[:] = -50.0  # input gate pinned shut
+        gate_block(cell.b, "f")[:] = 50.0  # forget gate pinned open
+        gate_block(cell.b, "i")[:] = -50.0  # input gate pinned shut
         c_prev = rng.standard_normal(4)
         _, c_t = lstm_cell_step(cell, rng.standard_normal(3), rng.standard_normal(4), c_prev)
         assert np.allclose(c_t, c_prev, atol=1e-10)
@@ -161,13 +217,43 @@ class TestBiLstm:
         assert np.allclose(out_padded.values[0, :3], out_short.values[0], atol=1e-12)
         assert not out_padded.values[0, 3:].any()
 
-    def test_functional_form_matches_layer(self):
+    @staticmethod
+    def mixed_batch(rng, width=3):
+        """Mixed lengths, one all-padding row, leading and interior padding."""
+        x = BatchTensor.from_rows([rng.standard_normal((n, width)) * 0.5 for n in (5, 2, 4, 5)])
+        x.mask[0, 0] = False
+        x.mask[3, 1:3] = False
+        x.mask[1, :] = False
+        x.values[~x.mask] = 0.0
+        return x
+
+    def test_matches_stepwise_reference_on_mixed_batch(self):
         rng = np.random.default_rng(8)
-        layer = BiLstm(3, 2, rng)
-        x = BatchTensor.from_rows([rng.standard_normal((4, 3)), rng.standard_normal((2, 3))])
-        out_layer, _ = layer.forward(x)
-        out_fn = bilstm_forward(layer.fwd, layer.bwd, x)
-        assert np.array_equal(out_layer.values, out_fn.values)
+        layer = BiLstm(3, 4, rng)
+        x = self.mixed_batch(rng)
+        out, _ = layer.forward(x)
+        assert np.abs(out.values - lstm_reference(layer, x)).max() <= 1e-12
+
+    def test_gradients_on_mixed_batch(self):
+        rng = np.random.default_rng(9)
+        layer = BiLstm(3, 4, rng)
+        assert grad_check(layer, self.mixed_batch(rng), 1e-3, rng) < 1e-4
+
+    def test_repeated_runs_are_byte_identical(self):
+        rng = np.random.default_rng(10)
+        layer = BiLstm(3, 4, rng)
+        x = self.mixed_batch(rng)
+        upstream = rng.standard_normal((4, 5, 8))
+        runs = []
+        for _ in range(2):
+            layer.zero_grads()
+            out, cache = layer.forward(x)
+            dx = layer.backward(cache, upstream)
+            runs.append([out.values, dx] + [p.grad.copy() for p in layer.params()])
+        for run in runs[1:]:
+            for a, b in zip(runs[0], run, strict=True):
+                assert a.tobytes() == b.tobytes()
+        assert not runs[0][1][~x.mask].any()  # padded positions get no input gradient
 
 
 class TestAdditiveAttention:

@@ -12,6 +12,7 @@ from argseg.layers import (
 from argseg.models import (
     ArchitectureId,
     ModelSpec,
+    _spec_to_lines,
     build_model,
     load_checkpoint,
     predict_labels,
@@ -213,4 +214,84 @@ class TestCheckpoint:
         path = tmp_path / "bad.ckpt"
         path.write_bytes(b"NOT-A-CHECKPOINT 1\nend-header\n")
         with pytest.raises(FormatError, match="magic"):
+            load_checkpoint(path)
+
+
+def write_v1_checkpoint(model, path):
+    """Checkpoint format 1: each fused LSTM tensor as per-gate blocks W_i, W_f, W_c, W_o."""
+    lstm = {p.name for layer in model.layers if isinstance(layer, BiLstm) for p in layer.params()}
+    blocks = []
+    for p in model.params():
+        if p.name not in lstm:
+            blocks.append((p.name, p.value))
+            continue
+        h = p.value.shape[-1] // 4
+        for gate, k in (("i", 0), ("f", 1), ("c", 3), ("o", 2)):
+            blocks.append((f"{p.name}_{gate}", p.value[..., k * h : (k + 1) * h]))
+    lines = ["ARGSEG-CKPT 1", *_spec_to_lines(model.spec), f"tensors {len(blocks)}", "end-header"]
+    data = "".join(line + "\n" for line in lines).encode()
+    for name, value in blocks:
+        dims = " ".join(str(d) for d in value.shape)
+        data += f"tensor {name} {value.ndim} {dims}\n".encode()
+        data += np.ascontiguousarray(value, dtype="<f8").tobytes()
+    path.write_bytes(data)
+
+
+def perturbed_model(rng, arch=ArchitectureId.BL_E):
+    model = build_model(ModelSpec(arch, input_dim=8, hidden=3, seed=4))
+    for p in model.params():  # move away from the seeded init
+        p.value += rng.standard_normal(p.value.shape) * 0.1
+    return model
+
+
+class TestCheckpointFormats:
+    def test_version_one_loads_and_predicts_identically(self, tmp_path):
+        rng = np.random.default_rng(7)
+        model = perturbed_model(rng)
+        write_v1_checkpoint(model, tmp_path / "v1.ckpt")
+        restored = load_checkpoint(tmp_path / "v1.ckpt")
+        for a, b in zip(model.params(), restored.params(), strict=True):
+            assert np.array_equal(a.value, b.value), a.name
+        batch = toy_batch(rng, 8)
+        assert np.array_equal(predict_labels(model, batch), predict_labels(restored, batch))
+        assert np.array_equal(model.forward(batch)[0].values, restored.forward(batch)[0].values)
+
+    def test_version_one_resaves_as_current_format(self, tmp_path):
+        model = perturbed_model(np.random.default_rng(8), ArchitectureId.SB)
+        write_v1_checkpoint(model, tmp_path / "v1.ckpt")
+        save_checkpoint(load_checkpoint(tmp_path / "v1.ckpt"), tmp_path / "a.ckpt")
+        save_checkpoint(model, tmp_path / "b.ckpt")
+        assert (tmp_path / "a.ckpt").read_bytes() == (tmp_path / "b.ckpt").read_bytes()
+        assert (tmp_path / "a.ckpt").read_bytes().startswith(b"ARGSEG-CKPT 2\n")
+
+    @staticmethod
+    def corrupt(data: bytes, how: str) -> bytes:
+        header, sep, body = data.partition(b"end-header\n")
+        if how == "version":
+            return data.replace(b"ARGSEG-CKPT 1\n", b"ARGSEG-CKPT one\n").replace(
+                b"ARGSEG-CKPT 2\n", b"ARGSEG-CKPT two\n")
+        if how == "tensor_count":
+            head, _, rest = header.partition(b"tensors ")
+            return head + b"tensors many" + rest[rest.index(b"\n"):] + sep + body
+        if how == "short_tensor_line":
+            line_end = body.index(b"\n")
+            name = body[:line_end].split()[1]
+            return header + sep + b"tensor " + name + body[line_end:]
+        assert how == "non_utf8_header"
+        return data.replace(b"arch ", b"arch \xff\xfe", 1)
+
+    @pytest.mark.parametrize("version", [1, 2])
+    @pytest.mark.parametrize("how", ["version", "tensor_count", "short_tensor_line",
+                                     "non_utf8_header"])
+    def test_malformed_file_is_format_error(self, tmp_path, version, how):
+        model = perturbed_model(np.random.default_rng(9), ArchitectureId.SB)
+        path = tmp_path / "m.ckpt"
+        if version == 1:
+            write_v1_checkpoint(model, path)
+        else:
+            save_checkpoint(model, path)
+        bad = self.corrupt(path.read_bytes(), how)
+        assert bad != path.read_bytes()
+        path.write_bytes(bad)
+        with pytest.raises(FormatError):
             load_checkpoint(path)
