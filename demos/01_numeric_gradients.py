@@ -10,7 +10,7 @@ deliberately corrupted one.
 import numpy as np
 
 from argseg.layers import BiLstm
-from argseg.numeric import BatchTensor, grad_check, matmul, softmax_rows
+from argseg.numeric import BatchTensor, grad_check, softmax_rows
 
 rng = np.random.default_rng(0)
 
@@ -20,13 +20,13 @@ probs = softmax_rows(logits)
 print("softmax rows:\n", np.round(probs, 6))
 print("row sums:", probs.sum(axis=1), "(huge logits stay finite)\n")
 
-print("== matmul contract ==")
+print("== matrix product contract ==")
 a = rng.standard_normal((2, 3))
 b = rng.standard_normal((3, 2))
-print("(2,3) @ (3,2) ->", matmul(a, b).shape)
+print("(2,3) @ (3,2) ->", (a @ b).shape)
 try:
-    matmul(a, np.zeros((5, 2)))
-except Exception as exc:
+    a @ np.zeros((5, 2))
+except ValueError as exc:
     print("shape mismatch is loud:", exc, "\n")
 
 print("== gradient check on a BiLSTM ==")

@@ -113,12 +113,6 @@ def load_glove_file(path) -> EmbeddingTable:
         return load_glove(fh)
 
 
-def lookup(table: EmbeddingTable, token) -> np.ndarray:
-    """Vector for a corpus token (or plain string); zero when out of vocabulary."""
-    word = token if isinstance(token, str) else token.text
-    return table.lookup(word)
-
-
 def oov_statistics(table: EmbeddingTable, sequences: list[LabeledSequence]):
     """(misses, total) over every token of the given sequences."""
     total = 0
@@ -259,7 +253,10 @@ def load_precomputed(data: bytes) -> PrecomputedStore:
         end = pos + id_len + 8 + vec_bytes
         if end > len(payload):
             raise FormatError("store payload is truncated inside a record")
-        essay_id = payload[pos : pos + id_len].decode("utf-8")
+        try:
+            essay_id = payload[pos : pos + id_len].decode("utf-8")
+        except UnicodeDecodeError:
+            raise FormatError(f"store essay id at payload byte {pos} is not UTF-8") from None
         pos += id_len
         sentence, token = struct.unpack_from("<II", payload, pos)
         pos += 8
@@ -375,7 +372,3 @@ class EmbeddingSpec:
         parts = [src.rows(seq) for src in self.sources]
         out = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
         return np.ascontiguousarray(out, dtype=np.float64)
-
-
-def vectorize(spec: EmbeddingSpec, seq: LabeledSequence) -> np.ndarray:
-    return spec.vectorize(seq)

@@ -1,11 +1,13 @@
 """Sequence-labeling building blocks with explicit forward/backward passes.
 
-Five layer types: LSTM cell, bidirectional LSTM, additive self-attention,
-scaled dot-product multi-head self-attention, and a time-distributed dense
-softmax head.  Each layer owns its :class:`~argseg.numeric.Parameter` objects,
-returns an activation cache from ``forward`` and accumulates parameter
-gradients in ``backward``.  Caches are owned by the caller, so one layer can
-be checked or trained without any global tape.
+Four layer types: bidirectional LSTM (two LSTM cells), additive
+self-attention, scaled dot-product multi-head self-attention, and a
+time-distributed linear map.  Each layer owns its
+:class:`~argseg.numeric.Parameter` objects, returns an activation cache from
+``forward`` and accumulates parameter gradients in ``backward``.  Caches are
+owned by the caller, so one layer can be checked or trained without any
+global tape.  A model ends in a linear map to per-token B/I/O logits; the
+softmax is applied once, inside the loss.
 
 Shape convention: batches are (B, T, F) with a (B, T) validity mask; padded
 positions hold zero vectors, produce zero outputs and receive zero gradient.
@@ -348,8 +350,10 @@ def _require_valid_rows(mask: np.ndarray, name: str):
 class AdditiveSelfAttention(Layer):
     """Self-attention with a small feed-forward scorer over position pairs.
 
-    score(t, s) = v_a^T tanh(x_t W_t + x_s W_x + b_h) + b_v, softmax over the
+    score(t, s) = v_a^T tanh(x_t W_t + x_s W_x + b_h), softmax over the
     valid positions s, output_t = sum_s alpha(t, s) x_s.  Shape-preserving.
+    The score has no output bias: a constant added to every score of a
+    softmax row cancels.
     """
 
     # pairwise tanh activations are O(T^2 * attn_dim); recomputed in chunks
@@ -366,10 +370,9 @@ class AdditiveSelfAttention(Layer):
         self.w_key = Parameter(f"{name}.W_x", glorot_uniform(rng, dim, attn_dim))
         self.b_hidden = Parameter(f"{name}.b_h", np.zeros(attn_dim))
         self.v_score = Parameter(f"{name}.v_a", glorot_uniform(rng, attn_dim, 1))
-        self.b_score = Parameter(f"{name}.b_v", np.zeros(1))
 
     def params(self) -> list[Parameter]:
-        return [self.w_query, self.w_key, self.b_hidden, self.v_score, self.b_score]
+        return [self.w_query, self.w_key, self.b_hidden, self.v_score]
 
     def _chunk(self, bsz: int, tlen: int) -> int:
         per_row = max(1, bsz * tlen * self.attn_dim)
@@ -394,7 +397,6 @@ class AdditiveSelfAttention(Layer):
             t1 = min(tlen, t0 + step)
             u = np.tanh(q[:, t0:t1, None, :] + k[:, None, :, :] + bias)
             scores[:, t0:t1] = u @ v_flat
-        scores += self.b_score.value[0]
         scores = scores + NEG_INF * (~x.mask[:, None, :])
 
         alpha = softmax_rows(scores)
@@ -415,7 +417,6 @@ class AdditiveSelfAttention(Layer):
         row_dot = (alpha * d_alpha).sum(axis=2, keepdims=True)
         d_scores = alpha * (d_alpha - row_dot)
 
-        self.b_score.grad[0] += d_scores.sum()
         v_flat = self.v_score.value[:, 0]
         bias = self.b_hidden.value
         dq = np.zeros_like(q)
@@ -545,7 +546,7 @@ def choose_heads(dim: int, cap: int = 6) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Dense heads
+# Linear maps
 # ---------------------------------------------------------------------------
 
 
@@ -579,59 +580,3 @@ class TimeDistributedLinear(Layer):
         self.w.grad += flat_x.T @ flat_g
         self.b.grad += flat_g.sum(axis=0)
         return grad_out @ self.w.value.T
-
-
-class DenseSoftmax(Layer):
-    """Time-distributed 3-way classifier head over {B, I, O}.
-
-    Valid tokens get softmax(x W + b); padded tokens emit the uniform
-    distribution and are excluded from loss and metrics by the mask.
-    """
-
-    N_CLASSES = 3
-
-    def __init__(self, input_dim: int, rng, name: str = "head"):
-        self.name = name
-        self.input_dim = input_dim
-        self.w = Parameter(f"{name}.W", glorot_uniform(rng, input_dim, self.N_CLASSES))
-        self.b = Parameter(f"{name}.b", np.zeros(self.N_CLASSES))
-
-    def params(self) -> list[Parameter]:
-        return [self.w, self.b]
-
-    def forward(self, x: BatchTensor):
-        if x.features != self.input_dim:
-            raise DimensionError(
-                f"{self.name}: input has {x.features} features, expected {self.input_dim}"
-            )
-        logits = x.values @ self.w.value + self.b.value
-        probs = softmax_rows(logits)
-        probs[~x.mask] = 1.0 / self.N_CLASSES
-        return x.with_values(probs), (x.values, probs, x.mask)
-
-    def backward(self, cache, grad_out: np.ndarray) -> np.ndarray:
-        vals, probs, mask = cache
-        grad_out = grad_out * mask[:, :, None]
-        row_dot = (probs * grad_out).sum(axis=2, keepdims=True)
-        d_logits = (probs * (grad_out - row_dot)) * mask[:, :, None]
-        bsz, tlen, _ = vals.shape
-        flat_x = vals.reshape(bsz * tlen, -1)
-        flat_g = d_logits.reshape(bsz * tlen, -1)
-        self.w.grad += flat_x.T @ flat_g
-        self.b.grad += flat_g.sum(axis=0)
-        return d_logits @ self.w.value.T
-
-
-def additive_self_attention(layer: AdditiveSelfAttention, seq: BatchTensor) -> BatchTensor:
-    out, _ = layer.forward(seq)
-    return out
-
-
-def multi_head_self_attention(layer: MultiHeadSelfAttention, seq: BatchTensor) -> BatchTensor:
-    out, _ = layer.forward(seq)
-    return out
-
-
-def dense_softmax(layer: DenseSoftmax, seq: BatchTensor) -> BatchTensor:
-    out, _ = layer.forward(seq)
-    return out

@@ -3,20 +3,22 @@
 Architecture ids:
 
 * ``BL``   stacked pair of BiLSTMs with a low-dimensional projection between
-           them, softmax head on top
+           them, linear head on top
 * ``BL_I`` BL with multi-head self-attention on the raw input vectors
 * ``BL_E`` BL with multi-head self-attention between the two BiLSTMs (the
            attention therefore operates on the narrow inter-stage space)
-* ``SB``   a single BiLSTM with the softmax head
+* ``SB``   a single BiLSTM with the linear head
 * ``SB_I`` SB with additive self-attention on the raw input vectors
 
 The BL family uses multi-head attention, the SB family additive attention.
+Every model ends in a linear head that emits per-token logits over
+{B, I, O}; the softmax over them is taken once, inside the training loss.
 """
 
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -26,7 +28,6 @@ from .errors import ConfigurationError, DimensionError, FormatError
 from .layers import (
     AdditiveSelfAttention,
     BiLstm,
-    DenseSoftmax,
     Layer,
     MultiHeadSelfAttention,
     TimeDistributedLinear,
@@ -133,10 +134,6 @@ class Model:
             g = layer.backward(cache, g)
         return g
 
-    def predict_proba(self, batch: BatchTensor) -> BatchTensor:
-        out, _ = self.forward(batch)
-        return out
-
     def get_values(self) -> list[np.ndarray]:
         return [p.value.copy() for p in self.params()]
 
@@ -175,13 +172,8 @@ def build_model(spec: ModelSpec) -> Model:
             layers.append(MultiHeadSelfAttention(stage_dim, heads, rng, "attn_mid"))
         layers.append(BiLstm(stage_dim, spec.hidden, rng, "bilstm_2"))
 
-    layers.append(DenseSoftmax(2 * spec.hidden, rng, "head"))
+    layers.append(TimeDistributedLinear(2 * spec.hidden, len(LABELS), rng, "head"))
     return Model(spec, layers)
-
-
-def forward(model: Model, batch: BatchTensor) -> BatchTensor:
-    """Per-token distributions over {B, I, O}."""
-    return model.predict_proba(batch)
 
 
 def predict_labels(model: Model, batch: BatchTensor) -> np.ndarray:
@@ -190,8 +182,8 @@ def predict_labels(model: Model, batch: BatchTensor) -> np.ndarray:
     Padded positions are filled with the O index; the mask decides what is
     meaningful downstream.
     """
-    probs = model.predict_proba(batch)
-    labels = np.argmax(probs.values, axis=2)
+    logits, _ = model.forward(batch)
+    labels = np.argmax(logits.values, axis=2)
     labels[~batch.mask] = LABELS.index("O")
     return labels
 
@@ -201,7 +193,7 @@ def predict_labels(model: Model, batch: BatchTensor) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 _CKPT_MAGIC = b"ARGSEG-CKPT"
-_CKPT_VERSION = 2
+_CKPT_VERSION = 3
 # Format 1 stored each fused LSTM tensor as four per-gate tensors named
 # <cell>.W_i, <cell>.W_f, <cell>.W_c and <cell>.W_o (likewise U and b); this
 # is their order in the fused i|f|o|g layout.
@@ -271,8 +263,11 @@ def _join_v1_gates(tensors: dict[str, np.ndarray], name: str) -> np.ndarray | No
 def load_checkpoint(path) -> Model:
     """Rebuild the model from a checkpoint; round-trips byte-exactly.
 
-    Reads format 2 and format 1, whose per-gate LSTM blocks are joined into
-    the fused tensors.  Any malformed file raises :class:`FormatError`.
+    Reads format 3 and the older formats 2 and 1.  Format 1's per-gate LSTM
+    blocks are joined into the fused tensors.  Formats 1 and 2 also hold the
+    additive attention's score bias ``<layer>.b_v`` (shape (1,)), which is
+    dropped: it shifted every score of a softmax row equally, so it never
+    changed an output.  Any malformed file raises :class:`FormatError`.
     """
     with open(path, "rb") as fh:
         data = fh.read()
@@ -297,7 +292,7 @@ def load_checkpoint(path) -> Model:
     if len(first) != 2 or first[0].encode() != _CKPT_MAGIC:
         raise FormatError("not a checkpoint file (bad magic string)")
     version = read_int(first[1], "version")
-    if version not in (1, _CKPT_VERSION):
+    if version not in (1, 2, _CKPT_VERSION):
         raise FormatError(f"unsupported checkpoint version {version}")
 
     fields: dict[str, str] = {}
@@ -334,6 +329,9 @@ def load_checkpoint(path) -> Model:
         tensors[name] = np.frombuffer(raw, dtype="<f8").reshape(shape)
     if buf.read(1):
         raise FormatError("trailing bytes after the last tensor block")
+    if version < 3:
+        for name in [n for n, v in tensors.items() if n.endswith(".b_v") and v.shape == (1,)]:
+            del tensors[name]
 
     for p in model.params():
         value = tensors.pop(p.name, None)

@@ -1,4 +1,4 @@
-"""Dense float64 linear algebra, activations, and a gradient-verification harness.
+"""Float64 core: stable softmax, parameters, padded batches, and gradient checks.
 
 Everything downstream (layers, models, training) is built on the primitives
 here.  All arrays are C-contiguous float64; 32-bit precision makes the
@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 from .errors import ContractViolation, DimensionError, NumericError
 
@@ -21,44 +20,8 @@ def as_array(values) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Matrix operations
+# Softmax
 # ---------------------------------------------------------------------------
-
-
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix product of two 2-D arrays, (n, k) @ (k, m) -> (n, m)."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.ndim != 2 or b.ndim != 2:
-        raise DimensionError(f"matmul needs 2-D operands, got {a.shape} and {b.shape}")
-    if a.shape[1] != b.shape[0]:
-        raise DimensionError(f"cannot multiply {a.shape} by {b.shape}")
-    return a @ b
-
-
-def sigmoid(x: np.ndarray) -> np.ndarray:
-    """Logistic function 1/(1+e^-x); saturates to exactly 0/1, never NaN."""
-    return expit(np.asarray(x, dtype=np.float64))
-
-
-def tanh(x: np.ndarray) -> np.ndarray:
-    return np.tanh(np.asarray(x, dtype=np.float64))
-
-
-def relu(x: np.ndarray) -> np.ndarray:
-    return np.maximum(np.asarray(x, dtype=np.float64), 0.0)
-
-
-_ELEMENTWISE = {"sigmoid": sigmoid, "tanh": tanh, "relu": relu}
-
-
-def elementwise(a: np.ndarray, fn: str) -> np.ndarray:
-    """Apply one of {sigmoid, tanh, relu} entrywise."""
-    try:
-        f = _ELEMENTWISE[fn]
-    except KeyError:
-        raise ValueError(f"unknown elementwise function {fn!r}") from None
-    return f(a)
 
 
 def softmax_rows(a: np.ndarray) -> np.ndarray:

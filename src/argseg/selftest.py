@@ -14,7 +14,6 @@ from . import corpus, toydata
 from .layers import (
     AdditiveSelfAttention,
     BiLstm,
-    DenseSoftmax,
     MultiHeadSelfAttention,
     TimeDistributedLinear,
 )
@@ -41,7 +40,6 @@ def layer_zoo(rng):
         (BiLstm(4, 5, rng, "bilstm"), 4),
         (AdditiveSelfAttention(4, rng, attn_dim=5, name="attn_add"), 4),
         (MultiHeadSelfAttention(6, 2, rng, "attn_mha"), 6),
-        (DenseSoftmax(4, rng, "head"), 4),
     ]
 
 

@@ -70,21 +70,29 @@ def generalization_gap(curve: LossCurve) -> float:
 
 
 def masked_cross_entropy(pred: BatchTensor, gold: np.ndarray, mask: np.ndarray):
-    """Mean negative log-likelihood over valid tokens, plus d(loss)/d(pred).
+    """Mean softmax cross-entropy over valid tokens, plus d(loss)/d(pred).
 
-    ``gold`` holds label indices (B=0, I=1, O=2); padded positions receive
-    exactly zero gradient.
+    ``pred`` holds per-token logits z and ``gold`` label indices (B=0, I=1,
+    O=2).  Each valid token adds logsumexp(z) - z[gold], taken with
+    max-subtraction so finite logits give a finite loss; its gradient is
+    (softmax(z) - onehot(gold)) / n.  Padded positions receive exactly zero
+    gradient.
     """
     mask = np.asarray(mask, dtype=bool)
     n_valid = int(mask.sum())
     if n_valid == 0:
         raise ContractViolation("loss over zero valid tokens is undefined")
-    b_idx, t_idx = np.nonzero(mask)
-    p_gold = pred.values[b_idx, t_idx, gold[b_idx, t_idx]]
-    with np.errstate(divide="ignore"):  # p == 0 yields inf; the trainer aborts on it
-        loss = float(-np.log(p_gold).sum() / n_valid)
-        grad = np.zeros_like(pred.values)
-        grad[b_idx, t_idx, gold[b_idx, t_idx]] = -1.0 / (p_gold * n_valid)
+    z = pred.values[mask]
+    z = z - z.max(axis=1, keepdims=True)
+    e = np.exp(z)
+    total = e.sum(axis=1)
+    rows = np.arange(n_valid)
+    gold_valid = gold[mask]
+    loss = float((np.log(total) - z[rows, gold_valid]).sum() / n_valid)
+    d = e / total[:, None]
+    d[rows, gold_valid] -= 1.0
+    grad = np.zeros_like(pred.values)
+    grad[mask] = d / n_valid
     return loss, grad
 
 
@@ -160,9 +168,9 @@ def _dataset_loss(model: Model, batches) -> float:
     total = 0.0
     count = 0
     for batch, gold in batches:
-        probs, _ = model.forward(batch)
+        logits, _ = model.forward(batch)
         n = int(batch.mask.sum())
-        loss, _ = masked_cross_entropy(probs, gold, batch.mask)
+        loss, _ = masked_cross_entropy(logits, gold, batch.mask)
         total += loss * n
         count += n
     return total / count
@@ -219,8 +227,8 @@ def train(model: Model, train_sequences: list[LabeledSequence],
         seen = 0
         diverged = False
         for batch, gold in _batches(train_items, order, cfg.batch_size):
-            probs, caches = model.forward(batch)
-            loss, grad = masked_cross_entropy(probs, gold, batch.mask)
+            logits, caches = model.forward(batch)
+            loss, grad = masked_cross_entropy(logits, gold, batch.mask)
             if not math.isfinite(loss):
                 diverged = True
                 break

@@ -1,5 +1,7 @@
 import io
 import json
+import struct
+import zlib
 
 import numpy as np
 import pytest
@@ -11,7 +13,6 @@ from argseg.embeddings import (
     PrecomputedSource,
     load_glove,
     load_precomputed,
-    lookup,
     oov_statistics,
     write_precomputed,
 )
@@ -61,15 +62,16 @@ class TestLoadGlove:
 class TestLookup:
     def test_in_vocabulary(self):
         table = load_glove("cat 1 2 3")
-        assert np.allclose(lookup(table, "cat"), [1, 2, 3])
+        assert np.allclose(table.lookup("cat"), [1, 2, 3])
 
     def test_case_folded(self):
         table = load_glove("cat 1 2 3")
-        assert np.allclose(lookup(table, Token("Cat", 0, 3)), [1, 2, 3])
+        assert np.allclose(table.lookup("Cat"), [1, 2, 3])
+        assert "CAT" in table
 
     def test_oov_zero_vector(self):
         table = load_glove("cat 1 2 3")
-        assert np.array_equal(lookup(table, "zzqqy"), np.zeros(3))
+        assert np.array_equal(table.lookup("zzqqy"), np.zeros(3))
 
     def test_oov_statistics_sweep(self, toy_table, toy_sequences):
         misses, total = oov_statistics(toy_table, toy_sequences)
@@ -121,6 +123,14 @@ class TestPrecomputedStore:
         corrupted[len(blob) // 2] ^= 0xFF
         with pytest.raises(FormatError, match="checksum"):
             load_precomputed(bytes(corrupted))
+
+    def test_non_utf8_essay_id_rejected(self):
+        blob, _ = self.build(essays=("ab",), sentences=1, tokens=1)
+        header = len(b"ARGSEGPV") + 16
+        payload = blob[header:-4].replace(b"ab", b"\xff\xfe", 1)
+        bad = blob[:header] + payload + struct.pack("<I", zlib.crc32(payload))
+        with pytest.raises(FormatError, match="UTF-8"):
+            load_precomputed(bad)
 
     def test_bad_magic(self):
         with pytest.raises(FormatError, match="magic"):

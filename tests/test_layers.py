@@ -8,7 +8,6 @@ from argseg.errors import ConfigurationError, ContractViolation, DimensionError
 from argseg.layers import (
     AdditiveSelfAttention,
     BiLstm,
-    DenseSoftmax,
     LstmCell,
     MultiHeadSelfAttention,
     TimeDistributedLinear,
@@ -281,13 +280,12 @@ class TestAdditiveAttention:
 
         w_t, w_x = layer.w_query.value, layer.w_key.value
         b_h, v_a = layer.b_hidden.value, layer.v_score.value[:, 0]
-        b_v = layer.b_score.value[0]
         x = vals[0]
         expected = np.zeros_like(x)
         for t in range(4):
             scores = np.empty(4)
             for s in range(4):
-                scores[s] = v_a @ np.tanh(x[t] @ w_t + x[s] @ w_x + b_h) + b_v
+                scores[s] = v_a @ np.tanh(x[t] @ w_t + x[s] @ w_x + b_h)
             e = np.exp(scores - scores.max())
             alpha = e / e.sum()
             for s in range(4):
@@ -404,37 +402,6 @@ class TestChooseHeads:
             choose_heads(4, cap=0)
 
 
-class TestDenseSoftmax:
-    def test_zero_weights_uniform(self):
-        rng = np.random.default_rng(18)
-        layer = DenseSoftmax(4, rng)
-        layer.w.value[...] = 0.0
-        layer.b.value[...] = 0.0
-        out, _ = layer.forward(full_batch(rng.standard_normal((2, 3, 4))))
-        assert np.allclose(out.values, 1.0 / 3.0, atol=1e-15)
-
-    def test_bias_dominance(self):
-        rng = np.random.default_rng(19)
-        layer = DenseSoftmax(4, rng)
-        layer.w.value[...] = 0.0
-        layer.b.value[...] = np.array([10.0, 0.0, -10.0])
-        out, _ = layer.forward(full_batch(rng.standard_normal((1, 2, 4))))
-        assert (out.values[..., 0] > 0.9999).all()
-
-    def test_rows_sum_to_one(self):
-        rng = np.random.default_rng(20)
-        layer = DenseSoftmax(5, rng)
-        out, _ = layer.forward(full_batch(rng.standard_normal((3, 4, 5))))
-        assert np.abs(out.values.sum(axis=2) - 1.0).max() <= 1e-9
-
-    def test_padded_tokens_emit_uniform(self):
-        rng = np.random.default_rng(21)
-        layer = DenseSoftmax(3, rng)
-        x = BatchTensor.from_rows([rng.standard_normal((1, 3)), rng.standard_normal((3, 3))])
-        out, _ = layer.forward(x)
-        assert np.allclose(out.values[0, 1:], 1.0 / 3.0, atol=1e-15)
-
-
 class TestAttentionInvariants:
     @pytest.mark.parametrize("kind", ["additive", "multi_head"])
     def test_permutation_equivariance(self, kind):
@@ -475,7 +442,6 @@ LAYER_BUILDERS = [
     ("bilstm", lambda rng: (BiLstm(4, 5, rng), 4)),
     ("additive", lambda rng: (AdditiveSelfAttention(4, rng, attn_dim=5), 4)),
     ("multi_head", lambda rng: (MultiHeadSelfAttention(6, 2, rng), 6)),
-    ("dense_softmax", lambda rng: (DenseSoftmax(4, rng), 4)),
 ]
 
 

@@ -5,7 +5,6 @@ from argseg.errors import ConfigurationError, FormatError
 from argseg.layers import (
     AdditiveSelfAttention,
     BiLstm,
-    DenseSoftmax,
     MultiHeadSelfAttention,
     TimeDistributedLinear,
 )
@@ -59,17 +58,20 @@ class TestBuildModel:
             assert np.array_equal(pa.value, pb.value)
 
     @pytest.mark.parametrize("arch,expected", [
-        (ArchitectureId.BL, [BiLstm, TimeDistributedLinear, BiLstm, DenseSoftmax]),
+        (ArchitectureId.BL, [BiLstm, TimeDistributedLinear, BiLstm, TimeDistributedLinear]),
         (ArchitectureId.BL_I, [MultiHeadSelfAttention, BiLstm, TimeDistributedLinear,
-                               BiLstm, DenseSoftmax]),
+                               BiLstm, TimeDistributedLinear]),
         (ArchitectureId.BL_E, [BiLstm, TimeDistributedLinear, MultiHeadSelfAttention,
-                               BiLstm, DenseSoftmax]),
-        (ArchitectureId.SB, [BiLstm, DenseSoftmax]),
-        (ArchitectureId.SB_I, [AdditiveSelfAttention, BiLstm, DenseSoftmax]),
+                               BiLstm, TimeDistributedLinear]),
+        (ArchitectureId.SB, [BiLstm, TimeDistributedLinear]),
+        (ArchitectureId.SB_I, [AdditiveSelfAttention, BiLstm, TimeDistributedLinear]),
     ])
     def test_layer_stacks(self, arch, expected):
         model = build_model(ModelSpec(arch, input_dim=12, hidden=4))
         assert [type(l) for l in model.layers] == expected
+        head = model.layers[-1]
+        assert (head.name, head.output_dim) == ("head", 3)
+        assert [p.name for p in head.params()] == ["head.W", "head.b"]
 
     def test_sb_is_prefix_of_bl(self):
         sb = build_model(ModelSpec(ArchitectureId.SB, input_dim=12, hidden=4, seed=5))
@@ -93,13 +95,17 @@ class TestBuildModel:
 
 class TestForward:
     def test_distribution_contract(self):
+        # three finite logits per valid token, exactly zero at padding
         rng = np.random.default_rng(0)
         for arch in ArchitectureId:
             model = build_model(ModelSpec(arch, input_dim=6, hidden=4, seed=3))
             batch = toy_batch(rng, 6)
             out, _ = model.forward(batch)
-            sums = out.values.sum(axis=2)
-            assert np.abs(sums - 1.0).max() <= 1e-9
+            assert out.values.shape == (2, 3, 3)
+            assert np.isfinite(out.values).all()
+            assert not out.values[~batch.mask].any()
+            probs = softmax_rows(out.values[batch.mask])
+            assert np.abs(probs.sum(axis=1) - 1.0).max() <= 1e-9
 
     def test_sb_equals_manual_composition(self):
         rng = np.random.default_rng(1)
@@ -115,7 +121,7 @@ class TestForward:
         spec = ModelSpec(ArchitectureId.BL, input_dim=6, hidden=4,
                          inter_stage_dim=None, seed=11)
         model = build_model(spec)
-        assert [type(l) for l in model.layers] == [BiLstm, BiLstm, DenseSoftmax]
+        assert [type(l) for l in model.layers] == [BiLstm, BiLstm, TimeDistributedLinear]
         rng = np.random.default_rng(2)
         batch = toy_batch(rng, 6)
         out, _ = model.forward(batch)
@@ -217,18 +223,28 @@ class TestCheckpoint:
             load_checkpoint(path)
 
 
-def write_v1_checkpoint(model, path):
-    """Checkpoint format 1: each fused LSTM tensor as per-gate blocks W_i, W_f, W_c, W_o."""
+def write_old_checkpoint(model, path, version, b_v=0.0):
+    """A checkpoint in format 1 or 2, laid out as the writers of those formats did.
+
+    Both formats follow each additive attention's ``v_a`` with its score bias
+    ``b_v`` (shape (1,)).  Format 1 also stores each fused LSTM tensor as
+    per-gate blocks W_i, W_f, W_c, W_o (likewise U and b).
+    """
     lstm = {p.name for layer in model.layers if isinstance(layer, BiLstm) for p in layer.params()}
+    additive = {layer.name for layer in model.layers if isinstance(layer, AdditiveSelfAttention)}
     blocks = []
     for p in model.params():
-        if p.name not in lstm:
-            blocks.append((p.name, p.value))
+        if version == 1 and p.name in lstm:
+            h = p.value.shape[-1] // 4
+            for gate, k in (("i", 0), ("f", 1), ("c", 3), ("o", 2)):
+                blocks.append((f"{p.name}_{gate}", p.value[..., k * h : (k + 1) * h]))
             continue
-        h = p.value.shape[-1] // 4
-        for gate, k in (("i", 0), ("f", 1), ("c", 3), ("o", 2)):
-            blocks.append((f"{p.name}_{gate}", p.value[..., k * h : (k + 1) * h]))
-    lines = ["ARGSEG-CKPT 1", *_spec_to_lines(model.spec), f"tensors {len(blocks)}", "end-header"]
+        blocks.append((p.name, p.value))
+        layer_name, _, kind = p.name.rpartition(".")
+        if layer_name in additive and kind == "v_a":
+            blocks.append((f"{layer_name}.b_v", np.array([b_v])))
+    lines = [f"ARGSEG-CKPT {version}", *_spec_to_lines(model.spec), f"tensors {len(blocks)}",
+             "end-header"]
     data = "".join(line + "\n" for line in lines).encode()
     for name, value in blocks:
         dims = " ".join(str(d) for d in value.shape)
@@ -248,7 +264,7 @@ class TestCheckpointFormats:
     def test_version_one_loads_and_predicts_identically(self, tmp_path):
         rng = np.random.default_rng(7)
         model = perturbed_model(rng)
-        write_v1_checkpoint(model, tmp_path / "v1.ckpt")
+        write_old_checkpoint(model, tmp_path / "v1.ckpt", 1)
         restored = load_checkpoint(tmp_path / "v1.ckpt")
         for a, b in zip(model.params(), restored.params(), strict=True):
             assert np.array_equal(a.value, b.value), a.name
@@ -258,18 +274,44 @@ class TestCheckpointFormats:
 
     def test_version_one_resaves_as_current_format(self, tmp_path):
         model = perturbed_model(np.random.default_rng(8), ArchitectureId.SB)
-        write_v1_checkpoint(model, tmp_path / "v1.ckpt")
+        write_old_checkpoint(model, tmp_path / "v1.ckpt", 1)
         save_checkpoint(load_checkpoint(tmp_path / "v1.ckpt"), tmp_path / "a.ckpt")
         save_checkpoint(model, tmp_path / "b.ckpt")
         assert (tmp_path / "a.ckpt").read_bytes() == (tmp_path / "b.ckpt").read_bytes()
-        assert (tmp_path / "a.ckpt").read_bytes().startswith(b"ARGSEG-CKPT 2\n")
+        assert (tmp_path / "a.ckpt").read_bytes().startswith(b"ARGSEG-CKPT 3\n")
+
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_score_bias_of_older_formats_dropped(self, tmp_path, version):
+        rng = np.random.default_rng(10)
+        model = perturbed_model(rng, ArchitectureId.SB_I)
+        path = tmp_path / f"v{version}.ckpt"
+        # any stored value: it shifted every score of a softmax row alike
+        write_old_checkpoint(model, path, version, b_v=0.375)
+        assert b"tensor attn_in.b_v 1 1\n" in path.read_bytes()
+        restored = load_checkpoint(path)
+        for a, b in zip(model.params(), restored.params(), strict=True):
+            assert a.name == b.name
+            assert np.array_equal(a.value, b.value), a.name
+        batch = toy_batch(rng, 8)
+        assert np.array_equal(predict_labels(model, batch), predict_labels(restored, batch))
+        assert np.array_equal(model.forward(batch)[0].values, restored.forward(batch)[0].values)
+        save_checkpoint(restored, tmp_path / "a.ckpt")
+        save_checkpoint(model, tmp_path / "b.ckpt")
+        assert (tmp_path / "a.ckpt").read_bytes() == (tmp_path / "b.ckpt").read_bytes()
+
+    def test_score_bias_not_accepted_in_current_format(self, tmp_path):
+        model = perturbed_model(np.random.default_rng(11), ArchitectureId.SB_I)
+        path = tmp_path / "m.ckpt"
+        write_old_checkpoint(model, path, 2)
+        path.write_bytes(path.read_bytes().replace(b"ARGSEG-CKPT 2\n", b"ARGSEG-CKPT 3\n"))
+        with pytest.raises(FormatError, match="b_v"):
+            load_checkpoint(path)
 
     @staticmethod
     def corrupt(data: bytes, how: str) -> bytes:
         header, sep, body = data.partition(b"end-header\n")
         if how == "version":
-            return data.replace(b"ARGSEG-CKPT 1\n", b"ARGSEG-CKPT one\n").replace(
-                b"ARGSEG-CKPT 2\n", b"ARGSEG-CKPT two\n")
+            return b"ARGSEG-CKPT one\n" + data.partition(b"\n")[2]
         if how == "tensor_count":
             head, _, rest = header.partition(b"tensors ")
             return head + b"tensors many" + rest[rest.index(b"\n"):] + sep + body
@@ -280,14 +322,14 @@ class TestCheckpointFormats:
         assert how == "non_utf8_header"
         return data.replace(b"arch ", b"arch \xff\xfe", 1)
 
-    @pytest.mark.parametrize("version", [1, 2])
+    @pytest.mark.parametrize("version", [1, 2, 3])
     @pytest.mark.parametrize("how", ["version", "tensor_count", "short_tensor_line",
                                      "non_utf8_header"])
     def test_malformed_file_is_format_error(self, tmp_path, version, how):
         model = perturbed_model(np.random.default_rng(9), ArchitectureId.SB)
         path = tmp_path / "m.ckpt"
-        if version == 1:
-            write_v1_checkpoint(model, path)
+        if version < 3:
+            write_old_checkpoint(model, path, version)
         else:
             save_checkpoint(model, path)
         bad = self.corrupt(path.read_bytes(), how)

@@ -5,83 +5,10 @@ from hypothesis import strategies as st
 
 from argseg.errors import DimensionError, NumericError
 from argseg.layers import TimeDistributedLinear
-from argseg.numeric import (
-    BatchTensor,
-    Parameter,
-    elementwise,
-    grad_check,
-    matmul,
-    sigmoid,
-    softmax_rows,
-)
+from argseg.numeric import BatchTensor, Parameter, grad_check, softmax_rows
 
 # reference values computed with mpmath at 50 decimal digits
 SOFTMAX_123 = [0.09003057317038046, 0.24472847105479764, 0.6652409557748219]
-SIGMOID_50_GAP = 1.928749847963918e-22
-
-
-class TestMatmul:
-    def test_identity(self):
-        a = np.array([[1.0, 2.0], [3.0, 4.0]])
-        assert np.array_equal(matmul(np.eye(2), a), a)
-
-    def test_dot_product(self):
-        out = matmul(np.array([[1.0, 2.0]]), np.array([[3.0], [4.0]]))
-        assert out.shape == (1, 1)
-        assert out[0, 0] == 11.0
-
-    def test_matches_triple_loop_reference(self):
-        rng = np.random.default_rng(5)
-        a = rng.standard_normal((3, 4))
-        b = rng.standard_normal((4, 2))
-        expected = np.zeros((3, 2))
-        for i in range(3):
-            for j in range(2):
-                for k in range(4):
-                    expected[i, j] += a[i, k] * b[k, j]
-        assert np.allclose(matmul(a, b), expected, rtol=1e-12, atol=0)
-
-    def test_shape_mismatch_names_both_shapes(self):
-        with pytest.raises(DimensionError, match=r"\(3, 4\).*\(5, 2\)"):
-            matmul(np.zeros((3, 4)), np.zeros((5, 2)))
-
-    def test_associativity_within_tolerance(self):
-        rng = np.random.default_rng(11)
-        for _ in range(20):
-            a = rng.standard_normal((4, 5))
-            b = rng.standard_normal((5, 3))
-            c = rng.standard_normal((3, 6))
-            left = matmul(matmul(a, b), c)
-            right = matmul(a, matmul(b, c))
-            denom = max(np.abs(left).max(), 1.0)
-            assert np.abs(left - right).max() / denom < 1e-6
-
-
-class TestElementwise:
-    def test_sigmoid_symmetry_point(self):
-        assert elementwise(np.array([[0.0]]), "sigmoid")[0, 0] == 0.5
-
-    def test_tanh_odd(self):
-        assert elementwise(np.array([[0.0]]), "tanh")[0, 0] == 0.0
-
-    def test_sigmoid_saturation_high_precision(self):
-        out = sigmoid(np.array([50.0, -50.0]))
-        assert abs(out[0] - 1.0) < 1e-12
-        assert abs(out[1] - 0.0) < 1e-12
-        assert abs(out[1] - SIGMOID_50_GAP) < 1e-30
-
-    def test_saturation_never_nan(self):
-        out = elementwise(np.array([[800.0, -800.0]]), "sigmoid")
-        assert np.isfinite(out).all()
-        assert out[0, 0] == 1.0 and out[0, 1] == 0.0
-
-    def test_relu(self):
-        out = elementwise(np.array([[-1.0, 0.0, 2.0]]), "relu")
-        assert np.array_equal(out, [[0.0, 0.0, 2.0]])
-
-    def test_unknown_function(self):
-        with pytest.raises(ValueError, match="unknown"):
-            elementwise(np.zeros((1, 1)), "gelu")
 
 
 class TestSoftmaxRows:

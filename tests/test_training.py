@@ -26,83 +26,89 @@ from argseg.training import (
 LN3 = 1.0986122886681098  # ln 3 via mpmath at 50 digits
 
 
-def dist_batch(probs, mask=None):
-    probs = np.asarray(probs, dtype=float)
+def logit_batch(logits, mask=None):
+    logits = np.asarray(logits, dtype=float)
     if mask is None:
-        mask = np.ones(probs.shape[:2], dtype=bool)
-    return BatchTensor(probs, mask)
+        mask = np.ones(logits.shape[:2], dtype=bool)
+    return BatchTensor(logits, mask)
+
+
+def reference_loss(logits, gold, mask):
+    """Scalar-loop mean of log(sum_c exp z_c) - z_gold over valid tokens."""
+    total, count = 0.0, 0
+    for b in range(logits.shape[0]):
+        for t in range(logits.shape[1]):
+            if mask[b, t]:
+                z = logits[b, t]
+                total += math.log(sum(math.exp(v) for v in z)) - z[gold[b, t]]
+                count += 1
+    return total / count
 
 
 class TestMaskedCrossEntropy:
     def test_perfect_predictions(self):
-        probs = np.zeros((1, 3, 3))
+        logits = np.zeros((1, 3, 3))
         gold = np.array([[0, 1, 2]])
-        probs[0, np.arange(3), gold[0]] = 1.0
-        loss, grad = masked_cross_entropy(dist_batch(probs), gold, np.ones((1, 3), bool))
-        assert loss <= 1e-9
+        logits[0, np.arange(3), gold[0]] = 40.0
+        loss, grad = masked_cross_entropy(logit_batch(logits), gold, np.ones((1, 3), bool))
+        assert 0.0 <= loss <= 1e-9
+        assert np.abs(grad).max() <= 1e-9
 
     def test_uniform_predictions_ln3(self):
-        probs = np.full((2, 2, 3), 1.0 / 3.0)
         gold = np.array([[0, 1], [2, 0]])
-        loss, _ = masked_cross_entropy(dist_batch(probs), gold, np.ones((2, 2), bool))
-        assert loss == pytest.approx(LN3, abs=1e-12)
+        for level in (0.0, -7.5, 1e3):  # equal logits at any level
+            logits = np.full((2, 2, 3), level)
+            loss, _ = masked_cross_entropy(logit_batch(logits), gold, np.ones((2, 2), bool))
+            assert loss == pytest.approx(LN3, abs=1e-12)
 
     def test_matches_scalar_loop_and_finite_differences(self):
         rng = np.random.default_rng(0)
-        raw = rng.random((2, 3, 3)) + 0.1
-        probs = raw / raw.sum(axis=2, keepdims=True)
+        logits = rng.standard_normal((2, 3, 3)) * 2.0
         gold = rng.integers(0, 3, size=(2, 3))
         mask = np.ones((2, 3), dtype=bool)
         mask[1, 2] = False
-        loss, grad = masked_cross_entropy(dist_batch(probs, mask), gold, mask)
+        loss, grad = masked_cross_entropy(logit_batch(logits, mask), gold, mask)
+        assert loss == pytest.approx(reference_loss(logits, gold, mask), rel=1e-12)
 
-        # scalar-loop reference
-        total, count = 0.0, 0
-        for b in range(2):
-            for t in range(3):
-                if mask[b, t]:
-                    total -= math.log(probs[b, t, gold[b, t]])
-                    count += 1
-        assert loss == pytest.approx(total / count, rel=1e-12)
-
-        # central finite differences on the distribution entries
+        # central finite differences on the logits, padded position included
         eps = 1e-6
         for b in range(2):
             for t in range(3):
                 for c in range(3):
-                    p = probs.copy()
-                    p[b, t, c] += eps
-                    up, _ = masked_cross_entropy(dist_batch(p, mask), gold, mask)
-                    p[b, t, c] -= 2 * eps
-                    dn, _ = masked_cross_entropy(dist_batch(p, mask), gold, mask)
+                    z = logits.copy()
+                    z[b, t, c] += eps
+                    up, _ = masked_cross_entropy(logit_batch(z, mask), gold, mask)
+                    z[b, t, c] -= 2 * eps
+                    dn, _ = masked_cross_entropy(logit_batch(z, mask), gold, mask)
                     numeric = (up - dn) / (2 * eps)
                     assert grad[b, t, c] == pytest.approx(numeric, rel=1e-5, abs=1e-9)
 
     def test_padding_receives_zero_gradient(self):
-        probs = np.full((1, 2, 3), 1.0 / 3.0)
+        logits = np.array([[[0.5, -1.0, 2.0], [300.0, -300.0, 0.0]]])
         mask = np.array([[True, False]])
-        _, grad = masked_cross_entropy(
-            dist_batch(probs, mask), np.zeros((1, 2), dtype=int), mask
+        loss, grad = masked_cross_entropy(
+            logit_batch(logits, mask), np.zeros((1, 2), dtype=int), mask
         )
         assert not grad[0, 1].any()
+        assert loss == pytest.approx(reference_loss(logits, np.zeros((1, 2), int), mask),
+                                     rel=1e-12)
 
     def test_zero_valid_tokens_rejected(self):
-        probs = np.full((1, 2, 3), 1.0 / 3.0)
+        logits = np.zeros((1, 2, 3))
         mask = np.zeros((1, 2), dtype=bool)
         with pytest.raises(ContractViolation):
-            masked_cross_entropy(dist_batch(probs, mask), np.zeros((1, 2), int), mask)
+            masked_cross_entropy(logit_batch(logits, mask), np.zeros((1, 2), int), mask)
 
     def test_loss_invariant_under_batch_permutation(self):
         rng = np.random.default_rng(1)
-        raw = rng.random((4, 3, 3)) + 0.1
-        probs = raw / raw.sum(axis=2, keepdims=True)
+        logits = rng.standard_normal((4, 3, 3)) * 3.0
         gold = rng.integers(0, 3, size=(4, 3))
         mask = rng.random((4, 3)) > 0.2
         mask[:, 0] = True
-        l1, _ = masked_cross_entropy(dist_batch(probs, mask), gold, mask)
+        l1, _ = masked_cross_entropy(logit_batch(logits, mask), gold, mask)
         perm = rng.permutation(4)
         l2, _ = masked_cross_entropy(
-            dist_batch(probs[perm], mask[perm]), gold[perm], mask[perm]
+            logit_batch(logits[perm], mask[perm]), gold[perm], mask[perm]
         )
         assert l1 == pytest.approx(l2, rel=1e-12)
 
@@ -225,17 +231,44 @@ class TestTrainLoop:
     def test_divergence_restores_finite_state(self, toy_sequences, toy_embeddings):
         spec = ModelSpec(ArchitectureId.SB, input_dim=16, hidden=4, seed=5)
         model = build_model(spec)
-        # drive non-favored class probabilities to exact zero: any I/O gold
-        # token then yields -log(0) = inf
+        # the logits 1e308 * (1 + sum of BiLSTM outputs) overflow to inf
+        # wherever that sum exceeds 0.8; inf - inf then makes the loss NaN
         head = model.layers[-1]
-        head.w.value[...] = 0.0
-        head.b.value[...] = np.array([2000.0, -2000.0, -2000.0])
+        head.w.value[...] = 1e308
+        head.b.value[...] = 1e308
         cfg = TrainConfig(batch_size=8, max_epochs=3, patience=5,
                           learning_rate=1e-3, seed=0)
-        with pytest.raises(TrainingDiverged):
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(TrainingDiverged, match="epoch 1"):
             train(model, toy_sequences, toy_embeddings, cfg)
         for p in model.params():
             assert np.isfinite(p.value).all()
+
+    def test_saturated_head_loss_stays_finite(self, toy_sequences, toy_embeddings):
+        from argseg.training import _assemble, _vectorize_all
+
+        spec = ModelSpec(ArchitectureId.SB, input_dim=16, hidden=4, seed=5)
+        model = build_model(spec)
+        # softmax(z) of the I and O classes underflows to exactly zero here
+        head = model.layers[-1]
+        head.w.value[...] = 0.0
+        head.b.value[...] = np.array([2000.0, -2000.0, -2000.0])
+        batch, gold = _assemble(_vectorize_all(toy_sequences[:8], toy_embeddings))
+        assert (gold[batch.mask] != LABELS.index("B")).any()
+        logits, caches = model.forward(batch)
+        loss, grad = masked_cross_entropy(logits, gold, batch.mask)
+        assert math.isfinite(loss) and loss > 1000.0
+        model.zero_grads()
+        grad_in = model.backward(caches, grad)
+        assert np.isfinite(grad_in).all()
+        for p in model.params():
+            assert np.isfinite(p.grad).all(), p.name
+
+        cfg = TrainConfig(batch_size=8, max_epochs=1, patience=5,
+                          learning_rate=1e-3, seed=0)
+        _, curve = train(model, toy_sequences, toy_embeddings, cfg)
+        assert len(curve) == 1
+        assert math.isfinite(curve.train[0]) and math.isfinite(curve.val[0])
 
     def test_split_by_essay_never_leaks(self, toy_sequences):
         train_part, val_part = split_by_essay(toy_sequences, 0.2, seed=11)
