@@ -16,6 +16,10 @@ LSTM parameters are fused per direction, with gate blocks in the order
 i|f|o|g (input, forget and output gates, then the candidate).  The BiLSTM
 runs its recurrence time-major over the positions that still carry a
 sequence and evaluates all four gates with one tanh.
+
+Both attention layers work on valid tokens only: their projections run over
+the valid tokens of the batch, and each sequence attends over its own block
+of valid query x key pairs, so padding adds nothing to their cost.
 """
 
 from __future__ import annotations
@@ -26,8 +30,6 @@ import numpy as np
 
 from .errors import ConfigurationError, ContractViolation, DimensionError
 from .numeric import BatchTensor, Parameter, glorot_uniform, softmax_rows
-
-NEG_INF = -1e9  # additive mask applied to logits of padded keys
 
 
 class Layer:
@@ -347,6 +349,37 @@ def _require_valid_rows(mask: np.ndarray, name: str):
         )
 
 
+class _Tokens(NamedTuple):
+    """The valid tokens of a (B, T) mask, gathered row by row.
+
+    Sequence b owns gathered rows [lo_b, hi_b) and sits at positions idx_b of
+    its row.  Attention is permutation-equivariant, so a sequence's valid
+    tokens may attend among themselves wherever its padding lies.
+    """
+
+    sel: np.ndarray  # flat b*T + t of each valid token, into (B, T, .) arrays
+    spans: list[tuple[int, int, np.ndarray]]  # (lo_b, hi_b, idx_b) per sequence
+
+
+def _tokens(mask: np.ndarray) -> _Tokens:
+    tlen = mask.shape[1]
+    sel = np.flatnonzero(mask.ravel())
+    ends = np.cumsum(mask.sum(axis=1)).tolist()
+    spans = []
+    lo = 0
+    for b, hi in enumerate(ends):
+        spans.append((lo, hi, sel[lo:hi] - b * tlen))
+        lo = hi
+    return _Tokens(sel, spans)
+
+
+def _scatter(rows: np.ndarray, tokens: _Tokens, shape) -> np.ndarray:
+    """(B, T, F) zeros with the valid tokens' rows filled in."""
+    out = np.zeros(shape)
+    out.reshape(-1, shape[2])[tokens.sel] = rows
+    return out
+
+
 class AdditiveSelfAttention(Layer):
     """Self-attention with a small feed-forward scorer over position pairs.
 
@@ -354,10 +387,16 @@ class AdditiveSelfAttention(Layer):
     valid positions s, output_t = sum_s alpha(t, s) x_s.  Shape-preserving.
     The score has no output bias: a constant added to every score of a
     softmax row cancels.
+
+    Only valid tokens are computed on: the projections run over the valid
+    tokens of the batch, and each sequence b scores just its own n_b x n_b
+    block of pairs.  The cache holds the dense (B, T, T) weights, zero at
+    every padded pair.
     """
 
-    # pairwise tanh activations are O(T^2 * attn_dim); recomputed in chunks
-    # during backward instead of cached, to bound memory
+    # pairwise tanh activations are O(sum_b n_b^2 * attn_dim); recomputed in
+    # backward instead of cached, and built in chunks of query rows of about
+    # this many elements (at least one row), to bound memory
     CHUNK_ELEMENTS = 4_000_000
 
     def __init__(self, dim: int, rng, attn_dim: int = 32, name: str = "attn"):
@@ -374,9 +413,29 @@ class AdditiveSelfAttention(Layer):
     def params(self) -> list[Parameter]:
         return [self.w_query, self.w_key, self.b_hidden, self.v_score]
 
-    def _chunk(self, bsz: int, tlen: int) -> int:
-        per_row = max(1, bsz * tlen * self.attn_dim)
-        return max(1, self.CHUNK_ELEMENTS // per_row)
+    def _rows_per_chunk(self, n: int) -> int:
+        return max(1, self.CHUNK_ELEMENTS // (n * self.attn_dim))
+
+    def _buffer(self, tokens: _Tokens) -> np.ndarray:
+        """One work buffer large enough for any chunk of any sequence."""
+        size = max(min(n, self._rows_per_chunk(n)) * n
+                   for n in (hi - lo for lo, hi, _ in tokens.spans))
+        return np.empty(size * self.attn_dim)
+
+    def _tanh_chunks(self, q: np.ndarray, k: np.ndarray, buf: np.ndarray):
+        """Yield (t0, t1, u) with u = tanh(q_t + k_s) for query rows t0:t1.
+
+        q already holds b_h.  u (t1 - t0, n, A) lives in ``buf`` and is
+        overwritten by the next chunk.
+        """
+        n, a = k.shape
+        step = self._rows_per_chunk(n)
+        for t0 in range(0, n, step):
+            t1 = min(n, t0 + step)
+            u = buf[: (t1 - t0) * n * a].reshape(t1 - t0, n, a)
+            np.add(q[t0:t1, None, :], k[None, :, :], out=u)
+            np.tanh(u, out=u)
+            yield t0, t1, u
 
     def forward(self, x: BatchTensor):
         if x.features != self.dim:
@@ -384,72 +443,75 @@ class AdditiveSelfAttention(Layer):
                 f"{self.name}: input has {x.features} features, expected {self.dim}"
             )
         _require_valid_rows(x.mask, self.name)
-        vals = x.values
-        bsz, tlen, _ = vals.shape
-        q = vals @ self.w_query.value  # (B, T, A)
-        k = vals @ self.w_key.value
+        bsz, tlen, dim = x.values.shape
+        tokens = _tokens(x.mask)
+        xv = x.values.reshape(-1, dim)[tokens.sel]  # (N, D)
+        q = xv @ self.w_query.value
+        q += self.b_hidden.value
+        k = xv @ self.w_key.value
         v_flat = self.v_score.value[:, 0]
-        bias = self.b_hidden.value
+        buf = self._buffer(tokens)
 
-        scores = np.empty((bsz, tlen, tlen))
-        step = self._chunk(bsz, tlen)
-        for t0 in range(0, tlen, step):
-            t1 = min(tlen, t0 + step)
-            u = np.tanh(q[:, t0:t1, None, :] + k[:, None, :, :] + bias)
-            scores[:, t0:t1] = u @ v_flat
-        scores = scores + NEG_INF * (~x.mask[:, None, :])
-
-        alpha = softmax_rows(scores)
-        alpha *= x.mask[:, None, :]  # padded keys get exactly zero weight
-        alpha *= x.mask[:, :, None]  # padded queries emit nothing
-        out = alpha @ vals
-        cache = (vals, x.mask, q, k, alpha)
-        return x.with_values(out), cache
+        alpha = np.zeros((bsz, tlen, tlen))
+        out = np.empty_like(xv)
+        for b, (lo, hi, idx) in enumerate(tokens.spans):
+            scores = np.empty((hi - lo, hi - lo))
+            for t0, t1, u in self._tanh_chunks(q[lo:hi], k[lo:hi], buf):
+                np.matmul(u.reshape(-1, self.attn_dim), v_flat, out=scores[t0:t1].reshape(-1))
+            block = softmax_rows(scores)
+            np.matmul(block, xv[lo:hi], out=out[lo:hi])
+            alpha[b][np.ix_(idx, idx)] = block
+        cache = (xv, tokens, q, k, alpha)
+        return x.with_values(_scatter(out, tokens, x.values.shape)), cache
 
     def backward(self, cache, grad_out: np.ndarray) -> np.ndarray:
-        vals, mask, q, k, alpha = cache
-        bsz, tlen, _ = vals.shape
-        grad_out = grad_out * mask[:, :, None]
-
-        d_alpha = grad_out @ vals.transpose(0, 2, 1)
-        dx = alpha.transpose(0, 2, 1) @ grad_out
-
-        row_dot = (alpha * d_alpha).sum(axis=2, keepdims=True)
-        d_scores = alpha * (d_alpha - row_dot)
-
+        xv, tokens, q, k, alpha = cache
+        dim = xv.shape[1]
+        go = grad_out.reshape(-1, dim)[tokens.sel]
         v_flat = self.v_score.value[:, 0]
-        bias = self.b_hidden.value
-        dq = np.zeros_like(q)
+        buf = self._buffer(tokens)
+
+        dxv = np.empty_like(xv)
+        dq = np.empty_like(q)
         dk = np.zeros_like(k)
         dv = np.zeros(self.attn_dim)
-        db_hidden = np.zeros(self.attn_dim)
-        step = self._chunk(bsz, tlen)
-        for t0 in range(0, tlen, step):
-            t1 = min(tlen, t0 + step)
-            u = np.tanh(q[:, t0:t1, None, :] + k[:, None, :, :] + bias)
-            ds = d_scores[:, t0:t1]
-            dv += np.einsum("bts,btsj->j", ds, u)
-            du = ds[:, :, :, None] * v_flat * (1.0 - u * u)
-            dq[:, t0:t1] += du.sum(axis=2)
-            dk += du.sum(axis=1)
-            db_hidden += du.sum(axis=(0, 1, 2))
+        for b, (lo, hi, idx) in enumerate(tokens.spans):
+            block = alpha[b][np.ix_(idx, idx)]
+            g = go[lo:hi]
+            np.matmul(block.T, g, out=dxv[lo:hi])
+            d_alpha = g @ xv[lo:hi].T
+            d_alpha -= (block * d_alpha).sum(axis=1, keepdims=True)
+            ds = block * d_alpha  # d loss / d score
+            for t0, t1, u in self._tanh_chunks(q[lo:hi], k[lo:hi], buf):
+                dv += ds[t0:t1].ravel() @ u.reshape(-1, self.attn_dim)
+                np.multiply(u, u, out=u)
+                np.subtract(1.0, u, out=u)
+                u *= ds[t0:t1, :, None]  # d loss / d pre-tanh, less the factor v_a
+                u.sum(axis=1, out=dq[lo + t0 : lo + t1])
+                dk[lo:hi] += u.sum(axis=0)
+        dq *= v_flat
+        dk *= v_flat
         self.v_score.grad[:, 0] += dv
-        self.b_hidden.grad += db_hidden
-
-        flat = vals.reshape(bsz * tlen, -1)
-        self.w_query.grad += flat.T @ dq.reshape(bsz * tlen, -1)
-        self.w_key.grad += flat.T @ dk.reshape(bsz * tlen, -1)
-        dx += dq @ self.w_query.value.T
-        dx += dk @ self.w_key.value.T
-        return dx
+        self.b_hidden.grad += dq.sum(axis=0)
+        self.w_query.grad += xv.T @ dq
+        self.w_key.grad += xv.T @ dk
+        dxv += dq @ self.w_query.value.T
+        dxv += dk @ self.w_key.value.T
+        return _scatter(dxv, tokens, grad_out.shape)
 
 
 class MultiHeadSelfAttention(Layer):
     """Scaled dot-product attention over h subspaces of the feature dim.
 
     Q, K, V are full (d, d) projections split into h slices of width d/h;
-    per head softmax(Q K^T / sqrt(d_k) + mask) V; concatenated heads go
-    through an output projection W_o.  No biases anywhere.
+    per head softmax(Q K^T / sqrt(d_k)) V over the valid positions;
+    concatenated heads go through an output projection W_o.  No biases
+    anywhere.
+
+    Only valid tokens are computed on: the four projections and their
+    gradient GEMMs run over the valid tokens of the batch, and each sequence
+    b forms just its own (h, n_b, n_b) logits.  The cache holds the dense
+    (B, h, T, T) weights, zero at every padded pair.
     """
 
     def __init__(self, dim: int, heads: int, rng, name: str = "mha"):
@@ -470,13 +532,9 @@ class MultiHeadSelfAttention(Layer):
     def params(self) -> list[Parameter]:
         return [self.w_q, self.w_k, self.w_v, self.w_o]
 
-    def _split(self, m: np.ndarray) -> np.ndarray:
-        b, t, _ = m.shape
-        return m.reshape(b, t, self.heads, self.head_dim).transpose(0, 2, 1, 3)
-
-    def _merge(self, m: np.ndarray) -> np.ndarray:
-        b, h, t, d = m.shape
-        return m.transpose(0, 2, 1, 3).reshape(b, t, h * d)
+    def _heads(self, m: np.ndarray) -> np.ndarray:
+        """(n, D) rows of one sequence as an (h, n, d_k) view."""
+        return m.reshape(len(m), self.heads, self.head_dim).transpose(1, 0, 2)
 
     def forward(self, x: BatchTensor):
         if x.features != self.dim:
@@ -484,55 +542,51 @@ class MultiHeadSelfAttention(Layer):
                 f"{self.name}: input has {x.features} features, expected {self.dim}"
             )
         _require_valid_rows(x.mask, self.name)
-        vals = x.values
-        q = self._split(vals @ self.w_q.value)  # (B, H, T, dk)
-        k = self._split(vals @ self.w_k.value)
-        v = self._split(vals @ self.w_v.value)
+        bsz, tlen, dim = x.values.shape
+        tokens = _tokens(x.mask)
+        xv = x.values.reshape(-1, dim)[tokens.sel]  # (N, D)
+        q = xv @ self.w_q.value
+        k = xv @ self.w_k.value
+        v = xv @ self.w_v.value
 
         scale = 1.0 / np.sqrt(self.head_dim)
-        logits = (q @ k.transpose(0, 1, 3, 2)) * scale
-        logits = logits + NEG_INF * (~x.mask[:, None, None, :])
-        alpha = softmax_rows(logits)
-        alpha *= x.mask[:, None, None, :]
-        alpha *= x.mask[:, None, :, None]
-
-        ctx = self._merge(alpha @ v)  # (B, T, D)
-        out = (ctx @ self.w_o.value) * x.mask[:, :, None]
-        cache = (vals, x.mask, q, k, v, alpha, ctx)
-        return x.with_values(out), cache
+        alpha = np.zeros((bsz, self.heads, tlen, tlen))
+        ctx = np.empty_like(xv)
+        for b, (lo, hi, idx) in enumerate(tokens.spans):
+            qb, kb, vb = (self._heads(m[lo:hi]) for m in (q, k, v))
+            block = softmax_rows((qb @ kb.transpose(0, 2, 1)) * scale)
+            self._heads(ctx[lo:hi])[...] = block @ vb
+            alpha[b][:, idx[:, None], idx] = block
+        out = ctx @ self.w_o.value
+        cache = (xv, tokens, q, k, v, alpha, ctx)
+        return x.with_values(_scatter(out, tokens, x.values.shape)), cache
 
     def backward(self, cache, grad_out: np.ndarray) -> np.ndarray:
-        vals, mask, q, k, v, alpha, ctx = cache
-        bsz, tlen, _ = vals.shape
-        grad_out = grad_out * mask[:, :, None]
-
-        flat_ctx = ctx.reshape(bsz * tlen, -1)
-        flat_go = grad_out.reshape(bsz * tlen, -1)
-        self.w_o.grad += flat_ctx.T @ flat_go
-        d_ctx = self._split((grad_out @ self.w_o.value.T))
-
-        d_alpha = d_ctx @ v.transpose(0, 1, 3, 2)
-        dv = alpha.transpose(0, 1, 3, 2) @ d_ctx
-
-        row_dot = (alpha * d_alpha).sum(axis=3, keepdims=True)
-        d_logits = alpha * (d_alpha - row_dot)
+        xv, tokens, q, k, v, alpha, ctx = cache
+        dim = xv.shape[1]
+        go = grad_out.reshape(-1, dim)[tokens.sel]
+        self.w_o.grad += ctx.T @ go
+        d_ctx = go @ self.w_o.value.T
 
         scale = 1.0 / np.sqrt(self.head_dim)
-        dq = (d_logits @ k) * scale
-        dk = (d_logits.transpose(0, 1, 3, 2) @ q) * scale
+        dq, dk, dv = (np.empty_like(xv) for _ in range(3))
+        for b, (lo, hi, idx) in enumerate(tokens.spans):
+            block = alpha[b][:, idx[:, None], idx]
+            qb, kb, vb, dcb = (self._heads(m[lo:hi]) for m in (q, k, v, d_ctx))
+            d_alpha = dcb @ vb.transpose(0, 2, 1)
+            self._heads(dv[lo:hi])[...] = block.transpose(0, 2, 1) @ dcb
+            d_alpha -= (block * d_alpha).sum(axis=2, keepdims=True)
+            d_logits = block * d_alpha
+            self._heads(dq[lo:hi])[...] = (d_logits @ kb) * scale
+            self._heads(dk[lo:hi])[...] = (d_logits.transpose(0, 2, 1) @ qb) * scale
 
-        dq_m = self._merge(dq).reshape(bsz * tlen, -1)
-        dk_m = self._merge(dk).reshape(bsz * tlen, -1)
-        dv_m = self._merge(dv).reshape(bsz * tlen, -1)
-        flat_x = vals.reshape(bsz * tlen, -1)
-        self.w_q.grad += flat_x.T @ dq_m
-        self.w_k.grad += flat_x.T @ dk_m
-        self.w_v.grad += flat_x.T @ dv_m
-
-        dx = dq_m @ self.w_q.value.T
-        dx += dk_m @ self.w_k.value.T
-        dx += dv_m @ self.w_v.value.T
-        return dx.reshape(bsz, tlen, -1)
+        self.w_q.grad += xv.T @ dq
+        self.w_k.grad += xv.T @ dk
+        self.w_v.grad += xv.T @ dv
+        dxv = dq @ self.w_q.value.T
+        dxv += dk @ self.w_k.value.T
+        dxv += dv @ self.w_v.value.T
+        return _scatter(dxv, tokens, grad_out.shape)
 
 
 def choose_heads(dim: int, cap: int = 6) -> int:

@@ -115,16 +115,24 @@ class AdamState:
 
 
 def adam_step(params: list[Parameter], state: AdamState, lr: float):
-    """One bias-corrected Adam update in place."""
+    """One bias-corrected Adam update in place.
+
+    A gradient that is not finite, or whose square overflows, raises
+    :class:`NumericError` naming its parameter before that parameter's
+    moments or value change.
+    """
     state.step_count += 1
     t = state.step_count
     b1, b2 = state.beta1, state.beta2
     for i, p in enumerate(params):
         g = p.grad
-        if not np.isfinite(g).all():
-            raise NumericError(f"non-finite gradient for parameter {p.name}")
+        with np.errstate(over="ignore"):
+            g2 = g * g
+        if not np.isfinite(g2).all():  # g is not finite, or |g| is above ~1.3e154
+            what = "non-finite" if not np.isfinite(g).all() else "overflowing"
+            raise NumericError(f"{what} gradient for parameter {p.name}")
         state.m[i] += (1 - b1) * (g - state.m[i])
-        state.v[i] += (1 - b2) * (g * g - state.v[i])
+        state.v[i] += (1 - b2) * (g2 - state.v[i])
         m_hat = state.m[i] / (1 - b1**t)
         v_hat = state.v[i] / (1 - b2**t)
         p.value -= lr * m_hat / (np.sqrt(v_hat) + state.eps)

@@ -1,5 +1,8 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -197,3 +200,14 @@ def test_selftest_command_passes(capsys):
     out = capsys.readouterr().out
     assert out.count("PASS") >= 4
     assert "FAIL" not in out
+
+
+def test_package_imports_without_scipy():
+    # numpy is the only runtime dependency; scipy is a test-only oracle
+    src = Path(__file__).resolve().parents[1] / "src"
+    result = subprocess.run(
+        [sys.executable, "-c", "import argseg, sys; assert 'scipy' not in sys.modules"],
+        env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True,
+        timeout=60,
+    )
+    assert result.returncode == 0, result.stderr[-2000:]

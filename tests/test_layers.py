@@ -437,6 +437,89 @@ class TestAttentionInvariants:
             assert not alpha[1, ..., 3:, :].any()  # padded queries
 
 
+def ragged_batch(rng, dim):
+    """Rows of length 1, full, trailing-padded and interior-padded."""
+    mask = np.array(
+        [
+            [1, 0, 0, 0, 0],
+            [1, 1, 1, 1, 1],
+            [1, 1, 1, 0, 0],
+            [1, 1, 0, 1, 1],
+        ],
+        dtype=bool,
+    )
+    return BatchTensor(rng.standard_normal((4, 5, dim)) * mask[:, :, None], mask)
+
+
+def forward_backward(layer, x, upstream):
+    """Output, input gradient and parameter gradients of one fresh pass."""
+    layer.zero_grads()
+    out, cache = layer.forward(x)
+    dx = layer.backward(cache, upstream)
+    return [out.values, dx] + [p.grad.copy() for p in layer.params()]
+
+
+ATTENTION_LAYERS = {
+    "additive": lambda rng: AdditiveSelfAttention(6, rng, attn_dim=4),
+    "multi_head": lambda rng: MultiHeadSelfAttention(6, 2, rng),
+}
+
+
+class TestAttentionOnRaggedBatches:
+    @pytest.fixture(params=sorted(ATTENTION_LAYERS))
+    def case(self, request):
+        rng = np.random.default_rng(300)
+        layer = ATTENTION_LAYERS[request.param](rng)
+        return layer, ragged_batch(rng, 6), rng
+
+    def test_rows_match_each_row_run_alone(self, case):
+        layer, x, _ = case
+        slot = 4 if isinstance(layer, AdditiveSelfAttention) else 5
+        out, cache = layer.forward(x)
+        for b in range(x.batch):
+            valid = np.flatnonzero(x.mask[b])
+            alone, alone_cache = layer.forward(full_batch(x.values[b][valid][None]))
+            assert np.abs(out.values[b][valid] - alone.values[0]).max() <= 1e-12
+            # the dense weights hold the row's block at its valid pairs, zero elsewhere
+            weights = cache[slot][b].copy()
+            block = weights[..., valid[:, None], valid]
+            assert np.abs(block - alone_cache[slot][0]).max() <= 1e-12
+            weights[..., valid[:, None], valid] = 0.0
+            assert not weights.any()
+
+    def test_padding_gets_exact_zeros(self, case):
+        layer, x, rng = case
+        out, dx = forward_backward(layer, x, rng.standard_normal(x.values.shape))[:2]
+        assert not out[~x.mask].any()
+        assert not dx[~x.mask].any()
+
+    def test_gradients(self, case):
+        layer, x, rng = case
+        assert grad_check(layer, x, 1e-3, rng) < 1e-4
+
+    def test_repeated_passes_are_byte_identical(self, case):
+        layer, x, rng = case
+        upstream = rng.standard_normal(x.values.shape)
+        first = forward_backward(layer, x, upstream)
+        second = forward_backward(layer, x, upstream)
+        for a, b in zip(first, second, strict=True):
+            assert a.tobytes() == b.tobytes()
+
+
+def test_additive_query_chunks_match_one_chunk(monkeypatch):
+    rng = np.random.default_rng(301)
+    layer = AdditiveSelfAttention(6, rng, attn_dim=4)
+    x = ragged_batch(rng, 6)
+    upstream = rng.standard_normal(x.values.shape)
+    whole = forward_backward(layer, x, upstream)
+    # two query rows of the full row (5 keys x attn_dim 4) per chunk: 3 chunks
+    monkeypatch.setattr(AdditiveSelfAttention, "CHUNK_ELEMENTS", 2 * 5 * 4)
+    assert layer._rows_per_chunk(5) == 2
+    chunked = forward_backward(layer, x, upstream)
+    for a, b in zip(whole, chunked, strict=True):
+        assert np.abs(a - b).max() <= 1e-12
+
+
 LAYER_BUILDERS = [
     ("linear", lambda rng: (TimeDistributedLinear(4, 3, rng), 4)),
     ("bilstm", lambda rng: (BiLstm(4, 5, rng), 4)),

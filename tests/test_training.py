@@ -155,6 +155,15 @@ class TestAdam:
         with pytest.raises(NumericError, match="p"):
             adam_step(params, AdamState(params), lr=0.1)
 
+    def test_overflowing_square_names_parameter_and_changes_nothing(self):
+        params = [Parameter("head.W", np.array([[1.0, 2.0]]))]
+        params[0].grad[...] = np.array([[1e200, 3.0]])  # finite, but g*g overflows
+        state = AdamState(params)
+        with pytest.raises(NumericError, match=r"head\.W"):
+            adam_step(params, state, lr=0.1)
+        assert np.array_equal(params[0].value, [[1.0, 2.0]])
+        assert not state.m[0].any() and not state.v[0].any()
+
 
 class TestMetrics:
     def test_perfect_diagonal(self):
