@@ -3,8 +3,10 @@
 Additive attention scores every position pair through a small feed-forward
 network; multi-head attention splits the feature space into subspaces and
 uses scaled dot products.  Neither knows about positions, so permuting a
-sequence permutes the output identically, and attention weights over real
-tokens always form a distribution while padding gets exactly zero weight.
+sequence permutes the output identically.  Padding only ends a row, and each
+layer keeps one weight block per sequence in ``cache[2]``: a row of n tokens
+gets an n x n block (h x n x n for multi-head), whose rows are distributions
+over its real tokens, with no column for padding.
 """
 
 import numpy as np
@@ -32,16 +34,18 @@ multihead = MultiHeadSelfAttention(dim, heads=2, rng=rng)
 
 out_add, cache_add = additive.forward(x)
 out_mha, cache_mha = multihead.forward(x)
-alpha_add = cache_add[4]
-alpha_mha = cache_mha[5]
+block_add = cache_add[2][0]
+block_mha = cache_mha[2][0]
 
-print("== additive attention weights (rows: query, cols: key) ==")
-print(np.round(alpha_add[0, :4], 3))
-print("rows sum to", alpha_add[0, :4].sum(axis=1))
-print("padded key column:", alpha_add[0, :4, 4], "\n")
+print("== additive attention weights of the 4-token row (rows: query, cols: key) ==")
+print(np.round(block_add, 3))
+print("block shape", block_add.shape, "for 4 tokens and 1 padded position")
+print("rows sum to", block_add.sum(axis=1))
+print("padded output row:", out_add.values[0, 4], "\n")
 
-print("== one multi-head head, same contract ==")
-print(np.round(alpha_mha[0, 0, :4], 3))
+print("== multi-head weights, one block per head ==")
+print("block shape", block_mha.shape, "(head, query, key); head 0:")
+print(np.round(block_mha[0], 3))
 print()
 
 print("== permutation equivariance ==")

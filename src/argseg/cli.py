@@ -29,7 +29,13 @@ from .corpus import (
     write_conll,
 )
 from .embeddings import EmbeddingSpec, GloveSource, oov_statistics
-from .errors import ArgsegError, ConfigurationError, CorpusIntegrityError, TrainingDiverged
+from .errors import (
+    ArgsegError,
+    ConfigurationError,
+    CorpusIntegrityError,
+    FormatError,
+    TrainingDiverged,
+)
 from .metrics import report_csv_header, report_csv_row
 from .models import ArchitectureId, ModelSpec, build_model, load_checkpoint, save_checkpoint
 from .selftest import run_selftest
@@ -231,17 +237,22 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     ckpt = Path(args.checkpoint)
     curve_path = ckpt.with_name(ckpt.stem + "-curve.csv")
     if curve_path.exists():
-        lines = curve_path.read_text(encoding="utf-8").strip().splitlines()
-        if len(lines) > 1:
-            _, tr, vl = lines[-1].split(",")
-            gap = float(vl) - float(tr)
+        try:
+            lines = curve_path.read_text(encoding="utf-8").strip().splitlines()
+            if len(lines) > 1:
+                _, tr, vl = lines[-1].split(",")
+                gap = float(vl) - float(tr)
+        except ValueError as exc:  # wrong field count, not a number, not UTF-8
+            raise FormatError(f"loss curve {curve_path}: malformed ({exc})") from exc
     train_manifest = ckpt.with_name("manifest-train.json")
     if train_manifest.exists():
         try:
             lr = float(json.loads(train_manifest.read_text(encoding="utf-8"))
                        ["config"]["learning_rate"])
-        except (KeyError, ValueError, json.JSONDecodeError):
-            pass
+        except (KeyError, TypeError, ValueError) as exc:
+            raise FormatError(
+                f"training manifest {train_manifest}: no numeric config.learning_rate ({exc!r})"
+            ) from exc
 
     row = report_csv_row(report, model.spec.arch.value, emb.label,
                          model.spec.seed, lr, gap)

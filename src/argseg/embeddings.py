@@ -110,7 +110,10 @@ def load_glove(content) -> EmbeddingTable:
 
 def load_glove_file(path) -> EmbeddingTable:
     with open(path, "r", encoding="utf-8") as fh:
-        return load_glove(fh)
+        try:
+            return load_glove(fh)
+        except UnicodeDecodeError:
+            raise FormatError(f"embedding table {path} is not UTF-8 text") from None
 
 
 def oov_statistics(table: EmbeddingTable, sequences: list[LabeledSequence]):
@@ -153,10 +156,6 @@ class PrecomputedStore:
 
     def essay_ids(self) -> list[str]:
         return sorted(self._essays)
-
-    def tokens_for(self, essay_id: str) -> int:
-        entry = self._essays.get(essay_id)
-        return 0 if entry is None else entry[1].shape[0]
 
     def vector(self, essay_id: str, sentence: int, token: int) -> np.ndarray:
         entry = self._essays.get(essay_id)
@@ -344,7 +343,7 @@ class EmbeddingSpec:
         path = Path(path)
         try:
             doc = json.loads(path.read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # bad JSON or not UTF-8
             raise FormatError(f"embedding spec {path}: invalid JSON ({exc})") from exc
         try:
             expected = int(doc["expected_dim"])
@@ -353,6 +352,9 @@ class EmbeddingSpec:
             raise FormatError(
                 f"embedding spec {path}: needs expected_dim and sources"
             ) from exc
+        if not isinstance(entries, list) or not all(
+                isinstance(e, dict) and isinstance(e.get("path"), str) for e in entries):
+            raise FormatError(f"embedding spec {path}: sources must be objects with a string path")
         sources = []
         for entry in entries:
             kind = entry.get("kind")

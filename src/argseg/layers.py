@@ -9,17 +9,22 @@ owned by the caller, so one layer can be checked or trained without any
 global tape.  A model ends in a linear map to per-token B/I/O logits; the
 softmax is applied once, inside the loss.
 
-Shape convention: batches are (B, T, F) with a (B, T) validity mask; padded
-positions hold zero vectors, produce zero outputs and receive zero gradient.
+Shape convention: batches are (B, T, F) with a (B, T) mask, and padding only
+ends a row (:class:`~argseg.numeric.BatchTensor` enforces it), so a row of n
+tokens holds them at positions 0 .. n-1.  Padded positions hold zero vectors,
+produce zero outputs and receive zero gradient.
 
 LSTM parameters are fused per direction, with gate blocks in the order
 i|f|o|g (input, forget and output gates, then the candidate).  The BiLSTM
-runs its recurrence time-major over the positions that still carry a
-sequence and evaluates all four gates with one tanh.
+runs its recurrence time-major over the rows that have not ended and
+evaluates all four gates with one tanh.
 
-Both attention layers work on valid tokens only: their projections run over
-the valid tokens of the batch, and each sequence attends over its own block
-of valid query x key pairs, so padding adds nothing to their cost.
+Both attention layers work on tokens only: their projections run over the
+tokens of the batch, and each sequence attends over its own block of
+query x key pairs, so padding adds nothing to their cost.  Each class
+docstring says what its cache holds; in both attention caches ``cache[2]`` is
+the list of per-sequence weight blocks, queries by keys, each query row
+summing to 1, with no row or column for padding.
 """
 
 from __future__ import annotations
@@ -103,37 +108,29 @@ class LstmCell:
 class _Positions(NamedTuple):
     """Where the recurrence over a (B, T) mask does work.
 
-    Rows are ranked by their last valid step, latest first, so the rows
-    still running at step t are ranks 0 .. n_t - 1.  The M running (t, rank)
-    pairs are listed time-major; step t owns [starts[t], starts[t + 1]).
-    When each row's valid tokens form a prefix, M is the number of valid
-    tokens and no step runs over padding.
+    Rows are ranked by length, longest first, so the rows still running at
+    step t are ranks 0 .. n_t - 1.  Padding only ends a row, so the M running
+    (t, rank) pairs are exactly the tokens; they are listed time-major, and
+    step t owns [starts[t], starts[t + 1]).
     """
 
     starts: list[int]
     bt: np.ndarray  # flat b*T + t of each running position, into (B, T, .) arrays
     tr: np.ndarray  # flat t*B + rank of each running position, into (T, B, .) arrays
-    valid: np.ndarray  # (M, 1): the running position is a real token
-    partial: list[bool]  # step t runs over padding, which carries the state
 
 
 def _positions(mask: np.ndarray) -> _Positions:
     bsz, tlen = mask.shape
-    last = np.max(mask * np.arange(1, tlen + 1), axis=1, initial=0) - 1  # -1: no token
-    order = np.argsort(-last, kind="stable")
-    running = (last[order][None, :] >= np.arange(tlen)[:, None]).sum(axis=1)
+    lengths = mask.sum(axis=1)
+    order = np.argsort(-lengths, kind="stable")
+    running = (lengths[order][None, :] > np.arange(tlen)[:, None]).sum(axis=1)
     starts = np.concatenate([[0], np.cumsum(running)])
     t_run = np.repeat(np.arange(tlen), running)
     rank = np.arange(starts[-1]) - np.repeat(starts[:-1], running)
-    b_run = order[rank]
-    valid = mask[b_run, t_run]
-    pad_steps = np.bincount(t_run[~valid], minlength=tlen)
     return _Positions(
         starts=starts.tolist(),
-        bt=b_run * tlen + t_run,
+        bt=order[rank] * tlen + t_run,
         tr=t_run * bsz + rank,
-        valid=valid[:, None],
-        partial=(pad_steps > 0).tolist(),
     )
 
 
@@ -152,20 +149,19 @@ def _run_direction(halved, x_run, pos: _Positions, cache, reverse: bool):
     """Forward pass of one direction, time-major, into caller-allocated arrays.
 
     ``halved`` is the cell's :meth:`LstmCell.halved` parameters and
-    ``x_run`` the (M, D) inputs at the running positions, zero where padded.
-    ``cache`` = (acts, hs, cs, tanh_c): acts (M, 4H) receives the gate
-    activations; hs and cs (T+1, B, H) the states; tanh_c (T, B, H) tanh(c).
-    A padded step carries the state through unchanged.
+    ``x_run`` the (M, D) inputs at the running positions.  ``cache`` =
+    (acts, hs, cs, tanh_c): acts (M, 4H) receives the gate activations; hs
+    and cs (T+1, B, H) the states; tanh_c (T, B, H) tanh(c).
     """
     w, u, b = halved
     acts, hs, cs, tanh_c = cache
     bsz, hdim = hs.shape[1:]
     sig = 3 * hdim
     np.matmul(x_run, w, out=acts)
-    acts += b  # padded positions hold only the bias
+    acts += b
     z = np.empty((bsz, 4 * hdim))
     ig = np.empty((bsz, hdim))
-    for t, prev, new in _steps(len(pos.partial), reverse):
+    for t, prev, new in _steps(len(pos.starts) - 1, reverse):
         lo, hi = pos.starts[t], pos.starts[t + 1]
         n = hi - lo
         a = acts[lo:hi]
@@ -180,10 +176,6 @@ def _run_direction(halved, x_run, pos: _Positions, cache, reverse: bool):
         c += ig[:n]
         np.tanh(c, out=tanh_c[t, :n])
         np.multiply(a[:, 2 * hdim : sig], tanh_c[t, :n], out=hs[new, :n])
-        if pos.partial[t]:
-            pad = ~pos.valid[lo:hi]
-            np.copyto(hs[new, :n], h_prev, where=pad)
-            np.copyto(c, c_prev, where=pad)
 
 
 def _direction_backward(cell: LstmCell, cache, grad_run, x_run, pos: _Positions, work,
@@ -205,17 +197,14 @@ def _direction_backward(cell: LstmCell, cache, grad_run, x_run, pos: _Positions,
     dc = np.zeros((bsz, hdim))
     gh = np.empty((bsz, hdim))
     gc = np.empty((bsz, hdim))
-    tmp = np.empty((bsz, hdim))
     dsig = np.empty((bsz, sig))
-    for t, prev, _ in reversed(_steps(len(pos.partial), reverse)):
+    for t, prev, _ in reversed(_steps(len(pos.starts) - 1, reverse)):
         lo, hi = pos.starts[t], pos.starts[t + 1]
         n = hi - lo
         a, da = acts[lo:hi], d_acts[lo:hi]
         i, f, o, g = (a[:, k * hdim : (k + 1) * hdim] for k in range(4))
         tc = tanh_c[t, :n]
-        dh_n, dc_n, gh_n, gc_n, tmp_n, dsig_n = (
-            m[:n] for m in (dh, dc, gh, gc, tmp, dsig)
-        )
+        dh_n, dc_n, gh_n, gc_n, dsig_n = (m[:n] for m in (dh, dc, gh, gc, dsig))
         np.add(grad_run[lo:hi], dh_n, out=gh_n)  # dL/dh_t
         np.multiply(tc, tc, out=gc_n)
         np.subtract(1.0, gc_n, out=gc_n)
@@ -233,16 +222,8 @@ def _direction_backward(cell: LstmCell, cache, grad_run, x_run, pos: _Positions,
         np.subtract(1.0, dg, out=dg)
         dg *= i
         dg *= gc_n
-        if pos.partial[t]:  # padded rows pass their gradient on unchanged
-            keep = pos.valid[lo:hi]
-            np.copyto(da, 0.0, where=~keep)
-            np.matmul(da, u_t, out=tmp_n)
-            np.copyto(dh_n, tmp_n, where=keep)
-            np.multiply(gc_n, f, out=tmp_n)
-            np.copyto(dc_n, tmp_n, where=keep)
-        else:
-            np.matmul(da, u_t, out=dh_n)
-            np.multiply(gc_n, f, out=dc_n)
+        np.matmul(da, u_t, out=dh_n)
+        np.multiply(gc_n, f, out=dc_n)
     # mode="clip" writes straight into ``out``; the default buffers it
     np.take(hs.reshape(-1, hdim), pos.tr + bsz if reverse else pos.tr, axis=0,
             out=h_in, mode="clip")
@@ -260,9 +241,11 @@ class BiLstm(Layer):
     Output features = 2*hidden; position t holds [forward state at t,
     backward state at t].  Both directions run time-major over the running
     positions only (see :class:`_Positions`): the input projection and the
-    input-side gradient GEMMs cover the valid tokens, gathered once per
-    call, and step t works on the rows that have not yet ended.  The two
-    directions run one after the other on the calling thread.
+    input-side gradient GEMMs cover the tokens, gathered once per call, and
+    step t works on the rows that have not yet ended.  The two directions
+    run one after the other on the calling thread.  The cache is (inputs,
+    positions, per direction (gate activations at the tokens, hidden
+    states, cell states, tanh of the cell states)).
     """
 
     def __init__(self, input_dim: int, hidden: int, rng, name: str = "bilstm"):
@@ -279,14 +262,6 @@ class BiLstm(Layer):
     def params(self) -> list[Parameter]:
         return self.fwd.params() + self.bwd.params()
 
-    @staticmethod
-    def _gather_inputs(values: np.ndarray, pos: _Positions) -> np.ndarray:
-        """Inputs at the running positions; padded ones enter as zero."""
-        x_run = np.take(values.reshape(-1, values.shape[2]), pos.bt, axis=0)
-        if not pos.valid.all():
-            x_run *= pos.valid
-        return x_run
-
     def forward(self, x: BatchTensor):
         if x.features != self.input_dim:
             raise DimensionError(
@@ -295,7 +270,7 @@ class BiLstm(Layer):
         bsz, tlen, _ = x.values.shape
         h = self.hidden
         pos = _positions(x.mask)
-        x_run = self._gather_inputs(x.values, pos)
+        x_run = np.take(x.values.reshape(-1, x.features), pos.bt, axis=0)
         caches = [
             (
                 np.empty((len(pos.bt), 4 * h)),
@@ -310,11 +285,8 @@ class BiLstm(Layer):
         # each direction emits the state written at step t: slot t+1 going
         # forward, slot t in reverse; padded positions stay zero
         out = np.zeros((bsz, tlen, 2 * h))
-        emit = pos.valid[:, 0]
         for k, (cache, slots) in enumerate(zip(caches, (pos.tr + bsz, pos.tr))):
-            out.reshape(-1, 2 * h)[pos.bt[emit], k * h : (k + 1) * h] = (
-                cache[1].reshape(-1, h)[slots[emit]]
-            )
+            out.reshape(-1, 2 * h)[pos.bt, k * h : (k + 1) * h] = cache[1].reshape(-1, h)[slots]
         return x.with_values(out), (x.values, pos, caches)
 
     def backward(self, cache, grad_out: np.ndarray) -> np.ndarray:
@@ -322,7 +294,7 @@ class BiLstm(Layer):
         dim = values.shape[2]
         h = self.hidden
         n_run = len(pos.bt)
-        x_run = self._gather_inputs(values, pos)
+        x_run = np.take(values.reshape(-1, dim), pos.bt, axis=0)
         grad_run = np.take(grad_out.reshape(-1, 2 * h), pos.bt, axis=0)
         d_acts, h_in = np.empty((n_run, 4 * h)), np.empty((n_run, h))
         dw, du = np.empty((dim, 4 * h)), np.empty((h, 4 * h))
@@ -342,39 +314,27 @@ class BiLstm(Layer):
 # ---------------------------------------------------------------------------
 
 
-def _require_valid_rows(mask: np.ndarray, name: str):
-    if (~mask.any(axis=1)).any():
-        raise ContractViolation(
-            f"{name}: every sequence in the batch needs at least one valid position"
-        )
-
-
 class _Tokens(NamedTuple):
-    """The valid tokens of a (B, T) mask, gathered row by row.
+    """The tokens of a (B, T) mask, gathered row by row.
 
-    Sequence b owns gathered rows [lo_b, hi_b) and sits at positions idx_b of
-    its row.  Attention is permutation-equivariant, so a sequence's valid
-    tokens may attend among themselves wherever its padding lies.
+    Padding only ends a row, so sequence b owns gathered rows [lo_b, hi_b)
+    and sits at positions 0 .. hi_b - lo_b - 1 of its row.
     """
 
-    sel: np.ndarray  # flat b*T + t of each valid token, into (B, T, .) arrays
-    spans: list[tuple[int, int, np.ndarray]]  # (lo_b, hi_b, idx_b) per sequence
+    sel: np.ndarray  # flat b*T + t of each token, into (B, T, .) arrays
+    spans: list[tuple[int, int]]  # (lo_b, hi_b) per sequence
 
 
-def _tokens(mask: np.ndarray) -> _Tokens:
-    tlen = mask.shape[1]
-    sel = np.flatnonzero(mask.ravel())
-    ends = np.cumsum(mask.sum(axis=1)).tolist()
-    spans = []
-    lo = 0
-    for b, hi in enumerate(ends):
-        spans.append((lo, hi, sel[lo:hi] - b * tlen))
-        lo = hi
-    return _Tokens(sel, spans)
+def _tokens(mask: np.ndarray, name: str) -> _Tokens:
+    lengths = mask.sum(axis=1)
+    if not lengths.all():
+        raise ContractViolation(f"{name}: every sequence in the batch needs at least one token")
+    ends = np.cumsum(lengths).tolist()
+    return _Tokens(np.flatnonzero(mask.ravel()), list(zip([0] + ends[:-1], ends)))
 
 
 def _scatter(rows: np.ndarray, tokens: _Tokens, shape) -> np.ndarray:
-    """(B, T, F) zeros with the valid tokens' rows filled in."""
+    """(B, T, F) zeros with the tokens' rows filled in."""
     out = np.zeros(shape)
     out.reshape(-1, shape[2])[tokens.sel] = rows
     return out
@@ -384,14 +344,14 @@ class AdditiveSelfAttention(Layer):
     """Self-attention with a small feed-forward scorer over position pairs.
 
     score(t, s) = v_a^T tanh(x_t W_t + x_s W_x + b_h), softmax over the
-    valid positions s, output_t = sum_s alpha(t, s) x_s.  Shape-preserving.
+    tokens s, output_t = sum_s alpha(t, s) x_s.  Shape-preserving.
     The score has no output bias: a constant added to every score of a
     softmax row cancels.
 
-    Only valid tokens are computed on: the projections run over the valid
-    tokens of the batch, and each sequence b scores just its own n_b x n_b
-    block of pairs.  The cache holds the dense (B, T, T) weights, zero at
-    every padded pair.
+    Only tokens are computed on: the projections run over the tokens of the
+    batch, and each sequence b scores just its own n_b x n_b block of pairs.
+    The cache is (token rows, spans, weights, queries with b_h, keys), where
+    weights holds one (n_b, n_b) block per sequence.
     """
 
     # pairwise tanh activations are O(sum_b n_b^2 * attn_dim); recomputed in
@@ -419,7 +379,7 @@ class AdditiveSelfAttention(Layer):
     def _buffer(self, tokens: _Tokens) -> np.ndarray:
         """One work buffer large enough for any chunk of any sequence."""
         size = max(min(n, self._rows_per_chunk(n)) * n
-                   for n in (hi - lo for lo, hi, _ in tokens.spans))
+                   for n in (hi - lo for lo, hi in tokens.spans))
         return np.empty(size * self.attn_dim)
 
     def _tanh_chunks(self, q: np.ndarray, k: np.ndarray, buf: np.ndarray):
@@ -442,32 +402,29 @@ class AdditiveSelfAttention(Layer):
             raise DimensionError(
                 f"{self.name}: input has {x.features} features, expected {self.dim}"
             )
-        _require_valid_rows(x.mask, self.name)
-        bsz, tlen, dim = x.values.shape
-        tokens = _tokens(x.mask)
-        xv = x.values.reshape(-1, dim)[tokens.sel]  # (N, D)
+        tokens = _tokens(x.mask, self.name)
+        xv = x.values.reshape(-1, self.dim)[tokens.sel]  # (N, D)
         q = xv @ self.w_query.value
         q += self.b_hidden.value
         k = xv @ self.w_key.value
         v_flat = self.v_score.value[:, 0]
         buf = self._buffer(tokens)
 
-        alpha = np.zeros((bsz, tlen, tlen))
+        weights = []
         out = np.empty_like(xv)
-        for b, (lo, hi, idx) in enumerate(tokens.spans):
+        for lo, hi in tokens.spans:
             scores = np.empty((hi - lo, hi - lo))
             for t0, t1, u in self._tanh_chunks(q[lo:hi], k[lo:hi], buf):
                 np.matmul(u.reshape(-1, self.attn_dim), v_flat, out=scores[t0:t1].reshape(-1))
             block = softmax_rows(scores)
             np.matmul(block, xv[lo:hi], out=out[lo:hi])
-            alpha[b][np.ix_(idx, idx)] = block
-        cache = (xv, tokens, q, k, alpha)
+            weights.append(block)
+        cache = (xv, tokens, weights, q, k)
         return x.with_values(_scatter(out, tokens, x.values.shape)), cache
 
     def backward(self, cache, grad_out: np.ndarray) -> np.ndarray:
-        xv, tokens, q, k, alpha = cache
-        dim = xv.shape[1]
-        go = grad_out.reshape(-1, dim)[tokens.sel]
+        xv, tokens, weights, q, k = cache
+        go = grad_out.reshape(-1, self.dim)[tokens.sel]
         v_flat = self.v_score.value[:, 0]
         buf = self._buffer(tokens)
 
@@ -475,8 +432,7 @@ class AdditiveSelfAttention(Layer):
         dq = np.empty_like(q)
         dk = np.zeros_like(k)
         dv = np.zeros(self.attn_dim)
-        for b, (lo, hi, idx) in enumerate(tokens.spans):
-            block = alpha[b][np.ix_(idx, idx)]
+        for (lo, hi), block in zip(tokens.spans, weights):
             g = go[lo:hi]
             np.matmul(block.T, g, out=dxv[lo:hi])
             d_alpha = g @ xv[lo:hi].T
@@ -504,14 +460,15 @@ class MultiHeadSelfAttention(Layer):
     """Scaled dot-product attention over h subspaces of the feature dim.
 
     Q, K, V are full (d, d) projections split into h slices of width d/h;
-    per head softmax(Q K^T / sqrt(d_k)) V over the valid positions;
+    per head softmax(Q K^T / sqrt(d_k)) V over the tokens;
     concatenated heads go through an output projection W_o.  No biases
     anywhere.
 
-    Only valid tokens are computed on: the four projections and their
-    gradient GEMMs run over the valid tokens of the batch, and each sequence
-    b forms just its own (h, n_b, n_b) logits.  The cache holds the dense
-    (B, h, T, T) weights, zero at every padded pair.
+    Only tokens are computed on: the four projections and their gradient
+    GEMMs run over the tokens of the batch, and each sequence b forms just
+    its own (h, n_b, n_b) logits.  The cache is (token rows, spans, weights,
+    Q, K, V, context), where weights holds one (h, n_b, n_b) block per
+    sequence.
     """
 
     def __init__(self, dim: int, heads: int, rng, name: str = "mha"):
@@ -541,37 +498,33 @@ class MultiHeadSelfAttention(Layer):
             raise DimensionError(
                 f"{self.name}: input has {x.features} features, expected {self.dim}"
             )
-        _require_valid_rows(x.mask, self.name)
-        bsz, tlen, dim = x.values.shape
-        tokens = _tokens(x.mask)
-        xv = x.values.reshape(-1, dim)[tokens.sel]  # (N, D)
+        tokens = _tokens(x.mask, self.name)
+        xv = x.values.reshape(-1, self.dim)[tokens.sel]  # (N, D)
         q = xv @ self.w_q.value
         k = xv @ self.w_k.value
         v = xv @ self.w_v.value
 
         scale = 1.0 / np.sqrt(self.head_dim)
-        alpha = np.zeros((bsz, self.heads, tlen, tlen))
+        weights = []
         ctx = np.empty_like(xv)
-        for b, (lo, hi, idx) in enumerate(tokens.spans):
+        for lo, hi in tokens.spans:
             qb, kb, vb = (self._heads(m[lo:hi]) for m in (q, k, v))
             block = softmax_rows((qb @ kb.transpose(0, 2, 1)) * scale)
             self._heads(ctx[lo:hi])[...] = block @ vb
-            alpha[b][:, idx[:, None], idx] = block
+            weights.append(block)
         out = ctx @ self.w_o.value
-        cache = (xv, tokens, q, k, v, alpha, ctx)
+        cache = (xv, tokens, weights, q, k, v, ctx)
         return x.with_values(_scatter(out, tokens, x.values.shape)), cache
 
     def backward(self, cache, grad_out: np.ndarray) -> np.ndarray:
-        xv, tokens, q, k, v, alpha, ctx = cache
-        dim = xv.shape[1]
-        go = grad_out.reshape(-1, dim)[tokens.sel]
+        xv, tokens, weights, q, k, v, ctx = cache
+        go = grad_out.reshape(-1, self.dim)[tokens.sel]
         self.w_o.grad += ctx.T @ go
         d_ctx = go @ self.w_o.value.T
 
         scale = 1.0 / np.sqrt(self.head_dim)
         dq, dk, dv = (np.empty_like(xv) for _ in range(3))
-        for b, (lo, hi, idx) in enumerate(tokens.spans):
-            block = alpha[b][:, idx[:, None], idx]
+        for (lo, hi), block in zip(tokens.spans, weights):
             qb, kb, vb, dcb = (self._heads(m[lo:hi]) for m in (q, k, v, d_ctx))
             d_alpha = dcb @ vb.transpose(0, 2, 1)
             self._heads(dv[lo:hi])[...] = block.transpose(0, 2, 1) @ dcb
@@ -605,7 +558,7 @@ def choose_heads(dim: int, cap: int = 6) -> int:
 
 
 class TimeDistributedLinear(Layer):
-    """Per-position affine map; padded positions stay zero."""
+    """Per-position affine map; padded positions stay zero.  Caches (inputs, mask)."""
 
     def __init__(self, input_dim: int, output_dim: int, rng, name: str = "linear"):
         self.name = name

@@ -3,7 +3,8 @@
 Everything downstream (layers, models, training) is built on the primitives
 here.  All arrays are C-contiguous float64; 32-bit precision makes the
 finite-difference checks in :func:`grad_check` unreliable at the tolerances
-we enforce.
+we enforce.  A :class:`BatchTensor` pads only at the end of a row, so a row
+of n tokens holds them at positions 0 .. n-1; every layer relies on this.
 """
 
 from __future__ import annotations
@@ -71,9 +72,11 @@ class Parameter:
 class BatchTensor:
     """A padded batch of sequences: values (batch, time, features) plus a mask.
 
-    mask[b, t] is True for real tokens and False for padding.  Padded
-    positions carry zero vectors and must contribute nothing to any loss,
-    gradient, or metric.
+    mask[b, t] is True for real tokens and False for padding.  Padding only
+    ends a row: each row of the mask is some True entries followed by False
+    ones (a row may be all padding), and any other mask raises
+    :class:`ContractViolation`.  Padded positions carry zero vectors and must
+    contribute nothing to any loss, gradient, or metric.
     """
 
     __slots__ = ("values", "mask")
@@ -87,6 +90,9 @@ class BatchTensor:
             raise DimensionError(
                 f"mask shape {mask.shape} does not match values {values.shape[:2]}"
             )
+        late = np.flatnonzero((mask[:, 1:] > mask[:, :-1]).any(axis=1))
+        if late.size:
+            raise ContractViolation(f"mask row {late[0]} has a token after padding")
         self.values = values
         self.mask = mask
 

@@ -24,13 +24,10 @@ GRAD_TOLERANCE = 1e-4
 EPSILON = 1e-3
 
 
-def random_batch(rng, batch=2, time=3, features=4, pad_last=True, scale=0.5) -> BatchTensor:
-    values = rng.standard_normal((batch, time, features)) * scale
-    mask = np.ones((batch, time), dtype=bool)
-    if pad_last:
-        mask[-1, -1] = False
-        values[~mask] = 0.0
-    return BatchTensor(values, mask)
+def random_batch(rng, features) -> BatchTensor:
+    """Two sequences of 3 and 2 tokens, entries drawn at scale 0.5."""
+    values = rng.standard_normal((2, 3, features)) * 0.5
+    return BatchTensor.from_rows([values[0], values[1, :2]])
 
 
 def layer_zoo(rng):
@@ -48,7 +45,7 @@ def check_layer_gradients(seeds=range(5)) -> float:
     for seed in seeds:
         rng = np.random.default_rng(seed)
         for layer, width in layer_zoo(rng):
-            x = random_batch(rng, features=width)
+            x = random_batch(rng, width)
             worst = max(worst, grad_check(layer, x, EPSILON, rng))
     return worst
 
@@ -61,13 +58,18 @@ def check_model_gradients(seeds=range(5)) -> float:
             spec = ModelSpec(arch, input_dim=4, hidden=3, inter_stage_dim=4,
                              attn_dim=4, seed=seed)
             model = build_model(spec)
-            x = random_batch(rng, batch=2, time=3, features=4)
+            x = random_batch(rng, 4)
             worst = max(worst, grad_check(model, x, EPSILON, rng))
     return worst
 
 
 def check_attention_invariants(trials=20, tol=1e-9) -> float:
-    """Permutation equivariance and row-stochastic weights for both forms."""
+    """Permutation equivariance, and the padded-batch contract of both forms.
+
+    On a padded batch each layer must cache (``cache[2]``) one row-stochastic
+    weight block per sequence spanning exactly its tokens, give exactly zero
+    padded outputs, and match each row run alone.
+    """
     worst = 0.0
     for trial in range(trials):
         rng = np.random.default_rng(50 + trial)
@@ -82,24 +84,20 @@ def check_attention_invariants(trials=20, tol=1e-9) -> float:
         x = BatchTensor(values, mask)
         perm = rng.permutation(n)
         x_perm = BatchTensor(values[:, perm], mask)
+        lengths = (n, n - 2, 1)
+        x2 = BatchTensor.from_rows([values[0, :m] for m in lengths])
         for layer in layers:
-            out, cache = layer.forward(x)
+            out, _ = layer.forward(x)
             out_perm, _ = layer.forward(x_perm)
             worst = max(worst, float(np.abs(out.values[:, perm] - out_perm.values).max()))
-            alpha = cache[4] if isinstance(layer, AdditiveSelfAttention) else cache[5]
-            sums = alpha.sum(axis=-1)
-            worst = max(worst, float(np.abs(sums - 1.0).max()))
-        # padded keys must carry exactly zero weight
-        mask2 = np.ones((1, n), dtype=bool)
-        mask2[0, -2:] = False
-        vals2 = values.copy()
-        vals2[0, -2:] = 0.0
-        x2 = BatchTensor(vals2, mask2)
-        for layer in layers:
-            _, cache = layer.forward(x2)
-            alpha = cache[4] if isinstance(layer, AdditiveSelfAttention) else cache[5]
-            if float(np.abs(alpha[..., -2:]).max()) != 0.0:
+            out2, cache = layer.forward(x2)
+            shapes = [block.shape[-2:] for block in cache[2]]
+            if out2.values[~x2.mask].any() or shapes != [(m, m) for m in lengths]:
                 worst = max(worst, 1.0)
+            for b, (m, block) in enumerate(zip(lengths, cache[2])):
+                worst = max(worst, float(np.abs(block.sum(axis=-1) - 1.0).max()))
+                alone, _ = layer.forward(BatchTensor(values[:, :m], mask[:, :m]))
+                worst = max(worst, float(np.abs(out2.values[b, :m] - alone.values[0]).max()))
     return worst
 
 

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -189,6 +190,49 @@ class TestEvaluateCommand:
             "--embeddings", str(bad_spec), "--out", str(tmp_path / "o"),
         ])
         assert rc == 1
+
+
+def evaluate_beside(trained, converted, embeddings, tmp_path, sibling=None, content=b""):
+    """Evaluate a copy of the trained checkpoint with one chosen sibling file next to it."""
+    run = tmp_path / "run"
+    run.mkdir()
+    shutil.copy(trained / "sb.ckpt", run / "sb.ckpt")
+    if sibling:
+        (run / sibling).write_bytes(content)
+    return main([
+        "evaluate", str(run / "sb.ckpt"), str(converted / "test.conll"),
+        "--embeddings", str(embeddings), "--out", str(tmp_path / "eval"),
+    ])
+
+
+HEADER = b"epoch,train_loss,val_loss\n"
+
+
+@pytest.mark.parametrize(
+    "sibling,content",
+    [
+        ("sb-curve.csv", HEADER + b"1,0.5\n"),
+        ("sb-curve.csv", HEADER + b"1,low,0.5\n"),
+        ("sb-curve.csv", HEADER + b"1,0.5,0.\xff\n"),
+        ("manifest-train.json", b"[1, 2]"),
+        ("manifest-train.json", b'{"config": "fast"}'),
+    ],
+    ids=["curve_two_fields", "curve_not_numeric", "curve_not_utf8", "manifest_list",
+         "manifest_config_str"],
+)
+def test_evaluate_malformed_sibling_is_error(trained, converted, toy_embeddings_file, tmp_path,
+                                             capsys, sibling, content):
+    rc = evaluate_beside(trained, converted, toy_embeddings_file, tmp_path, sibling, content)
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and sibling in err
+
+
+def test_evaluate_without_siblings_reports_nan(trained, converted, toy_embeddings_file,
+                                               tmp_path):
+    assert evaluate_beside(trained, converted, toy_embeddings_file, tmp_path) == 0
+    row = (tmp_path / "eval" / "results.csv").read_text().splitlines()[1].split(",")
+    assert row[3] == "nan" and row[-1] == "nan"  # lr and gap
 
 
 def test_selftest_command_passes(capsys):

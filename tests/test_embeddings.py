@@ -243,3 +243,25 @@ class TestEmbeddingSpec:
         )
         with pytest.raises(FormatError, match="fasttext"):
             EmbeddingSpec.from_file(path)
+
+    @pytest.mark.parametrize(
+        "spec,glove",
+        [
+            ('{"expected_dim": 2, "sources": 5}', None),
+            ('{"expected_dim": 2, "sources": ["v.txt"]}', None),
+            ('{"expected_dim": 2, "sources": [{"kind": "glove"}]}', None),
+            ('{"expected_dim": 2, "sources": [{"kind": "glove", "path": 3}]}', None),
+            (b'{"expected_dim": 2, "label": "\xff", "sources": []}', None),
+            ('{"expected_dim": 2, "sources": [{"kind": "glove", "path": "v.txt"}]}',
+             b"a 1 2\n\xfe 3 4\n"),
+        ],
+        ids=["sources_int", "source_str", "no_path", "path_int", "spec_not_utf8",
+             "glove_not_utf8"],
+    )
+    def test_from_file_malformed_is_format_error(self, tmp_path, spec, glove):
+        path = tmp_path / "spec.json"
+        path.write_bytes(spec if isinstance(spec, bytes) else spec.encode())
+        if glove is not None:
+            (tmp_path / "v.txt").write_bytes(glove)
+        with pytest.raises(FormatError, match="v.txt" if glove else "spec.json"):
+            EmbeddingSpec.from_file(path)

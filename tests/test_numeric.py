@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from argseg.errors import DimensionError, NumericError
+from argseg.errors import ContractViolation, DimensionError, NumericError
 from argseg.layers import TimeDistributedLinear
 from argseg.numeric import BatchTensor, Parameter, grad_check, softmax_rows
 
@@ -74,6 +74,13 @@ class TestBatchTensor:
     def test_mask_shape_checked(self):
         with pytest.raises(DimensionError):
             BatchTensor(np.zeros((2, 3, 4)), np.ones((2, 4), dtype=bool))
+
+    @pytest.mark.parametrize("row", [[0, 1, 1], [1, 0, 1], [0, 0, 1]],
+                             ids=["leading", "interior", "leading_run"])
+    def test_padding_before_a_token_rejected(self, row):
+        mask = np.array([[1, 1, 1], row], dtype=bool)
+        with pytest.raises(ContractViolation, match="mask row 1"):
+            BatchTensor(np.zeros((2, 3, 4)), mask)
 
 
 class _BrokenBackward:
