@@ -1,7 +1,7 @@
 """Train two architectures on a synthetic corpus and compare them.
 
 The single-BiLSTM tagger (sb) and its input-attention variant (sb-i) learn
-the same synthetic segmentation task.  Training uses masked cross-entropy
+the same synthetic segmentation task.  Training uses cross-entropy
 with Adam, holds out whole essays for validation, stops early on validation
 loss and restores the best epoch.  Evaluation reports weighted F1, the
 class-imbalance-aware score used throughout this package.

@@ -346,12 +346,19 @@ class EmbeddingSpec:
         except ValueError as exc:  # bad JSON or not UTF-8
             raise FormatError(f"embedding spec {path}: invalid JSON ({exc})") from exc
         try:
-            expected = int(doc["expected_dim"])
+            expected = doc["expected_dim"]
             entries = doc["sources"]
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError) as exc:
             raise FormatError(
                 f"embedding spec {path}: needs expected_dim and sources"
             ) from exc
+        if type(expected) is not int or expected < 1:
+            raise FormatError(f"embedding spec {path}: expected_dim must be an integer >= 1, "
+                              f"got {expected!r}")
+        label = doc.get("label", path.stem)
+        if not isinstance(label, str) or any(c in label for c in ",\r\n"):
+            raise FormatError(f"embedding spec {path}: label must be a string without commas "
+                              f"or line breaks (it is a results.csv field), got {label!r}")
         if not isinstance(entries, list) or not all(
                 isinstance(e, dict) and isinstance(e.get("path"), str) for e in entries):
             raise FormatError(f"embedding spec {path}: sources must be objects with a string path")
@@ -367,7 +374,7 @@ class EmbeddingSpec:
                 raise FormatError(
                     f"embedding spec {path}: unknown source kind {kind!r}"
                 )
-        return cls(sources, expected, label=doc.get("label", path.stem))
+        return cls(sources, expected, label=label)
 
     def vectorize(self, seq: LabeledSequence) -> np.ndarray:
         """(len(seq), expected_dim) matrix: sources concatenated in order."""

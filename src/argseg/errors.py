@@ -14,7 +14,7 @@ class ConfigurationError(ArgsegError):
 
 
 class ContractViolation(ArgsegError):
-    """An input violates a documented precondition (e.g. an all-padding sequence)."""
+    """An input violates a documented precondition (e.g. an empty sequence given to attention)."""
 
 
 class NumericError(ArgsegError):

@@ -9,22 +9,22 @@ owned by the caller, so one layer can be checked or trained without any
 global tape.  A model ends in a linear map to per-token B/I/O logits; the
 softmax is applied once, inside the loss.
 
-Shape convention: batches are (B, T, F) with a (B, T) mask, and padding only
-ends a row (:class:`~argseg.numeric.BatchTensor` enforces it), so a row of n
-tokens holds them at positions 0 .. n-1.  Padded positions hold zero vectors,
-produce zero outputs and receive zero gradient.
+Shape convention: a batch is a :class:`~argseg.numeric.BatchTensor`, its
+tokens packed sequence-major into one (N, F) array of rows plus the
+sequences' lengths.  Every layer maps (N, F_in) rows to (N, F_out) rows and,
+in backward, (N, F_out) gradients to (N, F_in); no layer sees padding.
 
 LSTM parameters are fused per direction, with gate blocks in the order
 i|f|o|g (input, forget and output gates, then the candidate).  The BiLSTM
-runs its recurrence time-major over the rows that have not ended and
-evaluates all four gates with one tanh.
+gathers its inputs into time-major order once, runs its recurrence over the
+sequences that have not ended, evaluates all four gates with one tanh, and
+writes its output and input gradient back in packed order.
 
-Both attention layers work on tokens only: their projections run over the
-tokens of the batch, and each sequence attends over its own block of
-query x key pairs, so padding adds nothing to their cost.  Each class
-docstring says what its cache holds; in both attention caches ``cache[2]`` is
-the list of per-sequence weight blocks, queries by keys, each query row
-summing to 1, with no row or column for padding.
+Both attention layers work on the rows directly: their projections run over
+all tokens, and each sequence attends over its own block of query x key
+pairs.  Each class docstring says what its cache holds; in both attention
+caches ``cache[2]`` is the list of per-sequence weight blocks, queries by
+keys, each query row summing to 1.
 """
 
 from __future__ import annotations
@@ -106,66 +106,80 @@ class LstmCell:
 
 
 class _Positions(NamedTuple):
-    """Where the recurrence over a (B, T) mask does work.
+    """Where the recurrence over a batch of the given lengths does work.
 
-    Rows are ranked by length, longest first, so the rows still running at
-    step t are ranks 0 .. n_t - 1.  Padding only ends a row, so the M running
-    (t, rank) pairs are exactly the tokens; they are listed time-major, and
-    step t owns [starts[t], starts[t + 1]).
+    Sequences are ranked by length, longest first, so the sequences still
+    running at step t are ranks 0 .. n_t - 1.  The M running (t, rank) pairs
+    are exactly the tokens; they are listed time-major, and step t owns
+    [starts[t], starts[t + 1]).
     """
 
     starts: list[int]
-    bt: np.ndarray  # flat b*T + t of each running position, into (B, T, .) arrays
-    tr: np.ndarray  # flat t*B + rank of each running position, into (T, B, .) arrays
+    packed: np.ndarray  # packed row of each running position
+    step: np.ndarray  # t of each running position
+    rank: np.ndarray  # rank of each running position
+
+    @property
+    def widest(self) -> int:
+        """n_0: the sequences running at step 0, which are all the non-empty ones."""
+        return self.starts[1] if len(self.starts) > 1 else 0
 
 
-def _positions(mask: np.ndarray) -> _Positions:
-    bsz, tlen = mask.shape
-    lengths = mask.sum(axis=1)
+def _positions(lengths: np.ndarray) -> _Positions:
+    tlen = int(lengths.max())
     order = np.argsort(-lengths, kind="stable")
     running = (lengths[order][None, :] > np.arange(tlen)[:, None]).sum(axis=1)
     starts = np.concatenate([[0], np.cumsum(running)])
-    t_run = np.repeat(np.arange(tlen), running)
+    step = np.repeat(np.arange(tlen), running)
     rank = np.arange(starts[-1]) - np.repeat(starts[:-1], running)
-    return _Positions(
-        starts=starts.tolist(),
-        bt=order[rank] * tlen + t_run,
-        tr=t_run * bsz + rank,
-    )
+    offsets = np.cumsum(lengths) - lengths
+    return _Positions(starts.tolist(), offsets[order[rank]] + step, step, rank)
 
 
-def _steps(tlen: int, reverse: bool) -> list[tuple[int, int, int]]:
-    """(t, slot of the state entering step t, slot step t writes), in order.
+def _state_rows(pos: _Positions, reverse: bool) -> tuple[list[int], list[int]]:
+    """Per step t, the first state row entering step t and the first row it writes.
 
-    States live in (T+1, B, H) buffers indexed by rank; the zero initial
-    state is slot 0 going forward and slot T going in reverse.
+    A direction keeps its hidden and cell states in (M + n_0, H) arrays, a
+    step's n_t states in consecutive rows by rank.  Going forward, rows
+    0 .. n_0 - 1 hold the zero initial state, step t writes at
+    n_0 + starts[t], and the state entering step t is the first n_t rows
+    step t - 1 wrote.  In reverse, step t writes at M - starts[t], and the
+    state entering it, at M - starts[t + 1], is the n_{t+1} rows step t + 1
+    wrote followed by n_t - n_{t+1} rows that stay zero: the initial state
+    of the sequences whose last token is t.
     """
+    starts = pos.starts
     if reverse:
-        return [(t, t + 1, t) for t in range(tlen - 1, -1, -1)]
-    return [(t, t, t + 1) for t in range(tlen)]
+        return [starts[-1] - s for s in starts[1:]], [starts[-1] - s for s in starts[:-1]]
+    written = [pos.widest + s for s in starts[:-1]]
+    return [0] + written[:-1], written
 
 
 def _run_direction(halved, x_run, pos: _Positions, cache, reverse: bool):
     """Forward pass of one direction, time-major, into caller-allocated arrays.
 
     ``halved`` is the cell's :meth:`LstmCell.halved` parameters and
-    ``x_run`` the (M, D) inputs at the running positions.  ``cache`` =
+    ``x_run`` the (M, D) inputs in time-major order.  ``cache`` =
     (acts, hs, cs, tanh_c): acts (M, 4H) receives the gate activations; hs
-    and cs (T+1, B, H) the states; tanh_c (T, B, H) tanh(c).
+    and cs (M + n_0, H), zero-filled, the states (see :func:`_state_rows`);
+    tanh_c (M, H) tanh(c).
     """
     w, u, b = halved
     acts, hs, cs, tanh_c = cache
-    bsz, hdim = hs.shape[1:]
+    hdim = hs.shape[1]
     sig = 3 * hdim
     np.matmul(x_run, w, out=acts)
     acts += b
-    z = np.empty((bsz, 4 * hdim))
-    ig = np.empty((bsz, hdim))
-    for t, prev, new in _steps(len(pos.starts) - 1, reverse):
+    z = np.empty((pos.widest, 4 * hdim))
+    ig = np.empty((pos.widest, hdim))
+    entering, written = _state_rows(pos, reverse)
+    tlen = len(pos.starts) - 1
+    for t in (reversed(range(tlen)) if reverse else range(tlen)):
         lo, hi = pos.starts[t], pos.starts[t + 1]
         n = hi - lo
+        src, dst = entering[t], written[t]
         a = acts[lo:hi]
-        h_prev, c_prev, c = hs[prev, :n], cs[prev, :n], cs[new, :n]
+        h_prev, c_prev, c = hs[src : src + n], cs[src : src + n], cs[dst : dst + n]
         np.matmul(h_prev, u, out=z[:n])
         a += z[:n]
         np.tanh(a, out=a)
@@ -174,8 +188,8 @@ def _run_direction(halved, x_run, pos: _Positions, cache, reverse: bool):
         np.multiply(a[:, hdim : 2 * hdim], c_prev, out=c)
         np.multiply(a[:, :hdim], a[:, sig:], out=ig[:n])
         c += ig[:n]
-        np.tanh(c, out=tanh_c[t, :n])
-        np.multiply(a[:, 2 * hdim : sig], tanh_c[t, :n], out=hs[new, :n])
+        np.tanh(c, out=tanh_c[lo:hi])
+        np.multiply(a[:, 2 * hdim : sig], tanh_c[lo:hi], out=hs[dst : dst + n])
 
 
 def _direction_backward(cell: LstmCell, cache, grad_run, x_run, pos: _Positions, work,
@@ -190,20 +204,23 @@ def _direction_backward(cell: LstmCell, cache, grad_run, x_run, pos: _Positions,
     """
     acts, hs, cs, tanh_c = cache
     d_acts, h_in, dx_run, dw, du = work
-    bsz, hdim = hs.shape[1:]
+    hdim = hs.shape[1]
     sig = 3 * hdim
     u_t = cell.u.value.T
-    dh = np.zeros((bsz, hdim))
-    dc = np.zeros((bsz, hdim))
-    gh = np.empty((bsz, hdim))
-    gc = np.empty((bsz, hdim))
-    dsig = np.empty((bsz, sig))
-    for t, prev, _ in reversed(_steps(len(pos.starts) - 1, reverse)):
+    dh = np.zeros((pos.widest, hdim))
+    dc = np.zeros((pos.widest, hdim))
+    gh = np.empty((pos.widest, hdim))
+    gc = np.empty((pos.widest, hdim))
+    dsig = np.empty((pos.widest, sig))
+    entering, _ = _state_rows(pos, reverse)
+    tlen = len(pos.starts) - 1
+    for t in (range(tlen) if reverse else reversed(range(tlen))):
         lo, hi = pos.starts[t], pos.starts[t + 1]
         n = hi - lo
+        src = entering[t]
         a, da = acts[lo:hi], d_acts[lo:hi]
         i, f, o, g = (a[:, k * hdim : (k + 1) * hdim] for k in range(4))
-        tc = tanh_c[t, :n]
+        tc = tanh_c[lo:hi]
         dh_n, dc_n, gh_n, gc_n, dsig_n = (m[:n] for m in (dh, dc, gh, gc, dsig))
         np.add(grad_run[lo:hi], dh_n, out=gh_n)  # dL/dh_t
         np.multiply(tc, tc, out=gc_n)
@@ -212,7 +229,7 @@ def _direction_backward(cell: LstmCell, cache, grad_run, x_run, pos: _Positions,
         gc_n *= gh_n
         gc_n += dc_n  # dL/dc_t
         np.multiply(gc_n, g, out=da[:, :hdim])
-        np.multiply(gc_n, cs[prev, :n], out=da[:, hdim : 2 * hdim])
+        np.multiply(gc_n, cs[src : src + n], out=da[:, hdim : 2 * hdim])
         np.multiply(gh_n, tc, out=da[:, 2 * hdim : sig])
         np.subtract(1.0, a[:, :sig], out=dsig_n)
         dsig_n *= a[:, :sig]
@@ -225,8 +242,7 @@ def _direction_backward(cell: LstmCell, cache, grad_run, x_run, pos: _Positions,
         np.matmul(da, u_t, out=dh_n)
         np.multiply(gc_n, f, out=dc_n)
     # mode="clip" writes straight into ``out``; the default buffers it
-    np.take(hs.reshape(-1, hdim), pos.tr + bsz if reverse else pos.tr, axis=0,
-            out=h_in, mode="clip")
+    np.take(hs, np.take(entering, pos.step) + pos.rank, axis=0, out=h_in, mode="clip")
     np.matmul(x_run.T, d_acts, out=dw)
     cell.w.grad += dw
     np.matmul(h_in.T, d_acts, out=du)
@@ -238,14 +254,15 @@ def _direction_backward(cell: LstmCell, cache, grad_run, x_run, pos: _Positions,
 class BiLstm(Layer):
     """Two LSTM directions over the same sequence, outputs concatenated.
 
-    Output features = 2*hidden; position t holds [forward state at t,
-    backward state at t].  Both directions run time-major over the running
-    positions only (see :class:`_Positions`): the input projection and the
-    input-side gradient GEMMs cover the tokens, gathered once per call, and
-    step t works on the rows that have not yet ended.  The two directions
-    run one after the other on the calling thread.  The cache is (inputs,
-    positions, per direction (gate activations at the tokens, hidden
-    states, cell states, tanh of the cell states)).
+    Output features = 2*hidden; the row of token t holds [forward state at
+    t, backward state at t].  Both directions run time-major (see
+    :class:`_Positions`): forward gathers the input rows into time-major
+    order once, the input projection and the input-side gradient GEMMs run
+    on that block, and step t works on the sequences that have not yet
+    ended.  The two directions run one after the other on the calling
+    thread.  The cache is (time-major inputs, positions, per direction (gate
+    activations at the tokens, hidden states, cell states, tanh of the cell
+    states)).
     """
 
     def __init__(self, input_dim: int, hidden: int, rng, name: str = "bilstm"):
@@ -267,35 +284,32 @@ class BiLstm(Layer):
             raise DimensionError(
                 f"{self.name}: input has {x.features} features, expected {self.input_dim}"
             )
-        bsz, tlen, _ = x.values.shape
         h = self.hidden
-        pos = _positions(x.mask)
-        x_run = np.take(x.values.reshape(-1, x.features), pos.bt, axis=0)
+        pos = _positions(x.lengths)
+        n_run = len(pos.packed)
+        x_run = np.take(x.rows, pos.packed, axis=0)
         caches = [
             (
-                np.empty((len(pos.bt), 4 * h)),
-                np.zeros((tlen + 1, bsz, h)),
-                np.zeros((tlen + 1, bsz, h)),
-                np.empty((tlen, bsz, h)),
+                np.empty((n_run, 4 * h)),
+                np.zeros((n_run + pos.widest, h)),
+                np.zeros((n_run + pos.widest, h)),
+                np.empty((n_run, h)),
             )
             for _ in range(2)
         ]
-        for cell, cache, reverse in zip((self.fwd, self.bwd), caches, (False, True)):
+        out = np.empty((n_run, 2 * h))
+        directions = zip((self.fwd, self.bwd), caches, (False, True))
+        for k, (cell, cache, reverse) in enumerate(directions):
             _run_direction(cell.halved(), x_run, pos, cache, reverse)
-        # each direction emits the state written at step t: slot t+1 going
-        # forward, slot t in reverse; padded positions stay zero
-        out = np.zeros((bsz, tlen, 2 * h))
-        for k, (cache, slots) in enumerate(zip(caches, (pos.tr + bsz, pos.tr))):
-            out.reshape(-1, 2 * h)[pos.bt, k * h : (k + 1) * h] = cache[1].reshape(-1, h)[slots]
-        return x.with_values(out), (x.values, pos, caches)
+            _, written = _state_rows(pos, reverse)
+            out[pos.packed, k * h : (k + 1) * h] = cache[1][np.take(written, pos.step) + pos.rank]
+        return x.with_rows(out), (x_run, pos, caches)
 
     def backward(self, cache, grad_out: np.ndarray) -> np.ndarray:
-        values, pos, caches = cache
-        dim = values.shape[2]
+        x_run, pos, caches = cache
+        n_run, dim = x_run.shape
         h = self.hidden
-        n_run = len(pos.bt)
-        x_run = np.take(values.reshape(-1, dim), pos.bt, axis=0)
-        grad_run = np.take(grad_out.reshape(-1, 2 * h), pos.bt, axis=0)
+        grad_run = np.take(grad_out, pos.packed, axis=0)
         d_acts, h_in = np.empty((n_run, 4 * h)), np.empty((n_run, h))
         dw, du = np.empty((dim, 4 * h)), np.empty((h, 4 * h))
         dx_runs = np.empty((2, n_run, dim))
@@ -304,40 +318,14 @@ class BiLstm(Layer):
                                 (d_acts, h_in, dx_runs[k], dw, du), reverse)
         dx_run = dx_runs[0]
         dx_run += dx_runs[1]
-        dx = np.zeros_like(values)
-        dx.reshape(-1, dim)[pos.bt] = dx_run
+        dx = np.empty_like(dx_run)
+        dx[pos.packed] = dx_run
         return dx
 
 
 # ---------------------------------------------------------------------------
 # Attention
 # ---------------------------------------------------------------------------
-
-
-class _Tokens(NamedTuple):
-    """The tokens of a (B, T) mask, gathered row by row.
-
-    Padding only ends a row, so sequence b owns gathered rows [lo_b, hi_b)
-    and sits at positions 0 .. hi_b - lo_b - 1 of its row.
-    """
-
-    sel: np.ndarray  # flat b*T + t of each token, into (B, T, .) arrays
-    spans: list[tuple[int, int]]  # (lo_b, hi_b) per sequence
-
-
-def _tokens(mask: np.ndarray, name: str) -> _Tokens:
-    lengths = mask.sum(axis=1)
-    if not lengths.all():
-        raise ContractViolation(f"{name}: every sequence in the batch needs at least one token")
-    ends = np.cumsum(lengths).tolist()
-    return _Tokens(np.flatnonzero(mask.ravel()), list(zip([0] + ends[:-1], ends)))
-
-
-def _scatter(rows: np.ndarray, tokens: _Tokens, shape) -> np.ndarray:
-    """(B, T, F) zeros with the tokens' rows filled in."""
-    out = np.zeros(shape)
-    out.reshape(-1, shape[2])[tokens.sel] = rows
-    return out
 
 
 class AdditiveSelfAttention(Layer):
@@ -348,10 +336,10 @@ class AdditiveSelfAttention(Layer):
     The score has no output bias: a constant added to every score of a
     softmax row cancels.
 
-    Only tokens are computed on: the projections run over the tokens of the
-    batch, and each sequence b scores just its own n_b x n_b block of pairs.
-    The cache is (token rows, spans, weights, queries with b_h, keys), where
-    weights holds one (n_b, n_b) block per sequence.
+    The projections run over all tokens of the batch, and each sequence b
+    scores just its own n_b x n_b block of pairs.  The cache is (input rows,
+    spans, weights, queries with b_h, keys), where weights holds one
+    (n_b, n_b) block per sequence.
     """
 
     # pairwise tanh activations are O(sum_b n_b^2 * attn_dim); recomputed in
@@ -376,10 +364,9 @@ class AdditiveSelfAttention(Layer):
     def _rows_per_chunk(self, n: int) -> int:
         return max(1, self.CHUNK_ELEMENTS // (n * self.attn_dim))
 
-    def _buffer(self, tokens: _Tokens) -> np.ndarray:
+    def _buffer(self, spans) -> np.ndarray:
         """One work buffer large enough for any chunk of any sequence."""
-        size = max(min(n, self._rows_per_chunk(n)) * n
-                   for n in (hi - lo for lo, hi in tokens.spans))
+        size = max(min(n, self._rows_per_chunk(n)) * n for n in (hi - lo for lo, hi in spans))
         return np.empty(size * self.attn_dim)
 
     def _tanh_chunks(self, q: np.ndarray, k: np.ndarray, buf: np.ndarray):
@@ -402,38 +389,37 @@ class AdditiveSelfAttention(Layer):
             raise DimensionError(
                 f"{self.name}: input has {x.features} features, expected {self.dim}"
             )
-        tokens = _tokens(x.mask, self.name)
-        xv = x.values.reshape(-1, self.dim)[tokens.sel]  # (N, D)
+        if not x.lengths.all():
+            raise ContractViolation(f"{self.name}: every sequence in the batch needs a token")
+        xv = x.rows
         q = xv @ self.w_query.value
         q += self.b_hidden.value
         k = xv @ self.w_key.value
         v_flat = self.v_score.value[:, 0]
-        buf = self._buffer(tokens)
+        buf = self._buffer(x.spans)
 
         weights = []
         out = np.empty_like(xv)
-        for lo, hi in tokens.spans:
+        for lo, hi in x.spans:
             scores = np.empty((hi - lo, hi - lo))
             for t0, t1, u in self._tanh_chunks(q[lo:hi], k[lo:hi], buf):
                 np.matmul(u.reshape(-1, self.attn_dim), v_flat, out=scores[t0:t1].reshape(-1))
             block = softmax_rows(scores)
             np.matmul(block, xv[lo:hi], out=out[lo:hi])
             weights.append(block)
-        cache = (xv, tokens, weights, q, k)
-        return x.with_values(_scatter(out, tokens, x.values.shape)), cache
+        return x.with_rows(out), (xv, x.spans, weights, q, k)
 
     def backward(self, cache, grad_out: np.ndarray) -> np.ndarray:
-        xv, tokens, weights, q, k = cache
-        go = grad_out.reshape(-1, self.dim)[tokens.sel]
+        xv, spans, weights, q, k = cache
         v_flat = self.v_score.value[:, 0]
-        buf = self._buffer(tokens)
+        buf = self._buffer(spans)
 
         dxv = np.empty_like(xv)
         dq = np.empty_like(q)
         dk = np.zeros_like(k)
         dv = np.zeros(self.attn_dim)
-        for (lo, hi), block in zip(tokens.spans, weights):
-            g = go[lo:hi]
+        for (lo, hi), block in zip(spans, weights):
+            g = grad_out[lo:hi]
             np.matmul(block.T, g, out=dxv[lo:hi])
             d_alpha = g @ xv[lo:hi].T
             d_alpha -= (block * d_alpha).sum(axis=1, keepdims=True)
@@ -453,7 +439,7 @@ class AdditiveSelfAttention(Layer):
         self.w_key.grad += xv.T @ dk
         dxv += dq @ self.w_query.value.T
         dxv += dk @ self.w_key.value.T
-        return _scatter(dxv, tokens, grad_out.shape)
+        return dxv
 
 
 class MultiHeadSelfAttention(Layer):
@@ -464,11 +450,10 @@ class MultiHeadSelfAttention(Layer):
     concatenated heads go through an output projection W_o.  No biases
     anywhere.
 
-    Only tokens are computed on: the four projections and their gradient
-    GEMMs run over the tokens of the batch, and each sequence b forms just
-    its own (h, n_b, n_b) logits.  The cache is (token rows, spans, weights,
-    Q, K, V, context), where weights holds one (h, n_b, n_b) block per
-    sequence.
+    The four projections and their gradient GEMMs run over all tokens of the
+    batch, and each sequence b forms just its own (h, n_b, n_b) logits.  The
+    cache is (input rows, spans, weights, Q, K, V, context), where weights
+    holds one (h, n_b, n_b) block per sequence.
     """
 
     def __init__(self, dim: int, heads: int, rng, name: str = "mha"):
@@ -498,8 +483,9 @@ class MultiHeadSelfAttention(Layer):
             raise DimensionError(
                 f"{self.name}: input has {x.features} features, expected {self.dim}"
             )
-        tokens = _tokens(x.mask, self.name)
-        xv = x.values.reshape(-1, self.dim)[tokens.sel]  # (N, D)
+        if not x.lengths.all():
+            raise ContractViolation(f"{self.name}: every sequence in the batch needs a token")
+        xv = x.rows
         q = xv @ self.w_q.value
         k = xv @ self.w_k.value
         v = xv @ self.w_v.value
@@ -507,24 +493,21 @@ class MultiHeadSelfAttention(Layer):
         scale = 1.0 / np.sqrt(self.head_dim)
         weights = []
         ctx = np.empty_like(xv)
-        for lo, hi in tokens.spans:
+        for lo, hi in x.spans:
             qb, kb, vb = (self._heads(m[lo:hi]) for m in (q, k, v))
             block = softmax_rows((qb @ kb.transpose(0, 2, 1)) * scale)
             self._heads(ctx[lo:hi])[...] = block @ vb
             weights.append(block)
-        out = ctx @ self.w_o.value
-        cache = (xv, tokens, weights, q, k, v, ctx)
-        return x.with_values(_scatter(out, tokens, x.values.shape)), cache
+        return x.with_rows(ctx @ self.w_o.value), (xv, x.spans, weights, q, k, v, ctx)
 
     def backward(self, cache, grad_out: np.ndarray) -> np.ndarray:
-        xv, tokens, weights, q, k, v, ctx = cache
-        go = grad_out.reshape(-1, self.dim)[tokens.sel]
-        self.w_o.grad += ctx.T @ go
-        d_ctx = go @ self.w_o.value.T
+        xv, spans, weights, q, k, v, ctx = cache
+        self.w_o.grad += ctx.T @ grad_out
+        d_ctx = grad_out @ self.w_o.value.T
 
         scale = 1.0 / np.sqrt(self.head_dim)
         dq, dk, dv = (np.empty_like(xv) for _ in range(3))
-        for (lo, hi), block in zip(tokens.spans, weights):
+        for (lo, hi), block in zip(spans, weights):
             qb, kb, vb, dcb = (self._heads(m[lo:hi]) for m in (q, k, v, d_ctx))
             d_alpha = dcb @ vb.transpose(0, 2, 1)
             self._heads(dv[lo:hi])[...] = block.transpose(0, 2, 1) @ dcb
@@ -539,7 +522,7 @@ class MultiHeadSelfAttention(Layer):
         dxv = dq @ self.w_q.value.T
         dxv += dk @ self.w_k.value.T
         dxv += dv @ self.w_v.value.T
-        return _scatter(dxv, tokens, grad_out.shape)
+        return dxv
 
 
 def choose_heads(dim: int, cap: int = 6) -> int:
@@ -558,7 +541,7 @@ def choose_heads(dim: int, cap: int = 6) -> int:
 
 
 class TimeDistributedLinear(Layer):
-    """Per-position affine map; padded positions stay zero.  Caches (inputs, mask)."""
+    """Per-token affine map on the rows.  Caches the input rows."""
 
     def __init__(self, input_dim: int, output_dim: int, rng, name: str = "linear"):
         self.name = name
@@ -575,15 +558,11 @@ class TimeDistributedLinear(Layer):
             raise DimensionError(
                 f"{self.name}: input has {x.features} features, expected {self.input_dim}"
             )
-        out = (x.values @ self.w.value + self.b.value) * x.float_mask()
-        return x.with_values(out), (x.values, x.mask)
+        out = x.rows @ self.w.value
+        out += self.b.value
+        return x.with_rows(out), x.rows
 
     def backward(self, cache, grad_out: np.ndarray) -> np.ndarray:
-        vals, mask = cache
-        grad_out = grad_out * mask[:, :, None]
-        bsz, tlen, _ = vals.shape
-        flat_x = vals.reshape(bsz * tlen, -1)
-        flat_g = grad_out.reshape(bsz * tlen, -1)
-        self.w.grad += flat_x.T @ flat_g
-        self.b.grad += flat_g.sum(axis=0)
+        self.w.grad += cache.T @ grad_out
+        self.b.grad += grad_out.sum(axis=0)
         return grad_out @ self.w.value.T

@@ -40,13 +40,10 @@ class MetricsReport:
         return "\n".join(lines)
 
 
-def confusion_matrix(gold: np.ndarray, predicted: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """3x3 counts over valid positions only."""
-    counts = np.zeros((N_CLASSES, N_CLASSES), dtype=np.int64)
-    g = gold[mask]
-    p = predicted[mask]
-    np.add.at(counts, (g, p), 1)
-    return counts
+def confusion_matrix(gold: np.ndarray, predicted: np.ndarray) -> np.ndarray:
+    """3x3 counts of (gold, predicted) label pairs, one pair per token."""
+    pairs = np.asarray(gold) * N_CLASSES + np.asarray(predicted)
+    return np.bincount(pairs, minlength=N_CLASSES * N_CLASSES).reshape(N_CLASSES, N_CLASSES)
 
 
 def metrics_from_confusion(confusion: np.ndarray) -> MetricsReport:

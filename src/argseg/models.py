@@ -13,6 +13,8 @@ Architecture ids:
 The BL family uses multi-head attention, the SB family additive attention.
 Every model ends in a linear head that emits per-token logits over
 {B, I, O}; the softmax over them is taken once, inside the training loss.
+A model maps a packed :class:`~argseg.numeric.BatchTensor` of (N, D) token
+rows to (N, 3) logit rows, one per token.
 """
 
 from __future__ import annotations
@@ -177,15 +179,9 @@ def build_model(spec: ModelSpec) -> Model:
 
 
 def predict_labels(model: Model, batch: BatchTensor) -> np.ndarray:
-    """(batch, time) label indices; argmax per token, ties resolved B < I < O.
-
-    Padded positions are filled with the O index; the mask decides what is
-    meaningful downstream.
-    """
+    """(N,) label indices in packed order; argmax per token, ties resolved B < I < O."""
     logits, _ = model.forward(batch)
-    labels = np.argmax(logits.values, axis=2)
-    labels[~batch.mask] = LABELS.index("O")
-    return labels
+    return np.argmax(logits.rows, axis=1)
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,10 @@
-"""Float64 core: stable softmax, parameters, padded batches, and gradient checks.
+"""Float64 core: stable softmax, parameters, packed batches, and gradient checks.
 
 Everything downstream (layers, models, training) is built on the primitives
 here.  All arrays are C-contiguous float64; 32-bit precision makes the
 finite-difference checks in :func:`grad_check` unreliable at the tolerances
-we enforce.  A :class:`BatchTensor` pads only at the end of a row, so a row
-of n tokens holds them at positions 0 .. n-1; every layer relies on this.
+we enforce.  A :class:`BatchTensor` holds only tokens: one (N, F) array of
+rows, sequence after sequence, plus each sequence's length.
 """
 
 from __future__ import annotations
@@ -70,70 +70,74 @@ class Parameter:
 
 
 class BatchTensor:
-    """A padded batch of sequences: values (batch, time, features) plus a mask.
+    """A batch of sequences packed sequence-major: rows (N, F) plus lengths (B,).
 
-    mask[b, t] is True for real tokens and False for padding.  Padding only
-    ends a row: each row of the mask is some True entries followed by False
-    ones (a row may be all padding), and any other mask raises
-    :class:`ContractViolation`.  Padded positions carry zero vectors and must
-    contribute nothing to any loss, gradient, or metric.
+    ``rows`` holds the tokens of sequence 0, then those of sequence 1, and so
+    on; sequence b owns rows ``spans[b] = (lo, hi)`` with hi - lo =
+    ``lengths[b]``.  A sequence may be empty.  There is no padding, so every
+    row is a token and every layer, loss and metric works on all of them.
+    ``time`` and ``mask`` describe the batch as if it were padded to its
+    longest sequence; nothing in the package computes on that view.
     """
 
-    __slots__ = ("values", "mask")
+    __slots__ = ("rows", "lengths", "spans")
 
-    def __init__(self, values: np.ndarray, mask: np.ndarray):
-        values = as_array(values)
-        if values.ndim != 3:
-            raise DimensionError(f"batch tensor needs 3-D values, got {values.shape}")
-        mask = np.asarray(mask, dtype=bool)
-        if mask.shape != values.shape[:2]:
-            raise DimensionError(
-                f"mask shape {mask.shape} does not match values {values.shape[:2]}"
-            )
-        late = np.flatnonzero((mask[:, 1:] > mask[:, :-1]).any(axis=1))
-        if late.size:
-            raise ContractViolation(f"mask row {late[0]} has a token after padding")
-        self.values = values
-        self.mask = mask
+    def __init__(self, rows: np.ndarray, lengths):
+        rows = as_array(rows)
+        if rows.ndim != 2:
+            raise DimensionError(f"batch tensor needs 2-D rows, got {rows.shape}")
+        lengths = np.asarray(lengths)
+        if lengths.ndim != 1 or lengths.size == 0:
+            raise DimensionError(f"lengths must be a non-empty 1-D array, got {lengths.shape}")
+        if not np.issubdtype(lengths.dtype, np.integer) or (lengths < 0).any():
+            raise ContractViolation(f"lengths must be non-negative integers, got {lengths}")
+        ends = np.cumsum(lengths)
+        if ends[-1] != rows.shape[0]:
+            raise DimensionError(f"lengths sum to {ends[-1]}, but there are {rows.shape[0]} rows")
+        self.rows = rows
+        self.lengths = lengths.astype(np.int64)
+        self.spans = list(zip((ends - lengths).tolist(), ends.tolist()))
 
     @property
     def batch(self) -> int:
-        return self.values.shape[0]
+        return len(self.lengths)
 
     @property
     def time(self) -> int:
-        return self.values.shape[1]
+        """The longest sequence's length."""
+        return int(self.lengths.max())
 
     @property
     def features(self) -> int:
-        return self.values.shape[2]
+        return self.rows.shape[1]
 
-    def float_mask(self) -> np.ndarray:
-        """(batch, time, 1) float view of the mask, for broadcasting."""
-        return self.mask[:, :, None].astype(np.float64)
+    @property
+    def mask(self) -> np.ndarray:
+        """(batch, time) read-only: True at the positions of the padded view that hold a token."""
+        mask = np.arange(self.time) < self.lengths[:, None]
+        mask.flags.writeable = False
+        return mask
 
-    def with_values(self, values: np.ndarray) -> "BatchTensor":
-        """Same mask, new values (layers transform features, not validity)."""
-        return BatchTensor(values, self.mask)
+    def with_rows(self, rows: np.ndarray) -> "BatchTensor":
+        """The same sequences with new per-token features (layers keep the lengths)."""
+        if rows.shape[0] != self.rows.shape[0]:
+            raise DimensionError(f"{rows.shape[0]} rows for a batch of {self.rows.shape[0]} tokens")
+        out = BatchTensor.__new__(BatchTensor)
+        out.rows, out.lengths, out.spans = rows, self.lengths, self.spans
+        return out
 
     @classmethod
     def from_rows(cls, rows: list[np.ndarray]) -> "BatchTensor":
-        """Stack variable-length (T_i, F) rows into one zero-padded batch."""
+        """Concatenate variable-length (T_i, F) sequences into one packed batch."""
         if not rows:
             raise ContractViolation("cannot build a batch from zero sequences")
-        rows = [as_array(r) for r in rows]
-        features = rows[0].shape[1]
-        max_t = max(r.shape[0] for r in rows)
-        values = np.zeros((len(rows), max_t, features))
-        mask = np.zeros((len(rows), max_t), dtype=bool)
+        rows = [np.asarray(r) for r in rows]
         for i, r in enumerate(rows):
-            if r.ndim != 2 or r.shape[1] != features:
+            if r.ndim != 2 or r.shape[1:] != rows[0].shape[1:]:
                 raise DimensionError(
-                    f"row {i} has shape {r.shape}, expected (*, {features})"
+                    f"row {i} has shape {r.shape}; rows must be 2-D and equally wide"
                 )
-            values[i, : r.shape[0]] = r
-            mask[i, : r.shape[0]] = True
-        return cls(values, mask)
+        return cls(np.concatenate(rows, dtype=np.float64), [r.shape[0] for r in rows])
 
 
 # ---------------------------------------------------------------------------
@@ -163,8 +167,8 @@ def grad_check(layer, x: BatchTensor, epsilon: float = 1e-3, rng=None,
                probe_scale: float = 1e-8) -> float:
     """Compare analytic gradients of ``layer`` against central finite differences.
 
-    The probe loss is sum(R * forward(x)) for a fixed random weighting R that
-    is zero at padded positions.  Every parameter entry and every input entry
+    The probe loss is sum(R * forward(x).rows) for a fixed random weighting
+    R, one row per output token.  Every parameter entry and every input entry
     is perturbed by +/- epsilon; the worst relative error
     |a - n| / max(|a|, |n|, 1e-8) over all entries is returned.
 
@@ -175,7 +179,7 @@ def grad_check(layer, x: BatchTensor, epsilon: float = 1e-3, rng=None,
     aliasing into the relative error of near-cancelling gradient entries.
 
     ``layer`` must expose params(), forward(BatchTensor) -> (BatchTensor,
-    cache), and backward(cache, grad_values) -> grad_values_in.
+    cache), and backward(cache, grad_rows) -> grad_rows_in.
     """
     if not (0.0 < epsilon <= 1e-2):
         raise ValueError(f"epsilon must lie in (0, 1e-2], got {epsilon}")
@@ -187,8 +191,7 @@ def grad_check(layer, x: BatchTensor, epsilon: float = 1e-3, rng=None,
         rng = np.random.default_rng(0)
 
     out, cache = layer.forward(x)
-    upstream = rng.standard_normal(out.values.shape) * probe_scale
-    upstream *= out.float_mask()
+    upstream = rng.standard_normal(out.rows.shape) * probe_scale
 
     for p in params:
         p.zero_grad()
@@ -196,7 +199,7 @@ def grad_check(layer, x: BatchTensor, epsilon: float = 1e-3, rng=None,
 
     def probe() -> float:
         probed, _ = layer.forward(x)
-        return float(np.sum(probed.values * upstream))
+        return float(np.sum(probed.rows * upstream))
 
     worst = 0.0
 
@@ -216,5 +219,5 @@ def grad_check(layer, x: BatchTensor, epsilon: float = 1e-3, rng=None,
 
     for p in params:
         sweep(p.value.reshape(-1), p.grad.reshape(-1), p.name)
-    sweep(x.values.reshape(-1), grad_in.reshape(-1), "input")
+    sweep(x.rows.reshape(-1), grad_in.reshape(-1), "input")
     return worst

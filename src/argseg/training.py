@@ -1,8 +1,9 @@
-"""Masked cross-entropy training with Adam, early stopping and lr search.
+"""Cross-entropy training with Adam, early stopping and lr search.
 
 The trainer owns batching: sequences are shuffled every epoch with the run
-seed, grouped into fixed-size batches and each batch is padded to its own
-longest sequence.  Validation essays are split off by essay id (never by
+seed and grouped into fixed-size batches, each packed into one
+:class:`~argseg.numeric.BatchTensor` of token rows with the gold labels in
+the same packed order.  Validation essays are split off by essay id (never by
 sequence) so no essay leaks across the train/validation boundary.  Early
 stopping watches validation loss and always restores the best parameters
 seen.
@@ -17,7 +18,7 @@ import numpy as np
 
 from .corpus import LABELS, LabeledSequence
 from .embeddings import EmbeddingSpec
-from .errors import ContractViolation, NumericError, TrainingDiverged
+from .errors import ContractViolation, DimensionError, NumericError, TrainingDiverged
 from .metrics import MetricsReport, confusion_matrix, metrics_from_confusion
 from .models import Model, ModelSpec, build_model, predict_labels
 from .numeric import BatchTensor, Parameter
@@ -69,31 +70,28 @@ def generalization_gap(curve: LossCurve) -> float:
 # ---------------------------------------------------------------------------
 
 
-def masked_cross_entropy(pred: BatchTensor, gold: np.ndarray, mask: np.ndarray):
-    """Mean softmax cross-entropy over valid tokens, plus d(loss)/d(pred).
+def masked_cross_entropy(pred: BatchTensor, gold: np.ndarray):
+    """Mean softmax cross-entropy over the tokens, plus d(loss)/d(pred.rows).
 
-    ``pred`` holds per-token logits z and ``gold`` label indices (B=0, I=1,
-    O=2).  Each valid token adds logsumexp(z) - z[gold], taken with
-    max-subtraction so finite logits give a finite loss; its gradient is
-    (softmax(z) - onehot(gold)) / n.  Padded positions receive exactly zero
-    gradient.
+    ``pred`` holds per-token logit rows z and ``gold`` the (N,) label indices
+    (B=0, I=1, O=2) in the same packed order.  Each token adds
+    logsumexp(z) - z[gold], taken with max-subtraction so finite logits give
+    a finite loss; its gradient is (softmax(z) - onehot(gold)) / N.
     """
-    mask = np.asarray(mask, dtype=bool)
-    n_valid = int(mask.sum())
-    if n_valid == 0:
-        raise ContractViolation("loss over zero valid tokens is undefined")
-    z = pred.values[mask]
-    z = z - z.max(axis=1, keepdims=True)
+    n = len(gold)
+    if n == 0:
+        raise ContractViolation("loss over zero tokens is undefined")
+    if pred.rows.shape[0] != n:
+        raise DimensionError(f"{n} gold labels for {pred.rows.shape[0]} logit rows")
+    z = pred.rows - pred.rows.max(axis=1, keepdims=True)
     e = np.exp(z)
     total = e.sum(axis=1)
-    rows = np.arange(n_valid)
-    gold_valid = gold[mask]
-    loss = float((np.log(total) - z[rows, gold_valid]).sum() / n_valid)
+    rows = np.arange(n)
+    loss = float((np.log(total) - z[rows, gold]).sum() / n)
     d = e / total[:, None]
-    d[rows, gold_valid] -= 1.0
-    grad = np.zeros_like(pred.values)
-    grad[mask] = d / n_valid
-    return loss, grad
+    d[rows, gold] -= 1.0
+    d /= n
+    return loss, d
 
 
 # ---------------------------------------------------------------------------
@@ -160,10 +158,7 @@ def _vectorize_all(sequences: list[LabeledSequence], spec: EmbeddingSpec) -> lis
 
 def _assemble(items: list[_Item]):
     batch = BatchTensor.from_rows([it.vectors for it in items])
-    gold = np.full((batch.batch, batch.time), LABELS.index("O"), dtype=np.int64)
-    for i, it in enumerate(items):
-        gold[i, : it.gold.shape[0]] = it.gold
-    return batch, gold
+    return batch, np.concatenate([it.gold for it in items])
 
 
 def _batches(items: list[_Item], order, batch_size: int):
@@ -177,10 +172,9 @@ def _dataset_loss(model: Model, batches) -> float:
     count = 0
     for batch, gold in batches:
         logits, _ = model.forward(batch)
-        n = int(batch.mask.sum())
-        loss, _ = masked_cross_entropy(logits, gold, batch.mask)
-        total += loss * n
-        count += n
+        loss, _ = masked_cross_entropy(logits, gold)
+        total += loss * len(gold)
+        count += len(gold)
     return total / count
 
 
@@ -236,13 +230,12 @@ def train(model: Model, train_sequences: list[LabeledSequence],
         diverged = False
         for batch, gold in _batches(train_items, order, cfg.batch_size):
             logits, caches = model.forward(batch)
-            loss, grad = masked_cross_entropy(logits, gold, batch.mask)
+            loss, grad = masked_cross_entropy(logits, gold)
             if not math.isfinite(loss):
                 diverged = True
                 break
-            n = int(batch.mask.sum())
-            running += loss * n
-            seen += n
+            running += loss * len(gold)
+            seen += len(gold)
             model.zero_grads()
             model.backward(caches, grad)
             adam_step(params, state, cfg.learning_rate)
@@ -284,7 +277,7 @@ def evaluate(model: Model, sequences: list[LabeledSequence],
     total = np.zeros((len(LABELS), len(LABELS)), dtype=np.int64)
     for batch, gold in _batches(items, np.arange(len(items)), batch_size):
         predicted = predict_labels(model, batch)
-        total += confusion_matrix(gold, predicted, batch.mask)
+        total += confusion_matrix(gold, predicted)
     return metrics_from_confusion(total)
 
 

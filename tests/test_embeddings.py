@@ -254,9 +254,19 @@ class TestEmbeddingSpec:
             (b'{"expected_dim": 2, "label": "\xff", "sources": []}', None),
             ('{"expected_dim": 2, "sources": [{"kind": "glove", "path": "v.txt"}]}',
              b"a 1 2\n\xfe 3 4\n"),
+            ('{"expected_dim": 2, "label": "x,y", "sources": []}', None),
+            ('{"expected_dim": 2, "label": "x\\ny", "sources": []}', None),
+            ('{"expected_dim": 2, "label": ["p", "q"], "sources": []}', None),
+            ('{"expected_dim": 2, "label": 5, "sources": []}', None),
+            ('{"expected_dim": 2.7, "sources": []}', None),
+            ('{"expected_dim": "300", "sources": []}', None),
+            ('{"expected_dim": true, "sources": []}', None),
+            ('{"expected_dim": 0, "sources": []}', None),
+            ('[2]', None),
         ],
         ids=["sources_int", "source_str", "no_path", "path_int", "spec_not_utf8",
-             "glove_not_utf8"],
+             "glove_not_utf8", "label_comma", "label_newline", "label_list", "label_int",
+             "dim_float", "dim_str", "dim_bool", "dim_zero", "doc_list"],
     )
     def test_from_file_malformed_is_format_error(self, tmp_path, spec, glove):
         path = tmp_path / "spec.json"

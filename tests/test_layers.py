@@ -17,8 +17,8 @@ from argseg.numeric import BatchTensor, grad_check
 
 
 def full_batch(values):
-    values = np.asarray(values, dtype=float)
-    return BatchTensor(values, np.ones(values.shape[:2], dtype=bool))
+    """A batch of equal-length sequences from a (B, T, F) array."""
+    return BatchTensor.from_rows(list(np.asarray(values, dtype=float)))
 
 
 # ---------------------------------------------------------------------------
@@ -67,19 +67,17 @@ def lstm_cell_step(cell: LstmCell, x_t, h_prev, c_prev):
 
 
 def lstm_reference(layer: BiLstm, x: BatchTensor):
-    """Row-by-row, step-by-step BiLSTM: padded steps emit zero and carry the state."""
-    bsz, tlen, _ = x.values.shape
+    """Sequence-by-sequence, step-by-step BiLSTM over the packed rows."""
     hdim = layer.hidden
-    out = np.zeros((bsz, tlen, 2 * hdim))
-    for b in range(bsz):
-        for cell, steps, lo in ((layer.fwd, range(tlen), 0),
-                                (layer.bwd, range(tlen - 1, -1, -1), hdim)):
+    out = np.full((len(x.rows), 2 * hdim), np.nan)
+    for lo, hi in x.spans:
+        for cell, steps, col in ((layer.fwd, range(lo, hi), 0),
+                                 (layer.bwd, range(hi - 1, lo - 1, -1), hdim)):
             h = np.zeros(hdim)
             c = np.zeros(hdim)
             for t in steps:
-                if x.mask[b, t]:
-                    h, c = lstm_cell_step(cell, x.values[b, t], h, c)
-                    out[b, t, lo : lo + hdim] = h
+                h, c = lstm_cell_step(cell, x.rows[t], h, c)
+                out[t, col : col + hdim] = h
     return out
 
 
@@ -157,7 +155,7 @@ class TestBiLstm:
         out, _ = layer.forward(full_batch(x[None, None, :]))
         h_f, _ = lstm_cell_step(layer.fwd, x, np.zeros(4), np.zeros(4))
         h_b, _ = lstm_cell_step(layer.bwd, x, np.zeros(4), np.zeros(4))
-        assert np.allclose(out.values[0, 0], np.concatenate([h_f, h_b]), atol=1e-12)
+        assert np.allclose(out.rows[0], np.concatenate([h_f, h_b]), atol=1e-12)
 
     def test_palindrome_with_tied_directions(self):
         rng = np.random.default_rng(4)
@@ -170,10 +168,8 @@ class TestBiLstm:
         h = 4
         for t in range(4):
             mirrored = 4 - 1 - t
-            swapped = np.concatenate(
-                [out.values[0, mirrored, h:], out.values[0, mirrored, :h]]
-            )
-            assert np.allclose(out.values[0, t], swapped, atol=1e-12)
+            swapped = np.concatenate([out.rows[mirrored, h:], out.rows[mirrored, :h]])
+            assert np.allclose(out.rows[t], swapped, atol=1e-12)
 
     def test_matches_unrolled_scalar_reference(self):
         rng = np.random.default_rng(5)
@@ -195,7 +191,7 @@ class TestBiLstm:
             bwd_states[t] = h
         for t in range(3):
             expected = np.concatenate([fwd_states[t], bwd_states[t]])
-            assert np.allclose(out.values[0, t], expected, atol=1e-12)
+            assert np.allclose(out.rows[t], expected, atol=1e-12)
 
     def test_zero_parameters_give_zero_output(self):
         rng = np.random.default_rng(6)
@@ -203,7 +199,7 @@ class TestBiLstm:
         for p in layer.params():
             p.value[...] = 0.0
         out, _ = layer.forward(full_batch(rng.standard_normal((2, 5, 3))))
-        assert not out.values.any()
+        assert out.rows.shape == (10, 8) and not out.rows.any()
 
     def test_trailing_padding_matches_unpadded_run(self):
         rng = np.random.default_rng(7)
@@ -213,12 +209,11 @@ class TestBiLstm:
         padded = BatchTensor.from_rows([short, long_])
         out_padded, _ = layer.forward(padded)
         out_short, _ = layer.forward(full_batch(short[None]))
-        assert np.allclose(out_padded.values[0, :3], out_short.values[0], atol=1e-12)
-        assert not out_padded.values[0, 3:].any()
+        assert np.allclose(out_padded.rows[:3], out_short.rows, atol=1e-12)
 
     @staticmethod
     def mixed_batch(rng, width=3):
-        """Mixed lengths: a full row, an all-padding row, a length-1 row, a padded row."""
+        """Mixed lengths: the longest row, an empty row, a length-1 row, a shorter row."""
         return BatchTensor.from_rows([rng.standard_normal((n, width)) * 0.5 for n in (5, 0, 1, 3)])
 
     def test_matches_stepwise_reference_on_mixed_batch(self):
@@ -226,7 +221,7 @@ class TestBiLstm:
         layer = BiLstm(3, 4, rng)
         x = self.mixed_batch(rng)
         out, _ = layer.forward(x)
-        assert np.abs(out.values - lstm_reference(layer, x)).max() <= 1e-12
+        assert np.abs(out.rows - lstm_reference(layer, x)).max() <= 1e-12
 
     def test_gradients_on_mixed_batch(self):
         rng = np.random.default_rng(9)
@@ -237,17 +232,17 @@ class TestBiLstm:
         rng = np.random.default_rng(10)
         layer = BiLstm(3, 4, rng)
         x = self.mixed_batch(rng)
-        upstream = rng.standard_normal((4, 5, 8))
+        upstream = rng.standard_normal((9, 8))
         runs = []
         for _ in range(2):
             layer.zero_grads()
             out, cache = layer.forward(x)
             dx = layer.backward(cache, upstream)
-            runs.append([out.values, dx] + [p.grad.copy() for p in layer.params()])
+            runs.append([out.rows, dx] + [p.grad.copy() for p in layer.params()])
         for run in runs[1:]:
             for a, b in zip(runs[0], run, strict=True):
                 assert a.tobytes() == b.tobytes()
-        assert not runs[0][1][~x.mask].any()  # padded positions get no input gradient
+        assert runs[0][1].shape == x.rows.shape  # one input-gradient row per token
 
 
 class TestAdditiveAttention:
@@ -257,7 +252,7 @@ class TestAdditiveAttention:
         token = rng.standard_normal(3)
         x = full_batch(np.tile(token, (1, 4, 1)))
         out, _ = layer.forward(x)
-        assert np.allclose(out.values, token, atol=1e-12)
+        assert np.allclose(out.rows, token, atol=1e-12)
 
     def test_zero_score_vector_gives_mean(self):
         rng = np.random.default_rng(10)
@@ -265,7 +260,7 @@ class TestAdditiveAttention:
         layer.v_score.value[...] = 0.0
         vals = rng.standard_normal((1, 4, 3))
         out, _ = layer.forward(full_batch(vals))
-        assert np.allclose(out.values[0], np.tile(vals[0].mean(axis=0), (4, 1)), atol=1e-12)
+        assert np.allclose(out.rows, np.tile(vals[0].mean(axis=0), (4, 1)), atol=1e-12)
 
     def test_matches_double_loop_reference(self):
         rng = np.random.default_rng(11)
@@ -285,16 +280,13 @@ class TestAdditiveAttention:
             alpha = e / e.sum()
             for s in range(4):
                 expected[t] += alpha[s] * x[s]
-        assert np.allclose(out.values[0], expected, atol=1e-12)
+        assert np.allclose(out.rows, expected, atol=1e-12)
 
     def test_all_padding_row_rejected(self):
         rng = np.random.default_rng(12)
         layer = AdditiveSelfAttention(3, rng)
-        values = np.zeros((2, 3, 3))
-        mask = np.ones((2, 3), dtype=bool)
-        mask[1, :] = False
         with pytest.raises(ContractViolation):
-            layer.forward(BatchTensor(values, mask))
+            layer.forward(BatchTensor(np.zeros((3, 3)), [3, 0]))
 
     def test_padded_queries_and_keys_inert(self):
         rng = np.random.default_rng(13)
@@ -303,8 +295,7 @@ class TestAdditiveAttention:
         padded = BatchTensor.from_rows([short, rng.standard_normal((4, 3))])
         out_padded, cache = layer.forward(padded)
         out_short, short_cache = layer.forward(full_batch(short[None]))
-        assert np.allclose(out_padded.values[0, :2], out_short.values[0], atol=1e-12)
-        assert not out_padded.values[0, 2:].any()
+        assert np.allclose(out_padded.rows[:2], out_short.rows, atol=1e-12)
         block = cache[2][0]  # the short row's weights cover its two tokens only
         assert block.shape == (2, 2)
         assert np.abs(block - short_cache[2][0]).max() <= 1e-12
@@ -319,7 +310,7 @@ class TestMultiHeadAttention:
         out, _ = layer.forward(full_batch(vals))
         v = vals[0] @ layer.w_v.value
         expected = np.tile(v.mean(axis=0), (5, 1)) @ layer.w_o.value
-        assert np.allclose(out.values[0], expected, atol=1e-12)
+        assert np.allclose(out.rows, expected, atol=1e-12)
 
     def test_singleton_sequence(self):
         rng = np.random.default_rng(15)
@@ -327,7 +318,7 @@ class TestMultiHeadAttention:
         vals = rng.standard_normal((1, 1, 4))
         out, _ = layer.forward(full_batch(vals))
         expected = vals[0] @ layer.w_v.value @ layer.w_o.value
-        assert np.allclose(out.values[0], expected, atol=1e-12)
+        assert np.allclose(out.rows, expected, atol=1e-12)
 
     def test_matches_per_head_explicit_loop(self):
         rng = np.random.default_rng(16)
@@ -354,7 +345,7 @@ class TestMultiHeadAttention:
                     ctx[t] += alpha[s] * v[s]
             heads.append(ctx)
         expected = np.concatenate(heads, axis=1) @ layer.w_o.value
-        assert np.allclose(out.values[0], expected, atol=1e-12)
+        assert np.allclose(out.rows, expected, atol=1e-12)
 
     def test_single_head_equals_unsliced_attention(self):
         rng = np.random.default_rng(17)
@@ -370,7 +361,7 @@ class TestMultiHeadAttention:
         e = np.exp(scores - scores.max(axis=1, keepdims=True))
         alpha = e / e.sum(axis=1, keepdims=True)
         expected = alpha @ v @ layer.w_o.value
-        assert np.allclose(out.values[0], expected, atol=1e-12)
+        assert np.allclose(out.rows, expected, atol=1e-12)
 
     def test_indivisible_heads_rejected(self):
         with pytest.raises(ConfigurationError, match="heads"):
@@ -411,7 +402,7 @@ class TestAttentionInvariants:
             out, _ = layer.forward(full_batch(vals))
             perm = rng.permutation(5)
             out_perm, _ = layer.forward(full_batch(vals[:, perm]))
-            assert np.abs(out.values[:, perm] - out_perm.values).max() <= 1e-9
+            assert np.abs(out.rows[perm] - out_perm.rows).max() <= 1e-9
 
     @pytest.mark.parametrize("kind", ["additive", "multi_head"])
     def test_weights_row_stochastic_and_zero_on_padding(self, kind):
@@ -432,17 +423,8 @@ class TestAttentionInvariants:
 
 
 def ragged_batch(rng, dim):
-    """Rows of length 1, full, 3 and 4."""
-    mask = np.array(
-        [
-            [1, 0, 0, 0, 0],
-            [1, 1, 1, 1, 1],
-            [1, 1, 1, 0, 0],
-            [1, 1, 1, 1, 0],
-        ],
-        dtype=bool,
-    )
-    return BatchTensor(rng.standard_normal((4, 5, dim)) * mask[:, :, None], mask)
+    """Rows of length 1, 5, 3 and 4."""
+    return BatchTensor.from_rows([rng.standard_normal((n, dim)) for n in (1, 5, 3, 4)])
 
 
 def forward_backward(layer, x, upstream):
@@ -450,7 +432,7 @@ def forward_backward(layer, x, upstream):
     layer.zero_grads()
     out, cache = layer.forward(x)
     dx = layer.backward(cache, upstream)
-    return [out.values, dx] + [p.grad.copy() for p in layer.params()]
+    return [out.rows, dx] + [p.grad.copy() for p in layer.params()]
 
 
 ATTENTION_LAYERS = {
@@ -470,20 +452,14 @@ class TestAttentionOnRaggedBatches:
         layer, x, _ = case
         out, cache = layer.forward(x)
         assert len(cache[2]) == x.batch
-        for b, block in enumerate(cache[2]):
-            n = int(x.mask[b].sum())
-            alone, alone_cache = layer.forward(full_batch(x.values[b, :n][None]))
-            assert np.abs(out.values[b, :n] - alone.values[0]).max() <= 1e-12
+        for (lo, hi), block in zip(x.spans, cache[2]):
+            n = hi - lo
+            alone, alone_cache = layer.forward(full_batch(x.rows[None, lo:hi]))
+            assert np.abs(out.rows[lo:hi] - alone.rows).max() <= 1e-12
             # the cached block is the row's own weights, one key per token
             assert block.shape == alone_cache[2][0].shape
             assert block.shape[-1] == n
             assert np.abs(block - alone_cache[2][0]).max() <= 1e-12
-
-    def test_padding_gets_exact_zeros(self, case):
-        layer, x, rng = case
-        out, dx = forward_backward(layer, x, rng.standard_normal(x.values.shape))[:2]
-        assert not out[~x.mask].any()
-        assert not dx[~x.mask].any()
 
     def test_gradients(self, case):
         layer, x, rng = case
@@ -491,7 +467,7 @@ class TestAttentionOnRaggedBatches:
 
     def test_repeated_passes_are_byte_identical(self, case):
         layer, x, rng = case
-        upstream = rng.standard_normal(x.values.shape)
+        upstream = rng.standard_normal(x.rows.shape)
         first = forward_backward(layer, x, upstream)
         second = forward_backward(layer, x, upstream)
         for a, b in zip(first, second, strict=True):
@@ -502,7 +478,7 @@ def test_additive_query_chunks_match_one_chunk(monkeypatch):
     rng = np.random.default_rng(301)
     layer = AdditiveSelfAttention(6, rng, attn_dim=4)
     x = ragged_batch(rng, 6)
-    upstream = rng.standard_normal(x.values.shape)
+    upstream = rng.standard_normal(x.rows.shape)
     whole = forward_backward(layer, x, upstream)
     # two query rows of the full row (5 keys x attn_dim 4) per chunk: 3 chunks
     monkeypatch.setattr(AdditiveSelfAttention, "CHUNK_ELEMENTS", 2 * 5 * 4)
@@ -526,10 +502,7 @@ def test_gradients_across_seeds(name, builder):
         rng = np.random.default_rng(seed)
         layer, width = builder(rng)
         values = rng.standard_normal((2, 3, width)) * 0.5
-        mask = np.ones((2, 3), dtype=bool)
-        mask[-1, -1] = False
-        values[~mask] = 0.0
-        err = grad_check(layer, BatchTensor(values, mask), 1e-3, rng)
+        err = grad_check(layer, BatchTensor.from_rows([values[0], values[1, :2]]), 1e-3, rng)
         assert err < 1e-4, f"{name} seed {seed}: {err:.3e}"
 
 

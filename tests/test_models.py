@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from argseg.errors import ConfigurationError, FormatError
 from argseg.layers import (
@@ -24,11 +26,9 @@ SB_PARAM_COUNT = 2 * 4 * (300 * 64 + 64 * 64 + 64) + (128 * 3 + 3)
 
 
 def toy_batch(rng, features, batch=2, time=3, scale=0.5):
+    """``batch`` sequences of ``time`` tokens, except the last, which is one shorter."""
     values = rng.standard_normal((batch, time, features)) * scale
-    mask = np.ones((batch, time), dtype=bool)
-    mask[-1, -1] = False
-    values[~mask] = 0.0
-    return BatchTensor(values, mask)
+    return BatchTensor.from_rows([*values[:-1], values[-1, :-1]])
 
 
 class TestBuildModel:
@@ -95,16 +95,16 @@ class TestBuildModel:
 
 class TestForward:
     def test_distribution_contract(self):
-        # three finite logits per valid token, exactly zero at padding
+        # three finite logits per token, in the batch's packed order
         rng = np.random.default_rng(0)
         for arch in ArchitectureId:
             model = build_model(ModelSpec(arch, input_dim=6, hidden=4, seed=3))
             batch = toy_batch(rng, 6)
             out, _ = model.forward(batch)
-            assert out.values.shape == (2, 3, 3)
-            assert np.isfinite(out.values).all()
-            assert not out.values[~batch.mask].any()
-            probs = softmax_rows(out.values[batch.mask])
+            assert out.rows.shape == (5, 3)
+            assert out.spans == batch.spans
+            assert np.isfinite(out.rows).all()
+            probs = softmax_rows(out.rows)
             assert np.abs(probs.sum(axis=1) - 1.0).max() <= 1e-9
 
     def test_sb_equals_manual_composition(self):
@@ -115,7 +115,7 @@ class TestForward:
         bilstm, head = model.layers
         mid, _ = bilstm.forward(batch)
         expected, _ = head.forward(mid)
-        assert np.array_equal(out.values, expected.values)
+        assert np.array_equal(out.rows, expected.rows)
 
     def test_bl_without_bridge_is_two_stacked_bilstms(self):
         spec = ModelSpec(ArchitectureId.BL, input_dim=6, hidden=4,
@@ -128,7 +128,7 @@ class TestForward:
         a, _ = model.layers[0].forward(batch)
         b, _ = model.layers[1].forward(a)
         c, _ = model.layers[2].forward(b)
-        assert np.array_equal(out.values, c.values)
+        assert np.array_equal(out.rows, c.rows)
 
     def test_all_padding_entry_contributes_nothing(self):
         from argseg.training import masked_cross_entropy
@@ -136,17 +136,12 @@ class TestForward:
         rng = np.random.default_rng(3)
         model = build_model(ModelSpec(ArchitectureId.SB, input_dim=5, hidden=3, seed=1))
         rows = [rng.standard_normal((4, 5)), rng.standard_normal((2, 5))]
-        batch = BatchTensor.from_rows(rows)
-        gold = np.zeros((2, 4), dtype=np.int64)
+        gold = np.zeros(6, dtype=np.int64)
 
-        padded_values = np.concatenate([batch.values, np.zeros((1, 4, 5))])
-        padded_mask = np.concatenate([batch.mask, np.zeros((1, 4), dtype=bool)])
-        padded_gold = np.concatenate([gold, np.zeros((1, 4), dtype=np.int64)])
-
-        out1, _ = model.forward(batch)
-        loss1, _ = masked_cross_entropy(out1, gold, batch.mask)
-        out2, _ = model.forward(BatchTensor(padded_values, padded_mask))
-        loss2, _ = masked_cross_entropy(out2, padded_gold, padded_mask)
+        out1, _ = model.forward(BatchTensor.from_rows(rows))
+        loss1, _ = masked_cross_entropy(out1, gold)
+        out2, _ = model.forward(BatchTensor.from_rows([*rows, np.zeros((0, 5))]))
+        loss2, _ = masked_cross_entropy(out2, gold)
         assert loss1 == pytest.approx(loss2, abs=1e-15)
 
 
@@ -163,7 +158,7 @@ class TestPredictLabels:
         head.b.value[...] = 0.0  # uniform output everywhere
         batch = toy_batch(rng, 4)
         labels = predict_labels(model, batch)
-        assert (labels[batch.mask] == 0).all()  # ties resolve to B
+        assert labels.shape == (5,) and (labels == 0).all()  # ties resolve to B
 
     def test_monotone_transform_invariance(self):
         rng = np.random.default_rng(5)
@@ -171,6 +166,29 @@ class TestPredictLabels:
         base = np.argmax(softmax_rows(logits), axis=1)
         for transform in (lambda z: 2 * z + 1, lambda z: z**3, np.tanh):
             assert np.array_equal(np.argmax(softmax_rows(transform(logits)), axis=1), base)
+
+
+# the BiLSTM-only models run an empty sequence; attention needs a token per sequence
+EMPTY_ALLOWED = {ArchitectureId.SB, ArchitectureId.BL}
+
+
+@pytest.mark.parametrize("arch", list(ArchitectureId))
+@settings(max_examples=10, deadline=None)
+@given(lengths=st.lists(st.integers(1, 12), min_size=1, max_size=5),
+       empty_at=st.integers(0, 5), seed=st.integers(0, 2**16))
+def test_each_sequence_matches_its_run_alone(arch, lengths, empty_at, seed):
+    rng = np.random.default_rng(seed)
+    model = build_model(ModelSpec(arch, input_dim=6, hidden=4, attn_dim=4, seed=seed))
+    if arch in EMPTY_ALLOWED:
+        lengths = lengths[:empty_at] + [0] + lengths[empty_at:]
+    seqs = [rng.standard_normal((n, 6)) for n in lengths]
+    batch = BatchTensor.from_rows(seqs)
+    out, _ = model.forward(batch)
+    assert out.rows.shape == (sum(lengths), 3)
+    for (lo, hi), seq in zip(batch.spans, seqs, strict=True):
+        if hi > lo:
+            alone, _ = model.forward(BatchTensor.from_rows([seq]))
+            assert np.abs(out.rows[lo:hi] - alone.rows).max() <= 1e-12
 
 
 @pytest.mark.parametrize("arch", list(ArchitectureId))
@@ -205,7 +223,7 @@ class TestCheckpoint:
         batch = toy_batch(rng, 5)
         out_a, _ = model.forward(batch)
         out_b, _ = restored.forward(batch)
-        assert np.array_equal(out_a.values, out_b.values)
+        assert np.array_equal(out_a.rows, out_b.rows)
 
     def test_truncated_file_rejected(self, tmp_path):
         model = build_model(ModelSpec(ArchitectureId.SB, input_dim=4, hidden=2, seed=0))
@@ -270,7 +288,7 @@ class TestCheckpointFormats:
             assert np.array_equal(a.value, b.value), a.name
         batch = toy_batch(rng, 8)
         assert np.array_equal(predict_labels(model, batch), predict_labels(restored, batch))
-        assert np.array_equal(model.forward(batch)[0].values, restored.forward(batch)[0].values)
+        assert np.array_equal(model.forward(batch)[0].rows, restored.forward(batch)[0].rows)
 
     def test_version_one_resaves_as_current_format(self, tmp_path):
         model = perturbed_model(np.random.default_rng(8), ArchitectureId.SB)
@@ -294,7 +312,7 @@ class TestCheckpointFormats:
             assert np.array_equal(a.value, b.value), a.name
         batch = toy_batch(rng, 8)
         assert np.array_equal(predict_labels(model, batch), predict_labels(restored, batch))
-        assert np.array_equal(model.forward(batch)[0].values, restored.forward(batch)[0].values)
+        assert np.array_equal(model.forward(batch)[0].rows, restored.forward(batch)[0].rows)
         save_checkpoint(restored, tmp_path / "a.ckpt")
         save_checkpoint(model, tmp_path / "b.ckpt")
         assert (tmp_path / "a.ckpt").read_bytes() == (tmp_path / "b.ckpt").read_bytes()

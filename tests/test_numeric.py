@@ -50,7 +50,7 @@ class TestParameter:
         layer = TimeDistributedLinear(4, 2, rng)
         x = BatchTensor.from_rows([rng.standard_normal((3, 4))])
         out, cache = layer.forward(x)
-        upstream = rng.standard_normal(out.values.shape)
+        upstream = rng.standard_normal(out.rows.shape)
         layer.zero_grads()
         layer.backward(cache, upstream)
         once = [p.grad.copy() for p in layer.params()]
@@ -64,23 +64,42 @@ class TestBatchTensor:
         rows = [np.ones((2, 3)), np.full((4, 3), 2.0)]
         bt = BatchTensor.from_rows(rows)
         assert (bt.batch, bt.time, bt.features) == (2, 4, 3)
+        assert bt.rows.shape == (6, 3) and np.array_equal(bt.rows, np.concatenate(rows))
+        assert bt.lengths.tolist() == [2, 4] and bt.spans == [(0, 2), (2, 6)]
         assert bt.mask.tolist() == [[True, True, False, False], [True] * 4]
-        assert not bt.values[0, 2:].any()
+        assert not bt.mask.flags.writeable
+
+    def test_empty_sequence_has_an_empty_span(self):
+        bt = BatchTensor.from_rows([np.ones((2, 3)), np.ones((0, 3)), np.ones((1, 3))])
+        assert bt.spans == [(0, 2), (2, 2), (2, 3)]
+        assert bt.mask.tolist() == [[True, True], [False, False], [True, False]]
 
     def test_feature_mismatch(self):
         with pytest.raises(DimensionError):
             BatchTensor.from_rows([np.ones((2, 3)), np.ones((2, 4))])
 
-    def test_mask_shape_checked(self):
+    @pytest.mark.parametrize("rows", [[np.zeros(3)], [np.ones((2, 3)), np.zeros(3)],
+                                      [np.float64(1.0)]],
+                             ids=["one_1d_row", "later_1d_row", "scalar_row"])
+    def test_from_rows_needs_2d_rows(self, rows):
         with pytest.raises(DimensionError):
-            BatchTensor(np.zeros((2, 3, 4)), np.ones((2, 4), dtype=bool))
+            BatchTensor.from_rows(rows)
 
-    @pytest.mark.parametrize("row", [[0, 1, 1], [1, 0, 1], [0, 0, 1]],
-                             ids=["leading", "interior", "leading_run"])
-    def test_padding_before_a_token_rejected(self, row):
-        mask = np.array([[1, 1, 1], row], dtype=bool)
-        with pytest.raises(ContractViolation, match="mask row 1"):
-            BatchTensor(np.zeros((2, 3, 4)), mask)
+    def test_mask_shape_checked(self):
+        # the lengths say where each sequence's rows are; they must cover the rows exactly
+        with pytest.raises(DimensionError, match="sum to 4"):
+            BatchTensor(np.zeros((5, 4)), [2, 2])
+
+    @pytest.mark.parametrize("rows", [np.zeros(5), np.zeros((1, 5, 4))], ids=["1d", "3d"])
+    def test_rows_must_be_2d(self, rows):
+        with pytest.raises(DimensionError):
+            BatchTensor(rows, [5])
+
+    @pytest.mark.parametrize("lengths", [[[2, 3]], [], [2.0, 3.0], [True, True], [6, -1]],
+                             ids=["2d", "empty", "float", "bool", "negative"])
+    def test_lengths_must_be_non_negative_integers(self, lengths):
+        with pytest.raises((DimensionError, ContractViolation)):
+            BatchTensor(np.zeros((5, 4)), lengths)
 
 
 class _BrokenBackward:

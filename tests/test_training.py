@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from argseg.corpus import LABELS
-from argseg.errors import ContractViolation, NumericError, TrainingDiverged
+from argseg.errors import ContractViolation, DimensionError, NumericError, TrainingDiverged
 from argseg.metrics import confusion_matrix, metrics_from_confusion
 from argseg.models import ArchitectureId, ModelSpec, build_model
 from argseg.numeric import BatchTensor, Parameter
@@ -26,90 +26,81 @@ from argseg.training import (
 LN3 = 1.0986122886681098  # ln 3 via mpmath at 50 digits
 
 
-def logit_batch(logits, mask=None):
+def logit_batch(logits, lengths=None):
+    """Packed (N, 3) logits; one sequence of all N rows unless ``lengths`` says otherwise."""
     logits = np.asarray(logits, dtype=float)
-    if mask is None:
-        mask = np.ones(logits.shape[:2], dtype=bool)
-    return BatchTensor(logits, mask)
+    return BatchTensor(logits, [len(logits)] if lengths is None else lengths)
 
 
-def reference_loss(logits, gold, mask):
-    """Scalar-loop mean of log(sum_c exp z_c) - z_gold over valid tokens."""
-    total, count = 0.0, 0
-    for b in range(logits.shape[0]):
-        for t in range(logits.shape[1]):
-            if mask[b, t]:
-                z = logits[b, t]
-                total += math.log(sum(math.exp(v) for v in z)) - z[gold[b, t]]
-                count += 1
-    return total / count
+def reference_loss(logits, gold):
+    """Scalar-loop mean of log(sum_c exp z_c) - z_gold over the tokens."""
+    total = 0.0
+    for z, g in zip(logits, gold, strict=True):
+        total += math.log(sum(math.exp(v) for v in z)) - z[g]
+    return total / len(gold)
 
 
 class TestMaskedCrossEntropy:
     def test_perfect_predictions(self):
-        logits = np.zeros((1, 3, 3))
-        gold = np.array([[0, 1, 2]])
-        logits[0, np.arange(3), gold[0]] = 40.0
-        loss, grad = masked_cross_entropy(logit_batch(logits), gold, np.ones((1, 3), bool))
+        logits = np.zeros((3, 3))
+        gold = np.array([0, 1, 2])
+        logits[np.arange(3), gold] = 40.0
+        loss, grad = masked_cross_entropy(logit_batch(logits), gold)
         assert 0.0 <= loss <= 1e-9
         assert np.abs(grad).max() <= 1e-9
 
     def test_uniform_predictions_ln3(self):
-        gold = np.array([[0, 1], [2, 0]])
+        gold = np.array([0, 1, 2, 0])
         for level in (0.0, -7.5, 1e3):  # equal logits at any level
-            logits = np.full((2, 2, 3), level)
-            loss, _ = masked_cross_entropy(logit_batch(logits), gold, np.ones((2, 2), bool))
+            loss, _ = masked_cross_entropy(logit_batch(np.full((4, 3), level), [2, 2]), gold)
             assert loss == pytest.approx(LN3, abs=1e-12)
 
     def test_matches_scalar_loop_and_finite_differences(self):
         rng = np.random.default_rng(0)
-        logits = rng.standard_normal((2, 3, 3)) * 2.0
-        gold = rng.integers(0, 3, size=(2, 3))
-        mask = np.ones((2, 3), dtype=bool)
-        mask[1, 2] = False
-        loss, grad = masked_cross_entropy(logit_batch(logits, mask), gold, mask)
-        assert loss == pytest.approx(reference_loss(logits, gold, mask), rel=1e-12)
+        logits = rng.standard_normal((5, 3)) * 2.0
+        gold = rng.integers(0, 3, size=5)
+        loss, grad = masked_cross_entropy(logit_batch(logits, [3, 2]), gold)
+        assert loss == pytest.approx(reference_loss(logits, gold), rel=1e-12)
 
-        # central finite differences on the logits, padded position included
+        # central finite differences on every logit
         eps = 1e-6
-        for b in range(2):
-            for t in range(3):
-                for c in range(3):
-                    z = logits.copy()
-                    z[b, t, c] += eps
-                    up, _ = masked_cross_entropy(logit_batch(z, mask), gold, mask)
-                    z[b, t, c] -= 2 * eps
-                    dn, _ = masked_cross_entropy(logit_batch(z, mask), gold, mask)
-                    numeric = (up - dn) / (2 * eps)
-                    assert grad[b, t, c] == pytest.approx(numeric, rel=1e-5, abs=1e-9)
+        for t in range(5):
+            for c in range(3):
+                z = logits.copy()
+                z[t, c] += eps
+                up, _ = masked_cross_entropy(logit_batch(z, [3, 2]), gold)
+                z[t, c] -= 2 * eps
+                dn, _ = masked_cross_entropy(logit_batch(z, [3, 2]), gold)
+                numeric = (up - dn) / (2 * eps)
+                assert grad[t, c] == pytest.approx(numeric, rel=1e-5, abs=1e-9)
 
     def test_padding_receives_zero_gradient(self):
-        logits = np.array([[[0.5, -1.0, 2.0], [300.0, -300.0, 0.0]]])
-        mask = np.array([[True, False]])
-        loss, grad = masked_cross_entropy(
-            logit_batch(logits, mask), np.zeros((1, 2), dtype=int), mask
-        )
-        assert not grad[0, 1].any()
-        assert loss == pytest.approx(reference_loss(logits, np.zeros((1, 2), int), mask),
-                                     rel=1e-12)
+        # a 2-token and an empty sequence: the padded view has two padded
+        # positions, and the gradient has no row for either
+        logits = np.array([[0.5, -1.0, 2.0], [300.0, -300.0, 0.0]])
+        batch = logit_batch(logits, [2, 0])
+        assert (~batch.mask).sum() == 2
+        loss, grad = masked_cross_entropy(batch, np.zeros(2, dtype=int))
+        assert grad.shape == (2, 3)
+        assert loss == pytest.approx(reference_loss(logits, [0, 0]), rel=1e-12)
 
     def test_zero_valid_tokens_rejected(self):
-        logits = np.zeros((1, 2, 3))
-        mask = np.zeros((1, 2), dtype=bool)
         with pytest.raises(ContractViolation):
-            masked_cross_entropy(logit_batch(logits, mask), np.zeros((1, 2), int), mask)
+            masked_cross_entropy(logit_batch(np.zeros((0, 3)), [0, 0]), np.zeros(0, int))
+
+    def test_gold_must_match_the_rows(self):
+        with pytest.raises(DimensionError):
+            masked_cross_entropy(logit_batch(np.zeros((3, 3))), np.zeros(2, int))
 
     def test_loss_invariant_under_batch_permutation(self):
         rng = np.random.default_rng(1)
-        logits = rng.standard_normal((4, 3, 3)) * 3.0
-        gold = rng.integers(0, 3, size=(4, 3))
-        mask = rng.random((4, 3)) > 0.2
-        mask[:, 0] = True
-        l1, _ = masked_cross_entropy(logit_batch(logits, mask), gold, mask)
+        lengths = [3, 1, 2, 3]
+        seqs = [rng.standard_normal((n, 3)) * 3.0 for n in lengths]
+        golds = [rng.integers(0, 3, size=n) for n in lengths]
+        l1, _ = masked_cross_entropy(BatchTensor.from_rows(seqs), np.concatenate(golds))
         perm = rng.permutation(4)
-        l2, _ = masked_cross_entropy(
-            logit_batch(logits[perm], mask[perm]), gold[perm], mask[perm]
-        )
+        l2, _ = masked_cross_entropy(BatchTensor.from_rows([seqs[i] for i in perm]),
+                                     np.concatenate([golds[i] for i in perm]))
         assert l1 == pytest.approx(l2, rel=1e-12)
 
 
@@ -182,10 +173,9 @@ class TestMetrics:
         assert metrics_from_confusion(all_o_as_i).weighted_f1 == 0.0
 
     def test_hand_computed_ten_token_case(self):
-        gold = np.array([[0, 1, 1, 2, 2, 2, 0, 1, 2, 2]])
-        pred = np.array([[0, 1, 2, 2, 2, 0, 1, 1, 2, 2]])
-        mask = np.ones((1, 10), dtype=bool)
-        report = metrics_from_confusion(confusion_matrix(gold, pred, mask))
+        gold = np.array([0, 1, 1, 2, 2, 2, 0, 1, 2, 2])
+        pred = np.array([0, 1, 2, 2, 2, 0, 1, 1, 2, 2])
+        report = metrics_from_confusion(confusion_matrix(gold, pred))
         # per-class: P_B = R_B = 1/2, P_I = R_I = 2/3, P_O = R_O = 4/5
         assert np.allclose(report.f1, [0.5, 2 / 3, 0.8])
         assert report.weighted_f1 == pytest.approx(0.7, abs=1e-12)
@@ -263,9 +253,9 @@ class TestTrainLoop:
         head.w.value[...] = 0.0
         head.b.value[...] = np.array([2000.0, -2000.0, -2000.0])
         batch, gold = _assemble(_vectorize_all(toy_sequences[:8], toy_embeddings))
-        assert (gold[batch.mask] != LABELS.index("B")).any()
+        assert (gold != LABELS.index("B")).any()
         logits, caches = model.forward(batch)
-        loss, grad = masked_cross_entropy(logits, gold, batch.mask)
+        loss, grad = masked_cross_entropy(logits, gold)
         assert math.isfinite(loss) and loss > 1000.0
         model.zero_grads()
         grad_in = model.backward(caches, grad)
@@ -414,4 +404,4 @@ class TestOverfitTwoSequences:
         items = _vectorize_all(trained, toy_embeddings)
         batch, gold = _assemble(items)
         predicted = predict_labels(model, batch)
-        assert np.array_equal(predicted[batch.mask], gold[batch.mask])
+        assert np.array_equal(predicted, gold)
