@@ -14,6 +14,16 @@ tokens packed sequence-major into one (N, F) array of rows plus the
 sequences' lengths.  Every layer maps (N, F_in) rows to (N, F_out) rows and,
 in backward, (N, F_out) gradients to (N, F_in); no layer sees padding.
 
+``backward(cache, grad_out, input_grad=True)``: with ``input_grad=False`` a
+layer accumulates the same parameter gradients, returns ``None`` and skips
+the work that only feeds the input gradient.  The BiLSTM skips each
+direction's (M, 4H) x (4H, D) GEMM, their sum and the scatter into packed
+order; multi-head attention the three (N, D) x (D, D) GEMMs (Q, K and V
+gradients are still formed, since the weight gradients need them); additive
+attention each sequence's weights-transpose product and the two projection
+GEMMs; the linear map its one GEMM.  A model asks this of its first layer
+during training, whose input rows are fixed vectors.
+
 LSTM parameters are fused per direction, with gate blocks in the order
 i|f|o|g (input, forget and output gates, then the candidate).  The BiLSTM
 gathers its inputs into time-major order once, runs its recurrence over the
@@ -52,7 +62,13 @@ class Layer:
     def forward(self, x: BatchTensor):
         raise NotImplementedError
 
-    def backward(self, cache, grad_out: np.ndarray) -> np.ndarray:
+    def backward(self, cache, grad_out: np.ndarray, input_grad: bool = True):
+        """Accumulate parameter gradients; return d(loss)/d(input rows).
+
+        With ``input_grad=False`` the parameter gradients are exactly the
+        same, the work that only feeds the input gradient is skipped, and
+        the result is ``None``.
+        """
         raise NotImplementedError
 
 
@@ -200,7 +216,8 @@ def _direction_backward(cell: LstmCell, cache, grad_run, x_run, pos: _Positions,
     positions.  Parameter gradients accumulate into ``cell``; ``work`` =
     (d_acts, h_in, dx_run, dw, du) receives the gate gradients, the states
     entering each step and the input gradient, all at the running positions,
-    and the two weight-gradient products before they are accumulated.
+    and the two weight-gradient products before they are accumulated.  A
+    ``dx_run`` of ``None`` skips the input gradient.
     """
     acts, hs, cs, tanh_c = cache
     d_acts, h_in, dx_run, dw, du = work
@@ -248,7 +265,8 @@ def _direction_backward(cell: LstmCell, cache, grad_run, x_run, pos: _Positions,
     np.matmul(h_in.T, d_acts, out=du)
     cell.u.grad += du
     cell.b.grad += d_acts.sum(axis=0)
-    np.matmul(d_acts, cell.w.value.T, out=dx_run)
+    if dx_run is not None:
+        np.matmul(d_acts, cell.w.value.T, out=dx_run)
 
 
 class BiLstm(Layer):
@@ -305,17 +323,19 @@ class BiLstm(Layer):
             out[pos.packed, k * h : (k + 1) * h] = cache[1][np.take(written, pos.step) + pos.rank]
         return x.with_rows(out), (x_run, pos, caches)
 
-    def backward(self, cache, grad_out: np.ndarray) -> np.ndarray:
+    def backward(self, cache, grad_out: np.ndarray, input_grad: bool = True):
         x_run, pos, caches = cache
         n_run, dim = x_run.shape
         h = self.hidden
         grad_run = np.take(grad_out, pos.packed, axis=0)
         d_acts, h_in = np.empty((n_run, 4 * h)), np.empty((n_run, h))
         dw, du = np.empty((dim, 4 * h)), np.empty((h, 4 * h))
-        dx_runs = np.empty((2, n_run, dim))
+        dx_runs = np.empty((2, n_run, dim)) if input_grad else (None, None)
         for k, (cell, reverse) in enumerate(((self.fwd, False), (self.bwd, True))):
             _direction_backward(cell, caches[k], grad_run[:, k * h : (k + 1) * h], x_run, pos,
                                 (d_acts, h_in, dx_runs[k], dw, du), reverse)
+        if not input_grad:
+            return None
         dx_run = dx_runs[0]
         dx_run += dx_runs[1]
         dx = np.empty_like(dx_run)
@@ -409,18 +429,19 @@ class AdditiveSelfAttention(Layer):
             weights.append(block)
         return x.with_rows(out), (xv, x.spans, weights, q, k)
 
-    def backward(self, cache, grad_out: np.ndarray) -> np.ndarray:
+    def backward(self, cache, grad_out: np.ndarray, input_grad: bool = True):
         xv, spans, weights, q, k = cache
         v_flat = self.v_score.value[:, 0]
         buf = self._buffer(spans)
 
-        dxv = np.empty_like(xv)
+        dxv = np.empty_like(xv) if input_grad else None
         dq = np.empty_like(q)
         dk = np.zeros_like(k)
         dv = np.zeros(self.attn_dim)
         for (lo, hi), block in zip(spans, weights):
             g = grad_out[lo:hi]
-            np.matmul(block.T, g, out=dxv[lo:hi])
+            if input_grad:
+                np.matmul(block.T, g, out=dxv[lo:hi])
             d_alpha = g @ xv[lo:hi].T
             d_alpha -= (block * d_alpha).sum(axis=1, keepdims=True)
             ds = block * d_alpha  # d loss / d score
@@ -437,6 +458,8 @@ class AdditiveSelfAttention(Layer):
         self.b_hidden.grad += dq.sum(axis=0)
         self.w_query.grad += xv.T @ dq
         self.w_key.grad += xv.T @ dk
+        if not input_grad:
+            return None
         dxv += dq @ self.w_query.value.T
         dxv += dk @ self.w_key.value.T
         return dxv
@@ -500,7 +523,7 @@ class MultiHeadSelfAttention(Layer):
             weights.append(block)
         return x.with_rows(ctx @ self.w_o.value), (xv, x.spans, weights, q, k, v, ctx)
 
-    def backward(self, cache, grad_out: np.ndarray) -> np.ndarray:
+    def backward(self, cache, grad_out: np.ndarray, input_grad: bool = True):
         xv, spans, weights, q, k, v, ctx = cache
         self.w_o.grad += ctx.T @ grad_out
         d_ctx = grad_out @ self.w_o.value.T
@@ -519,6 +542,8 @@ class MultiHeadSelfAttention(Layer):
         self.w_q.grad += xv.T @ dq
         self.w_k.grad += xv.T @ dk
         self.w_v.grad += xv.T @ dv
+        if not input_grad:
+            return None
         dxv = dq @ self.w_q.value.T
         dxv += dk @ self.w_k.value.T
         dxv += dv @ self.w_v.value.T
@@ -562,7 +587,7 @@ class TimeDistributedLinear(Layer):
         out += self.b.value
         return x.with_rows(out), x.rows
 
-    def backward(self, cache, grad_out: np.ndarray) -> np.ndarray:
+    def backward(self, cache, grad_out: np.ndarray, input_grad: bool = True):
         self.w.grad += cache.T @ grad_out
         self.b.grad += grad_out.sum(axis=0)
-        return grad_out @ self.w.value.T
+        return grad_out @ self.w.value.T if input_grad else None

@@ -99,8 +99,10 @@ class ModelSpec:
 class Model:
     """An ordered layer stack with chained forward/backward passes.
 
-    ``forward`` returns the caches the caller must hand back to ``backward``;
-    a model used for inference only never touches them.
+    ``forward`` returns the caches, one per layer, that the caller must hand
+    back to ``backward``; a model used for inference only never touches
+    them, and a trainer passes ``input_grad=False``, since nothing trains
+    the input rows.
     """
 
     def __init__(self, spec: ModelSpec, layers: list[Layer]):
@@ -130,11 +132,17 @@ class Model:
             caches.append(cache)
         return x, caches
 
-    def backward(self, caches, grad_out: np.ndarray) -> np.ndarray:
+    def backward(self, caches, grad_out: np.ndarray, input_grad: bool = True):
+        """Accumulate every parameter gradient; return d(loss)/d(input rows).
+
+        ``input_grad`` goes to the first layer only: with ``False`` it skips
+        the work that only feeds the input gradient and the result is
+        ``None``, while every parameter gradient stays the same.
+        """
         g = grad_out
-        for layer, cache in zip(reversed(self.layers), reversed(caches)):
+        for layer, cache in zip(reversed(self.layers[1:]), reversed(caches[1:])):
             g = layer.backward(cache, g)
-        return g
+        return self.layers[0].backward(caches[0], g, input_grad=input_grad)
 
     def get_values(self) -> list[np.ndarray]:
         return [p.value.copy() for p in self.params()]

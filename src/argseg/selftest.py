@@ -118,24 +118,28 @@ def check_corpus_roundtrip(n_essays=6, seed=3) -> int:
 
 
 def run_selftest(verbose_print=print) -> bool:
-    """Run every check, print one PASS/FAIL line each; True if all passed."""
+    """Run every check, print one PASS/FAIL line each; True if all passed.
+
+    A check that raises fails with the exception named on its line, and the
+    checks after it still run.
+    """
     started = time.time()
-    results = []
-
-    worst = check_layer_gradients()
-    results.append(("layer gradients", worst < GRAD_TOLERANCE, f"max rel err {worst:.2e}"))
-
-    worst = check_model_gradients()
-    results.append(("model gradients", worst < GRAD_TOLERANCE, f"max rel err {worst:.2e}"))
-
-    worst = check_attention_invariants()
-    results.append(("attention invariants", worst < 1e-9, f"max deviation {worst:.2e}"))
-
-    failures = check_corpus_roundtrip()
-    results.append(("corpus round-trip", failures == 0, f"{failures} failing essays"))
-
+    checks = [
+        ("layer gradients", check_layer_gradients,
+         lambda worst: (worst < GRAD_TOLERANCE, f"max rel err {worst:.2e}")),
+        ("model gradients", check_model_gradients,
+         lambda worst: (worst < GRAD_TOLERANCE, f"max rel err {worst:.2e}")),
+        ("attention invariants", check_attention_invariants,
+         lambda worst: (worst < 1e-9, f"max deviation {worst:.2e}")),
+        ("corpus round-trip", check_corpus_roundtrip,
+         lambda failures: (failures == 0, f"{failures} failing essays")),
+    ]
     ok = True
-    for name, passed, detail in results:
+    for name, check, judge in checks:
+        try:
+            passed, detail = judge(check())
+        except Exception as exc:  # a broken check is reported, not raised
+            passed, detail = False, f"{type(exc).__name__}: {exc}"
         ok &= passed
         verbose_print(f"{'PASS' if passed else 'FAIL'}  {name} ({detail})")
     verbose_print(f"selftest finished in {time.time() - started:.1f}s")

@@ -203,6 +203,9 @@ def train(model: Model, train_sequences: list[LabeledSequence],
           spec: EmbeddingSpec, cfg: TrainConfig):
     """Train in place; returns (model, LossCurve) with best-epoch weights restored.
 
+    The input rows are fixed vectors that nothing trains, so the backward
+    pass forms no gradient for them (``Model.backward(..., input_grad=False)``).
+
     Aborts with :class:`TrainingDiverged` if the loss goes non-finite; the
     model then carries the last parameters that were still finite.
     """
@@ -237,7 +240,7 @@ def train(model: Model, train_sequences: list[LabeledSequence],
             running += loss * len(gold)
             seen += len(gold)
             model.zero_grads()
-            model.backward(caches, grad)
+            model.backward(caches, grad, input_grad=False)
             adam_step(params, state, cfg.learning_rate)
         if diverged or not all(np.isfinite(p.value).all() for p in params):
             model.set_values(last_finite)
@@ -271,6 +274,8 @@ def train(model: Model, train_sequences: list[LabeledSequence],
 def evaluate(model: Model, sequences: list[LabeledSequence],
              spec: EmbeddingSpec, batch_size: int = 64) -> MetricsReport:
     """Metrics of a frozen model over the given sequences."""
+    if batch_size < 1:
+        raise ContractViolation(f"batch_size must be >= 1, got {batch_size}")
     if not sequences:
         raise ContractViolation("no sequences to evaluate")
     items = _vectorize_all(sequences, spec)

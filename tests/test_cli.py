@@ -246,6 +246,29 @@ def test_selftest_command_passes(capsys):
     assert "FAIL" not in out
 
 
+def test_selftest_reports_a_raising_check_and_runs_the_rest(capsys, monkeypatch):
+    import functools
+
+    from argseg import selftest
+
+    def broken():
+        raise ValueError("core dimension mismatch")
+
+    monkeypatch.setattr(selftest, "check_layer_gradients", broken)
+    # the remaining checks run for real, on smaller fixtures
+    monkeypatch.setattr(selftest, "check_model_gradients",
+                        functools.partial(selftest.check_model_gradients, seeds=range(1)))
+    monkeypatch.setattr(selftest, "check_attention_invariants",
+                        functools.partial(selftest.check_attention_invariants, trials=1))
+    assert main(["selftest"]) == 1
+    captured = capsys.readouterr()
+    lines = [ln for ln in captured.out.splitlines() if ln.startswith(("PASS", "FAIL"))]
+    assert len(lines) == 4
+    assert lines[0] == "FAIL  layer gradients (ValueError: core dimension mismatch)"
+    assert all(ln.startswith("PASS") for ln in lines[1:])
+    assert "Traceback" not in captured.out + captured.err
+
+
 def test_package_imports_without_scipy():
     # numpy is the only runtime dependency; scipy is a test-only oracle
     src = Path(__file__).resolve().parents[1] / "src"

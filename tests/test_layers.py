@@ -519,3 +519,19 @@ def test_multi_head_gradients_at_reference_shape():
     layer = MultiHeadSelfAttention(6, 2, rng)
     x = full_batch(rng.standard_normal((2, 3, 6)) * 0.5)
     assert grad_check(layer, x, 1e-3, rng) < 1e-4
+
+
+@pytest.mark.parametrize("name,builder", LAYER_BUILDERS)
+def test_input_grad_off_keeps_parameter_gradients(name, builder):
+    rng = np.random.default_rng(302)
+    layer, width = builder(rng)
+    x = ragged_batch(rng, width)
+    out, cache = layer.forward(x)
+    upstream = rng.standard_normal(out.rows.shape)
+    layer.zero_grads()
+    assert layer.backward(cache, upstream) is not None
+    full = [p.grad.copy() for p in layer.params()]
+    layer.zero_grads()
+    assert layer.backward(cache, upstream, input_grad=False) is None
+    for p, expected in zip(layer.params(), full, strict=True):
+        assert p.grad.tobytes() == expected.tobytes(), f"{name}: {p.name}"

@@ -355,3 +355,19 @@ class TestCheckpointFormats:
         path.write_bytes(bad)
         with pytest.raises(FormatError):
             load_checkpoint(path)
+
+
+@pytest.mark.parametrize("arch", list(ArchitectureId))
+def test_input_grad_off_keeps_parameter_gradients(arch):
+    rng = np.random.default_rng(41)
+    model = build_model(ModelSpec(arch, input_dim=12, hidden=5, seed=3))
+    x = BatchTensor.from_rows([rng.standard_normal((n, 12)) for n in (4, 1, 6)])
+    logits, caches = model.forward(x)
+    upstream = rng.standard_normal(logits.rows.shape)
+    model.zero_grads()
+    assert model.backward(caches, upstream).shape == x.rows.shape
+    full = [p.grad.copy() for p in model.params()]
+    model.zero_grads()
+    assert model.backward(caches, upstream, input_grad=False) is None
+    for p, expected in zip(model.params(), full, strict=True):
+        assert p.grad.tobytes() == expected.tobytes(), p.name

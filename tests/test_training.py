@@ -6,7 +6,7 @@ import pytest
 from argseg.corpus import LABELS
 from argseg.errors import ContractViolation, DimensionError, NumericError, TrainingDiverged
 from argseg.metrics import confusion_matrix, metrics_from_confusion
-from argseg.models import ArchitectureId, ModelSpec, build_model
+from argseg.models import ArchitectureId, Model, ModelSpec, build_model, save_checkpoint
 from argseg.numeric import BatchTensor, Parameter
 from argseg.training import (
     AdamState,
@@ -278,6 +278,43 @@ class TestTrainLoop:
         again = split_by_essay(toy_sequences, 0.2, seed=11)
         assert [s.essay_id for s in again[1]] == [s.essay_id for s in val_part]
 
+    def test_backward_skips_the_input_gradient(self, toy_sequences, toy_embeddings,
+                                               monkeypatch):
+        asked = []
+        plain = Model.backward
+
+        def spy(self, caches, grad_out, **kwargs):
+            asked.append(kwargs)
+            return plain(self, caches, grad_out, **kwargs)
+
+        monkeypatch.setattr(Model, "backward", spy)
+        spec = ModelSpec(ArchitectureId.SB, input_dim=16, hidden=4, seed=6)
+        cfg = TrainConfig(batch_size=8, max_epochs=1, patience=5, seed=2)
+        train(build_model(spec), toy_sequences, toy_embeddings, cfg)
+        assert asked and all(kw == {"input_grad": False} for kw in asked)
+
+    @pytest.mark.parametrize("arch", [ArchitectureId.SB_I, ArchitectureId.BL_I,
+                                      ArchitectureId.BL])
+    def test_artifacts_do_not_depend_on_the_input_gradient(self, toy_sequences,
+                                                          toy_embeddings, tmp_path,
+                                                          monkeypatch, arch):
+        spec = ModelSpec(arch, input_dim=16, hidden=4, inter_stage_dim=4, seed=8)
+        cfg = TrainConfig(batch_size=8, max_epochs=2, patience=5,
+                          learning_rate=3e-3, seed=4)
+
+        def artifacts(name):
+            model, curve = train(build_model(spec), toy_sequences, toy_embeddings, cfg)
+            save_checkpoint(model, tmp_path / f"{name}.ckpt")
+            with open(tmp_path / f"{name}.csv", "w", encoding="utf-8") as fh:
+                curve.write_csv(fh)
+            return [(tmp_path / f"{name}{ext}").read_bytes() for ext in (".ckpt", ".csv")]
+
+        skipped = artifacts("skipped")
+        plain = Model.backward
+        monkeypatch.setattr(Model, "backward",
+                            lambda self, caches, grad_out, **_: plain(self, caches, grad_out))
+        assert artifacts("formed") == skipped
+
     def test_config_validation(self):
         with pytest.raises(ContractViolation):
             TrainConfig(batch_size=0)
@@ -303,6 +340,12 @@ class TestEvaluate:
         assert report.weighted_f1 == 1.0
         report = evaluate(self.rigged_model(LABELS.index("I")), all_o, toy_embeddings)
         assert report.weighted_f1 == 0.0
+
+    @pytest.mark.parametrize("batch_size", [0, -1])
+    def test_bad_batch_size_rejected(self, toy_sequences, toy_embeddings, batch_size):
+        model = build_model(ModelSpec(ArchitectureId.SB, input_dim=16, hidden=3, seed=0))
+        with pytest.raises(ContractViolation, match=f"batch_size must be >= 1, got {batch_size}"):
+            evaluate(model, toy_sequences[:4], toy_embeddings, batch_size=batch_size)
 
     def test_pure_function(self, toy_sequences, toy_embeddings):
         model = build_model(ModelSpec(ArchitectureId.SB, input_dim=16, hidden=4, seed=9))
