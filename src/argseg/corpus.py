@@ -54,9 +54,6 @@ class AnnotationSpan:
                 f"span offsets must satisfy 0 <= start < end, got ({self.start}, {self.end})"
             )
 
-    def overlaps(self, start: int, end: int) -> bool:
-        return self.start < end and start < self.end
-
 
 @dataclass(frozen=True)
 class Token:
@@ -310,9 +307,6 @@ def build_sequences(
 @dataclass
 class SplitSpec:
     assignment: dict[str, str]  # essay id -> "train" | "test"
-
-    def ids(self, part: str) -> list[str]:
-        return sorted(e for e, p in self.assignment.items() if p == part)
 
 
 def load_split(csv_content: str, known_ids=None) -> SplitSpec:

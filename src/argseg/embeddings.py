@@ -1,12 +1,14 @@
 """Per-token input vectors: GloVe-style tables, precomputed stores, stacking.
 
-Two source kinds exist.  A text table maps a (lowercased) vocabulary to fixed
-vectors; out-of-vocabulary tokens get the zero vector and the miss rate is
+Two source kinds exist, and each builds a sequence's rows in one array
+operation.  A text table is one matrix whose last row is all zeros: words are
+lowercased, out-of-vocabulary ones take the zero row, and the miss rate is
 reported per run rather than aborting anything.  A precomputed store ships
 contextual vectors generated elsewhere, keyed by (essay id, sentence index,
-token index); it is consumed through per-essay token ordinals, which line up
-with any sequence granularity because sentence and paragraph decompositions
-enumerate an essay's tokens in the same order.
+token index); it serves a sequence as one slice of the essay's read-only
+matrix, found through per-essay token ordinals, which line up with any
+sequence granularity because sentence and paragraph decompositions enumerate
+an essay's tokens in the same order.
 
 An embedding spec stacks one or more sources in a fixed order; the declared
 total dimension must match the sum of the source dimensions exactly.
@@ -36,40 +38,36 @@ STORE_VERSION = 1
 
 
 class EmbeddingTable:
-    """Vocabulary -> vector table held as one (V, dim) matrix plus an index."""
+    """Vocabulary -> vector table held as one (V + 1, dim) matrix plus an index;
+    the last row, all zeros, is the row of every word the index lacks."""
 
     def __init__(self, dim: int, vectors: np.ndarray, index: dict[str, int],
-                 lowercase_keys: bool = True, duplicates_skipped: int = 0):
+                 duplicates_skipped: int = 0):
         self.dim = dim
         self.vectors = vectors
         self.index = index
-        self.lowercase_keys = lowercase_keys
         self.duplicates_skipped = duplicates_skipped
-        self._zero = np.zeros(dim)
 
     def __len__(self) -> int:
         return len(self.index)
 
     def __contains__(self, word: str) -> bool:
-        return self._key(word) in self.index
+        return word.lower() in self.index
 
-    def _key(self, word: str) -> str:
-        return word.lower() if self.lowercase_keys else word
-
-    def lookup(self, word: str) -> np.ndarray:
-        """Case-folded lookup; unknown words map to the zero vector."""
-        row = self.index.get(self._key(word))
-        if row is None:
-            return self._zero
-        return self.vectors[row]
+    def lookup(self, words: list[str]) -> np.ndarray:
+        """(len(words), dim) rows in one take; words are lowercased first, and
+        unknown words get the zero row."""
+        oov = len(self.index)
+        return self.vectors[[self.index.get(w.lower(), oov) for w in words]]
 
 
 def load_glove(content) -> EmbeddingTable:
     """Parse whitespace-separated ``word v1 ... vd`` lines into a table.
 
     ``content`` may be a string or an iterable of lines.  The first line fixes
-    the dimension; any line disagreeing raises with its line number.  When a
-    word repeats, the first occurrence wins and the duplicate is counted.
+    the dimension; any line disagreeing, or holding a value that is not a
+    finite number, raises with its line number.  When a word repeats, the
+    first occurrence wins and the duplicate is counted.
     """
     if isinstance(content, str):
         lines = content.splitlines()
@@ -100,12 +98,14 @@ def load_glove(content) -> EmbeddingTable:
             vec = np.array(values, dtype=np.float64)
         except ValueError:
             raise FormatError(f"line {lineno}: non-numeric vector value") from None
+        if not np.isfinite(vec).all():
+            raise FormatError(f"line {lineno}: non-finite vector value")
         index[word] = len(rows)
         rows.append(vec)
     if dim is None:
         raise FormatError("embedding table is empty")
-    matrix = np.vstack(rows) if rows else np.zeros((0, dim))
-    return EmbeddingTable(dim, matrix, index, duplicates_skipped=duplicates)
+    rows.append(np.zeros(dim))  # the out-of-vocabulary row
+    return EmbeddingTable(dim, np.vstack(rows), index, duplicates_skipped=duplicates)
 
 
 def load_glove_file(path) -> EmbeddingTable:
@@ -118,14 +118,8 @@ def load_glove_file(path) -> EmbeddingTable:
 
 def oov_statistics(table: EmbeddingTable, sequences: list[LabeledSequence]):
     """(misses, total) over every token of the given sequences."""
-    total = 0
-    misses = 0
-    for seq in sequences:
-        for tok in seq.tokens:
-            total += 1
-            if tok.text not in table:
-                misses += 1
-    return misses, total
+    words = [tok.text for seq in sequences for tok in seq.tokens]
+    return sum(word not in table for word in words), len(words)
 
 
 # ---------------------------------------------------------------------------
@@ -144,7 +138,8 @@ class PrecomputedStore:
 
     Per essay, records must tile the token stream: sentence indices start at
     0 and are consecutive, token indices within each sentence likewise.  That
-    guarantee makes the ordinal view (`vector_by_ordinal`) unambiguous.
+    guarantee makes the ordinal view (`rows`) unambiguous.  Each essay's
+    vectors are one read-only matrix in key order.
     """
 
     def __init__(self, dim: int, essays: dict[str, tuple[list[tuple[int, int]], np.ndarray]]):
@@ -169,18 +164,20 @@ class PrecomputedStore:
             f"sentence {sentence}, token {token}"
         )
 
-    def vector_by_ordinal(self, essay_id: str, ordinal: int) -> np.ndarray:
+    def rows(self, essay_id: str, start: int, count: int) -> np.ndarray:
+        """The vectors of token ordinals ``start .. start + count - 1``, as one
+        read-only (count, dim) view of the essay's matrix."""
         entry = self._essays.get(essay_id)
         if entry is None:
             raise CoverageError(f"store has no vectors for essay {essay_id!r}")
         keys, matrix = entry
-        if not 0 <= ordinal < len(keys):
+        if start + count > len(keys):
             last_sent, last_tok = keys[-1]
             raise CoverageError(
-                f"essay {essay_id!r}: token ordinal {ordinal} is not covered "
+                f"essay {essay_id!r}: token ordinal {max(start, len(keys))} is not covered "
                 f"(store ends at sentence {last_sent}, token {last_tok})"
             )
-        return matrix[ordinal]
+        return matrix[start : start + count]
 
 
 def _validate_contiguous(essay_id: str, keys: list[tuple[int, int]]):
@@ -272,7 +269,14 @@ def load_precomputed(data: bytes) -> PrecomputedStore:
         if len(set(keys)) != len(keys):
             raise FormatError(f"essay {essay_id!r}: duplicate vector keys")
         _validate_contiguous(essay_id, keys)
-        essays[essay_id] = (keys, np.vstack([v for _, _, v in entries]))
+        matrix = np.vstack([v for _, _, v in entries])
+        bad = np.flatnonzero(~np.isfinite(matrix).all(axis=1))
+        if bad.size:
+            sentence, token = keys[bad[0]]
+            raise FormatError(f"essay {essay_id!r}: non-finite vector value at "
+                              f"sentence {sentence}, token {token}")
+        matrix.flags.writeable = False  # rows() and vector() hand out views of it
+        essays[essay_id] = (keys, matrix)
     return PrecomputedStore(dim, essays)
 
 
@@ -295,7 +299,7 @@ class GloveSource:
         return self.table.dim
 
     def rows(self, seq: LabeledSequence) -> np.ndarray:
-        return np.stack([self.table.lookup(tok.text) for tok in seq.tokens])
+        return self.table.lookup([tok.text for tok in seq.tokens])
 
 
 @dataclass
@@ -307,13 +311,7 @@ class PrecomputedSource:
         return self.store.dim
 
     def rows(self, seq: LabeledSequence) -> np.ndarray:
-        base = seq.token_ordinal_start
-        return np.stack(
-            [
-                self.store.vector_by_ordinal(seq.essay_id, base + i)
-                for i in range(len(seq))
-            ]
-        )
+        return self.store.rows(seq.essay_id, seq.token_ordinal_start, len(seq))
 
 
 class EmbeddingSpec:
@@ -377,7 +375,8 @@ class EmbeddingSpec:
         return cls(sources, expected, label=label)
 
     def vectorize(self, seq: LabeledSequence) -> np.ndarray:
-        """(len(seq), expected_dim) matrix: sources concatenated in order."""
+        """(len(seq), expected_dim) matrix: sources concatenated in order; a
+        lone precomputed source gives a read-only view of the store."""
         parts = [src.rows(seq) for src in self.sources]
         out = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
         return np.ascontiguousarray(out, dtype=np.float64)

@@ -55,10 +55,6 @@ class Layer:
     def params(self) -> list[Parameter]:
         raise NotImplementedError
 
-    def zero_grads(self):
-        for p in self.params():
-            p.zero_grad()
-
     def forward(self, x: BatchTensor):
         raise NotImplementedError
 

@@ -143,7 +143,6 @@ def adam_step(params: list[Parameter], state: AdamState, lr: float):
 
 @dataclass
 class _Item:
-    essay_id: str
     vectors: np.ndarray  # (T, D)
     gold: np.ndarray  # (T,) label indices
 
@@ -152,7 +151,7 @@ def _vectorize_all(sequences: list[LabeledSequence], spec: EmbeddingSpec) -> lis
     items = []
     for seq in sequences:
         gold = np.array([LABELS.index(lab) for lab in seq.labels], dtype=np.int64)
-        items.append(_Item(seq.essay_id, spec.vectorize(seq), gold))
+        items.append(_Item(spec.vectorize(seq), gold))
     return items
 
 

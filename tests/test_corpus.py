@@ -236,7 +236,8 @@ class TestLoadSplit:
             f"essay{k:03d};{'TRAIN' if k % 4 else 'TEST'}" for k in range(1, 31)
         ]
         split = load_split("\n".join(rows))
-        assert len(split.ids("train")) + len(split.ids("test")) == 30
+        parts = list(split.assignment.values())
+        assert len(parts) == 30 and parts.count("test") == 7
 
     def test_duplicate_rejected(self):
         with pytest.raises(SplitError, match="duplicate"):

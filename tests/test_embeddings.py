@@ -29,11 +29,34 @@ def seq_of(words, essay_id="e1", seq_idx=0, ordinal=0):
     return LabeledSequence(essay_id, seq_idx, tokens, ["O"] * len(words), ordinal)
 
 
+def glove_oracle(table, seq):
+    """Rows built token by token: the lowercased word's vector, else zeros."""
+    rows = []
+    for tok in seq.tokens:
+        row = table.index.get(tok.text.lower())
+        rows.append(np.zeros(table.dim) if row is None else table.vectors[row])
+    return np.stack(rows)
+
+
+def store_oracle(records, seq):
+    """Rows built token by token from the records: an essay's ordinals count
+    its (sentence, token) keys in sorted order."""
+    by_key = {(e, s, t): vec for e, s, t, vec in records}
+    keys = sorted(k for k in by_key if k[0] == seq.essay_id)
+    base = seq.token_ordinal_start
+    return np.stack([by_key[keys[base + i]] for i in range(len(seq))])
+
+
+def assert_same_bytes(actual, expected):
+    assert actual.dtype == np.float64 and actual.shape == expected.shape
+    assert actual.tobytes() == expected.tobytes()
+
+
 class TestLoadGlove:
     def test_single_line(self):
         table = load_glove("the 0.1 0.2 0.3")
         assert table.dim == 3
-        assert np.allclose(table.lookup("the"), [0.1, 0.2, 0.3])
+        assert np.allclose(table.lookup(["the"]), [[0.1, 0.2, 0.3]])
 
     def test_vocabulary_size_matches_line_count_oracle(self):
         lines = [f"word{k} {k} {k + 1}" for k in range(50)]
@@ -47,7 +70,7 @@ class TestLoadGlove:
 
     def test_duplicate_first_wins(self):
         table = load_glove("a 1 2\na 3 4\n")
-        assert np.allclose(table.lookup("a"), [1.0, 2.0])
+        assert np.allclose(table.lookup(["a"]), [[1.0, 2.0]])
         assert table.duplicates_skipped == 1
 
     def test_non_numeric_value(self):
@@ -58,20 +81,25 @@ class TestLoadGlove:
         with pytest.raises(FormatError, match="empty"):
             load_glove("")
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-Infinity", "1e999"])
+    def test_non_finite_value_names_line(self, value):
+        with pytest.raises(FormatError, match="line 2: non-finite"):
+            load_glove(f"a 1 2\nb {value} 4\n")
+
 
 class TestLookup:
     def test_in_vocabulary(self):
         table = load_glove("cat 1 2 3")
-        assert np.allclose(table.lookup("cat"), [1, 2, 3])
+        assert np.allclose(table.lookup(["cat"]), [[1, 2, 3]])
 
     def test_case_folded(self):
         table = load_glove("cat 1 2 3")
-        assert np.allclose(table.lookup("Cat"), [1, 2, 3])
+        assert np.allclose(table.lookup(["Cat", "CAT"]), [[1, 2, 3], [1, 2, 3]])
         assert "CAT" in table
 
     def test_oov_zero_vector(self):
         table = load_glove("cat 1 2 3")
-        assert np.array_equal(table.lookup("zzqqy"), np.zeros(3))
+        assert np.array_equal(table.lookup(["zzqqy", "cat"]), [[0, 0, 0], [1, 2, 3]])
 
     def test_oov_statistics_sweep(self, toy_table, toy_sequences):
         misses, total = oov_statistics(toy_table, toy_sequences)
@@ -147,18 +175,32 @@ class TestPrecomputedStore:
     def test_ordinal_view_spans_sentences(self):
         blob, records = self.build(essays=("e1",), sentences=3, tokens=2)
         store = load_precomputed(blob)
-        for ordinal, (_, s, t, vec) in enumerate(records):
-            assert np.array_equal(store.vector_by_ordinal("e1", ordinal), vec)
+        vectors = np.stack([vec for *_, vec in records])
+        assert np.array_equal(store.rows("e1", 0, len(records)), vectors)
+        for ordinal in range(len(records) - 1):
+            assert np.array_equal(store.rows("e1", ordinal, 2), vectors[ordinal : ordinal + 2])
 
     def test_coverage_errors_name_location(self):
         blob, _ = self.build(essays=("e1",), sentences=1, tokens=2)
         store = load_precomputed(blob)
-        with pytest.raises(CoverageError, match="nowhere"):
-            store.vector_by_ordinal("nowhere", 0)
-        with pytest.raises(CoverageError, match="sentence 0, token 1"):
-            store.vector_by_ordinal("e1", 7)
+        with pytest.raises(CoverageError, match="no vectors for essay 'nowhere'"):
+            store.rows("nowhere", 0, 1)
+        ends = r"is not covered \(store ends at sentence 0, token 1\)"
+        with pytest.raises(CoverageError, match="'e1': token ordinal 7 " + ends):
+            store.rows("e1", 7, 1)
+        with pytest.raises(CoverageError, match="'e1': token ordinal 2 " + ends):
+            store.rows("e1", 1, 2)
         with pytest.raises(CoverageError, match="sentence 4"):
             store.vector("e1", 4, 0)
+
+    def test_non_finite_value_names_location(self):
+        rng = np.random.default_rng(4)
+        records = [("e1", 0, 0, rng.standard_normal(2)), ("e2", 0, 0, rng.standard_normal(2)),
+                   ("e2", 1, 0, np.array([0.5, np.nan])), ("e2", 1, 1, np.array([np.inf, 0.0]))]
+        buf = io.BytesIO()
+        write_precomputed(buf, 2, records)
+        with pytest.raises(FormatError, match="essay 'e2': non-finite .* sentence 1, token 0"):
+            load_precomputed(buf.getvalue())
 
 
 class TestEmbeddingSpec:
@@ -187,10 +229,45 @@ class TestEmbeddingSpec:
 
     def test_glove_only_equals_lookup(self, toy_table, toy_sequences):
         spec = EmbeddingSpec([GloveSource(toy_table)], expected_dim=toy_table.dim)
-        seq = toy_sequences[0]
+        for seq in toy_sequences[:20]:
+            assert_same_bytes(spec.vectorize(seq), glove_oracle(toy_table, seq))
+
+    def test_glove_mixed_case_and_oov_equal_oracle(self):
+        table = load_glove("the 1 2\ncat 3 -4.5\nsat 0.25 1e-300\nCat 9 9\n")
+        spec = EmbeddingSpec([GloveSource(table)], expected_dim=2)
+        seq = seq_of(["The", "CAT", "sat", "on", "the", "Mat", "cat", "tHe"])
         rows = spec.vectorize(seq)
-        for i, tok in enumerate(seq.tokens):
-            assert np.array_equal(rows[i], toy_table.lookup(tok.text))
+        assert_same_bytes(rows, glove_oracle(table, seq))
+        assert not rows[3].any() and not rows[5].any()
+
+    def test_store_rows_equal_oracle_across_granularity(self):
+        essays = toy_corpus(2, seed=9)
+        rng = np.random.default_rng(5)
+        records = []
+        for essay, spans in essays:
+            for seq in build_sequences(essay, spans, "sentence"):
+                for t in range(len(seq)):
+                    records.append((essay.id, seq.sequence_index, t, rng.standard_normal(3)))
+        shuffled = [records[i] for i in rng.permutation(len(records))]
+        buf = io.BytesIO()
+        write_precomputed(buf, 3, shuffled)
+        spec = EmbeddingSpec([PrecomputedSource(load_precomputed(buf.getvalue()))], expected_dim=3)
+        for essay, spans in essays:
+            for seq in build_sequences(essay, spans, "paragraph"):
+                assert_same_bytes(spec.vectorize(seq), store_oracle(records, seq))
+
+    def test_store_backed_rows_are_read_only(self):
+        records = [("e1", 0, t, np.array([t, -t], dtype=float)) for t in range(3)]
+        buf = io.BytesIO()
+        write_precomputed(buf, 2, records)
+        store = load_precomputed(buf.getvalue())
+        rows = EmbeddingSpec([PrecomputedSource(store)], expected_dim=2).vectorize(seq_of(["a", "b"]))
+        with pytest.raises(ValueError):
+            rows[0, 0] = 7.0
+        with pytest.raises(ValueError):
+            rows += 1.0
+        for _, s, t, vec in records:
+            assert np.array_equal(store.vector("e1", s, t), vec)
 
     def test_dimension_audit_rejects_mismatch(self):
         table = load_glove("tok " + " ".join(["0.5"] * 300))

@@ -235,7 +235,8 @@ class TestBiLstm:
         upstream = rng.standard_normal((9, 8))
         runs = []
         for _ in range(2):
-            layer.zero_grads()
+            for param in layer.params():
+                param.zero_grad()
             out, cache = layer.forward(x)
             dx = layer.backward(cache, upstream)
             runs.append([out.rows, dx] + [p.grad.copy() for p in layer.params()])
@@ -429,7 +430,8 @@ def ragged_batch(rng, dim):
 
 def forward_backward(layer, x, upstream):
     """Output, input gradient and parameter gradients of one fresh pass."""
-    layer.zero_grads()
+    for param in layer.params():
+        param.zero_grad()
     out, cache = layer.forward(x)
     dx = layer.backward(cache, upstream)
     return [out.rows, dx] + [p.grad.copy() for p in layer.params()]
@@ -528,10 +530,12 @@ def test_input_grad_off_keeps_parameter_gradients(name, builder):
     x = ragged_batch(rng, width)
     out, cache = layer.forward(x)
     upstream = rng.standard_normal(out.rows.shape)
-    layer.zero_grads()
+    for param in layer.params():
+        param.zero_grad()
     assert layer.backward(cache, upstream) is not None
     full = [p.grad.copy() for p in layer.params()]
-    layer.zero_grads()
+    for param in layer.params():
+        param.zero_grad()
     assert layer.backward(cache, upstream, input_grad=False) is None
     for p, expected in zip(layer.params(), full, strict=True):
         assert p.grad.tobytes() == expected.tobytes(), f"{name}: {p.name}"

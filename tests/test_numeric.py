@@ -51,7 +51,8 @@ class TestParameter:
         x = BatchTensor.from_rows([rng.standard_normal((3, 4))])
         out, cache = layer.forward(x)
         upstream = rng.standard_normal(out.rows.shape)
-        layer.zero_grads()
+        for param in layer.params():
+            param.zero_grad()
         layer.backward(cache, upstream)
         once = [p.grad.copy() for p in layer.params()]
         layer.backward(cache, upstream)
