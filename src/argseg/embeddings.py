@@ -1,9 +1,9 @@
 """Per-token input vectors: GloVe-style tables, precomputed stores, stacking.
 
 Two source kinds exist, and each builds a sequence's rows in one array
-operation.  A text table is one matrix whose last row is all zeros: words are
-lowercased, out-of-vocabulary ones take the zero row, and the miss rate is
-reported per run rather than aborting anything.  A precomputed store ships
+operation.  A text table is one matrix whose last row is all zeros: its keys
+and every query are lowercased, out-of-vocabulary words take the zero row,
+and the miss rate is reported per run rather than aborting anything.  A precomputed store ships
 contextual vectors generated elsewhere, keyed by (essay id, sentence index,
 token index); it serves a sequence as one slice of the essay's read-only
 matrix, found through per-essay token ordinals, which line up with any
@@ -16,7 +16,6 @@ total dimension must match the sum of the source dimensions exactly.
 
 from __future__ import annotations
 
-import bisect
 import json
 import struct
 import zlib
@@ -66,8 +65,9 @@ def load_glove(content) -> EmbeddingTable:
 
     ``content`` may be a string or an iterable of lines.  The first line fixes
     the dimension; any line disagreeing, or holding a value that is not a
-    finite number, raises with its line number.  When a word repeats, the
-    first occurrence wins and the duplicate is counted.
+    finite number, raises with its line number.  Words are lowercased, as
+    lookups are; when a lowercased word repeats, the first occurrence wins and
+    each later one is counted in ``duplicates_skipped``.
     """
     if isinstance(content, str):
         lines = content.splitlines()
@@ -82,7 +82,7 @@ def load_glove(content) -> EmbeddingTable:
         if not line:
             continue
         parts = line.split()
-        word, values = parts[0], parts[1:]
+        word, values = parts[0].lower(), parts[1:]
         if dim is None:
             if not values:
                 raise FormatError(f"line {lineno}: no vector values")
@@ -139,10 +139,11 @@ class PrecomputedStore:
     Per essay, records must tile the token stream: sentence indices start at
     0 and are consecutive, token indices within each sentence likewise.  That
     guarantee makes the ordinal view (`rows`) unambiguous.  Each essay's
-    vectors are one read-only matrix in key order.
+    vectors are one read-only matrix in key order, kept with the essay's last
+    (sentence, token) key.
     """
 
-    def __init__(self, dim: int, essays: dict[str, tuple[list[tuple[int, int]], np.ndarray]]):
+    def __init__(self, dim: int, essays: dict[str, tuple[tuple[int, int], np.ndarray]]):
         self.dim = dim
         self._essays = essays
 
@@ -152,29 +153,16 @@ class PrecomputedStore:
     def essay_ids(self) -> list[str]:
         return sorted(self._essays)
 
-    def vector(self, essay_id: str, sentence: int, token: int) -> np.ndarray:
-        entry = self._essays.get(essay_id)
-        if entry is not None:
-            keys, matrix = entry
-            pos = bisect.bisect_left(keys, (sentence, token))
-            if pos < len(keys) and keys[pos] == (sentence, token):
-                return matrix[pos]
-        raise CoverageError(
-            f"no precomputed vector for essay {essay_id!r}, "
-            f"sentence {sentence}, token {token}"
-        )
-
     def rows(self, essay_id: str, start: int, count: int) -> np.ndarray:
         """The vectors of token ordinals ``start .. start + count - 1``, as one
         read-only (count, dim) view of the essay's matrix."""
         entry = self._essays.get(essay_id)
         if entry is None:
             raise CoverageError(f"store has no vectors for essay {essay_id!r}")
-        keys, matrix = entry
-        if start + count > len(keys):
-            last_sent, last_tok = keys[-1]
+        (last_sent, last_tok), matrix = entry
+        if start + count > len(matrix):
             raise CoverageError(
-                f"essay {essay_id!r}: token ordinal {max(start, len(keys))} is not covered "
+                f"essay {essay_id!r}: token ordinal {max(start, len(matrix))} is not covered "
                 f"(store ends at sentence {last_sent}, token {last_tok})"
             )
         return matrix[start : start + count]
@@ -262,7 +250,7 @@ def load_precomputed(data: bytes) -> PrecomputedStore:
     if pos != len(payload):
         raise FormatError("store payload has trailing bytes after the last record")
 
-    essays: dict[str, tuple[list[tuple[int, int]], np.ndarray]] = {}
+    essays: dict[str, tuple[tuple[int, int], np.ndarray]] = {}
     for essay_id, entries in raw.items():
         entries.sort(key=lambda e: (e[0], e[1]))
         keys = [(s, t) for s, t, _ in entries]
@@ -275,8 +263,8 @@ def load_precomputed(data: bytes) -> PrecomputedStore:
             sentence, token = keys[bad[0]]
             raise FormatError(f"essay {essay_id!r}: non-finite vector value at "
                               f"sentence {sentence}, token {token}")
-        matrix.flags.writeable = False  # rows() and vector() hand out views of it
-        essays[essay_id] = (keys, matrix)
+        matrix.flags.writeable = False  # rows() hands out views of it
+        essays[essay_id] = (keys[-1], matrix)
     return PrecomputedStore(dim, essays)
 
 

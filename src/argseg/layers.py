@@ -286,10 +286,6 @@ class BiLstm(Layer):
         self.fwd = LstmCell(input_dim, hidden, rng, f"{name}.fwd")
         self.bwd = LstmCell(input_dim, hidden, rng, f"{name}.bwd")
 
-    @property
-    def output_dim(self) -> int:
-        return 2 * self.hidden
-
     def params(self) -> list[Parameter]:
         return self.fwd.params() + self.bwd.params()
 
@@ -546,11 +542,14 @@ class MultiHeadSelfAttention(Layer):
         return dxv
 
 
-def choose_heads(dim: int, cap: int = 6) -> int:
-    """Largest head count <= cap that divides the feature dimension exactly."""
-    if dim < 1 or cap < 1:
-        raise ConfigurationError(f"need dim >= 1 and cap >= 1, got {dim}, {cap}")
-    for h in range(min(cap, dim), 0, -1):
+HEADS_CAP = 6  # the most attention heads a multi-head layer gets
+
+
+def choose_heads(dim: int) -> int:
+    """Largest head count <= :data:`HEADS_CAP` that divides the feature dimension exactly."""
+    if dim < 1:
+        raise ConfigurationError(f"need dim >= 1, got {dim}")
+    for h in range(min(HEADS_CAP, dim), 0, -1):
         if dim % h == 0:
             return h
     return 1

@@ -2,8 +2,8 @@
 
 Architecture ids:
 
-* ``BL``   stacked pair of BiLSTMs with a low-dimensional projection between
-           them, linear head on top
+* ``BL``   stacked pair of BiLSTMs with a low-dimensional projection (the
+           bridge, :data:`BRIDGE_DIM` wide) between them, linear head on top
 * ``BL_I`` BL with multi-head self-attention on the raw input vectors
 * ``BL_E`` BL with multi-head self-attention between the two BiLSTMs (the
            attention therefore operates on the narrow inter-stage space)
@@ -20,6 +20,7 @@ rows to (N, 3) logit rows, one per token.
 from __future__ import annotations
 
 import io
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -28,6 +29,7 @@ import numpy as np
 from .corpus import LABELS
 from .errors import ConfigurationError, DimensionError, FormatError
 from .layers import (
+    HEADS_CAP,
     AdditiveSelfAttention,
     BiLstm,
     Layer,
@@ -35,7 +37,9 @@ from .layers import (
     TimeDistributedLinear,
     choose_heads,
 )
-from .numeric import BatchTensor, Parameter, make_rng
+from .numeric import BatchTensor, Parameter
+
+BRIDGE_DIM = 4  # width of the BL family's projection between its two BiLSTMs
 
 
 class ArchitectureId(Enum):
@@ -59,25 +63,21 @@ class ArchitectureId(Enum):
             ) from None
 
 
-_ATTENTION_KIND = {True: "multi_head", False: "additive"}
-
-
 @dataclass(frozen=True)
 class ModelSpec:
     """Everything needed to build one architecture deterministically.
 
-    ``inter_stage_dim`` is the width of the linear projection between the two
-    BiLSTMs of the BL family; ``None`` removes the projection so the first
-    BiLSTM feeds the second directly.  ``attention`` is fixed by the family
-    (multi_head for BL*, additive for SB*) and only validated if supplied.
+    The fields are what varies between runs: the architecture, the input
+    width (the vectors), the LSTM width, the run seed, and ``attn_dim``, the
+    additive scorer's width, which the self-test shrinks.  The rest is fixed
+    by the family: the BL bridge is :data:`BRIDGE_DIM` wide, BL* use
+    multi-head attention (heads from :func:`choose_heads`) and SB* additive
+    attention.
     """
 
     arch: ArchitectureId
     input_dim: int
     hidden: int = 64
-    inter_stage_dim: int | None = 4
-    attention: str = ""
-    heads_cap: int = 6
     seed: int = 0
     attn_dim: int = 32  # width of the additive scorer
 
@@ -86,14 +86,6 @@ class ModelSpec:
             raise ConfigurationError(
                 f"input_dim and hidden must be >= 1, got {self.input_dim}, {self.hidden}"
             )
-        if self.inter_stage_dim is not None and self.inter_stage_dim < 1:
-            raise ConfigurationError("inter_stage_dim must be >= 1 or None")
-        expected = _ATTENTION_KIND[self.arch.is_stacked]
-        if self.attention and self.attention != expected:
-            raise ConfigurationError(
-                f"{self.arch.value} uses {expected} attention, not {self.attention!r}"
-            )
-        object.__setattr__(self, "attention", expected)
 
 
 class Model:
@@ -158,12 +150,12 @@ def build_model(spec: ModelSpec) -> Model:
     Initialization is driven entirely by ``spec.seed``, so the same spec
     always yields bit-identical parameters.
     """
-    rng = make_rng(spec.seed)
+    rng = np.random.default_rng(spec.seed)
     layers: list[Layer] = []
     arch = spec.arch
 
     if arch is ArchitectureId.BL_I:
-        heads = choose_heads(spec.input_dim, spec.heads_cap)
+        heads = choose_heads(spec.input_dim)
         layers.append(MultiHeadSelfAttention(spec.input_dim, heads, rng, "attn_in"))
     elif arch is ArchitectureId.SB_I:
         layers.append(AdditiveSelfAttention(spec.input_dim, rng, spec.attn_dim, "attn_in"))
@@ -171,16 +163,11 @@ def build_model(spec: ModelSpec) -> Model:
     layers.append(BiLstm(spec.input_dim, spec.hidden, rng, "bilstm_1"))
 
     if arch.is_stacked:
-        stage_dim = 2 * spec.hidden
-        if spec.inter_stage_dim is not None:
-            layers.append(
-                TimeDistributedLinear(stage_dim, spec.inter_stage_dim, rng, "bridge")
-            )
-            stage_dim = spec.inter_stage_dim
+        layers.append(TimeDistributedLinear(2 * spec.hidden, BRIDGE_DIM, rng, "bridge"))
         if arch is ArchitectureId.BL_E:
-            heads = choose_heads(stage_dim, spec.heads_cap)
-            layers.append(MultiHeadSelfAttention(stage_dim, heads, rng, "attn_mid"))
-        layers.append(BiLstm(stage_dim, spec.hidden, rng, "bilstm_2"))
+            heads = choose_heads(BRIDGE_DIM)
+            layers.append(MultiHeadSelfAttention(BRIDGE_DIM, heads, rng, "attn_mid"))
+        layers.append(BiLstm(BRIDGE_DIM, spec.hidden, rng, "bilstm_2"))
 
     layers.append(TimeDistributedLinear(2 * spec.hidden, len(LABELS), rng, "head"))
     return Model(spec, layers)
@@ -204,15 +191,23 @@ _CKPT_VERSION = 3
 _V1_GATES = ("i", "f", "o", "c")
 
 
+def _fixed_fields(arch: ArchitectureId) -> dict[str, str]:
+    """Header fields that every checkpoint of ``arch`` holds with these values;
+    they name the design that this package always builds."""
+    return {
+        "inter_stage_dim": str(BRIDGE_DIM),
+        "attention": "multi_head" if arch.is_stacked else "additive",
+        "heads_cap": str(HEADS_CAP),
+    }
+
+
 def _spec_to_lines(spec: ModelSpec) -> list[str]:
-    inter = "none" if spec.inter_stage_dim is None else str(spec.inter_stage_dim)
+    fixed = _fixed_fields(spec.arch)
     return [
         f"arch {spec.arch.value}",
         f"input_dim {spec.input_dim}",
         f"hidden {spec.hidden}",
-        f"inter_stage_dim {inter}",
-        f"attention {spec.attention}",
-        f"heads_cap {spec.heads_cap}",
+        *(f"{key} {value}" for key, value in fixed.items()),
         f"seed {spec.seed}",
         f"attn_dim {spec.attn_dim}",
     ]
@@ -220,19 +215,23 @@ def _spec_to_lines(spec: ModelSpec) -> list[str]:
 
 def _spec_from_fields(fields: dict[str, str]) -> ModelSpec:
     try:
-        inter = fields["inter_stage_dim"]
-        return ModelSpec(
+        spec = ModelSpec(
             arch=ArchitectureId.from_string(fields["arch"]),
             input_dim=int(fields["input_dim"]),
             hidden=int(fields["hidden"]),
-            inter_stage_dim=None if inter == "none" else int(inter),
-            attention=fields.get("attention", ""),
-            heads_cap=int(fields["heads_cap"]),
             seed=int(fields["seed"]),
             attn_dim=int(fields.get("attn_dim", 32)),
         )
+        fixed = _fixed_fields(spec.arch)
+        found = {key: fields[key] for key in ("inter_stage_dim", "heads_cap")}
     except (KeyError, ValueError) as exc:
         raise FormatError(f"checkpoint header is incomplete or malformed: {exc}") from exc
+    found["attention"] = fields.get("attention", fixed["attention"])  # optional line
+    for key, value in fixed.items():
+        if found[key] != value:
+            raise FormatError(f"checkpoint field {key} is {found[key]!r}, but a "
+                              f"{spec.arch.value} model here always has {value!r}")
+    return spec
 
 
 def save_checkpoint(model: Model, path):
@@ -326,11 +325,10 @@ def load_checkpoint(path) -> Model:
         shape = tuple(read_int(d, f"dimension of tensor {name}") for d in header[3:])
         if any(d < 0 for d in shape) or name in tensors:
             raise FormatError(f"bad or repeated tensor line for {name}")
-        nbytes = int(np.prod(shape)) * 8
-        raw = buf.read(nbytes)
-        if len(raw) != nbytes:
+        nbytes = math.prod(shape) * 8  # a Python int: np.prod wraps at 2**63
+        if nbytes > len(data) - buf.tell():
             raise FormatError(f"checkpoint is truncated inside tensor {name}")
-        tensors[name] = np.frombuffer(raw, dtype="<f8").reshape(shape)
+        tensors[name] = np.frombuffer(buf.read(nbytes), dtype="<f8").reshape(shape)
     if buf.read(1):
         raise FormatError("trailing bytes after the last tensor block")
     if version < 3:

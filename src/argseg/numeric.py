@@ -9,7 +9,7 @@ rows, sequence after sequence, plus each sequence's length.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -45,25 +45,18 @@ def softmax_rows(a: np.ndarray) -> np.ndarray:
 class Parameter:
     """A named weight array paired with an explicitly managed gradient.
 
-    Gradients accumulate across backward calls; they are cleared only by an
-    explicit :meth:`zero_grad`, never implicitly.
+    The gradient starts as zeros of the value's shape.  Gradients accumulate
+    across backward calls; they are cleared only by an explicit
+    :meth:`zero_grad`, never implicitly.
     """
 
     name: str
     value: np.ndarray
-    grad: np.ndarray | None = None
+    grad: np.ndarray = field(init=False)
 
     def __post_init__(self):
         self.value = as_array(self.value)
-        if self.grad is None:
-            self.grad = np.zeros_like(self.value)
-        else:
-            self.grad = as_array(self.grad)
-        if self.grad.shape != self.value.shape:
-            raise DimensionError(
-                f"parameter {self.name}: grad shape {self.grad.shape} "
-                f"!= value shape {self.value.shape}"
-            )
+        self.grad = np.zeros_like(self.value)
 
     def zero_grad(self):
         self.grad[...] = 0.0
@@ -145,10 +138,6 @@ class BatchTensor:
 # ---------------------------------------------------------------------------
 
 
-def make_rng(seed: int) -> np.random.Generator:
-    return np.random.default_rng(seed)
-
-
 def glorot_uniform(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
     limit = np.sqrt(6.0 / (fan_in + fan_out))
     return rng.uniform(-limit, limit, size=(fan_in, fan_out))
@@ -163,8 +152,10 @@ def relative_error(analytic: float, numeric: float) -> float:
     return abs(analytic - numeric) / max(abs(analytic), abs(numeric), 1e-8)
 
 
-def grad_check(layer, x: BatchTensor, epsilon: float = 1e-3, rng=None,
-               probe_scale: float = 1e-8) -> float:
+PROBE_SCALE = 1e-8
+
+
+def grad_check(layer, x: BatchTensor, epsilon: float = 1e-3, rng=None) -> float:
     """Compare analytic gradients of ``layer`` against central finite differences.
 
     The probe loss is sum(R * forward(x).rows) for a fixed random weighting
@@ -172,7 +163,7 @@ def grad_check(layer, x: BatchTensor, epsilon: float = 1e-3, rng=None,
     is perturbed by +/- epsilon; the worst relative error
     |a - n| / max(|a|, |n|, 1e-8) over all entries is returned.
 
-    R is drawn at ``probe_scale`` magnitude: the backward pass is exactly
+    R is drawn at :data:`PROBE_SCALE` magnitude: the backward pass is exactly
     linear in its upstream gradient, so the algebra verified is scale
     independent, while a small probe keeps the O(epsilon^2) truncation error
     of the central difference below the 1e-8 comparison floor instead of
@@ -191,7 +182,7 @@ def grad_check(layer, x: BatchTensor, epsilon: float = 1e-3, rng=None,
         rng = np.random.default_rng(0)
 
     out, cache = layer.forward(x)
-    upstream = rng.standard_normal(out.rows.shape) * probe_scale
+    upstream = rng.standard_normal(out.rows.shape) * PROBE_SCALE
 
     for p in params:
         p.zero_grad()

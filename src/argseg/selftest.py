@@ -55,8 +55,7 @@ def check_model_gradients(seeds=range(5)) -> float:
     for seed in seeds:
         rng = np.random.default_rng(1_000 + seed)
         for arch in ArchitectureId:
-            spec = ModelSpec(arch, input_dim=4, hidden=3, inter_stage_dim=4,
-                             attn_dim=4, seed=seed)
+            spec = ModelSpec(arch, input_dim=4, hidden=3, attn_dim=4, seed=seed)
             model = build_model(spec)
             x = random_batch(rng, 4)
             worst = max(worst, grad_check(model, x, EPSILON, rng))
@@ -117,7 +116,7 @@ def check_corpus_roundtrip(n_essays=6, seed=3) -> int:
     return failures
 
 
-def run_selftest(verbose_print=print) -> bool:
+def run_selftest() -> bool:
     """Run every check, print one PASS/FAIL line each; True if all passed.
 
     A check that raises fails with the exception named on its line, and the
@@ -141,6 +140,6 @@ def run_selftest(verbose_print=print) -> bool:
         except Exception as exc:  # a broken check is reported, not raised
             passed, detail = False, f"{type(exc).__name__}: {exc}"
         ok &= passed
-        verbose_print(f"{'PASS' if passed else 'FAIL'}  {name} ({detail})")
-    verbose_print(f"selftest finished in {time.time() - started:.1f}s")
+        print(f"{'PASS' if passed else 'FAIL'}  {name} ({detail})")
+    print(f"selftest finished in {time.time() - started:.1f}s")
     return ok

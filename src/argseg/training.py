@@ -99,14 +99,15 @@ def masked_cross_entropy(pred: BatchTensor, gold: np.ndarray):
 # ---------------------------------------------------------------------------
 
 
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+
 class AdamState:
     """First/second moment accumulators mirroring one parameter list."""
 
-    def __init__(self, params: list[Parameter], beta1: float = 0.9,
-                 beta2: float = 0.999, eps: float = 1e-8):
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
+    def __init__(self, params: list[Parameter]):
         self.step_count = 0
         self.m = [np.zeros_like(p.value) for p in params]
         self.v = [np.zeros_like(p.value) for p in params]
@@ -121,7 +122,7 @@ def adam_step(params: list[Parameter], state: AdamState, lr: float):
     """
     state.step_count += 1
     t = state.step_count
-    b1, b2 = state.beta1, state.beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     for i, p in enumerate(params):
         g = p.grad
         with np.errstate(over="ignore"):
@@ -133,7 +134,7 @@ def adam_step(params: list[Parameter], state: AdamState, lr: float):
         state.v[i] += (1 - b2) * (g2 - state.v[i])
         m_hat = state.m[i] / (1 - b1**t)
         v_hat = state.v[i] / (1 - b2**t)
-        p.value -= lr * m_hat / (np.sqrt(v_hat) + state.eps)
+        p.value -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
 
 # ---------------------------------------------------------------------------
@@ -292,8 +293,9 @@ def evaluate(model: Model, sequences: list[LabeledSequence],
 LR_RANGE = (1e-4, 1e-2)
 
 
-def sample_learning_rate(rng, low: float = LR_RANGE[0], high: float = LR_RANGE[1]) -> float:
-    """One log-uniform draw from [low, high]."""
+def sample_learning_rate(rng) -> float:
+    """One log-uniform draw from :data:`LR_RANGE`."""
+    low, high = LR_RANGE
     return float(10.0 ** rng.uniform(math.log10(low), math.log10(high)))
 
 
@@ -310,9 +312,8 @@ class TrialResult:
 
 
 def lr_search(model_spec: ModelSpec, sequences: list[LabeledSequence],
-              spec: EmbeddingSpec, cfg: TrainConfig, trials: int = 4,
-              lr_range=LR_RANGE):
-    """Random search over the learning rate; every trial is fully seeded.
+              spec: EmbeddingSpec, cfg: TrainConfig, trials: int = 4):
+    """Random search over :data:`LR_RANGE` for the learning rate; every trial is fully seeded.
 
     Each trial builds a fresh model and trains it; the config with the lowest
     best validation loss wins.  Returns (best TrainConfig, [TrialResult]).
@@ -323,7 +324,7 @@ def lr_search(model_spec: ModelSpec, sequences: list[LabeledSequence],
     best: tuple[float, TrainConfig] | None = None
     for k in range(trials):
         seed_k = trial_seed(cfg.seed, k)
-        lr = sample_learning_rate(np.random.default_rng(seed_k), *lr_range)
+        lr = sample_learning_rate(np.random.default_rng(seed_k))
         cfg_k = replace(cfg, learning_rate=lr, seed=seed_k)
         model_k = build_model(replace(model_spec, seed=seed_k))
         try:

@@ -6,7 +6,8 @@ import pytest
 
 from argseg.corpus import ConversionStats, build_sequences
 from argseg.embeddings import EmbeddingSpec, GloveSource, load_glove
-from argseg.toydata import toy_corpus, toy_glove_text, write_toy_corpus_dir
+from argseg.toydata import toy_corpus, toy_glove_text
+from toy_files import write_toy_corpus_dir
 
 RUN_FULL = os.environ.get("ARGSEG_RUN_FULL") == "1"
 CORPUS_DIR = os.environ.get("ARGSEG_CORPUS_DIR")

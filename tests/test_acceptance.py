@@ -201,7 +201,7 @@ def test_criterion_7_overfit_sanity(toy_embeddings):
         sequences.append(seqs[0])
     accuracies = {}
     for arch in ArchitectureId:
-        spec = ModelSpec(arch, input_dim=16, hidden=12, inter_stage_dim=4, seed=0)
+        spec = ModelSpec(arch, input_dim=16, hidden=12, seed=0)
         cfg = TrainConfig(batch_size=16, max_epochs=500, patience=500,
                           learning_rate=1e-2, val_fraction=0.1, seed=0)
         model, _ = train(build_model(spec), sequences, toy_embeddings, cfg)
@@ -256,8 +256,12 @@ def test_precomputed_store_path_end_to_end():
     blob = buf.getvalue()
     store = load_precomputed(blob)
     assert store.dim == dim and len(store) == len(records)
-    for essay_id, s, t, vec in records[:5] + records[-5:]:
-        assert np.array_equal(store.vector(essay_id, s, t), vec)
+    first = {}  # each essay's first record: records run essay by essay in key order
+    for k, (essay_id, *_) in enumerate(records):
+        first.setdefault(essay_id, k)
+    for k in [*range(5), *range(len(records) - 5, len(records))]:
+        essay_id, _, _, vec = records[k]
+        assert np.array_equal(store.rows(essay_id, k - first[essay_id], 1)[0], vec)
 
     # declared dimension is authoritative; off-by-anything is rejected
     from argseg.errors import ConfigurationError

@@ -10,7 +10,7 @@ import pytest
 
 from argseg.cli import main
 from argseg.models import load_checkpoint
-from argseg.toydata import write_toy_corpus_dir
+from toy_files import write_toy_corpus_dir
 
 
 def sha(path: Path) -> str:

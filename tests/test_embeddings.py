@@ -73,6 +73,14 @@ class TestLoadGlove:
         assert np.allclose(table.lookup(["a"]), [[1.0, 2.0]])
         assert table.duplicates_skipped == 1
 
+    def test_cased_keys_lowercased_first_wins(self):
+        table = load_glove("Cat 9 9\nthe 1 2\ncat 5 5")
+        assert len(table) == 2
+        assert np.array_equal(table.lookup(["CAT"]), [[9.0, 9.0]])
+        assert np.array_equal(table.lookup(["Cat", "cat"]), [[9.0, 9.0], [9.0, 9.0]])
+        assert "Cat" in table
+        assert table.duplicates_skipped == 1
+
     def test_non_numeric_value(self):
         with pytest.raises(FormatError, match="line 2"):
             load_glove("a 1 2\nb x 4\n")
@@ -124,15 +132,15 @@ class TestPrecomputedStore:
         store = load_precomputed(blob)
         assert store.dim == 4
         assert len(store) == len(records)
-        for essay, s, t, vec in records:
-            assert np.array_equal(store.vector(essay, s, t), vec)
+        for essay, s, t, vec in records:  # 3 tokens per sentence
+            assert np.array_equal(store.rows(essay, 3 * s + t, 1)[0], vec)
 
     def test_single_record_store(self):
         buf = io.BytesIO()
         write_precomputed(buf, 3, [("only", 0, 0, np.arange(3.0))])
         store = load_precomputed(buf.getvalue())
         assert len(store) == 1
-        assert np.array_equal(store.vector("only", 0, 0), [0.0, 1.0, 2.0])
+        assert np.array_equal(store.rows("only", 0, 1)[0], [0.0, 1.0, 2.0])
 
     def test_header_dim_3072_accepted_by_spec(self):
         blob, _ = self.build(dim=3072, essays=("e1",), sentences=1, tokens=2)
@@ -190,8 +198,6 @@ class TestPrecomputedStore:
             store.rows("e1", 7, 1)
         with pytest.raises(CoverageError, match="'e1': token ordinal 2 " + ends):
             store.rows("e1", 1, 2)
-        with pytest.raises(CoverageError, match="sentence 4"):
-            store.vector("e1", 4, 0)
 
     def test_non_finite_value_names_location(self):
         rng = np.random.default_rng(4)
@@ -266,8 +272,8 @@ class TestEmbeddingSpec:
             rows[0, 0] = 7.0
         with pytest.raises(ValueError):
             rows += 1.0
-        for _, s, t, vec in records:
-            assert np.array_equal(store.vector("e1", s, t), vec)
+        for _, _, t, vec in records:  # one sentence
+            assert np.array_equal(store.rows("e1", t, 1)[0], vec)
 
     def test_dimension_audit_rejects_mismatch(self):
         table = load_glove("tok " + " ".join(["0.5"] * 300))

@@ -379,15 +379,9 @@ class TestChooseHeads:
         assert choose_heads(7) == 1
         assert choose_heads(1) == 1
 
-    def test_cap_respected(self):
-        assert choose_heads(12, cap=5) == 4
-        assert choose_heads(12, cap=2) == 2
-
     def test_domain_errors(self):
         with pytest.raises(ConfigurationError):
             choose_heads(0)
-        with pytest.raises(ConfigurationError):
-            choose_heads(4, cap=0)
 
 
 class TestAttentionInvariants:

@@ -79,14 +79,6 @@ class TestBuildModel:
         for p_sb, p_bl in zip(sb.layers[0].params(), bl.layers[0].params()):
             assert np.array_equal(p_sb.value, p_bl.value)
 
-    def test_attention_field_fixed_by_family(self):
-        spec = ModelSpec(ArchitectureId.SB_I, input_dim=8)
-        assert spec.attention == "additive"
-        spec = ModelSpec(ArchitectureId.BL_E, input_dim=8)
-        assert spec.attention == "multi_head"
-        with pytest.raises(ConfigurationError):
-            ModelSpec(ArchitectureId.SB_I, input_dim=8, attention="multi_head")
-
     def test_incompatible_attention_dim_reported(self):
         with pytest.raises(ConfigurationError, match="heads"):
             # 7-dim inter-stage space with a forced 4-head requirement
@@ -116,19 +108,6 @@ class TestForward:
         mid, _ = bilstm.forward(batch)
         expected, _ = head.forward(mid)
         assert np.array_equal(out.rows, expected.rows)
-
-    def test_bl_without_bridge_is_two_stacked_bilstms(self):
-        spec = ModelSpec(ArchitectureId.BL, input_dim=6, hidden=4,
-                         inter_stage_dim=None, seed=11)
-        model = build_model(spec)
-        assert [type(l) for l in model.layers] == [BiLstm, BiLstm, TimeDistributedLinear]
-        rng = np.random.default_rng(2)
-        batch = toy_batch(rng, 6)
-        out, _ = model.forward(batch)
-        a, _ = model.layers[0].forward(batch)
-        b, _ = model.layers[1].forward(a)
-        c, _ = model.layers[2].forward(b)
-        assert np.array_equal(out.rows, c.rows)
 
     def test_all_padding_entry_contributes_nothing(self):
         from argseg.training import masked_cross_entropy
@@ -196,7 +175,7 @@ def test_full_model_gradients(arch):
     for seed in (0, 1):
         rng = np.random.default_rng(10 + seed)
         model = build_model(
-            ModelSpec(arch, input_dim=4, hidden=3, inter_stage_dim=4, attn_dim=4, seed=seed)
+            ModelSpec(arch, input_dim=4, hidden=3, attn_dim=4, seed=seed)
         )
         err = grad_check(model, toy_batch(rng, 4), 1e-3, rng)
         assert err < 1e-4, f"{arch.value} seed {seed}: {err:.3e}"
@@ -337,12 +316,17 @@ class TestCheckpointFormats:
             line_end = body.index(b"\n")
             name = body[:line_end].split()[1]
             return header + sep + b"tensor " + name + body[line_end:]
+        if how in ("dims_2_64", "dims_2_80"):  # products that wrap to 0 in int64
+            line_end = body.index(b"\n")
+            name = body[:line_end].split()[1]
+            dim = b"4294967296" if how == "dims_2_64" else b"1099511627776"
+            return header + sep + b"tensor " + name + b" 2 " + dim + b" " + dim + body[line_end:]
         assert how == "non_utf8_header"
         return data.replace(b"arch ", b"arch \xff\xfe", 1)
 
     @pytest.mark.parametrize("version", [1, 2, 3])
     @pytest.mark.parametrize("how", ["version", "tensor_count", "short_tensor_line",
-                                     "non_utf8_header"])
+                                     "non_utf8_header", "dims_2_64", "dims_2_80"])
     def test_malformed_file_is_format_error(self, tmp_path, version, how):
         model = perturbed_model(np.random.default_rng(9), ArchitectureId.SB)
         path = tmp_path / "m.ckpt"
@@ -354,6 +338,31 @@ class TestCheckpointFormats:
         assert bad != path.read_bytes()
         path.write_bytes(bad)
         with pytest.raises(FormatError):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("arch,attention", [(ArchitectureId.BL, b"multi_head"),
+                                                (ArchitectureId.SB_I, b"additive")])
+    def test_header_names_the_fixed_design(self, tmp_path, arch, attention):
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(perturbed_model(np.random.default_rng(12), arch), path)
+        data = path.read_bytes()
+        fixed = b"inter_stage_dim 4\nattention " + attention + b"\nheads_cap 6\n"
+        assert fixed in data.partition(b"end-header\n")[0]
+        # the attention line is optional
+        path.write_bytes(data.replace(b"attention " + attention + b"\n", b"", 1))
+        save_checkpoint(load_checkpoint(path), tmp_path / "again.ckpt")
+        assert (tmp_path / "again.ckpt").read_bytes() == data
+
+    @pytest.mark.parametrize("line", [b"inter_stage_dim none", b"heads_cap 5",
+                                      b"attention additive"])
+    def test_other_design_rejected_naming_the_field(self, tmp_path, line):
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(perturbed_model(np.random.default_rng(13), ArchitectureId.BL), path)
+        data = path.read_bytes()
+        field = line.split()[0]
+        start = data.index(b"\n" + field + b" ") + 1
+        path.write_bytes(data[:start] + line + data[data.index(b"\n", start):])
+        with pytest.raises(FormatError, match=field.decode()):
             load_checkpoint(path)
 
 

@@ -2,12 +2,16 @@
 
 * A module other than ``__init__.py`` uses every name it imports.
 * No upper-case module constant is assigned in two modules.
+* Every function, method and class defined in ``src/argseg`` is referenced by
+  name in ``src/``, ``demos/`` or ``perfbench/`` (bar its tests), so no
+  definition exists only for the tests.
 """
 
 import ast
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "argseg"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "argseg"
 MODULES = sorted(SRC.glob("*.py"))
 
 
@@ -52,6 +56,27 @@ def used_names(tree: ast.Module) -> set[str]:
     return used
 
 
+def definitions(tree: ast.Module) -> dict[str, int]:
+    """Each function, method and class the module defines -> its line; dunder
+    methods, which Python calls by protocol, are left out."""
+    return {node.name: node.lineno for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            and not (node.name.startswith("__") and node.name.endswith("__"))}
+
+
+def referenced_names(tree: ast.Module) -> set[str]:
+    """Every name loaded or stored, and every attribute name."""
+    return {node.id if isinstance(node, ast.Name) else node.attr
+            for node in ast.walk(tree) if isinstance(node, (ast.Name, ast.Attribute))}
+
+
+def program_files() -> list[Path]:
+    """The package, the demos and the benchmark, without any test directory."""
+    files = [path for folder in ("src", "demos", "perfbench")
+             for path in sorted((ROOT / folder).rglob("*.py"))]
+    return [path for path in files if "tests" not in path.relative_to(ROOT).parts]
+
+
 def module_constants(tree: ast.Module) -> set[str]:
     names = set()
     for node in tree.body:
@@ -88,8 +113,23 @@ def test_no_constant_defined_twice():
     assert not twice, f"constants assigned in more than one module: {twice}"
 
 
+def test_every_definition_is_reached_outside_the_tests():
+    referenced = set().union(*(referenced_names(parse(path)) for path in program_files()))
+    unreached = [f"{path.name}:{line}: {name}" for path in MODULES
+                 for name, line in definitions(parse(path)).items() if name not in referenced]
+    assert not unreached, "defined in src/argseg but reached only by tests: " + ", ".join(
+        unreached)
+
+
 def test_rules_catch_a_stale_import_and_a_second_constant():
     tree = ast.parse("import bisect\nimport os.path\nfrom x import y as z\nW = 1\n"
                      "def f(a: 'Q') -> None:\n    return os.sep\n")
     assert set(imported_names(tree)) - used_names(tree) == {"bisect", "z"}
     assert module_constants(tree) == {"W"}
+
+
+def test_rule_catches_a_definition_only_tests_reach():
+    tree = ast.parse("class C:\n    def __len__(self): ...\n    def used(self): ...\n"
+                     "    def unused(self): ...\n"
+                     "def f():\n    return C().used()\nf()\n")
+    assert set(definitions(tree)) - referenced_names(tree) == {"unused"}

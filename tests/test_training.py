@@ -9,6 +9,7 @@ from argseg.metrics import confusion_matrix, metrics_from_confusion
 from argseg.models import ArchitectureId, Model, ModelSpec, build_model, save_checkpoint
 from argseg.numeric import BatchTensor, Parameter
 from argseg.training import (
+    LR_RANGE,
     AdamState,
     LossCurve,
     TrainConfig,
@@ -298,7 +299,7 @@ class TestTrainLoop:
     def test_artifacts_do_not_depend_on_the_input_gradient(self, toy_sequences,
                                                           toy_embeddings, tmp_path,
                                                           monkeypatch, arch):
-        spec = ModelSpec(arch, input_dim=16, hidden=4, inter_stage_dim=4, seed=8)
+        spec = ModelSpec(arch, input_dim=16, hidden=4, seed=8)
         cfg = TrainConfig(batch_size=8, max_epochs=2, patience=5,
                           learning_rate=3e-3, seed=4)
 
@@ -358,8 +359,8 @@ class TestEvaluate:
 class TestLrSearch:
     def test_sampled_rates_within_range(self):
         rng = np.random.default_rng(12)
-        lo, hi = 1e-4, 1e-2
-        draws = [sample_learning_rate(rng, lo, hi) for _ in range(1000)]
+        lo, hi = LR_RANGE
+        draws = [sample_learning_rate(rng) for _ in range(1000)]
         assert all(lo <= d <= hi for d in draws)
         assert min(draws) < 3e-4 and max(draws) > 3e-3  # actually spans the range
 
