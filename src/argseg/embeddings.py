@@ -8,7 +8,9 @@ contextual vectors generated elsewhere, keyed by (essay id, sentence index,
 token index); it serves a sequence as one slice of the essay's read-only
 matrix, found through per-essay token ordinals, which line up with any
 sequence granularity because sentence and paragraph decompositions enumerate
-an essay's tokens in the same order.
+an essay's tokens in the same order.  A store file is read once into one
+buffer and checked with array operations over it; an essay whose records sit
+together in key order is a strided view into that buffer, not a copy.
 
 An embedding spec stacks one or more sources in a fixed order; the declared
 total dimension must match the sum of the source dimensions exactly.
@@ -17,6 +19,7 @@ total dimension must match the sum of the source dimensions exactly.
 from __future__ import annotations
 
 import json
+import os
 import struct
 import zlib
 from dataclasses import dataclass
@@ -29,6 +32,7 @@ from .errors import ConfigurationError, CoverageError, FormatError
 
 STORE_MAGIC = b"ARGSEGPV"
 STORE_VERSION = 1
+_HEADER = struct.Struct("<IIQ")  # version, dim, record count; follows the magic
 
 
 # ---------------------------------------------------------------------------
@@ -139,8 +143,10 @@ class PrecomputedStore:
     Per essay, records must tile the token stream: sentence indices start at
     0 and are consecutive, token indices within each sentence likewise.  That
     guarantee makes the ordinal view (`rows`) unambiguous.  Each essay's
-    vectors are one read-only matrix in key order, kept with the essay's last
-    (sentence, token) key.
+    vectors are one read-only (tokens, dim) matrix in key order, kept with
+    the essay's last (sentence, token) key.  An essay whose records form one
+    run in key order is a strided view into the loaded buffer, with no copy;
+    an interleaved or out-of-order essay is gathered into a matrix of its own.
     """
 
     def __init__(self, dim: int, essays: dict[str, tuple[tuple[int, int], np.ndarray]]):
@@ -168,27 +174,18 @@ class PrecomputedStore:
         return matrix[start : start + count]
 
 
-def _validate_contiguous(essay_id: str, keys: list[tuple[int, int]]):
-    expected_sentence = 0
-    expected_token = 0
-    for sent, tok in keys:
-        if sent == expected_sentence and tok == expected_token:
-            expected_token += 1
-            continue
-        if sent == expected_sentence + 1 and tok == 0 and expected_token > 0:
-            expected_sentence += 1
-            expected_token = 1
-            continue
-        raise FormatError(
-            f"essay {essay_id!r}: vector keys are not contiguous at "
-            f"sentence {sent}, token {tok}"
-        )
-
-
 def write_precomputed(fh, dim: int, records):
-    """Serialize (essay_id, sentence, token, vector) records with a CRC32."""
-    payload = bytearray()
-    count = 0
+    """Stream (essay_id, sentence, token, vector) records into ``fh`` with a CRC32.
+
+    One record is in memory at a time, and the CRC runs over the records as
+    they are written.  ``fh`` must be seekable: the header goes out with a
+    record count of 0, which is patched once the records are written, and
+    ``fh`` is then left at the end of the store.  A vector of the wrong shape
+    raises ``FormatError`` and leaves an incomplete store behind.
+    """
+    start = fh.tell()
+    fh.write(STORE_MAGIC + _HEADER.pack(STORE_VERSION, dim, 0))
+    crc = count = 0
     for essay_id, sentence, token, vec in records:
         vec = np.ascontiguousarray(vec, dtype="<f8")
         if vec.shape != (dim,):
@@ -197,80 +194,147 @@ def write_precomputed(fh, dim: int, records):
                 f"{vec.shape}, expected ({dim},)"
             )
         ident = essay_id.encode("utf-8")
-        payload += struct.pack("<I", len(ident))
-        payload += ident
-        payload += struct.pack("<II", sentence, token)
-        payload += vec.tobytes()
+        record = (struct.pack("<I", len(ident)) + ident + struct.pack("<II", sentence, token)
+                  + vec.tobytes())
+        crc = zlib.crc32(record, crc)
+        fh.write(record)
         count += 1
-    body = bytes(payload)
-    fh.write(STORE_MAGIC)
-    fh.write(struct.pack("<IIQ", STORE_VERSION, dim, count))
-    fh.write(body)
-    fh.write(struct.pack("<I", zlib.crc32(body)))
+    fh.write(struct.pack("<I", crc))
+    end = fh.tell()
+    fh.seek(start + len(STORE_MAGIC))
+    fh.write(_HEADER.pack(STORE_VERSION, dim, count))
+    fh.seek(end)
 
 
-def load_precomputed(data: bytes) -> PrecomputedStore:
-    """Parse and verify a store blob; any corruption raises a format error."""
-    header = struct.calcsize("<IIQ")
-    if len(data) < len(STORE_MAGIC) + header + 4:
+def load_precomputed(data) -> PrecomputedStore:
+    """Parse and verify a store held in any bytes-like object; any corruption
+    raises a format error.
+
+    Nothing is copied up front: the CRC runs over a view of ``data``, and an
+    essay whose records form one run in key order is served as a read-only
+    strided view of it, so ``data`` must not change while the store is used.
+    """
+    view = memoryview(data).cast("B")
+    start = len(STORE_MAGIC) + _HEADER.size
+    if len(view) < start + 4:
         raise FormatError("precomputed store is truncated (no complete header)")
-    if data[: len(STORE_MAGIC)] != STORE_MAGIC:
+    if view[: len(STORE_MAGIC)] != STORE_MAGIC:
         raise FormatError("not a precomputed vector store (bad magic)")
-    version, dim, count = struct.unpack_from("<IIQ", data, len(STORE_MAGIC))
+    version, dim, count = _HEADER.unpack_from(view, len(STORE_MAGIC))
     if version != STORE_VERSION:
         raise FormatError(f"unsupported store version {version}")
     if dim < 1:
         raise FormatError(f"store declares non-positive dimension {dim}")
-    payload = data[len(STORE_MAGIC) + header : -4]
-    (crc_stored,) = struct.unpack("<I", data[-4:])
+    payload = view[start:-4]
+    (crc_stored,) = struct.unpack_from("<I", view, len(view) - 4)
     if zlib.crc32(payload) != crc_stored:
         raise FormatError("store checksum mismatch; payload is corrupted")
+    runs = _scan_runs(payload, dim, count)
+    return PrecomputedStore(dim, {essay_id: _essay_matrix(essay_id, parts)
+                                  for essay_id, parts in runs.items()})
 
-    raw: dict[str, list[tuple[int, int, np.ndarray]]] = {}
+
+def _scan_runs(payload: memoryview, dim: int, count: int) -> dict[str, list[np.ndarray]]:
+    """Each essay's runs of consecutive records, in record order.
+
+    Records with the same id have the same length, so a run is one
+    structured array over ``payload`` with fields ``head`` (id length and id
+    bytes), ``key`` (sentence, token) and ``vec``.  It ends at the first
+    record whose head differs, so the record boundaries, and the errors, are
+    those of reading the records one by one.
+    """
+    runs: dict[str, list[np.ndarray]] = {}
+    layouts: dict[int, np.dtype] = {}  # record dtype by id length
     pos = 0
-    vec_bytes = dim * 8
-    for _ in range(count):
+    while count:
         if pos + 4 > len(payload):
             raise FormatError("store payload is truncated inside a record")
         (id_len,) = struct.unpack_from("<I", payload, pos)
-        pos += 4
-        end = pos + id_len + 8 + vec_bytes
-        if end > len(payload):
+        stride = 4 + id_len + 8 + 8 * dim
+        if pos + stride > len(payload):  # before any dtype of that size exists
             raise FormatError("store payload is truncated inside a record")
         try:
-            essay_id = payload[pos : pos + id_len].decode("utf-8")
+            essay_id = bytes(payload[pos + 4 : pos + 4 + id_len]).decode("utf-8")
         except UnicodeDecodeError:
-            raise FormatError(f"store essay id at payload byte {pos} is not UTF-8") from None
-        pos += id_len
-        sentence, token = struct.unpack_from("<II", payload, pos)
-        pos += 8
-        vec = np.frombuffer(payload, dtype="<f8", count=dim, offset=pos).copy()
-        pos += vec_bytes
-        raw.setdefault(essay_id, []).append((sentence, token, vec))
+            raise FormatError(f"store essay id at payload byte {pos + 4} is not UTF-8") from None
+        if id_len not in layouts:
+            layouts[id_len] = np.dtype([("head", "u1", (4 + id_len,)), ("key", "<u4", (2,)),
+                                        ("vec", "<f8", (dim,))])
+        records = np.frombuffer(payload, layouts[id_len], offset=pos,
+                                count=min(count, (len(payload) - pos) // stride))
+        n = _leading_equal(records["head"])
+        runs.setdefault(essay_id, []).append(records[:n])
+        pos += n * stride
+        count -= n
     if pos != len(payload):
         raise FormatError("store payload has trailing bytes after the last record")
+    return runs
 
-    essays: dict[str, tuple[tuple[int, int], np.ndarray]] = {}
-    for essay_id, entries in raw.items():
-        entries.sort(key=lambda e: (e[0], e[1]))
-        keys = [(s, t) for s, t, _ in entries]
-        if len(set(keys)) != len(keys):
+
+def _leading_equal(rows: np.ndarray) -> int:
+    """How many leading rows equal the first.  The second row is compared on
+    its own, which settles the runs of one record that an interleaved store
+    is made of, then probes of 64, 128, 256, ... rows, so that the work grows
+    with the answer, not with ``len(rows)``."""
+    if len(rows) == 1 or rows[1].tobytes() != rows[0].tobytes():
+        return 1
+    lo, probe = 2, 64
+    while lo < len(rows):
+        hi = min(lo + probe, len(rows))
+        differ = np.flatnonzero((rows[lo:hi] != rows[0]).any(axis=1))
+        if differ.size:
+            return lo + int(differ[0])
+        lo, probe = hi, 2 * probe
+    return len(rows)
+
+
+def _first_gap(keys: np.ndarray) -> int | None:
+    """Index of the first (sentence, token) key that breaks the tiling
+    (0, 0), (0, 1), ..., (1, 0), ...: each key must follow the one before in
+    its sentence or start the next sentence at token 0."""
+    sent, tok = keys[:, 0], keys[:, 1]
+    follows = np.empty(len(keys), dtype=bool)
+    follows[0] = sent[0] == 0 and tok[0] == 0
+    follows[1:] = (((sent[1:] == sent[:-1]) & (tok[1:] == tok[:-1] + 1))
+                   | ((sent[1:] == sent[:-1] + 1) & (tok[1:] == 0)))
+    gaps = np.flatnonzero(~follows)
+    return int(gaps[0]) if gaps.size else None
+
+
+def _essay_matrix(essay_id: str, runs: list[np.ndarray]) -> tuple[tuple[int, int], np.ndarray]:
+    """The essay's last key and read-only matrix in key order, checked for
+    duplicate keys, then for gaps, then for non-finite values."""
+    keys = np.concatenate([run["key"] for run in runs]).astype(np.int64)
+    if len(runs) == 1 and _first_gap(keys) is None:
+        matrix = runs[0]["vec"]  # already in key order: a view, no copy
+    else:
+        order = np.lexsort((keys[:, 1], keys[:, 0]))
+        keys = keys[order]
+        if (keys[1:] == keys[:-1]).all(axis=1).any():
             raise FormatError(f"essay {essay_id!r}: duplicate vector keys")
-        _validate_contiguous(essay_id, keys)
-        matrix = np.vstack([v for _, _, v in entries])
-        bad = np.flatnonzero(~np.isfinite(matrix).all(axis=1))
-        if bad.size:
-            sentence, token = keys[bad[0]]
-            raise FormatError(f"essay {essay_id!r}: non-finite vector value at "
+        gap = _first_gap(keys)
+        if gap is not None:
+            sentence, token = keys[gap]
+            raise FormatError(f"essay {essay_id!r}: vector keys are not contiguous at "
                               f"sentence {sentence}, token {token}")
-        matrix.flags.writeable = False  # rows() hands out views of it
-        essays[essay_id] = (keys[-1], matrix)
-    return PrecomputedStore(dim, essays)
+        matrix = np.concatenate([run["vec"] for run in runs])[order]
+    bad = np.flatnonzero(~np.isfinite(matrix).all(axis=1))
+    if bad.size:
+        sentence, token = keys[bad[0]]
+        raise FormatError(f"essay {essay_id!r}: non-finite vector value at "
+                          f"sentence {sentence}, token {token}")
+    matrix.flags.writeable = False  # rows() hands out views of it
+    return (int(keys[-1, 0]), int(keys[-1, 1])), matrix
 
 
 def load_precomputed_file(path) -> PrecomputedStore:
+    """Read a store file with one ``readinto`` into one buffer, which the
+    loaded store's per-essay views then share.  The buffer is sized by
+    ``fstat``, so ``path`` must name a regular file, not a pipe."""
     with open(path, "rb") as fh:
-        return load_precomputed(fh.read())
+        buf = np.empty(os.fstat(fh.fileno()).st_size, dtype=np.uint8)
+        size = fh.readinto(buf)
+    return load_precomputed(buf[:size])
 
 
 # ---------------------------------------------------------------------------
@@ -363,8 +427,8 @@ class EmbeddingSpec:
         return cls(sources, expected, label=label)
 
     def vectorize(self, seq: LabeledSequence) -> np.ndarray:
-        """(len(seq), expected_dim) matrix: sources concatenated in order; a
-        lone precomputed source gives a read-only view of the store."""
+        """(len(seq), expected_dim) float64 rows: sources concatenated in order; a
+        lone precomputed source gives its read-only view of the store, uncopied
+        and possibly strided (``BatchTensor.from_rows`` concatenates it)."""
         parts = [src.rows(seq) for src in self.sources]
-        out = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
-        return np.ascontiguousarray(out, dtype=np.float64)
+        return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)

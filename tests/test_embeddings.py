@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import struct
@@ -134,6 +135,28 @@ class TestPrecomputedStore:
         assert len(store) == len(records)
         for essay, s, t, vec in records:  # 3 tokens per sentence
             assert np.array_equal(store.rows(essay, 3 * s + t, 1)[0], vec)
+
+    def test_writer_output_is_pinned(self):
+        """Interleaved essays, out-of-order keys, an empty and a non-ASCII id:
+        the bytes are those of the writer that built the whole store in memory."""
+        keys = [("e1", 0, 0), ("", 0, 0), ("e1", 0, 1), ("essä-ü", 1, 0), ("essä-ü", 0, 0),
+                ("e1", 1, 0), ("", 0, 1)]
+        records = [(e, s, t, np.array([k * 0.5 - 3.0, k / 7.0, (-1.0) ** k * 1e300]))
+                   for k, (e, s, t) in enumerate(keys)]
+        buf = io.BytesIO()
+        write_precomputed(buf, 3, records)
+        blob = buf.getvalue()
+        assert len(blob) == 302 and hashlib.sha256(blob).hexdigest() == (
+            "d39cbb96ac32597dcbdc79d3a82442abb221771d2f63a8296eb07c40cebf931f")
+
+    def test_writer_patches_the_count_where_the_store_starts(self):
+        blob, records = self.build()
+        buf = io.BytesIO()
+        buf.write(b"prefix")
+        write_precomputed(buf, 4, records)
+        assert buf.tell() == len(buf.getvalue()) == len(b"prefix") + len(blob)
+        assert buf.getvalue()[len(b"prefix"):] == blob
+        assert struct.unpack_from("<Q", blob, 16) == (len(records),)
 
     def test_single_record_store(self):
         buf = io.BytesIO()

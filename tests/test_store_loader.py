@@ -1,0 +1,239 @@
+"""The precomputed-store loader against the record-by-record oracle: random
+valid stores give the same essays, last keys and matrices; mutated stores give
+the same store or the same ``FormatError`` and never another exception."""
+
+import io
+import struct
+import zlib
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from argseg.embeddings import load_precomputed, load_precomputed_file, write_precomputed
+from argseg.errors import FormatError
+from store_oracle import oracle_load
+
+HEADER = 8 + 16  # magic, then version u32, dim u32, count u64
+
+
+def essay_records(essay_ids, sentence_lengths, dim, seed):
+    """Per essay, its records in key order; sentence ``s`` of essay ``k`` has
+    ``sentence_lengths[k][s]`` tokens."""
+    rng = np.random.default_rng(seed)
+    return [[(essay_id, s, t, rng.standard_normal(dim))
+             for s, n in enumerate(lengths) for t in range(n)]
+            for essay_id, lengths in zip(essay_ids, sentence_lengths)]
+
+
+def interleave(groups):
+    """Round robin over the essays, each keeping its key order."""
+    out = []
+    for k in range(max(len(g) for g in groups)):
+        out += [g[k] for g in groups if k < len(g)]
+    return out
+
+
+def blob_of(dim, records) -> bytes:
+    buf = io.BytesIO()
+    write_precomputed(buf, dim, records)
+    return buf.getvalue()
+
+
+def outcome(load, data):
+    """The loaded essays as plain values, or the error's text."""
+    try:
+        essays = load(data)
+    except FormatError as exc:
+        return "error", str(exc)
+    return "store", {essay_id: (last, matrix.tobytes()) for essay_id, (last, matrix)
+                     in essays.items()}
+
+
+def loader_outcome(data):
+    store = load_precomputed(data)
+    assert all(not m.flags.writeable for _, m in store._essays.values())
+    return store._essays
+
+
+def oracle_outcome(data):
+    return oracle_load(data)[1]
+
+
+essay_ids = st.lists(st.text(max_size=6), min_size=1, max_size=4, unique=True)
+sentence_lengths = st.lists(st.integers(1, 4), min_size=1, max_size=3)
+
+
+@st.composite
+def stores(draw):
+    """(dim, records, layout) of a valid store."""
+    ids = draw(essay_ids)
+    dim = draw(st.integers(1, 4))
+    groups = essay_records(ids, [draw(sentence_lengths) for _ in ids], dim,
+                           draw(st.integers(0, 2**32 - 1)))
+    layout = draw(st.sampled_from(["grouped", "interleaved", "shuffled"]))
+    if layout == "grouped":
+        records = [r for g in groups for r in g]
+    elif layout == "interleaved":
+        records = interleave(groups)
+    else:
+        records = draw(st.permutations([r for g in groups for r in g]))
+    return dim, records, layout
+
+
+@settings(max_examples=150, deadline=None)
+@given(stores())
+@example((2, [(essay_id, 0, t, np.array([t, -1.5])) for essay_id in ("", "é文")
+              for t in range(2)], "grouped"))
+def test_random_stores_equal_the_oracle(store):
+    dim, records, layout = store
+    blob = blob_of(dim, records)
+    expected = oracle_load(blob)[1]
+    loaded = load_precomputed(blob)
+    assert loaded.dim == dim and loaded.essay_ids() == sorted(expected)
+    assert list(loaded._essays) == list(expected)  # first-record order
+    for essay_id, (last, matrix) in expected.items():
+        got_last, got = loaded._essays[essay_id]
+        assert got_last == last and type(got_last[0]) is int
+        assert np.array_equal(got, matrix) and got.tobytes() == matrix.tobytes()
+        assert not got.flags.writeable
+        if layout == "grouped":  # one run in key order: a view of the blob
+            assert np.shares_memory(got, np.frombuffer(blob, np.uint8))
+
+
+def test_in_order_single_run_essay_is_a_read_only_view():
+    groups = essay_records(["a", "bb"], [[3, 2], [1]], 5, seed=8)
+    buf = bytearray(blob_of(5, groups[0] + groups[1]))
+    store = load_precomputed(buf)
+    backing = np.frombuffer(buf, np.uint8)
+    for essay_id, records in zip(["a", "bb"], groups):
+        rows = store.rows(essay_id, 0, len(records))
+        assert np.shares_memory(rows, backing)
+        assert not rows.flags.writeable and not rows.flags.owndata
+        assert np.array_equal(rows, np.stack([vec for *_, vec in records]))
+        with pytest.raises(ValueError):
+            rows[0, 0] = 1.0
+
+
+def test_out_of_order_essay_is_gathered_into_a_copy():
+    (records,) = essay_records(["a"], [[3]], 2, seed=9)
+    blob = blob_of(2, records[::-1])
+    rows = load_precomputed(blob).rows("a", 0, 3)
+    assert not np.shares_memory(rows, np.frombuffer(blob, np.uint8))
+    assert not rows.flags.writeable
+    assert np.array_equal(rows, np.stack([vec for *_, vec in records]))
+
+
+def buffer_of(array: np.ndarray):
+    """The object that exports the memory ``array`` views."""
+    while isinstance(array.base, np.ndarray):
+        array = array.base
+    return array.base.obj  # array.base is a memoryview
+
+
+def test_file_loads_into_one_shared_buffer(tmp_path):
+    groups = essay_records(["e1", "e2"], [[2, 2], [3]], 3, seed=10)
+    path = tmp_path / "v.pv"
+    with open(path, "wb") as fh:
+        write_precomputed(fh, 3, groups[0] + groups[1])
+    store = load_precomputed_file(path)
+    first, second = store.rows("e1", 0, 4), store.rows("e2", 0, 3)
+    buffer = buffer_of(first)
+    assert buffer_of(second) is buffer and len(buffer) == path.stat().st_size
+    assert np.array_equal(second, np.stack([vec for *_, vec in groups[1]]))
+
+
+def test_loader_accepts_any_bytes_like_object():
+    blob = blob_of(2, essay_records(["e"], [[2]], 2, seed=11)[0])
+    expected = outcome(oracle_outcome, blob)
+    for data in (blob, bytearray(blob), memoryview(blob), np.frombuffer(blob, np.uint8)):
+        assert outcome(loader_outcome, data) == expected
+
+
+# ---------------------------------------------------------------------------
+# Mutations
+# ---------------------------------------------------------------------------
+
+
+def record_offsets(records) -> list[int]:
+    """Payload offset of each record, as ``write_precomputed`` lays them out."""
+    offsets, pos = [], 0
+    for essay_id, _, _, vec in records:
+        offsets.append(pos)
+        pos += 4 + len(essay_id.encode("utf-8")) + 8 + 8 * len(vec)
+    return offsets
+
+
+u32 = st.one_of(st.sampled_from([0, 1, 2**31, 2**32 - 1]), st.integers(0, 2**32 - 1))
+u64 = st.one_of(st.sampled_from([0, 1, 2**63, 2**64 - 1]), st.integers(0, 2**64 - 1))
+
+
+@st.composite
+def mutated_stores(draw):
+    """A valid store's bytes, damaged in one of seven ways.  Three times in four
+    the CRC is then recomputed, so that the record parser, not only the
+    checksum, meets the damage."""
+    dim, records, _ = draw(stores())
+    blob = bytearray(blob_of(dim, records))
+    body = blob[:-4]  # header and payload
+    kind = draw(st.sampled_from(["truncate", "bit_flip", "splice", "dim", "count", "id_len",
+                                 "key"]))
+    if kind == "truncate":
+        del body[draw(st.integers(0, len(body) - 1)):]
+    elif kind == "bit_flip":
+        at = draw(st.integers(0, len(body) - 1))
+        body[at] ^= 1 << draw(st.integers(0, 7))
+    elif kind == "splice":  # a slice of the store copied over another place
+        lo = draw(st.integers(0, len(body)))
+        hi = draw(st.integers(lo, min(len(body), lo + 64)))
+        at = draw(st.integers(HEADER, len(body)))
+        body[at : at + draw(st.integers(0, 64))] = blob[lo:hi]
+    elif kind == "dim":
+        struct.pack_into("<I", body, 12, draw(u32))
+    elif kind == "count":
+        struct.pack_into("<Q", body, 16, draw(u64))
+    elif kind == "id_len":
+        at = HEADER + draw(st.sampled_from(record_offsets(records)))
+        struct.pack_into("<I", body, at, draw(u32))
+    else:  # a small (sentence, token) key, often a duplicate or a gap
+        k = draw(st.integers(0, len(records) - 1))
+        at = HEADER + record_offsets(records)[k] + 4 + len(records[k][0].encode("utf-8"))
+        struct.pack_into("<II", body, at, draw(st.integers(0, 3)), draw(st.integers(0, 4)))
+    if draw(st.integers(0, 3)) == 0 or len(body) < HEADER:  # the old checksum
+        return bytes(body) + blob[-4:]
+    return bytes(body) + struct.pack("<I", zlib.crc32(body[HEADER:]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(mutated_stores())
+def test_mutated_stores_load_as_the_oracle_does(data):
+    # any other exception (ValueError, IndexError, struct.error, MemoryError)
+    # escapes and fails the test
+    assert outcome(loader_outcome, data) == outcome(oracle_outcome, data)
+
+
+@pytest.mark.parametrize("keys,message", [
+    ([(0, 0), (0, 2)], "not contiguous at sentence 0, token 2"),
+    ([(0, 1), (0, 2)], "not contiguous at sentence 0, token 1"),
+    ([(1, 0), (1, 1)], "not contiguous at sentence 1, token 0"),
+    ([(0, 0), (1, 1)], "not contiguous at sentence 1, token 1"),
+    ([(0, 0), (2, 0)], "not contiguous at sentence 2, token 0"),
+    ([(1, 0), (0, 0), (0, 1), (3, 0)], "not contiguous at sentence 3, token 0"),
+    ([(0, 0), (0, 1), (0, 0)], "duplicate vector keys"),
+    ([(0, 0), (4294967295, 0)], "not contiguous at sentence 4294967295, token 0"),
+    ([(0, 4294967295), (0, 0)], "not contiguous at sentence 0, token 4294967295"),
+])
+def test_bad_keys_raise_the_oracles_error(keys, message):
+    blob = blob_of(1, [("e", s, t, np.zeros(1)) for s, t in keys])
+    with pytest.raises(FormatError, match=f"essay 'e': .*{message}"):
+        oracle_load(blob)
+    assert outcome(loader_outcome, blob) == outcome(oracle_outcome, blob)
+
+
+@pytest.mark.parametrize("dim", [2**31, 2**32 - 1])
+def test_huge_declared_dim_is_rejected_before_allocating(dim):
+    blob = bytearray(blob_of(2, essay_records(["e"], [[1]], 2, seed=12)[0]))
+    struct.pack_into("<I", blob, 12, dim)
+    with pytest.raises(FormatError, match="truncated inside a record"):
+        load_precomputed(blob)
