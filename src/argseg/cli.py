@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import hashlib
+import io
 import json
 import sys
 import time
@@ -36,6 +37,7 @@ from .errors import (
     FormatError,
     TrainingDiverged,
 )
+from .files import atomic_write, read_text
 from .metrics import report_csv_header, report_csv_row
 from .models import ArchitectureId, ModelSpec, build_model, load_checkpoint, save_checkpoint
 from .selftest import run_selftest
@@ -64,7 +66,8 @@ def _write_manifest(out_dir: Path, command: str, args: argparse.Namespace,
     }
     manifest.update(extra)
     path = out_dir / f"manifest-{command}.json"
-    path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    with atomic_write(path) as fh:
+        fh.write(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     return path
 
 
@@ -77,9 +80,10 @@ def _load_corpus_dir(corpus_dir: Path):
         ann = txt.with_suffix(".ann")
         if not ann.exists():
             raise CorpusIntegrityError(f"essay {txt.name} has no matching .ann file")
-        text = txt.read_text(encoding="utf-8-sig")
+        text = read_text(txt)
+        ann_text = read_text(ann)
         try:
-            spans = parse_brat(ann.read_text(encoding="utf-8-sig"), text)
+            spans = parse_brat(ann_text, text)
         except CorpusIntegrityError as exc:
             raise CorpusIntegrityError(f"{ann.name}: {exc}") from exc
         essays.append((Essay(txt.stem, text), spans))
@@ -91,10 +95,7 @@ def cmd_convert(args: argparse.Namespace) -> int:
     corpus_dir = Path(args.corpus_dir)
     out_dir = Path(args.out)
     essays = _load_corpus_dir(corpus_dir)
-    split = load_split(
-        Path(args.split_csv).read_text(encoding="utf-8-sig"),
-        known_ids=[e.id for e, _ in essays],
-    )
+    split = load_split(read_text(args.split_csv), known_ids=[e.id for e, _ in essays])
 
     out_dir.mkdir(parents=True, exist_ok=True)
     stats = ConversionStats()
@@ -106,7 +107,7 @@ def cmd_convert(args: argparse.Namespace) -> int:
     outputs = {}
     for part, seqs in parts.items():
         path = out_dir / f"{part}.conll"
-        with open(path, "w", encoding="utf-8") as fh:
+        with atomic_write(path) as fh:
             write_conll(seqs, fh)
         outputs[part] = str(path)
 
@@ -119,9 +120,8 @@ def cmd_convert(args: argparse.Namespace) -> int:
         "train_sequences": len(parts["train"]),
         "test_sequences": len(parts["test"]),
     }
-    (out_dir / "conversion-report.json").write_text(
-        json.dumps(report, indent=2) + "\n", encoding="utf-8"
-    )
+    with atomic_write(out_dir / "conversion-report.json") as fh:
+        fh.write(json.dumps(report, indent=2) + "\n")
     corpus_files = sorted(list(corpus_dir.glob("*.txt")) + list(corpus_dir.glob("*.ann")))
     inputs = {
         "split_csv": _sha256(Path(args.split_csv)),
@@ -139,11 +139,10 @@ def cmd_convert(args: argparse.Namespace) -> int:
 
 
 def _results_csv_append(path: Path, row: str):
-    new = not path.exists()
-    with open(path, "a", encoding="utf-8") as fh:
-        if new:
-            fh.write(report_csv_header() + "\n")
-        fh.write(row + "\n")
+    """Add a row to the results table, rewriting the whole file atomically."""
+    old = path.read_bytes() if path.exists() else (report_csv_header() + "\n").encode("utf-8")
+    with atomic_write(path, binary=True) as fh:
+        fh.write(old + (row + "\n").encode("utf-8"))
 
 
 def cmd_train(args: argparse.Namespace) -> int:
@@ -151,8 +150,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     emb = EmbeddingSpec.from_file(args.embeddings)
-    with open(args.train_file, "r", encoding="utf-8") as fh:
-        sequences = read_conll(fh)
+    sequences = read_conll(io.StringIO(read_text(args.train_file), newline=None))
 
     arch = ArchitectureId.from_string(args.arch)
     model_spec = ModelSpec(arch, input_dim=emb.expected_dim, hidden=args.hidden,
@@ -197,7 +195,7 @@ def cmd_train(args: argparse.Namespace) -> int:
         extra["lr_search"] = search_report
     if curve is not None:
         curves_path = out_dir / f"{arch.value}-curve.csv"
-        with open(curves_path, "w", encoding="utf-8") as fh:
+        with atomic_write(curves_path) as fh:
             curve.write_csv(fh)
         outputs["curve"] = str(curves_path)
         gap = generalization_gap(curve)
@@ -227,8 +225,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
             f"checkpoint expects {model.spec.input_dim}-dim inputs but the "
             f"embedding spec provides {emb.expected_dim}"
         )
-    with open(args.test_file, "r", encoding="utf-8") as fh:
-        sequences = read_conll(fh)
+    sequences = read_conll(io.StringIO(read_text(args.test_file), newline=None))
     report = evaluate(model, sequences, emb)
 
     # sibling training artifacts, when the checkpoint came from cmd_train

@@ -5,12 +5,13 @@ operation.  A text table is one matrix whose last row is all zeros: its keys
 and every query are lowercased, out-of-vocabulary words take the zero row,
 and the miss rate is reported per run rather than aborting anything.  A precomputed store ships
 contextual vectors generated elsewhere, keyed by (essay id, sentence index,
-token index); it serves a sequence as one slice of the essay's read-only
-matrix, found through per-essay token ordinals, which line up with any
-sequence granularity because sentence and paragraph decompositions enumerate
-an essay's tokens in the same order.  A store file is read once into one
-buffer and checked with array operations over it; an essay whose records sit
-together in key order is a strided view into that buffer, not a copy.
+token index); it serves a sequence as one slice of the essay's token stream,
+found through per-essay token ordinals, which line up with any sequence
+granularity because sentence and paragraph decompositions enumerate an
+essay's tokens in the same order.  A store file is verified in one streaming
+pass of fixed-size reads that keeps only an index of record offsets; each
+sequence's records are then read from the file when its batch is built, so
+memory holds the index and one batch's rows, not the file.
 
 An embedding spec stacks one or more sources in a fixed order; the declared
 total dimension must match the sum of the source dimensions exactly.
@@ -21,6 +22,7 @@ from __future__ import annotations
 import json
 import os
 import struct
+import weakref
 import zlib
 from dataclasses import dataclass
 from pathlib import Path
@@ -138,40 +140,75 @@ def oov_statistics(table: EmbeddingTable, sequences: list[LabeledSequence]):
 
 
 class PrecomputedStore:
-    """Contextual vectors for every token of the essays it covers.
+    """Contextual vectors for every token of the essays it covers, read from
+    their source when asked for.
 
     Per essay, records must tile the token stream: sentence indices start at
     0 and are consecutive, token indices within each sentence likewise.  That
-    guarantee makes the ordinal view (`rows`) unambiguous.  Each essay's
-    vectors are one read-only (tokens, dim) matrix in key order, kept with
-    the essay's last (sentence, token) key.  An essay whose records form one
-    run in key order is a strided view into the loaded buffer, with no copy;
-    an interleaved or out-of-order essay is gathered into a matrix of its own.
+    guarantee makes the ordinal view (`rows`) unambiguous.  The store keeps
+    no vector: each essay is an index of its records' offsets in key order,
+    as runs of records that lie next to each other in the source, plus the
+    essay's last (sentence, token) key.  An essay whose records sit together
+    in key order is one run.
     """
 
-    def __init__(self, dim: int, essays: dict[str, tuple[tuple[int, int], np.ndarray]]):
+    def __init__(self, dim: int, essays: dict[str, "_EssayIndex"], reader):
         self.dim = dim
         self._essays = essays
+        self._reader = reader
 
     def __len__(self) -> int:
-        return sum(m.shape[0] for _, m in self._essays.values())
+        return sum(essay.length for essay in self._essays.values())
 
     def essay_ids(self) -> list[str]:
         return sorted(self._essays)
 
-    def rows(self, essay_id: str, start: int, count: int) -> np.ndarray:
-        """The vectors of token ordinals ``start .. start + count - 1``, as one
-        read-only (count, dim) view of the essay's matrix."""
-        entry = self._essays.get(essay_id)
-        if entry is None:
+    def locate(self, essay_id: str, start: int, count: int) -> "_EssayIndex":
+        """The index of an essay that covers token ordinals ``start .. start +
+        count - 1``; reads nothing, and raises ``CoverageError`` otherwise."""
+        essay = self._essays.get(essay_id)
+        if essay is None:
             raise CoverageError(f"store has no vectors for essay {essay_id!r}")
-        (last_sent, last_tok), matrix = entry
-        if start + count > len(matrix):
+        if start + count > essay.length:
+            last_sent, last_tok = essay.last
             raise CoverageError(
-                f"essay {essay_id!r}: token ordinal {max(start, len(matrix))} is not covered "
+                f"essay {essay_id!r}: token ordinal {max(start, essay.length)} is not covered "
                 f"(store ends at sentence {last_sent}, token {last_tok})"
             )
-        return matrix[start : start + count]
+        return essay
+
+    def rows(self, essay_id: str, start: int, count: int) -> np.ndarray:
+        """The vectors of token ordinals ``start .. start + count - 1`` as one
+        read-only (count, dim) array, read now.  Within one run it is the
+        ``vec`` field of the bytes read, uncopied and strided; across runs it
+        is a copy.  A store file that changed since the load, or that reads
+        short, raises ``FormatError`` naming the essay."""
+        essay = self.locate(essay_id, start, count)
+        stride = essay.layout.itemsize
+        bounds = essay.run_bounds
+        run = int(np.searchsorted(bounds, start, side="right")) - 1
+        parts = []
+        ordinal, stop = start, start + count
+        while ordinal < stop:
+            n = min(stop, int(bounds[run + 1])) - ordinal
+            offset = int(essay.run_offset[run]) + (ordinal - int(bounds[run])) * stride
+            data = self._reader.read(offset, n * stride, essay_id)
+            parts.append(np.frombuffer(data, essay.layout)["vec"])
+            ordinal += n
+            run += 1
+        matrix = parts[0] if len(parts) == 1 else np.concatenate(
+            parts or [np.empty((0, self.dim))])
+        matrix.flags.writeable = False
+        return matrix
+
+
+@dataclass
+class _EssayIndex:
+    last: tuple[int, int]  # the essay's last (sentence, token) key
+    length: int  # tokens
+    layout: np.dtype  # one record: fields head (id length and id bytes), key, vec
+    run_bounds: np.ndarray  # (runs + 1,) first token ordinal of each run, then length
+    run_offset: np.ndarray  # (runs,) source offset of each run's first record
 
 
 def write_precomputed(fh, dim: int, records):
@@ -206,69 +243,188 @@ def write_precomputed(fh, dim: int, records):
     fh.seek(end)
 
 
-def load_precomputed(data) -> PrecomputedStore:
-    """Parse and verify a store held in any bytes-like object; any corruption
-    raises a format error.
+# Bytes the load verifies per read.  A record longer than this is read whole.
+_CHUNK = 1 << 20
 
-    Nothing is copied up front: the CRC runs over a view of ``data``, and an
-    essay whose records form one run in key order is served as a read-only
-    strided view of it, so ``data`` must not change while the store is used.
+
+class _BytesReader:
+    """A store held in a bytes-like object; every read is a slice of it."""
+
+    def __init__(self, data):
+        self._view = memoryview(data).cast("B")
+        self.size = len(self._view)
+
+    def window(self, offset: int, n: int) -> memoryview:
+        return self._view[offset : offset + n]
+
+    def read(self, offset: int, n: int, essay_id: str) -> memoryview:
+        return self.window(offset, n)
+
+
+class _FileReader:
+    """A store file held open.  The load reads it window by window into one
+    reused buffer; each later read is a fresh ``os.pread``, checked against
+    the size and modification time the load saw.  No ``mmap``: a mapped file
+    that shrinks raises SIGBUS where a read returns short."""
+
+    def __init__(self, path):
+        self._path = path
+        self._fd = os.open(path, os.O_RDONLY)
+        weakref.finalize(self, os.close, self._fd)
+        st = os.fstat(self._fd)
+        self.size = st.st_size
+        self._stamp = (st.st_size, st.st_mtime_ns)
+        self._buffer = bytearray()
+
+    def window(self, offset: int, n: int) -> memoryview:
+        """``n`` bytes at ``offset``, valid until the next window."""
+        if len(self._buffer) < n:
+            self._buffer = bytearray(max(n, _CHUNK))
+        view = memoryview(self._buffer)[:n]
+        if os.preadv(self._fd, [view], offset) != n:
+            raise FormatError(f"store file {self._path} changed while it was loaded")
+        return view
+
+    def read(self, offset: int, n: int, essay_id: str) -> bytes:
+        st = os.fstat(self._fd)
+        if (st.st_size, st.st_mtime_ns) != self._stamp:
+            raise FormatError(f"essay {essay_id!r}: store file {self._path} changed "
+                              "since it was loaded")
+        data = os.pread(self._fd, n, offset)
+        if len(data) != n:
+            raise FormatError(f"essay {essay_id!r}: short read from store file {self._path} "
+                              f"({len(data)} of {n} bytes at offset {offset})")
+        return data
+
+
+def load_precomputed(data) -> PrecomputedStore:
+    """Verify a store held in any bytes-like object and index it; any
+    corruption raises a format error.
+
+    The load reads views of ``data`` and copies none of it, and ``rows``
+    serves an in-order essay's rows as views of it, so ``data`` must not
+    change while the store is used.
     """
-    view = memoryview(data).cast("B")
+    return _load(_BytesReader(data))
+
+
+def load_precomputed_file(path) -> PrecomputedStore:
+    """Verify a store file in one pass of fixed-size reads and index it; the
+    store then reads each sequence's records from the file when asked.
+
+    Memory is the index, about 16 bytes per token while loading and one entry
+    per run after it, plus one read buffer.  ``path`` must name a regular
+    file, not a pipe, and it stays open while the store is alive.
+    """
+    return _load(_FileReader(path))
+
+
+def _load(reader) -> PrecomputedStore:
     start = len(STORE_MAGIC) + _HEADER.size
-    if len(view) < start + 4:
+    if reader.size < start + 4:
         raise FormatError("precomputed store is truncated (no complete header)")
-    if view[: len(STORE_MAGIC)] != STORE_MAGIC:
+    head = bytes(reader.window(0, start))
+    if head[: len(STORE_MAGIC)] != STORE_MAGIC:
         raise FormatError("not a precomputed vector store (bad magic)")
-    version, dim, count = _HEADER.unpack_from(view, len(STORE_MAGIC))
+    version, dim, count = _HEADER.unpack_from(head, len(STORE_MAGIC))
     if version != STORE_VERSION:
         raise FormatError(f"unsupported store version {version}")
     if dim < 1:
         raise FormatError(f"store declares non-positive dimension {dim}")
-    payload = view[start:-4]
-    (crc_stored,) = struct.unpack_from("<I", view, len(view) - 4)
-    if zlib.crc32(payload) != crc_stored:
+    end = reader.size - 4
+    (crc_stored,) = struct.unpack("<I", reader.window(end, 4))
+    scan = _Scan(dim, count, start, end)
+    scan.run(reader)
+    if scan.crc != crc_stored:
         raise FormatError("store checksum mismatch; payload is corrupted")
-    runs = _scan_runs(payload, dim, count)
-    return PrecomputedStore(dim, {essay_id: _essay_matrix(essay_id, parts)
-                                  for essay_id, parts in runs.items()})
+    if scan.error is not None:
+        raise scan.error
+    return PrecomputedStore(dim, {essay_id: _index_essay(essay_id, *parts)
+                                  for essay_id, parts in scan.essays.items()}, reader)
 
 
-def _scan_runs(payload: memoryview, dim: int, count: int) -> dict[str, list[np.ndarray]]:
-    """Each essay's runs of consecutive records, in record order.
+class _Scan:
+    """One pass over the payload (``start`` to ``end``) in windows of at least
+    ``_CHUNK`` bytes, taking its CRC and finding its records.
 
-    Records with the same id have the same length, so a run is one
-    structured array over ``payload`` with fields ``head`` (id length and id
-    bytes), ``key`` (sentence, token) and ``vec``.  It ends at the first
+    Records with the same id have the same length, so a run of them in a
+    window is one structured array with fields ``head`` (id length and id
+    bytes), ``key`` (sentence, token) and ``vec``.  A run ends at the first
     record whose head differs, so the record boundaries, and the errors, are
-    those of reading the records one by one.
+    those of reading the records one by one.  A record cut by the end of a
+    window starts the next window.  For each essay the scan keeps, in record
+    order, its layout, its keys, its records' offsets and the keys of its
+    records holding a non-finite value.  The first record error stops the
+    parsing, and the CRC, which the reference checks first, still runs to
+    the end.
     """
-    runs: dict[str, list[np.ndarray]] = {}
-    layouts: dict[int, np.dtype] = {}  # record dtype by id length
-    pos = 0
-    while count:
-        if pos + 4 > len(payload):
-            raise FormatError("store payload is truncated inside a record")
-        (id_len,) = struct.unpack_from("<I", payload, pos)
-        stride = 4 + id_len + 8 + 8 * dim
-        if pos + stride > len(payload):  # before any dtype of that size exists
-            raise FormatError("store payload is truncated inside a record")
-        try:
-            essay_id = bytes(payload[pos + 4 : pos + 4 + id_len]).decode("utf-8")
-        except UnicodeDecodeError:
-            raise FormatError(f"store essay id at payload byte {pos + 4} is not UTF-8") from None
-        if id_len not in layouts:
-            layouts[id_len] = np.dtype([("head", "u1", (4 + id_len,)), ("key", "<u4", (2,)),
-                                        ("vec", "<f8", (dim,))])
-        records = np.frombuffer(payload, layouts[id_len], offset=pos,
-                                count=min(count, (len(payload) - pos) // stride))
-        n = _leading_equal(records["head"])
-        runs.setdefault(essay_id, []).append(records[:n])
-        pos += n * stride
-        count -= n
-    if pos != len(payload):
-        raise FormatError("store payload has trailing bytes after the last record")
-    return runs
+
+    def __init__(self, dim: int, count: int, start: int, end: int):
+        self.dim, self.count, self.start, self.end = dim, count, start, end
+        self.crc = 0
+        self.error: FormatError | None = None
+        self.essays: dict[str, tuple[np.dtype, list, list, list]] = {}
+        self._layouts: dict[int, np.dtype] = {}  # record dtype by id length
+
+    def run(self, reader):
+        pos = checked = self.start  # next record; end of the bytes the CRC covers
+        need = 0  # length of the record cut by the last window's end
+        while self.count and self.error is None:
+            window = reader.window(pos, min(self.end - pos, max(_CHUNK, need)))
+            self.crc = zlib.crc32(window[checked - pos :], self.crc)
+            checked = pos + len(window)
+            try:
+                used, need = self._records(window, pos)
+            except FormatError as exc:
+                self.error = exc
+            else:
+                pos += used
+        while checked < self.end:
+            window = reader.window(checked, min(self.end - checked, _CHUNK))
+            self.crc = zlib.crc32(window, self.crc)
+            checked += len(window)
+        if self.error is None and pos != self.end:
+            self.error = FormatError("store payload has trailing bytes after the last record")
+
+    def _records(self, window: memoryview, base: int) -> tuple[int, int]:
+        """Take the whole records at the start of ``window``, which lies at
+        ``base``; returns the bytes they use and the length of the record the
+        window cuts, or 0."""
+        pos = 0
+        while self.count:
+            if base + pos + 4 > self.end:
+                raise FormatError("store payload is truncated inside a record")
+            if pos + 4 > len(window):
+                return pos, 4
+            (id_len,) = struct.unpack_from("<I", window, pos)
+            stride = 4 + id_len + 8 + 8 * self.dim
+            if base + pos + stride > self.end:  # before any dtype of that size exists
+                raise FormatError("store payload is truncated inside a record")
+            if pos + stride > len(window):
+                return pos, stride
+            try:
+                essay_id = bytes(window[pos + 4 : pos + 4 + id_len]).decode("utf-8")
+            except UnicodeDecodeError:
+                raise FormatError(f"store essay id at payload byte {base + pos + 4 - self.start} "
+                                  "is not UTF-8") from None
+            if id_len not in self._layouts:
+                self._layouts[id_len] = np.dtype([("head", "u1", (4 + id_len,)),
+                                                  ("key", "<u4", (2,)),
+                                                  ("vec", "<f8", (self.dim,))])
+            records = np.frombuffer(window, self._layouts[id_len], offset=pos,
+                                    count=min(self.count, (len(window) - pos) // stride))
+            n = _leading_equal(records["head"])
+            records = records[:n]
+            _, keys, offsets, bad = self.essays.setdefault(
+                essay_id, (self._layouts[id_len], [], [], []))
+            keys.append(records["key"].copy())
+            offsets.append(base + pos + stride * np.arange(n, dtype=np.int64))
+            finite = np.isfinite(records["vec"]).all(axis=1)
+            if not finite.all():
+                bad.append(records["key"][~finite])
+            pos += n * stride
+            self.count -= n
+        return pos, 0
 
 
 def _leading_equal(rows: np.ndarray) -> int:
@@ -301,15 +457,15 @@ def _first_gap(keys: np.ndarray) -> int | None:
     return int(gaps[0]) if gaps.size else None
 
 
-def _essay_matrix(essay_id: str, runs: list[np.ndarray]) -> tuple[tuple[int, int], np.ndarray]:
-    """The essay's last key and read-only matrix in key order, checked for
-    duplicate keys, then for gaps, then for non-finite values."""
-    keys = np.concatenate([run["key"] for run in runs]).astype(np.int64)
-    if len(runs) == 1 and _first_gap(keys) is None:
-        matrix = runs[0]["vec"]  # already in key order: a view, no copy
-    else:
+def _index_essay(essay_id: str, layout: np.dtype, keys: list[np.ndarray],
+                 offsets: list[np.ndarray], bad: list[np.ndarray]) -> _EssayIndex:
+    """The essay's records in key order as runs, checked for duplicate keys,
+    then for gaps, then for non-finite values."""
+    keys = np.concatenate(keys).astype(np.int64)
+    offsets = np.concatenate(offsets)
+    if _first_gap(keys) is not None:  # not already in key order
         order = np.lexsort((keys[:, 1], keys[:, 0]))
-        keys = keys[order]
+        keys, offsets = keys[order], offsets[order]
         if (keys[1:] == keys[:-1]).all(axis=1).any():
             raise FormatError(f"essay {essay_id!r}: duplicate vector keys")
         gap = _first_gap(keys)
@@ -317,24 +473,14 @@ def _essay_matrix(essay_id: str, runs: list[np.ndarray]) -> tuple[tuple[int, int
             sentence, token = keys[gap]
             raise FormatError(f"essay {essay_id!r}: vector keys are not contiguous at "
                               f"sentence {sentence}, token {token}")
-        matrix = np.concatenate([run["vec"] for run in runs])[order]
-    bad = np.flatnonzero(~np.isfinite(matrix).all(axis=1))
-    if bad.size:
-        sentence, token = keys[bad[0]]
+    if bad:
+        bad = np.concatenate(bad)
+        sentence, token = bad[np.lexsort((bad[:, 1], bad[:, 0]))[0]]
         raise FormatError(f"essay {essay_id!r}: non-finite vector value at "
                           f"sentence {sentence}, token {token}")
-    matrix.flags.writeable = False  # rows() hands out views of it
-    return (int(keys[-1, 0]), int(keys[-1, 1])), matrix
-
-
-def load_precomputed_file(path) -> PrecomputedStore:
-    """Read a store file with one ``readinto`` into one buffer, which the
-    loaded store's per-essay views then share.  The buffer is sized by
-    ``fstat``, so ``path`` must name a regular file, not a pipe."""
-    with open(path, "rb") as fh:
-        buf = np.empty(os.fstat(fh.fileno()).st_size, dtype=np.uint8)
-        size = fh.readinto(buf)
-    return load_precomputed(buf[:size])
+    run_start = np.flatnonzero(np.r_[True, np.diff(offsets) != layout.itemsize])
+    return _EssayIndex((int(keys[-1, 0]), int(keys[-1, 1])), len(keys), layout,
+                       np.r_[run_start, len(keys)], offsets[run_start])
 
 
 # ---------------------------------------------------------------------------
@@ -426,9 +572,18 @@ class EmbeddingSpec:
                 )
         return cls(sources, expected, label=label)
 
+    def check_coverage(self, sequences: list[LabeledSequence]):
+        """Raise ``CoverageError`` for the first sequence that a precomputed
+        source has no vectors for, from the stores' indexes, reading nothing."""
+        stores = [src.store for src in self.sources if isinstance(src, PrecomputedSource)]
+        for seq in sequences:
+            for store in stores:
+                store.locate(seq.essay_id, seq.token_ordinal_start, len(seq))
+
     def vectorize(self, seq: LabeledSequence) -> np.ndarray:
-        """(len(seq), expected_dim) float64 rows: sources concatenated in order; a
-        lone precomputed source gives its read-only view of the store, uncopied
-        and possibly strided (``BatchTensor.from_rows`` concatenates it)."""
+        """(len(seq), expected_dim) float64 rows: sources concatenated in order.
+        A lone precomputed source gives the rows it has just read, read-only
+        and possibly strided (``BatchTensor.from_rows`` concatenates them), so
+        a caller holds a store's vectors only while it holds these rows."""
         parts = [src.rows(seq) for src in self.sources]
         return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)

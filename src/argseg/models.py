@@ -28,6 +28,7 @@ import numpy as np
 
 from .corpus import LABELS
 from .errors import ConfigurationError, DimensionError, FormatError
+from .files import atomic_write
 from .layers import (
     HEADS_CAP,
     AdditiveSelfAttention,
@@ -235,20 +236,19 @@ def _spec_from_fields(fields: dict[str, str]) -> ModelSpec:
 
 
 def save_checkpoint(model: Model, path):
-    """Write a versioned header plus named float64 little-endian blocks."""
-    buf = io.BytesIO()
-    buf.write(_CKPT_MAGIC + b" %d\n" % _CKPT_VERSION)
-    for line in _spec_to_lines(model.spec):
-        buf.write(line.encode("utf-8") + b"\n")
+    """Write a versioned header plus named float64 little-endian blocks,
+    atomically: an existing checkpoint is replaced whole or not at all."""
     params = model.params()
-    buf.write(b"tensors %d\n" % len(params))
-    buf.write(b"end-header\n")
-    for p in params:
-        dims = " ".join(str(d) for d in p.value.shape)
-        buf.write(f"tensor {p.name} {p.value.ndim} {dims}\n".encode("utf-8"))
-        buf.write(np.ascontiguousarray(p.value, dtype="<f8").tobytes())
-    with open(path, "wb") as fh:
-        fh.write(buf.getvalue())
+    with atomic_write(path, binary=True) as fh:
+        fh.write(_CKPT_MAGIC + b" %d\n" % _CKPT_VERSION)
+        for line in _spec_to_lines(model.spec):
+            fh.write(line.encode("utf-8") + b"\n")
+        fh.write(b"tensors %d\n" % len(params))
+        fh.write(b"end-header\n")
+        for p in params:
+            dims = " ".join(str(d) for d in p.value.shape)
+            fh.write(f"tensor {p.name} {p.value.ndim} {dims}\n".encode("utf-8"))
+            fh.write(np.ascontiguousarray(p.value, dtype="<f8").tobytes())
 
 
 def _join_v1_gates(tensors: dict[str, np.ndarray], name: str) -> np.ndarray | None:

@@ -3,10 +3,12 @@
 The trainer owns batching: sequences are shuffled every epoch with the run
 seed and grouped into fixed-size batches, each packed into one
 :class:`~argseg.numeric.BatchTensor` of token rows with the gold labels in
-the same packed order.  Validation essays are split off by essay id (never by
-sequence) so no essay leaks across the train/validation boundary.  Early
-stopping watches validation loss and always restores the best parameters
-seen.
+the same packed order.  A batch's sequences are vectorized as the batch is
+built, validation batches again each epoch, so only one batch's input rows
+are alive at a time, however large the embedding source.  Validation essays
+are split off by essay id (never by sequence) so no essay leaks across the
+train/validation boundary.  Early stopping watches validation loss and
+always restores the best parameters seen.
 """
 
 from __future__ import annotations
@@ -142,29 +144,16 @@ def adam_step(params: list[Parameter], state: AdamState, lr: float):
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class _Item:
-    vectors: np.ndarray  # (T, D)
-    gold: np.ndarray  # (T,) label indices
+def _assemble(sequences: list[LabeledSequence], spec: EmbeddingSpec):
+    """One batch of the sequences, vectorized now, and their gold labels."""
+    batch = BatchTensor.from_rows([spec.vectorize(seq) for seq in sequences])
+    gold = [LABELS.index(lab) for seq in sequences for lab in seq.labels]
+    return batch, np.array(gold, dtype=np.int64)
 
 
-def _vectorize_all(sequences: list[LabeledSequence], spec: EmbeddingSpec) -> list[_Item]:
-    items = []
-    for seq in sequences:
-        gold = np.array([LABELS.index(lab) for lab in seq.labels], dtype=np.int64)
-        items.append(_Item(spec.vectorize(seq), gold))
-    return items
-
-
-def _assemble(items: list[_Item]):
-    batch = BatchTensor.from_rows([it.vectors for it in items])
-    return batch, np.concatenate([it.gold for it in items])
-
-
-def _batches(items: list[_Item], order, batch_size: int):
+def _batches(sequences: list[LabeledSequence], order, spec: EmbeddingSpec, batch_size: int):
     for lo in range(0, len(order), batch_size):
-        chunk = [items[i] for i in order[lo : lo + batch_size]]
-        yield _assemble(chunk)
+        yield _assemble([sequences[i] for i in order[lo : lo + batch_size]], spec)
 
 
 def _dataset_loss(model: Model, batches) -> float:
@@ -205,6 +194,8 @@ def train(model: Model, train_sequences: list[LabeledSequence],
 
     The input rows are fixed vectors that nothing trains, so the backward
     pass forms no gradient for them (``Model.backward(..., input_grad=False)``).
+    They are read batch by batch; a sequence the spec does not cover raises
+    ``CoverageError`` before the first step.
 
     Aborts with :class:`TrainingDiverged` if the loss goes non-finite; the
     model then carries the last parameters that were still finite.
@@ -212,9 +203,7 @@ def train(model: Model, train_sequences: list[LabeledSequence],
     if not train_sequences:
         raise ContractViolation("no training sequences")
     train_seqs, val_seqs = split_by_essay(train_sequences, cfg.val_fraction, cfg.seed)
-    train_items = _vectorize_all(train_seqs, spec)
-    val_items = _vectorize_all(val_seqs, spec)
-    val_batches = list(_batches(val_items, np.arange(len(val_items)), cfg.batch_size))
+    spec.check_coverage(train_seqs + val_seqs)
 
     rng = np.random.default_rng(cfg.seed)
     params = model.params()
@@ -227,11 +216,11 @@ def train(model: Model, train_sequences: list[LabeledSequence],
     epochs_since_best = 0
 
     for _epoch in range(cfg.max_epochs):
-        order = rng.permutation(len(train_items))
+        order = rng.permutation(len(train_seqs))
         running = 0.0
         seen = 0
         diverged = False
-        for batch, gold in _batches(train_items, order, cfg.batch_size):
+        for batch, gold in _batches(train_seqs, order, spec, cfg.batch_size):
             logits, caches = model.forward(batch)
             loss, grad = masked_cross_entropy(logits, gold)
             if not math.isfinite(loss):
@@ -250,7 +239,8 @@ def train(model: Model, train_sequences: list[LabeledSequence],
             )
 
         train_loss = running / seen
-        val_loss = _dataset_loss(model, val_batches)
+        val_loss = _dataset_loss(
+            model, _batches(val_seqs, np.arange(len(val_seqs)), spec, cfg.batch_size))
         curve.train.append(train_loss)
         curve.val.append(val_loss)
         if not math.isfinite(val_loss):
@@ -273,14 +263,15 @@ def train(model: Model, train_sequences: list[LabeledSequence],
 
 def evaluate(model: Model, sequences: list[LabeledSequence],
              spec: EmbeddingSpec, batch_size: int = 64) -> MetricsReport:
-    """Metrics of a frozen model over the given sequences."""
+    """Metrics of a frozen model over the given sequences, vectorized batch by
+    batch; a sequence the spec does not cover raises ``CoverageError`` first."""
     if batch_size < 1:
         raise ContractViolation(f"batch_size must be >= 1, got {batch_size}")
     if not sequences:
         raise ContractViolation("no sequences to evaluate")
-    items = _vectorize_all(sequences, spec)
+    spec.check_coverage(sequences)
     total = np.zeros((len(LABELS), len(LABELS)), dtype=np.int64)
-    for batch, gold in _batches(items, np.arange(len(items)), batch_size):
+    for batch, gold in _batches(sequences, np.arange(len(sequences)), spec, batch_size):
         predicted = predict_labels(model, batch)
         total += confusion_matrix(gold, predicted)
     return metrics_from_confusion(total)

@@ -278,3 +278,73 @@ def test_package_imports_without_scipy():
         timeout=60,
     )
     assert result.returncode == 0, result.stderr[-2000:]
+
+
+def with_bad_byte(path: Path, offset: int, bom: bool = False) -> Path:
+    """``path``'s bytes with the byte at ``offset`` (counted in the new file,
+    after any byte-order mark) replaced by 0xff."""
+    data = bytearray(b"\xef\xbb\xbf" * bom + path.read_bytes())
+    data[offset] = 0xFF
+    path.write_bytes(bytes(data))
+    return path
+
+
+@pytest.mark.parametrize("which,offset,bom", [
+    ("essay001.txt", 7, False),
+    ("essay001.txt", 9, True),
+    ("essay002.ann", 4, False),
+    ("train-test-split.csv", 12, True),
+])
+def test_convert_names_a_non_utf8_byte(small_corpus, tmp_path, capsys, which, offset, bom):
+    corpus = tmp_path / "corpus"
+    shutil.copytree(small_corpus, corpus)
+    bad = with_bad_byte(corpus / which, offset, bom)
+    out = tmp_path / "out"
+    rc = main(["convert", str(corpus), str(corpus / "train-test-split.csv"), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 1 and not (out / "train.conll").exists()
+    assert err == f"error: {bad}: not UTF-8 text (byte 0xff at offset {offset})\n"
+
+
+@pytest.mark.parametrize("command", ["train", "evaluate"])
+def test_train_and_evaluate_name_a_non_utf8_byte(trained, converted, toy_embeddings_file,
+                                                 tmp_path, capsys, command):
+    bad = tmp_path / "bad.conll"
+    shutil.copy(converted / "test.conll", bad)
+    with_bad_byte(bad, 30)
+    first = ["train", str(bad), "--arch", "sb"] if command == "train" else [
+        "evaluate", str(trained / "sb.ckpt"), str(bad)]
+    rc = main(first + ["--embeddings", str(toy_embeddings_file), "--out", str(tmp_path / "o")])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: {bad}: not UTF-8 text (byte 0xff at offset 30)\n"
+
+
+def test_evaluate_rewrites_results_with_one_header(trained, converted, toy_embeddings_file,
+                                                   tmp_path):
+    args = ["evaluate", str(trained / "sb.ckpt"), str(converted / "test.conll"),
+            "--embeddings", str(toy_embeddings_file), "--out", str(tmp_path)]
+    assert main(args) == 0
+    first = (tmp_path / "results.csv").read_bytes()
+    assert main(args) == 0
+    lines = first.decode().splitlines()
+    assert (tmp_path / "results.csv").read_bytes() == first + (lines[1] + "\n").encode()
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "manifest-evaluate.json", "results.csv"]
+
+
+def test_convert_that_fails_while_writing_keeps_the_old_outputs(small_corpus, tmp_path,
+                                                                monkeypatch, capsys):
+    out = tmp_path / "out"
+    args = ["convert", str(small_corpus), str(small_corpus / "train-test-split.csv"),
+            "--out", str(out)]
+    assert main(args) == 0
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+
+    def write_conll_then_fail(sequences, fh):
+        fh.write("partial\tline\n")
+        raise OSError("disk full")
+
+    monkeypatch.setattr("argseg.cli.write_conll", write_conll_then_fail)
+    assert main(args) == 1
+    assert capsys.readouterr().err == "i/o error: disk full\n"
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before

@@ -5,10 +5,14 @@
 * Every function, method and class defined in ``src/argseg`` is referenced by
   name in ``src/``, ``demos/`` or ``perfbench/`` (bar its tests), so no
   definition exists only for the tests.
+* No module imports ``mmap``: a mapped file that shrinks kills the process
+  with SIGBUS, where a read that comes back short can raise an error.
 """
 
 import ast
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "argseg"
@@ -30,6 +34,17 @@ def imported_names(tree: ast.Module) -> dict[str, int]:
             for alias in node.names:
                 names[alias.asname or alias.name] = node.lineno
     return names
+
+
+def imported_modules(tree: ast.Module) -> set[str]:
+    """The top-level package of every module the tree imports, or imports from."""
+    modules = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module and not node.level:
+            modules.add(node.module.split(".")[0])
+    return modules
 
 
 def annotations(tree: ast.Module):
@@ -121,6 +136,11 @@ def test_every_definition_is_reached_outside_the_tests():
         unreached)
 
 
+def test_no_module_imports_mmap():
+    mapping = [path.name for path in MODULES if "mmap" in imported_modules(parse(path))]
+    assert not mapping, "imports mmap: " + ", ".join(mapping)
+
+
 def test_rules_catch_a_stale_import_and_a_second_constant():
     tree = ast.parse("import bisect\nimport os.path\nfrom x import y as z\nW = 1\n"
                      "def f(a: 'Q') -> None:\n    return os.sep\n")
@@ -133,3 +153,13 @@ def test_rule_catches_a_definition_only_tests_reach():
                      "    def unused(self): ...\n"
                      "def f():\n    return C().used()\nf()\n")
     assert set(definitions(tree)) - referenced_names(tree) == {"unused"}
+
+
+@pytest.mark.parametrize("source", ["import mmap", "import os, mmap as m", "from mmap import mmap",
+                                    "def f():\n    import mmap\n"])
+def test_rule_catches_an_mmap_import(source):
+    assert "mmap" in imported_modules(ast.parse(source))
+
+
+def test_rule_ignores_a_relative_module_named_mmap():
+    assert imported_modules(ast.parse("from .mmap import f\nimport os")) == {"os"}

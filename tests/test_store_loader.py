@@ -1,16 +1,25 @@
 """The precomputed-store loader against the record-by-record oracle: random
 valid stores give the same essays, last keys and matrices; mutated stores give
-the same store or the same ``FormatError`` and never another exception."""
+the same store or the same ``FormatError`` and never another exception.  Both
+hold for bytes in memory and for files read in windows small enough that
+records straddle them; a file that changes after the load raises
+``FormatError`` on the next read."""
 
 import io
+import os
 import struct
+import subprocess
+import sys
 import zlib
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from argseg import embeddings
 from argseg.embeddings import load_precomputed, load_precomputed_file, write_precomputed
 from argseg.errors import FormatError
 from store_oracle import oracle_load
@@ -51,10 +60,28 @@ def outcome(load, data):
                      in essays.items()}
 
 
+def essays_of(store):
+    """Each essay's last key and rows, in first-record order."""
+    essays = {essay_id: (essay.last, store.rows(essay_id, 0, essay.length))
+              for essay_id, essay in store._essays.items()}
+    assert all(not m.flags.writeable for _, m in essays.values())
+    return essays
+
+
 def loader_outcome(data):
-    store = load_precomputed(data)
-    assert all(not m.flags.writeable for _, m in store._essays.values())
-    return store._essays
+    return essays_of(load_precomputed(data))
+
+
+@pytest.fixture(scope="module")
+def store_path(tmp_path_factory) -> Path:
+    return tmp_path_factory.mktemp("stores") / "v.pv"
+
+
+def file_outcome(path: Path, data: bytes, chunk: int):
+    """The outcome of loading ``data`` from a file in windows of ``chunk`` bytes."""
+    path.write_bytes(data)
+    with mock.patch.object(embeddings, "_CHUNK", chunk):
+        return outcome(lambda p: essays_of(load_precomputed_file(p)), path)
 
 
 def oracle_outcome(data):
@@ -92,14 +119,24 @@ def test_random_stores_equal_the_oracle(store):
     expected = oracle_load(blob)[1]
     loaded = load_precomputed(blob)
     assert loaded.dim == dim and loaded.essay_ids() == sorted(expected)
-    assert list(loaded._essays) == list(expected)  # first-record order
+    essays = essays_of(loaded)
+    assert list(essays) == list(expected)  # first-record order
     for essay_id, (last, matrix) in expected.items():
-        got_last, got = loaded._essays[essay_id]
+        got_last, got = essays[essay_id]
         assert got_last == last and type(got_last[0]) is int
         assert np.array_equal(got, matrix) and got.tobytes() == matrix.tobytes()
         assert not got.flags.writeable
         if layout == "grouped":  # one run in key order: a view of the blob
             assert np.shares_memory(got, np.frombuffer(blob, np.uint8))
+            assert len(loaded._essays[essay_id].run_offset) == 1
+
+
+@settings(max_examples=150, deadline=None)
+@given(stores(), st.integers(1, 64))
+def test_file_stores_read_in_small_windows_equal_the_oracle(store_path, store, chunk):
+    dim, records, _ = store
+    blob = blob_of(dim, records)
+    assert file_outcome(store_path, blob, chunk) == outcome(oracle_outcome, blob)
 
 
 def test_in_order_single_run_essay_is_a_read_only_view():
@@ -125,23 +162,86 @@ def test_out_of_order_essay_is_gathered_into_a_copy():
     assert np.array_equal(rows, np.stack([vec for *_, vec in records]))
 
 
-def buffer_of(array: np.ndarray):
-    """The object that exports the memory ``array`` views."""
-    while isinstance(array.base, np.ndarray):
-        array = array.base
-    return array.base.obj  # array.base is a memoryview
-
-
-def test_file_loads_into_one_shared_buffer(tmp_path):
+def test_file_store_reads_each_sequence_from_the_file(tmp_path):
     groups = essay_records(["e1", "e2"], [[2, 2], [3]], 3, seed=10)
     path = tmp_path / "v.pv"
     with open(path, "wb") as fh:
         write_precomputed(fh, 3, groups[0] + groups[1])
     store = load_precomputed_file(path)
-    first, second = store.rows("e1", 0, 4), store.rows("e2", 0, 3)
-    buffer = buffer_of(first)
-    assert buffer_of(second) is buffer and len(buffer) == path.stat().st_size
-    assert np.array_equal(second, np.stack([vec for *_, vec in groups[1]]))
+    stride = 4 + 2 + 8 + 8 * 3
+    for essay_id, records in zip(["e1", "e2"], groups):
+        rows = store.rows(essay_id, 1, len(records) - 1)
+        assert np.array_equal(rows, np.stack([vec for *_, vec in records[1:]]))
+        assert not rows.flags.writeable
+        read = rows.base.base  # rows views one record array over the bytes read
+        assert isinstance(read, bytes) and len(read) == (len(records) - 1) * stride
+    assert not np.shares_memory(store.rows("e1", 0, 4), store.rows("e1", 0, 4))
+
+
+def write_two_essays(path: Path, seed: int):
+    with open(path, "wb") as fh:
+        write_precomputed(fh, 2, [r for g in essay_records(["e1", "e2"], [[3], [2]], 2, seed)
+                                  for r in g])
+
+
+def truncate(path: Path):
+    with open(path, "r+b") as fh:
+        fh.truncate(path.stat().st_size - 40)
+
+
+def rewrite_longer(path: Path):
+    with open(path, "ab") as fh:
+        fh.write(b"\0" * 8)
+
+
+def rewrite_same_size(path: Path):
+    stamp = path.stat().st_mtime_ns
+    write_two_essays(path, seed=99)
+    os.utime(path, ns=(stamp + 10**9, stamp + 10**9))  # as if written a second later
+
+
+@pytest.mark.parametrize("change", [truncate, rewrite_longer, rewrite_same_size])
+def test_file_changed_after_load_raises_format_error_naming_the_essay(tmp_path, change):
+    path = tmp_path / "v.pv"
+    write_two_essays(path, seed=13)
+    store = load_precomputed_file(path)
+    store.rows("e2", 0, 2)
+    change(path)
+    with pytest.raises(FormatError, match=f"essay 'e2': store file {path} changed since "
+                                          "it was loaded"):
+        store.rows("e2", 0, 2)
+
+
+def test_short_read_raises_format_error_naming_the_essay(tmp_path, monkeypatch):
+    path = tmp_path / "v.pv"
+    write_two_essays(path, seed=14)
+    store = load_precomputed_file(path)
+    pread = os.pread
+    monkeypatch.setattr(os, "pread", lambda fd, n, offset: pread(fd, n, offset)[:-1])
+    with pytest.raises(FormatError, match=r"essay 'e1': short read from store file .* "
+                                          r"\(89 of 90 bytes at offset 24\)"):
+        store.rows("e1", 0, 3)
+
+
+def test_loading_a_3072_d_store_grows_peak_rss_by_at_most_a_quarter_of_the_file(tmp_path):
+    path = tmp_path / "ctx.pv"
+    rng = np.random.default_rng(15)
+    with open(path, "wb") as fh:
+        write_precomputed(fh, 3072, ((f"essay{k // 100:02d}", 0, k % 100,
+                                      rng.standard_normal(3072)) for k in range(2000)))
+    script = ("import resource, sys\n"
+              "from argseg.embeddings import load_precomputed_file\n"
+              "peak = lambda: resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024\n"
+              "before = peak()\n"
+              "store = load_precomputed_file(sys.argv[1])\n"
+              "print(len(store), peak() - before)\n")
+    src = Path(__file__).resolve().parents[1] / "src"
+    result = subprocess.run([sys.executable, "-c", script, str(path)],
+                            env={**os.environ, "PYTHONPATH": str(src)},
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr[-2000:]
+    tokens, growth = map(int, result.stdout.split())
+    assert tokens == 2000 and growth <= 0.25 * path.stat().st_size
 
 
 def test_loader_accepts_any_bytes_like_object():
@@ -213,6 +313,13 @@ def test_mutated_stores_load_as_the_oracle_does(data):
     assert outcome(loader_outcome, data) == outcome(oracle_outcome, data)
 
 
+@settings(max_examples=300, deadline=None)
+@given(mutated_stores(), st.integers(1, 64))
+def test_mutated_file_stores_read_in_small_windows_load_as_the_oracle_does(store_path, data,
+                                                                          chunk):
+    assert file_outcome(store_path, data, chunk) == outcome(oracle_outcome, data)
+
+
 @pytest.mark.parametrize("keys,message", [
     ([(0, 0), (0, 2)], "not contiguous at sentence 0, token 2"),
     ([(0, 1), (0, 2)], "not contiguous at sentence 0, token 1"),
@@ -229,6 +336,17 @@ def test_bad_keys_raise_the_oracles_error(keys, message):
     with pytest.raises(FormatError, match=f"essay 'e': .*{message}"):
         oracle_load(blob)
     assert outcome(loader_outcome, blob) == outcome(oracle_outcome, blob)
+
+
+@pytest.mark.parametrize("chunk", [1, 1 << 20])
+def test_first_non_finite_value_is_named_in_key_order(store_path, chunk):
+    """The reported key is the first in key order, not in file order."""
+    blob = blob_of(1, [("e", 0, 2, np.array([np.nan])), ("e", 0, 0, np.zeros(1)),
+                       ("e", 0, 1, np.array([-np.inf]))])
+    expected = outcome(oracle_outcome, blob)
+    assert expected == ("error", "essay 'e': non-finite vector value at sentence 0, token 1")
+    assert outcome(loader_outcome, blob) == expected
+    assert file_outcome(store_path, blob, chunk) == expected
 
 
 @pytest.mark.parametrize("dim", [2**31, 2**32 - 1])

@@ -1,9 +1,12 @@
+import io
 import math
+import weakref
 
 import numpy as np
 import pytest
 
 from argseg.corpus import LABELS
+from argseg.embeddings import write_precomputed
 from argseg.errors import ContractViolation, DimensionError, NumericError, TrainingDiverged
 from argseg.metrics import confusion_matrix, metrics_from_confusion
 from argseg.models import ArchitectureId, Model, ModelSpec, build_model, save_checkpoint
@@ -217,15 +220,14 @@ class TestTrainLoop:
             assert vals[-1] >= vals[-2]
 
     def test_best_epoch_parameters_restored(self, toy_sequences, toy_embeddings):
-        from argseg.training import _batches, _dataset_loss, _vectorize_all
+        from argseg.training import _batches, _dataset_loss
 
         spec = ModelSpec(ArchitectureId.SB, input_dim=16, hidden=6, seed=4)
         cfg = TrainConfig(batch_size=8, max_epochs=6, patience=10,
                           learning_rate=1e-2, seed=7)
         model, curve = train(build_model(spec), toy_sequences, toy_embeddings, cfg)
         _, val_seqs = split_by_essay(toy_sequences, cfg.val_fraction, cfg.seed)
-        items = _vectorize_all(val_seqs, toy_embeddings)
-        batches = list(_batches(items, np.arange(len(items)), cfg.batch_size))
+        batches = _batches(val_seqs, np.arange(len(val_seqs)), toy_embeddings, cfg.batch_size)
         assert _dataset_loss(model, batches) == pytest.approx(min(curve.val), abs=1e-12)
 
     def test_divergence_restores_finite_state(self, toy_sequences, toy_embeddings):
@@ -245,7 +247,7 @@ class TestTrainLoop:
             assert np.isfinite(p.value).all()
 
     def test_saturated_head_loss_stays_finite(self, toy_sequences, toy_embeddings):
-        from argseg.training import _assemble, _vectorize_all
+        from argseg.training import _assemble
 
         spec = ModelSpec(ArchitectureId.SB, input_dim=16, hidden=4, seed=5)
         model = build_model(spec)
@@ -253,7 +255,7 @@ class TestTrainLoop:
         head = model.layers[-1]
         head.w.value[...] = 0.0
         head.b.value[...] = np.array([2000.0, -2000.0, -2000.0])
-        batch, gold = _assemble(_vectorize_all(toy_sequences[:8], toy_embeddings))
+        batch, gold = _assemble(toy_sequences[:8], toy_embeddings)
         assert (gold != LABELS.index("B")).any()
         logits, caches = model.forward(batch)
         loss, grad = masked_cross_entropy(logits, gold)
@@ -315,6 +317,47 @@ class TestTrainLoop:
         monkeypatch.setattr(Model, "backward",
                             lambda self, caches, grad_out, **_: plain(self, caches, grad_out))
         assert artifacts("formed") == skipped
+
+    def test_only_one_batch_of_rows_is_alive(self, toy_sequences, toy_embeddings,
+                                              monkeypatch):
+        """``train`` and ``evaluate`` vectorize each batch as they build it, so
+        at every forward pass at most one batch's rows are still referenced."""
+        made = []  # a weak reference to every array of rows handed out
+        vectorize = toy_embeddings.vectorize
+
+        def tracked(seq):
+            rows = vectorize(seq)
+            made.append(weakref.ref(rows))
+            return rows
+
+        most = []
+        model = build_model(ModelSpec(ArchitectureId.SB, input_dim=16, hidden=3, seed=0))
+        forward = model.forward
+        monkeypatch.setattr(toy_embeddings, "vectorize", tracked)
+        monkeypatch.setattr(model, "forward", lambda batch: (
+            most.append(sum(ref() is not None for ref in made)), forward(batch))[1])
+        cfg = TrainConfig(batch_size=4, max_epochs=2, seed=0)
+        train(model, toy_sequences, toy_embeddings, cfg)
+        evaluate(model, toy_sequences, toy_embeddings, batch_size=4)
+        assert len(most) > 2 * len(toy_sequences) // 4 and max(most) <= 4
+
+    def test_uncovered_sequence_fails_before_the_first_step(self, toy_sequences):
+        from argseg.embeddings import EmbeddingSpec, PrecomputedSource, load_precomputed
+        from argseg.errors import CoverageError
+
+        missing = toy_sequences[-1]  # its essay's last sequence
+        records = [(seq.essay_id, 0, seq.token_ordinal_start + t, np.full(2, 0.5))
+                   for seq in toy_sequences if seq is not missing for t in range(len(seq))]
+        buf = io.BytesIO()
+        write_precomputed(buf, 2, records)
+        spec = EmbeddingSpec([PrecomputedSource(load_precomputed(buf.getvalue()))], 2)
+        model = build_model(ModelSpec(ArchitectureId.SB, input_dim=2, hidden=3, seed=0))
+        before = model.get_values()
+        with pytest.raises(CoverageError, match=repr(missing.essay_id)):
+            train(model, toy_sequences, spec, TrainConfig(batch_size=4, max_epochs=1))
+        assert all(np.array_equal(a, b) for a, b in zip(before, model.get_values()))
+        with pytest.raises(CoverageError, match=repr(missing.essay_id)):
+            evaluate(model, toy_sequences, spec)
 
     def test_config_validation(self):
         with pytest.raises(ContractViolation):
@@ -429,7 +472,7 @@ class TestGeneralizationGap:
 class TestOverfitTwoSequences:
     def test_exact_labels_recovered(self, toy_sequences, toy_embeddings):
         from argseg.models import predict_labels
-        from argseg.training import _assemble, _vectorize_all
+        from argseg.training import _assemble
 
         by_essay = {}
         for s in toy_sequences:
@@ -445,7 +488,6 @@ class TestOverfitTwoSequences:
 
         trained, _ = split_by_essay(chosen, cfg.val_fraction, cfg.seed)
         assert len(trained) == 2
-        items = _vectorize_all(trained, toy_embeddings)
-        batch, gold = _assemble(items)
+        batch, gold = _assemble(trained, toy_embeddings)
         predicted = predict_labels(model, batch)
         assert np.array_equal(predicted, gold)
