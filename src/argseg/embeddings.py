@@ -1,17 +1,21 @@
 """Per-token input vectors: GloVe-style tables, precomputed stores, stacking.
 
-Two source kinds exist, and each builds a sequence's rows in one array
-operation.  A text table is one matrix whose last row is all zeros: its keys
-and every query are lowercased, out-of-vocabulary words take the zero row,
-and the miss rate is reported per run rather than aborting anything.  A precomputed store ships
-contextual vectors generated elsewhere, keyed by (essay id, sentence index,
-token index); it serves a sequence as one slice of the essay's token stream,
-found through per-essay token ordinals, which line up with any sequence
-granularity because sentence and paragraph decompositions enumerate an
-essay's tokens in the same order.  A store file is verified in one streaming
-pass of fixed-size reads that keeps only an index of record offsets; each
-sequence's records are then read from the file when its batch is built, so
-memory holds the index and one batch's rows, not the file.
+Two source kinds exist, and each writes the rows of a batch's sequences
+straight into its columns of one (tokens, dim) array that the caller
+allocates: a table in one ``np.take``, a store one read of each covering run
+of records at a time.  A text table is one matrix whose last row is all
+zeros: its keys and every query are lowercased, out-of-vocabulary words take
+the zero row, and the miss rate is reported per run rather than aborting
+anything.  A precomputed store ships contextual vectors generated elsewhere,
+keyed by (essay id, sentence index, token index); it serves a sequence as one
+slice of the essay's token stream, found through per-essay token ordinals,
+which line up with any sequence granularity because sentence and paragraph
+decompositions enumerate an essay's tokens in the same order.  A store file
+is verified in one streaming pass of fixed-size reads that keeps only an
+index of record offsets; each sequence's records are then read from the file
+into one reused buffer when its batch is built and copied into the batch's
+rows, so memory holds the index, that buffer and one batch's rows, not the
+file.
 
 An embedding spec stacks one or more sources in a fixed order; the declared
 total dimension must match the sum of the source dimensions exactly.
@@ -59,11 +63,15 @@ class EmbeddingTable:
     def __contains__(self, word: str) -> bool:
         return word.lower() in self.index
 
-    def lookup(self, words: list[str]) -> np.ndarray:
-        """(len(words), dim) rows in one take; words are lowercased first, and
-        unknown words get the zero row."""
+    def lookup(self, words: list[str], out: np.ndarray | None = None) -> np.ndarray:
+        """(len(words), dim) rows in one take, written into ``out`` if given
+        and returned; words are lowercased first, and unknown words get the
+        zero row."""
         oov = len(self.index)
-        return self.vectors[[self.index.get(w.lower(), oov) for w in words]]
+        # every index is in range by construction; "clip" lets take write into
+        # a contiguous ``out`` directly, where "raise" goes through a buffer
+        return np.take(self.vectors, [self.index.get(w.lower(), oov) for w in words], axis=0,
+                       out=out, mode="clip")
 
 
 def load_glove(content) -> EmbeddingTable:
@@ -177,29 +185,39 @@ class PrecomputedStore:
             )
         return essay
 
-    def rows(self, essay_id: str, start: int, count: int) -> np.ndarray:
-        """The vectors of token ordinals ``start .. start + count - 1`` as one
-        read-only (count, dim) array, read now.  Within one run it is the
-        ``vec`` field of the bytes read, uncopied and strided; across runs it
-        is a copy.  A store file that changed since the load, or that reads
-        short, raises ``FormatError`` naming the essay."""
+    def rows(self, essay_id: str, start: int, count: int,
+             out: np.ndarray | None = None) -> np.ndarray:
+        """The vectors of token ordinals ``start .. start + count - 1``, read
+        now and written into ``out``, a (count, dim) float64 array that may be
+        strided, such as a batch's columns; without ``out`` they go into a new
+        array, returned read-only.
+
+        Each run of records that lie together is read in pieces of at most
+        ``_CHUNK`` bytes (or one record) into the reader's one reused buffer,
+        and the pieces' ``vec`` fields are copied into place.  A store file
+        that changed since the load, or that reads short, raises
+        ``FormatError`` naming the essay.
+        """
         essay = self.locate(essay_id, start, count)
+        fresh = out is None
+        if fresh:
+            out = np.empty((count, self.dim))
         stride = essay.layout.itemsize
+        per_read = max(1, _CHUNK // stride)
         bounds = essay.run_bounds
         run = int(np.searchsorted(bounds, start, side="right")) - 1
-        parts = []
         ordinal, stop = start, start + count
         while ordinal < stop:
-            n = min(stop, int(bounds[run + 1])) - ordinal
+            n = min(stop, int(bounds[run + 1]), ordinal + per_read) - ordinal
             offset = int(essay.run_offset[run]) + (ordinal - int(bounds[run])) * stride
             data = self._reader.read(offset, n * stride, essay_id)
-            parts.append(np.frombuffer(data, essay.layout)["vec"])
+            out[ordinal - start : ordinal - start + n] = np.frombuffer(data, essay.layout)["vec"]
             ordinal += n
-            run += 1
-        matrix = parts[0] if len(parts) == 1 else np.concatenate(
-            parts or [np.empty((0, self.dim))])
-        matrix.flags.writeable = False
-        return matrix
+            if ordinal == bounds[run + 1]:
+                run += 1
+        if fresh:
+            out.flags.writeable = False
+        return out
 
 
 @dataclass
@@ -262,8 +280,9 @@ class _BytesReader:
 
 
 class _FileReader:
-    """A store file held open.  The load reads it window by window into one
-    reused buffer; each later read is a fresh ``os.pread``, checked against
+    """A store file held open and read with ``os.preadv`` into one reused
+    buffer of ``_CHUNK`` bytes, or one record if that is longer.  The load
+    reads it window by window; each later read first checks the file against
     the size and modification time the load saw.  No ``mmap``: a mapped file
     that shrinks raises SIGBUS where a read returns short."""
 
@@ -276,25 +295,32 @@ class _FileReader:
         self._stamp = (st.st_size, st.st_mtime_ns)
         self._buffer = bytearray()
 
-    def window(self, offset: int, n: int) -> memoryview:
-        """``n`` bytes at ``offset``, valid until the next window."""
+    def _preadv(self, offset: int, n: int) -> tuple[memoryview, int]:
+        """The buffer's first ``n`` bytes, read from ``offset``, and how many
+        bytes the read filled."""
         if len(self._buffer) < n:
             self._buffer = bytearray(max(n, _CHUNK))
         view = memoryview(self._buffer)[:n]
-        if os.preadv(self._fd, [view], offset) != n:
+        return view, os.preadv(self._fd, [view], offset)
+
+    def window(self, offset: int, n: int) -> memoryview:
+        """``n`` bytes at ``offset``, valid until the next window or read."""
+        view, got = self._preadv(offset, n)
+        if got != n:
             raise FormatError(f"store file {self._path} changed while it was loaded")
         return view
 
-    def read(self, offset: int, n: int, essay_id: str) -> bytes:
+    def read(self, offset: int, n: int, essay_id: str) -> memoryview:
+        """Like ``window``, for a store in use: the errors name the essay."""
         st = os.fstat(self._fd)
         if (st.st_size, st.st_mtime_ns) != self._stamp:
             raise FormatError(f"essay {essay_id!r}: store file {self._path} changed "
                               "since it was loaded")
-        data = os.pread(self._fd, n, offset)
-        if len(data) != n:
+        view, got = self._preadv(offset, n)
+        if got != n:
             raise FormatError(f"essay {essay_id!r}: short read from store file {self._path} "
-                              f"({len(data)} of {n} bytes at offset {offset})")
-        return data
+                              f"({got} of {n} bytes at offset {offset})")
+        return view
 
 
 def load_precomputed(data) -> PrecomputedStore:
@@ -302,8 +328,8 @@ def load_precomputed(data) -> PrecomputedStore:
     corruption raises a format error.
 
     The load reads views of ``data`` and copies none of it, and ``rows``
-    serves an in-order essay's rows as views of it, so ``data`` must not
-    change while the store is used.
+    copies each read out of it, so ``data`` must not change while the store
+    is used.
     """
     return _load(_BytesReader(data))
 
@@ -313,8 +339,9 @@ def load_precomputed_file(path) -> PrecomputedStore:
     store then reads each sequence's records from the file when asked.
 
     Memory is the index, about 16 bytes per token while loading and one entry
-    per run after it, plus one read buffer.  ``path`` must name a regular
-    file, not a pipe, and it stays open while the store is alive.
+    per run after it, plus one read buffer of ``_CHUNK`` bytes or one record.
+    ``path`` must name a regular file, not a pipe, and it stays open while
+    the store is alive.
     """
     return _load(_FileReader(path))
 
@@ -496,8 +523,9 @@ class GloveSource:
     def dim(self) -> int:
         return self.table.dim
 
-    def rows(self, seq: LabeledSequence) -> np.ndarray:
-        return self.table.lookup([tok.text for tok in seq.tokens])
+    def write_rows(self, sequences: list[LabeledSequence], out: np.ndarray):
+        """Write the sequences' rows, one after another, into ``out`` in one take."""
+        self.table.lookup([tok.text for seq in sequences for tok in seq.tokens], out=out)
 
 
 @dataclass
@@ -508,8 +536,13 @@ class PrecomputedSource:
     def dim(self) -> int:
         return self.store.dim
 
-    def rows(self, seq: LabeledSequence) -> np.ndarray:
-        return self.store.rows(seq.essay_id, seq.token_ordinal_start, len(seq))
+    def write_rows(self, sequences: list[LabeledSequence], out: np.ndarray):
+        """Read each sequence's records straight into its slice of ``out``."""
+        lo = 0
+        for seq in sequences:
+            self.store.rows(seq.essay_id, seq.token_ordinal_start, len(seq),
+                            out=out[lo : lo + len(seq)])
+            lo += len(seq)
 
 
 class EmbeddingSpec:
@@ -561,15 +594,15 @@ class EmbeddingSpec:
         sources = []
         for entry in entries:
             kind = entry.get("kind")
+            if kind not in ("glove", "precomputed"):
+                raise FormatError(f"embedding spec {path}: unknown source kind {kind!r}")
             src_path = path.parent / entry["path"]
-            if kind == "glove":
-                sources.append(GloveSource(load_glove_file(src_path)))
-            elif kind == "precomputed":
-                sources.append(PrecomputedSource(load_precomputed_file(src_path)))
-            else:
-                raise FormatError(
-                    f"embedding spec {path}: unknown source kind {kind!r}"
-                )
+            try:
+                sources.append(GloveSource(load_glove_file(src_path)) if kind == "glove"
+                               else PrecomputedSource(load_precomputed_file(src_path)))
+            except (OSError, ValueError) as exc:  # missing, a directory, a NUL in the name
+                raise FormatError(f"embedding spec {path}: cannot read source "
+                                  f"{entry['path']!r} ({exc})") from exc
         return cls(sources, expected, label=label)
 
     def check_coverage(self, sequences: list[LabeledSequence]):
@@ -580,10 +613,20 @@ class EmbeddingSpec:
             for store in stores:
                 store.locate(seq.essay_id, seq.token_ordinal_start, len(seq))
 
+    def write_rows(self, sequences: list[LabeledSequence], out: np.ndarray) -> np.ndarray:
+        """Write the rows of ``sequences``, one sequence after another, into
+        ``out``, a float64 (total tokens, expected_dim) array, and return it.
+        Each source writes its own columns in place, in order, so no
+        per-sequence or per-source array is made."""
+        col = 0
+        for src in self.sources:
+            src.write_rows(sequences, out[:, col : col + src.dim])
+            col += src.dim
+        return out
+
     def vectorize(self, seq: LabeledSequence) -> np.ndarray:
-        """(len(seq), expected_dim) float64 rows: sources concatenated in order.
-        A lone precomputed source gives the rows it has just read, read-only
-        and possibly strided (``BatchTensor.from_rows`` concatenates them), so
-        a caller holds a store's vectors only while it holds these rows."""
-        parts = [src.rows(seq) for src in self.sources]
-        return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
+        """(len(seq), expected_dim) float64 rows, read-only: sources
+        concatenated in order, written by ``write_rows`` into a new array."""
+        rows = self.write_rows([seq], np.empty((len(seq), self.expected_dim)))
+        rows.flags.writeable = False
+        return rows

@@ -6,8 +6,12 @@ time-distributed linear map.  Each layer owns its
 :class:`~argseg.numeric.Parameter` objects, returns an activation cache from
 ``forward`` and accumulates parameter gradients in ``backward``.  Caches are
 owned by the caller, so one layer can be checked or trained without any
-global tape.  A model ends in a linear map to per-token B/I/O logits; the
-softmax is applied once, inside the loss.
+global tape.  A cache is valid from its forward until the caller drops it;
+a layer's ``backward`` only reads it, so one cache may serve several
+backwards, but ``Model.backward`` consumes the caches of a model's forward,
+and ``Model.logits`` drops each cache as soon as the next layer has its
+input.  A model ends in a linear map to per-token B/I/O logits; the softmax
+is applied once, inside the loss.
 
 Shape convention: a batch is a :class:`~argseg.numeric.BatchTensor`, its
 tokens packed sequence-major into one (N, F) array of rows plus the

@@ -27,7 +27,7 @@ from enum import Enum
 import numpy as np
 
 from .corpus import LABELS
-from .errors import ConfigurationError, DimensionError, FormatError
+from .errors import ConfigurationError, ContractViolation, DimensionError, FormatError
 from .files import atomic_write
 from .layers import (
     HEADS_CAP,
@@ -92,10 +92,10 @@ class ModelSpec:
 class Model:
     """An ordered layer stack with chained forward/backward passes.
 
-    ``forward`` returns the caches, one per layer, that the caller must hand
-    back to ``backward``; a model used for inference only never touches
-    them, and a trainer passes ``input_grad=False``, since nothing trains
-    the input rows.
+    ``forward`` returns the caches, one per layer, that the caller hands
+    back to ``backward``, which consumes them; ``logits`` is the forward of
+    inference, which keeps no cache.  A trainer passes ``input_grad=False``,
+    since nothing trains the input rows.
     """
 
     def __init__(self, spec: ModelSpec, layers: list[Layer]):
@@ -112,12 +112,18 @@ class Model:
         for p in self.params():
             p.zero_grad()
 
-    def forward(self, batch: BatchTensor):
+    def _check(self, batch: BatchTensor):
         if batch.features != self.spec.input_dim:
             raise DimensionError(
                 f"model expects {self.spec.input_dim} input features, "
                 f"batch has {batch.features}"
             )
+
+    def forward(self, batch: BatchTensor):
+        """(logits, caches): the caches, one per layer in order, stay valid
+        until they are handed to ``backward``, and hold every layer's
+        activations until then."""
+        self._check(batch)
         caches = []
         x = batch
         for layer in self.layers:
@@ -125,17 +131,32 @@ class Model:
             caches.append(cache)
         return x, caches
 
-    def backward(self, caches, grad_out: np.ndarray, input_grad: bool = True):
+    def logits(self, batch: BatchTensor) -> BatchTensor:
+        """The logits of ``forward`` with no cache kept: each layer's cache
+        is dropped as soon as the layer returns its output."""
+        self._check(batch)
+        x = batch
+        for layer in self.layers:
+            x = layer.forward(x)[0]
+        return x
+
+    def backward(self, caches: list, grad_out: np.ndarray, input_grad: bool = True):
         """Accumulate every parameter gradient; return d(loss)/d(input rows).
 
+        ``caches`` is consumed: each layer's cache is popped from the list
+        as its backward starts and released when that backward returns, so
+        the list is empty afterwards and cannot serve a second backward.
         ``input_grad`` goes to the first layer only: with ``False`` it skips
         the work that only feeds the input gradient and the result is
         ``None``, while every parameter gradient stays the same.
         """
+        if len(caches) != len(self.layers):
+            raise ContractViolation(f"backward needs {len(self.layers)} layer caches, got "
+                                    f"{len(caches)}; a forward's caches serve one backward")
         g = grad_out
-        for layer, cache in zip(reversed(self.layers[1:]), reversed(caches[1:])):
-            g = layer.backward(cache, g)
-        return self.layers[0].backward(caches[0], g, input_grad=input_grad)
+        for layer in reversed(self.layers[1:]):
+            g = layer.backward(caches.pop(), g)
+        return self.layers[0].backward(caches.pop(), g, input_grad=input_grad)
 
     def get_values(self) -> list[np.ndarray]:
         return [p.value.copy() for p in self.params()]
@@ -176,8 +197,7 @@ def build_model(spec: ModelSpec) -> Model:
 
 def predict_labels(model: Model, batch: BatchTensor) -> np.ndarray:
     """(N,) label indices in packed order; argmax per token, ties resolved B < I < O."""
-    logits, _ = model.forward(batch)
-    return np.argmax(logits.rows, axis=1)
+    return np.argmax(model.logits(batch).rows, axis=1)
 
 
 # ---------------------------------------------------------------------------

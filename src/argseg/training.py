@@ -4,11 +4,15 @@ The trainer owns batching: sequences are shuffled every epoch with the run
 seed and grouped into fixed-size batches, each packed into one
 :class:`~argseg.numeric.BatchTensor` of token rows with the gold labels in
 the same packed order.  A batch's sequences are vectorized as the batch is
-built, validation batches again each epoch, so only one batch's input rows
-are alive at a time, however large the embedding source.  Validation essays
-are split off by essay id (never by sequence) so no essay leaks across the
-train/validation boundary.  Early stopping watches validation loss and
-always restores the best parameters seen.
+built, validation batches again each epoch: the batch's one (tokens, dim)
+array is allocated first and every source writes its columns into it, so
+only one batch's input rows are alive at a time, however large the embedding
+source.  Each array lives only while something reads it: a training step's
+backward consumes the layer caches its forward made, and the validation loss
+and ``evaluate`` run the layers through ``Model.logits``, which keeps no
+cache.  Validation essays are split off by essay id (never by sequence) so
+no essay leaks across the train/validation boundary.  Early stopping watches
+validation loss and always restores the best parameters seen.
 """
 
 from __future__ import annotations
@@ -145,8 +149,11 @@ def adam_step(params: list[Parameter], state: AdamState, lr: float):
 
 
 def _assemble(sequences: list[LabeledSequence], spec: EmbeddingSpec):
-    """One batch of the sequences, vectorized now, and their gold labels."""
-    batch = BatchTensor.from_rows([spec.vectorize(seq) for seq in sequences])
+    """One batch of the sequences, vectorized now into one array of rows, and
+    their gold labels."""
+    lengths = [len(seq) for seq in sequences]
+    rows = spec.write_rows(sequences, np.empty((sum(lengths), spec.expected_dim)))
+    batch = BatchTensor(rows, lengths)
     gold = [LABELS.index(lab) for seq in sequences for lab in seq.labels]
     return batch, np.array(gold, dtype=np.int64)
 
@@ -160,8 +167,7 @@ def _dataset_loss(model: Model, batches) -> float:
     total = 0.0
     count = 0
     for batch, gold in batches:
-        logits, _ = model.forward(batch)
-        loss, _ = masked_cross_entropy(logits, gold)
+        loss, _ = masked_cross_entropy(model.logits(batch), gold)
         total += loss * len(gold)
         count += len(gold)
     return total / count
@@ -170,6 +176,27 @@ def _dataset_loss(model: Model, batches) -> float:
 # ---------------------------------------------------------------------------
 # Training loop
 # ---------------------------------------------------------------------------
+
+
+def _train_epoch(model: Model, params: list[Parameter], state: AdamState, lr: float,
+                 batches) -> float | None:
+    """One Adam step per batch; the mean training loss over the epoch's
+    tokens, or ``None`` once a batch's loss is not finite (that batch takes
+    no step).  Each batch's arrays are this function's locals, so none of
+    them outlives the epoch."""
+    running = 0.0
+    seen = 0
+    for batch, gold in batches:
+        logits, caches = model.forward(batch)
+        loss, grad = masked_cross_entropy(logits, gold)
+        if not math.isfinite(loss):
+            return None
+        running += loss * len(gold)
+        seen += len(gold)
+        model.zero_grads()
+        model.backward(caches, grad, input_grad=False)
+        adam_step(params, state, lr)
+    return running / seen
 
 
 def split_by_essay(sequences: list[LabeledSequence], val_fraction: float, seed: int):
@@ -216,29 +243,15 @@ def train(model: Model, train_sequences: list[LabeledSequence],
     epochs_since_best = 0
 
     for _epoch in range(cfg.max_epochs):
-        order = rng.permutation(len(train_seqs))
-        running = 0.0
-        seen = 0
-        diverged = False
-        for batch, gold in _batches(train_seqs, order, spec, cfg.batch_size):
-            logits, caches = model.forward(batch)
-            loss, grad = masked_cross_entropy(logits, gold)
-            if not math.isfinite(loss):
-                diverged = True
-                break
-            running += loss * len(gold)
-            seen += len(gold)
-            model.zero_grads()
-            model.backward(caches, grad, input_grad=False)
-            adam_step(params, state, cfg.learning_rate)
-        if diverged or not all(np.isfinite(p.value).all() for p in params):
+        batches = _batches(train_seqs, rng.permutation(len(train_seqs)), spec, cfg.batch_size)
+        train_loss = _train_epoch(model, params, state, cfg.learning_rate, batches)
+        if train_loss is None or not all(np.isfinite(p.value).all() for p in params):
             model.set_values(last_finite)
             raise TrainingDiverged(
                 f"loss went non-finite in epoch {len(curve) + 1}; "
                 "model restored to its last finite state"
             )
 
-        train_loss = running / seen
         val_loss = _dataset_loss(
             model, _batches(val_seqs, np.arange(len(val_seqs)), spec, cfg.batch_size))
         curve.train.append(train_loss)

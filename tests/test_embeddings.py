@@ -3,22 +3,30 @@ import io
 import json
 import struct
 import zlib
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from argseg import embeddings
 from argseg.corpus import LabeledSequence, Token, build_sequences
 from argseg.embeddings import (
     EmbeddingSpec,
     GloveSource,
     PrecomputedSource,
     load_glove,
+    load_glove_file,
     load_precomputed,
+    load_precomputed_file,
     oov_statistics,
     write_precomputed,
 )
-from argseg.errors import ConfigurationError, CoverageError, FormatError
-from argseg.toydata import toy_corpus
+from argseg.errors import ArgsegError, ConfigurationError, CoverageError, FormatError
+from argseg.toydata import toy_corpus, toy_glove_text
+from argseg.training import _assemble
 
 
 def seq_of(words, essay_id="e1", seq_idx=0, ordinal=0):
@@ -369,10 +377,15 @@ class TestEmbeddingSpec:
             ('{"expected_dim": true, "sources": []}', None),
             ('{"expected_dim": 0, "sources": []}', None),
             ('[2]', None),
+            ('{"expected_dim": 2, "sources": [{"kind": ["glove"], "path": "v.txt"}]}', None),
+            ('{"expected_dim": 2, "sources": [{"kind": "glove", "path": "missing.txt"}]}', None),
+            ('{"expected_dim": 2, "sources": [{"kind": "glove", "path": "v\\u0000.txt"}]}',
+             None),
         ],
         ids=["sources_int", "source_str", "no_path", "path_int", "spec_not_utf8",
              "glove_not_utf8", "label_comma", "label_newline", "label_list", "label_int",
-             "dim_float", "dim_str", "dim_bool", "dim_zero", "doc_list"],
+             "dim_float", "dim_str", "dim_bool", "dim_zero", "doc_list", "kind_list",
+             "source_missing", "source_nul"],
     )
     def test_from_file_malformed_is_format_error(self, tmp_path, spec, glove):
         path = tmp_path / "spec.json"
@@ -381,3 +394,145 @@ class TestEmbeddingSpec:
             (tmp_path / "v.txt").write_bytes(glove)
         with pytest.raises(FormatError, match="v.txt" if glove else "spec.json"):
             EmbeddingSpec.from_file(path)
+
+
+# ---------------------------------------------------------------------------
+# Batches built in place
+# ---------------------------------------------------------------------------
+
+VOCAB = ["the", "Cat", "SAT", "on", "mat", "zzqqy", "."]  # "zzqqy" is out of vocabulary
+
+
+@st.composite
+def stacked_batches(draw):
+    """(glove text, store dim, store records, sequences of one batch, store
+    first?) for essays whose sequences cut the token stream anywhere."""
+    glove_dim = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    glove = "".join(f"{w.lower()} {' '.join(map(repr, rng.standard_normal(glove_dim).tolist()))}\n"
+                    for w in VOCAB[:-2] + ["."])
+    store_dim = draw(st.integers(1, 4))
+    groups, sequences = [], []
+    for essay_id in draw(st.lists(st.text(max_size=4), min_size=1, max_size=3, unique=True)):
+        sentences = draw(st.lists(st.integers(1, 4), min_size=1, max_size=3))
+        groups.append([(essay_id, s, t, rng.standard_normal(store_dim))
+                       for s, n in enumerate(sentences) for t in range(n)])
+        length = sum(sentences)
+        cuts = sorted(draw(st.sets(st.integers(1, length - 1), max_size=3))) if length > 1 else []
+        for k, (lo, hi) in enumerate(zip([0] + cuts, cuts + [length])):
+            words = [draw(st.sampled_from(VOCAB)) for _ in range(hi - lo)]
+            sequences.append(seq_of(words, essay_id, k, ordinal=lo))
+    layout = draw(st.sampled_from(["grouped", "interleaved", "shuffled"]))
+    if layout == "grouped":
+        records = [r for g in groups for r in g]
+    elif layout == "interleaved":
+        records = [g[k] for k in range(max(map(len, groups))) for g in groups if k < len(g)]
+    else:
+        records = draw(st.permutations([r for g in groups for r in g]))
+    batch = draw(st.permutations(sequences))[: draw(st.integers(1, len(sequences)))]
+    return glove, store_dim, records, batch, draw(st.booleans())
+
+
+@pytest.fixture(scope="module")
+def store_file(tmp_path_factory) -> Path:
+    return tmp_path_factory.mktemp("batch") / "v.pv"
+
+
+@settings(max_examples=150, deadline=None)
+@given(stacked_batches(), st.booleans(), st.integers(1, 200))
+def test_batch_built_in_place_equals_the_per_sequence_oracle(store_file, case, from_file,
+                                                             chunk):
+    glove, store_dim, records, sequences, store_first = case
+    table = load_glove(glove)
+    with open(store_file, "wb") as fh:
+        write_precomputed(fh, store_dim, records)
+    with mock.patch.object(embeddings, "_CHUNK", chunk):  # reads of a few records each
+        store = (load_precomputed_file(store_file) if from_file
+                 else load_precomputed(store_file.read_bytes()))
+        sources = [GloveSource(table), PrecomputedSource(store)]
+        spec = EmbeddingSpec(sources[::-1] if store_first else sources,
+                             expected_dim=table.dim + store_dim)
+        batch, gold = _assemble(sequences, spec)
+        alone = [spec.vectorize(seq) for seq in sequences]
+    oracle = [np.concatenate([glove_oracle(table, seq), store_oracle(records, seq)][
+        ::-1 if store_first else 1], axis=1) for seq in sequences]
+    assert batch.lengths.tolist() == [len(seq) for seq in sequences]
+    assert len(gold) == len(batch.rows)
+    assert_same_bytes(batch.rows, np.concatenate(oracle))
+    for rows, expected in zip(alone, oracle):
+        assert_same_bytes(rows, expected)
+        assert not rows.flags.writeable
+
+
+# ---------------------------------------------------------------------------
+# Mutated embedding files
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def mutations(draw, data: bytes) -> bytes:
+    """``data`` truncated, with one bit flipped, or with a slice of it copied
+    over another place."""
+    kind = draw(st.sampled_from(["truncate", "bit_flip", "splice"]))
+    body = bytearray(data)
+    if kind == "truncate":
+        del body[draw(st.integers(0, len(body) - 1)):]
+    elif kind == "bit_flip":
+        body[draw(st.integers(0, len(body) - 1))] ^= 1 << draw(st.integers(0, 7))
+    else:
+        lo = draw(st.integers(0, len(body)))
+        hi = draw(st.integers(lo, min(len(body), lo + 64)))
+        at = draw(st.integers(0, len(body)))
+        body[at : at + draw(st.integers(0, 64))] = data[lo:hi]
+    return bytes(body)
+
+
+TOY_GLOVE = toy_glove_text(dim=3, seed=7).encode("utf-8")
+
+
+@pytest.fixture(scope="module")
+def mutation_dir(tmp_path_factory) -> Path:
+    return tmp_path_factory.mktemp("mutated")
+
+
+@settings(max_examples=300, deadline=None)
+@given(mutations(TOY_GLOVE))
+def test_mutated_glove_file_gives_a_table_or_a_format_error(mutation_dir, data):
+    path = mutation_dir / "v.txt"
+    path.write_bytes(data)
+    try:
+        table = load_glove_file(path)
+    except ArgsegError:
+        return
+    assert table.vectors.shape == (len(table) + 1, table.dim)
+    assert np.isfinite(table.vectors).all() and not table.vectors[-1].any()
+
+
+def toy_spec_files() -> dict[str, bytes]:
+    """A stacked spec and its two sources: the toy GloVe text and a 2-d store."""
+    rng = np.random.default_rng(18)
+    buf = io.BytesIO()
+    write_precomputed(buf, 2, [("e1", s, t, rng.standard_normal(2))
+                               for s in range(2) for t in range(3)])
+    spec = {"expected_dim": 5, "label": "toy5",
+            "sources": [{"kind": "glove", "path": "v.txt"},
+                        {"kind": "precomputed", "path": "s.pv"}]}
+    return {"spec.json": json.dumps(spec).encode("utf-8"), "v.txt": TOY_GLOVE,
+            "s.pv": buf.getvalue()}
+
+
+TOY_SPEC_FILES = toy_spec_files()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(sorted(TOY_SPEC_FILES)).flatmap(
+    lambda name: st.tuples(st.just(name), mutations(TOY_SPEC_FILES[name]))))
+def test_mutated_spec_or_source_gives_a_spec_or_an_argseg_error(mutation_dir, mutated):
+    name, data = mutated
+    for other, original in TOY_SPEC_FILES.items():
+        (mutation_dir / other).write_bytes(data if other == name else original)
+    try:
+        spec = EmbeddingSpec.from_file(mutation_dir / "spec.json")
+    except ArgsegError:
+        return
+    assert spec.expected_dim == sum(src.dim for src in spec.sources)

@@ -1,9 +1,11 @@
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from argseg.errors import ConfigurationError, FormatError
+from argseg.errors import ConfigurationError, ContractViolation, FormatError
 from argseg.layers import (
     AdditiveSelfAttention,
     BiLstm,
@@ -375,8 +377,82 @@ def test_input_grad_off_keeps_parameter_gradients(arch):
     upstream = rng.standard_normal(logits.rows.shape)
     model.zero_grads()
     assert model.backward(caches, upstream).shape == x.rows.shape
+    assert caches == []  # consumed: a second backward needs a second forward
     full = [p.grad.copy() for p in model.params()]
     model.zero_grads()
-    assert model.backward(caches, upstream, input_grad=False) is None
+    assert model.backward(model.forward(x)[1], upstream, input_grad=False) is None
     for p, expected in zip(model.params(), full, strict=True):
         assert p.grad.tobytes() == expected.tobytes(), p.name
+
+
+# ---------------------------------------------------------------------------
+# Cache lifetimes
+# ---------------------------------------------------------------------------
+
+
+def cache_arrays(cache):
+    """Every array a layer cache holds, through its tuples and lists."""
+    if isinstance(cache, np.ndarray):
+        yield cache
+    elif isinstance(cache, (tuple, list)):
+        for item in cache:
+            yield from cache_arrays(item)
+
+
+def weak_cache(cache, batch: BatchTensor) -> list:
+    """Weak references to a cache's arrays, less the batch's own rows, which
+    the caller holds."""
+    return [weakref.ref(a) for a in cache_arrays(cache) if a is not batch.rows]
+
+
+def lifetime_batch(arch):
+    rng = np.random.default_rng(43)
+    model = build_model(ModelSpec(arch, input_dim=12, hidden=5, seed=3))
+    return model, BatchTensor.from_rows([rng.standard_normal((n, 12)) for n in (4, 1, 6)])
+
+
+@pytest.mark.parametrize("arch", list(ArchitectureId))
+def test_backward_releases_each_cache_when_its_layer_is_done(arch):
+    model, x = lifetime_batch(arch)
+    logits, caches = model.forward(x)
+    refs = [weak_cache(cache, x) for cache in caches]
+    assert all(refs[1:])  # every layer after the first caches arrays of its own
+    later_alive = []
+    for i, layer in enumerate(model.layers):
+        def spy(cache, grad_out, i=i, inner=layer.backward, **kwargs):
+            later_alive.append(sum(ref() is not None for later in refs[i + 1 :]
+                                   for ref in later))
+            return inner(cache, grad_out, **kwargs)
+
+        layer.backward = spy
+    model.backward(caches, np.ones_like(logits.rows), input_grad=False)
+    assert later_alive == [0] * len(model.layers)
+    assert caches == [] and all(ref() is None for layer in refs for ref in layer)
+
+
+@pytest.mark.parametrize("arch", list(ArchitectureId))
+def test_inference_drops_each_cache_once_the_next_layer_has_its_input(arch):
+    model, x = lifetime_batch(arch)
+    expected = model.forward(x)[0].rows
+    refs, earlier_alive = [], []
+    for i, layer in enumerate(model.layers):
+        def spy(batch, i=i, inner=layer.forward):
+            earlier_alive.append(sum(ref() is not None for earlier in refs[:i]
+                                     for ref in earlier))
+            out, cache = inner(batch)
+            refs.append(weak_cache(cache, x))
+            return out, cache
+
+        layer.forward = spy
+    labels = predict_labels(model, x)
+    assert earlier_alive == [0] * len(model.layers) and all(refs[1:])
+    assert np.array_equal(labels, np.argmax(expected, axis=1))
+    assert model.logits(x).rows.tobytes() == expected.tobytes()
+
+
+def test_consumed_caches_cannot_serve_a_second_backward():
+    model, x = lifetime_batch(ArchitectureId.SB)
+    logits, caches = model.forward(x)
+    model.backward(caches, np.ones_like(logits.rows))
+    with pytest.raises(ContractViolation, match="caches serve one backward"):
+        model.backward(caches, np.ones_like(logits.rows))

@@ -3,7 +3,8 @@ valid stores give the same essays, last keys and matrices; mutated stores give
 the same store or the same ``FormatError`` and never another exception.  Both
 hold for bytes in memory and for files read in windows small enough that
 records straddle them; a file that changes after the load raises
-``FormatError`` on the next read."""
+``FormatError`` on the next read.  Every read copies the records out of the
+reader, so what a store returns is never a view of its source."""
 
 import io
 import os
@@ -126,8 +127,8 @@ def test_random_stores_equal_the_oracle(store):
         assert got_last == last and type(got_last[0]) is int
         assert np.array_equal(got, matrix) and got.tobytes() == matrix.tobytes()
         assert not got.flags.writeable
-        if layout == "grouped":  # one run in key order: a view of the blob
-            assert np.shares_memory(got, np.frombuffer(blob, np.uint8))
+        assert not np.shares_memory(got, np.frombuffer(blob, np.uint8))  # a copy
+        if layout == "grouped":  # one run in key order
             assert len(loaded._essays[essay_id].run_offset) == 1
 
 
@@ -139,18 +140,41 @@ def test_file_stores_read_in_small_windows_equal_the_oracle(store_path, store, c
     assert file_outcome(store_path, blob, chunk) == outcome(oracle_outcome, blob)
 
 
-def test_in_order_single_run_essay_is_a_read_only_view():
+def test_in_order_single_run_essay_is_one_read_into_a_read_only_copy():
     groups = essay_records(["a", "bb"], [[3, 2], [1]], 5, seed=8)
     buf = bytearray(blob_of(5, groups[0] + groups[1]))
     store = load_precomputed(buf)
+    reads = []
+    read = store._reader.read
+    store._reader.read = lambda offset, n, essay_id: reads.append(n) or read(offset, n, essay_id)
     backing = np.frombuffer(buf, np.uint8)
     for essay_id, records in zip(["a", "bb"], groups):
+        expected = np.stack([vec for *_, vec in records])
         rows = store.rows(essay_id, 0, len(records))
-        assert np.shares_memory(rows, backing)
-        assert not rows.flags.writeable and not rows.flags.owndata
-        assert np.array_equal(rows, np.stack([vec for *_, vec in records]))
+        assert reads.pop() == len(records) * store._essays[essay_id].layout.itemsize
+        assert not reads
+        assert not np.shares_memory(rows, backing) and rows.flags.owndata
+        assert not rows.flags.writeable
+        assert rows.tobytes() == expected.tobytes()
         with pytest.raises(ValueError):
             rows[0, 0] = 1.0
+        buf[HEADER:-4] = bytes(len(buf) - HEADER - 4)  # the copy outlives the bytes
+        assert rows.tobytes() == expected.tobytes()
+        buf[:] = blob_of(5, groups[0] + groups[1])
+
+
+def test_rows_written_into_a_batchs_columns():
+    """With ``out`` the rows go into the caller's (possibly strided) array,
+    which stays writable, and nothing beside it changes."""
+    (records,) = essay_records(["a"], [[2, 2]], 3, seed=16)
+    store = load_precomputed(blob_of(3, records[::-1]))  # four runs of one record
+    batch = np.full((5, 7), -1.0)
+    got = store.rows("a", 1, 3, out=batch[1:4, 2:5])
+    expected = np.stack([vec for *_, vec in records[1:]])
+    assert got.base is batch and got.flags.writeable
+    assert batch[1:4, 2:5].tobytes() == expected.tobytes()
+    batch[1:4, 2:5] = -1.0
+    assert (batch == -1.0).all()
 
 
 def test_out_of_order_essay_is_gathered_into_a_copy():
@@ -162,20 +186,53 @@ def test_out_of_order_essay_is_gathered_into_a_copy():
     assert np.array_equal(rows, np.stack([vec for *_, vec in records]))
 
 
-def test_file_store_reads_each_sequence_from_the_file(tmp_path):
+def test_file_store_reads_each_sequence_from_the_file(tmp_path, monkeypatch):
+    """Each ``rows`` call reads exactly its records with ``os.preadv``, into
+    the reader's one buffer, reused from read to read, and returns a copy."""
     groups = essay_records(["e1", "e2"], [[2, 2], [3]], 3, seed=10)
     path = tmp_path / "v.pv"
     with open(path, "wb") as fh:
         write_precomputed(fh, 3, groups[0] + groups[1])
     store = load_precomputed_file(path)
+    buffer = store._reader._buffer
+    reads = []
+    preadv = os.preadv
+
+    def spy(fd, buffers, offset):
+        reads.append(([view.obj for view in buffers], sum(view.nbytes for view in buffers)))
+        return preadv(fd, buffers, offset)
+
+    monkeypatch.setattr(os, "preadv", spy)
     stride = 4 + 2 + 8 + 8 * 3
     for essay_id, records in zip(["e1", "e2"], groups):
         rows = store.rows(essay_id, 1, len(records) - 1)
-        assert np.array_equal(rows, np.stack([vec for *_, vec in records[1:]]))
-        assert not rows.flags.writeable
-        read = rows.base.base  # rows views one record array over the bytes read
-        assert isinstance(read, bytes) and len(read) == (len(records) - 1) * stride
-    assert not np.shares_memory(store.rows("e1", 0, 4), store.rows("e1", 0, 4))
+        expected = np.stack([vec for *_, vec in records[1:]])
+        assert rows.tobytes() == expected.tobytes() and not rows.flags.writeable
+        assert reads.pop() == ([buffer], (len(records) - 1) * stride) and not reads
+        assert not np.shares_memory(rows, np.frombuffer(buffer, np.uint8))
+    assert store._reader._buffer is buffer
+    first, second = store.rows("e1", 0, 4), store.rows("e1", 0, 4)
+    assert not np.shares_memory(first, second) and first.tobytes() == second.tobytes()
+
+
+def test_file_store_reads_a_long_run_in_pieces_of_one_buffer(tmp_path, monkeypatch):
+    """A run longer than ``_CHUNK`` bytes is read in pieces that fit the one
+    buffer, which never grows past ``_CHUNK`` or one record."""
+    (records,) = essay_records(["e"], [[7, 6]], 4, seed=17)
+    path = tmp_path / "v.pv"
+    with open(path, "wb") as fh:
+        write_precomputed(fh, 4, records)
+    stride = 4 + 1 + 8 + 8 * 4
+    monkeypatch.setattr(embeddings, "_CHUNK", 3 * stride + 1)
+    store = load_precomputed_file(path)
+    sizes = []
+    preadv = os.preadv
+    monkeypatch.setattr(os, "preadv", lambda fd, buffers, offset: (
+        sizes.append(buffers[0].nbytes), preadv(fd, buffers, offset))[1])
+    rows = store.rows("e", 2, 10)
+    assert rows.tobytes() == np.stack([vec for *_, vec in records[2:12]]).tobytes()
+    assert sizes == [3 * stride, 3 * stride, 3 * stride, stride]
+    assert len(store._reader._buffer) == 3 * stride + 1
 
 
 def write_two_essays(path: Path, seed: int):
@@ -216,8 +273,9 @@ def test_short_read_raises_format_error_naming_the_essay(tmp_path, monkeypatch):
     path = tmp_path / "v.pv"
     write_two_essays(path, seed=14)
     store = load_precomputed_file(path)
-    pread = os.pread
-    monkeypatch.setattr(os, "pread", lambda fd, n, offset: pread(fd, n, offset)[:-1])
+    preadv = os.preadv
+    monkeypatch.setattr(os, "preadv", lambda fd, buffers, offset: preadv(
+        fd, [view[:-1] for view in buffers], offset))
     with pytest.raises(FormatError, match=r"essay 'e1': short read from store file .* "
                                           r"\(89 of 90 bytes at offset 24\)"):
         store.rows("e1", 0, 3)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from argseg.corpus import LABELS
+from argseg import training
 from argseg.embeddings import write_precomputed
 from argseg.errors import ContractViolation, DimensionError, NumericError, TrainingDiverged
 from argseg.metrics import confusion_matrix, metrics_from_confusion
@@ -321,25 +322,30 @@ class TestTrainLoop:
     def test_only_one_batch_of_rows_is_alive(self, toy_sequences, toy_embeddings,
                                               monkeypatch):
         """``train`` and ``evaluate`` vectorize each batch as they build it, so
-        at every forward pass at most one batch's rows are still referenced."""
-        made = []  # a weak reference to every array of rows handed out
-        vectorize = toy_embeddings.vectorize
+        at every forward pass, the training one with caches and the inference
+        one without, only that batch's rows are still referenced."""
+        made = []  # a weak reference to the rows of every batch built
+        assemble = training._assemble
 
-        def tracked(seq):
-            rows = vectorize(seq)
-            made.append(weakref.ref(rows))
-            return rows
+        def tracked(sequences, spec):
+            batch, gold = assemble(sequences, spec)
+            made.append(weakref.ref(batch.rows))
+            return batch, gold
 
-        most = []
+        alive = {"forward": [], "logits": []}
         model = build_model(ModelSpec(ArchitectureId.SB, input_dim=16, hidden=3, seed=0))
-        forward = model.forward
-        monkeypatch.setattr(toy_embeddings, "vectorize", tracked)
-        monkeypatch.setattr(model, "forward", lambda batch: (
-            most.append(sum(ref() is not None for ref in made)), forward(batch))[1])
+        monkeypatch.setattr(training, "_assemble", tracked)
+        for name, counts in alive.items():
+            monkeypatch.setattr(model, name, lambda batch, inner=getattr(model, name),
+                                counts=counts: (counts.append(
+                                    sum(ref() is not None for ref in made)), inner(batch))[1])
         cfg = TrainConfig(batch_size=4, max_epochs=2, seed=0)
         train(model, toy_sequences, toy_embeddings, cfg)
+        assert len(alive["forward"]) > len(toy_sequences) // 4  # two epochs of steps
+        assert alive["logits"]  # the validation loss
         evaluate(model, toy_sequences, toy_embeddings, batch_size=4)
-        assert len(most) > 2 * len(toy_sequences) // 4 and max(most) <= 4
+        assert len(made) == len(alive["forward"]) + len(alive["logits"])
+        assert set(alive["forward"]) == set(alive["logits"]) == {1}
 
     def test_uncovered_sequence_fails_before_the_first_step(self, toy_sequences):
         from argseg.embeddings import EmbeddingSpec, PrecomputedSource, load_precomputed
