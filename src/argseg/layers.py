@@ -77,8 +77,8 @@ class Layer:
 # ---------------------------------------------------------------------------
 
 # Blocks are drawn from the generator in the order i, f, g, o (block indices
-# 0, 1, 3, 2), so a seed gives the same numbers as the per-gate parameters
-# of checkpoint format 1.
+# 0, 1, 3, 2), not in their fused order.  The initial values of every seed
+# depend on this order, so changing it would change every seeded run.
 _DRAW_ORDER = (0, 1, 3, 2)
 
 

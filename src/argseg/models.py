@@ -19,8 +19,8 @@ rows to (N, 3) logit rows, one per token.
 
 from __future__ import annotations
 
-import io
-import math
+import os
+import sys
 from dataclasses import dataclass
 from enum import Enum
 
@@ -83,10 +83,11 @@ class ModelSpec:
     attn_dim: int = 32  # width of the additive scorer
 
     def __post_init__(self):
-        if self.input_dim < 1 or self.hidden < 1:
-            raise ConfigurationError(
-                f"input_dim and hidden must be >= 1, got {self.input_dim}, {self.hidden}"
-            )
+        if min(self.input_dim, self.hidden, self.attn_dim) < 1:
+            raise ConfigurationError(f"input_dim, hidden and attn_dim must be >= 1, got "
+                                     f"{self.input_dim}, {self.hidden}, {self.attn_dim}")
+        if self.seed < 0:
+            raise ConfigurationError(f"seed must be >= 0, got {self.seed}")
 
 
 class Model:
@@ -195,6 +196,21 @@ def build_model(spec: ModelSpec) -> Model:
     return Model(spec, layers)
 
 
+def parameter_count(spec: ModelSpec) -> int:
+    """The number of values in ``build_model(spec).params()``, without building it."""
+    d, h, arch = spec.input_dim, spec.hidden, spec.arch
+    n = 8 * h * (d + h + 1) + (2 * h + 1) * len(LABELS)  # BiLSTM (W, U, b twice) and head
+    if arch is ArchitectureId.BL_I:
+        n += 4 * d * d
+    elif arch is ArchitectureId.SB_I:
+        n += (2 * d + 2) * spec.attn_dim
+    if arch.is_stacked:  # the bridge and the second BiLSTM
+        n += (2 * h + 1) * BRIDGE_DIM + 8 * h * (BRIDGE_DIM + h + 1)
+    if arch is ArchitectureId.BL_E:
+        n += 4 * BRIDGE_DIM * BRIDGE_DIM
+    return n
+
+
 def predict_labels(model: Model, batch: BatchTensor) -> np.ndarray:
     """(N,) label indices in packed order; argmax per token, ties resolved B < I < O."""
     return np.argmax(model.logits(batch).rows, axis=1)
@@ -206,10 +222,6 @@ def predict_labels(model: Model, batch: BatchTensor) -> np.ndarray:
 
 _CKPT_MAGIC = b"ARGSEG-CKPT"
 _CKPT_VERSION = 3
-# Format 1 stored each fused LSTM tensor as four per-gate tensors named
-# <cell>.W_i, <cell>.W_f, <cell>.W_c and <cell>.W_o (likewise U and b); this
-# is their order in the fused i|f|o|g layout.
-_V1_GATES = ("i", "f", "o", "c")
 
 
 def _fixed_fields(arch: ArchitectureId) -> dict[str, str]:
@@ -222,37 +234,48 @@ def _fixed_fields(arch: ArchitectureId) -> dict[str, str]:
     }
 
 
-def _spec_to_lines(spec: ModelSpec) -> list[str]:
-    fixed = _fixed_fields(spec.arch)
-    return [
-        f"arch {spec.arch.value}",
-        f"input_dim {spec.input_dim}",
-        f"hidden {spec.hidden}",
-        *(f"{key} {value}" for key, value in fixed.items()),
-        f"seed {spec.seed}",
-        f"attn_dim {spec.attn_dim}",
-    ]
+def _header_fields(spec: ModelSpec) -> dict[str, str]:
+    """The header's key-value lines for ``spec``, in the order they are written."""
+    return {
+        "arch": spec.arch.value,
+        "input_dim": str(spec.input_dim),
+        "hidden": str(spec.hidden),
+        **_fixed_fields(spec.arch),
+        "seed": str(spec.seed),
+        "attn_dim": str(spec.attn_dim),
+    }
 
 
 def _spec_from_fields(fields: dict[str, str]) -> ModelSpec:
+    """The spec of a header whose key-value lines are ``fields``.  They must be
+    exactly the lines that :func:`_header_fields` gives for it, plus ``tensors``."""
     try:
         spec = ModelSpec(
             arch=ArchitectureId.from_string(fields["arch"]),
             input_dim=int(fields["input_dim"]),
             hidden=int(fields["hidden"]),
             seed=int(fields["seed"]),
-            attn_dim=int(fields.get("attn_dim", 32)),
+            attn_dim=int(fields["attn_dim"]),
         )
-        fixed = _fixed_fields(spec.arch)
-        found = {key: fields[key] for key in ("inter_stage_dim", "heads_cap")}
-    except (KeyError, ValueError) as exc:
-        raise FormatError(f"checkpoint header is incomplete or malformed: {exc}") from exc
-    found["attention"] = fields.get("attention", fixed["attention"])  # optional line
-    for key, value in fixed.items():
-        if found[key] != value:
-            raise FormatError(f"checkpoint field {key} is {found[key]!r}, but a "
-                              f"{spec.arch.value} model here always has {value!r}")
+    except KeyError as exc:
+        raise FormatError(f"checkpoint header lacks the {exc.args[0]} line") from None
+    except (ValueError, ConfigurationError) as exc:
+        raise FormatError(f"checkpoint header is malformed: {exc}") from None
+    expected = _header_fields(spec)
+    lines = {*expected, "tensors"}
+    if fields.keys() != lines:
+        raise FormatError(f"checkpoint header lacks {sorted(lines - fields.keys())} and has "
+                          f"unknown lines {sorted(fields.keys() - lines)}")
+    for key, value in expected.items():
+        if fields[key] != value:
+            raise FormatError(f"checkpoint field {key} is {fields[key]!r}, but a "
+                              f"{spec.arch.value} model here writes {value!r}")
     return spec
+
+
+def _tensor_line(p: Parameter) -> str:
+    dims = " ".join(str(d) for d in p.value.shape)
+    return f"tensor {p.name} {p.value.ndim} {dims}"
 
 
 def save_checkpoint(model: Model, path):
@@ -261,110 +284,68 @@ def save_checkpoint(model: Model, path):
     params = model.params()
     with atomic_write(path, binary=True) as fh:
         fh.write(_CKPT_MAGIC + b" %d\n" % _CKPT_VERSION)
-        for line in _spec_to_lines(model.spec):
-            fh.write(line.encode("utf-8") + b"\n")
+        for key, value in _header_fields(model.spec).items():
+            fh.write(f"{key} {value}\n".encode("utf-8"))
         fh.write(b"tensors %d\n" % len(params))
         fh.write(b"end-header\n")
         for p in params:
-            dims = " ".join(str(d) for d in p.value.shape)
-            fh.write(f"tensor {p.name} {p.value.ndim} {dims}\n".encode("utf-8"))
+            fh.write(_tensor_line(p).encode("utf-8") + b"\n")
             fh.write(np.ascontiguousarray(p.value, dtype="<f8").tobytes())
 
 
-def _join_v1_gates(tensors: dict[str, np.ndarray], name: str) -> np.ndarray | None:
-    """The fused LSTM tensor ``name`` from its format-1 per-gate blocks, if present."""
-    base, _, kind = name.rpartition(".")
-    keys = [f"{base}.{kind}_{g}" for g in _V1_GATES]
-    if not all(k in tensors for k in keys):
-        return None
-    blocks = [tensors.pop(k) for k in keys]
-    if len({b.shape for b in blocks}) != 1:
-        return None
-    return np.concatenate(blocks, axis=-1)
-
-
 def load_checkpoint(path) -> Model:
-    """Rebuild the model from a checkpoint; round-trips byte-exactly.
+    """Rebuild the model from a checkpoint that :func:`save_checkpoint` wrote;
+    round-trips byte-exactly.
 
-    Reads format 3 and the older formats 2 and 1.  Format 1's per-gate LSTM
-    blocks are joined into the fused tensors.  Formats 1 and 2 also hold the
-    additive attention's score bias ``<layer>.b_v`` (shape (1,)), which is
-    dropped: it shifted every score of a softmax row equally, so it never
-    changed an output.  Any malformed file raises :class:`FormatError`.
+    Only format 3 is read.  Every header line that the writer emits must
+    appear exactly once, and the tensors must follow in ``model.params()``
+    order, each line naming the parameter's name and shape.  Any other
+    version, and any malformed file, raises :class:`FormatError`; so does a
+    header whose model needs more values than the rest of the file holds.
     """
     with open(path, "rb") as fh:
-        data = fh.read()
-    buf = io.BytesIO(data)
 
-    def read_line() -> str:
-        raw = buf.readline()
-        if not raw.endswith(b"\n"):
-            raise FormatError("checkpoint is truncated inside the header")
-        try:
-            return raw[:-1].decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise FormatError(f"checkpoint header is not UTF-8: {exc}") from None
+        def read_line() -> str:
+            raw = fh.readline()
+            if not raw.endswith(b"\n"):
+                raise FormatError("checkpoint is truncated inside the header")
+            try:
+                return raw[:-1].decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise FormatError(f"checkpoint header is not UTF-8: {exc}") from None
 
-    def read_int(text: str, what: str) -> int:
-        try:
-            return int(text)
-        except ValueError:
-            raise FormatError(f"checkpoint {what} is not an integer: {text!r}") from None
+        magic, _, version = read_line().partition(" ")
+        if magic.encode() != _CKPT_MAGIC:
+            raise FormatError("not a checkpoint file (bad magic string)")
+        if version != str(_CKPT_VERSION):
+            raise FormatError(f"unsupported checkpoint version {version}")
 
-    first = read_line().split()
-    if len(first) != 2 or first[0].encode() != _CKPT_MAGIC:
-        raise FormatError("not a checkpoint file (bad magic string)")
-    version = read_int(first[1], "version")
-    if version not in (1, 2, _CKPT_VERSION):
-        raise FormatError(f"unsupported checkpoint version {version}")
-
-    fields: dict[str, str] = {}
-    n_tensors = None
-    while True:
-        line = read_line()
-        if line == "end-header":
-            break
-        key, _, value = line.partition(" ")
-        if key == "tensors":
-            n_tensors = read_int(value, "tensor count")
-        else:
+        fields: dict[str, str] = {}
+        while (line := read_line()) != "end-header":
+            key, _, value = line.partition(" ")
+            if key in fields:
+                raise FormatError(f"checkpoint header repeats the {key} line")
             fields[key] = value
-    if n_tensors is None:
-        raise FormatError("checkpoint header lacks a tensor count")
-    model = build_model(_spec_from_fields(fields))
+        spec = _spec_from_fields(fields)
+        left, values = os.fstat(fh.fileno()).st_size - fh.tell(), parameter_count(spec)
+        if values > left // 8:
+            raise FormatError(f"checkpoint header describes a model of {values} values, "
+                              f"but only {left} bytes follow it")
+        model = build_model(spec)
+        params = model.params()
+        if fields["tensors"] != str(len(params)):
+            raise FormatError(f"checkpoint field tensors is {fields['tensors']!r}, but a "
+                              f"{spec.arch.value} model has {len(params)}")
 
-    tensors: dict[str, np.ndarray] = {}
-    for _ in range(n_tensors):
-        header = read_line().split()
-        if len(header) < 3 or header[0] != "tensor":
-            raise FormatError(f"malformed tensor line {' '.join(header)!r}")
-        name = header[1]
-        ndim = read_int(header[2], f"rank of tensor {name}")
-        if len(header) != 3 + ndim:
-            raise FormatError(f"tensor {name} has rank {ndim} but {len(header) - 3} dimensions")
-        shape = tuple(read_int(d, f"dimension of tensor {name}") for d in header[3:])
-        if any(d < 0 for d in shape) or name in tensors:
-            raise FormatError(f"bad or repeated tensor line for {name}")
-        nbytes = math.prod(shape) * 8  # a Python int: np.prod wraps at 2**63
-        if nbytes > len(data) - buf.tell():
-            raise FormatError(f"checkpoint is truncated inside tensor {name}")
-        tensors[name] = np.frombuffer(buf.read(nbytes), dtype="<f8").reshape(shape)
-    if buf.read(1):
-        raise FormatError("trailing bytes after the last tensor block")
-    if version < 3:
-        for name in [n for n, v in tensors.items() if n.endswith(".b_v") and v.shape == (1,)]:
-            del tensors[name]
-
-    for p in model.params():
-        value = tensors.pop(p.name, None)
-        if value is None and version == 1:
-            value = _join_v1_gates(tensors, p.name)
-        if value is None or value.shape != p.value.shape:
-            found = "nothing" if value is None else str(value.shape)
-            raise FormatError(
-                f"tensor mismatch: model expects {p.name} {p.value.shape}, file has {found}"
-            )
-        p.value[...] = value
-    if tensors:
-        raise FormatError(f"checkpoint holds tensors the model lacks: {sorted(tensors)}")
+        for p in params:
+            line = read_line()
+            if line != _tensor_line(p):
+                raise FormatError(f"tensor line {line!r} where the model's next tensor "
+                                  f"is {_tensor_line(p)!r}")
+            if fh.readinto(p.value) != p.value.nbytes:
+                raise FormatError(f"checkpoint is truncated inside tensor {p.name}")
+            if sys.byteorder == "big":  # the blocks are little-endian
+                p.value.byteswap(inplace=True)
+        if fh.read(1):
+            raise FormatError("trailing bytes after the last tensor block")
     return model

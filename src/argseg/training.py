@@ -48,6 +48,8 @@ class TrainConfig:
             )
         if self.max_epochs < 1 or self.patience < 0 or self.learning_rate <= 0:
             raise ContractViolation("max_epochs >= 1, patience >= 0, learning_rate > 0")
+        if self.seed < 0:
+            raise ContractViolation(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass

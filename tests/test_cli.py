@@ -102,6 +102,17 @@ class TestTrainCommand:
             hashes.append(sha(out / "sb-i.ckpt"))
         assert hashes[0] == hashes[1]
 
+    def test_negative_seed_is_named_error(self, converted, toy_embeddings_file, tmp_path, capsys):
+        out = tmp_path / "neg"
+        rc = main([
+            "train", str(converted / "train.conll"),
+            "--arch", "sb", "--embeddings", str(toy_embeddings_file),
+            "--seed", "-1", "--out", str(out),
+        ])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
+        assert not (out / "sb.ckpt").exists()
+
     def test_unknown_arch_is_usage_error(self, converted, toy_embeddings_file, tmp_path):
         with pytest.raises(SystemExit) as exc:
             main([

@@ -1,3 +1,4 @@
+import hashlib
 import weakref
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from argseg.errors import ConfigurationError, ContractViolation, FormatError
+from argseg.errors import ArgsegError, ConfigurationError, ContractViolation, FormatError
 from argseg.layers import (
     AdditiveSelfAttention,
     BiLstm,
@@ -15,9 +16,9 @@ from argseg.layers import (
 from argseg.models import (
     ArchitectureId,
     ModelSpec,
-    _spec_to_lines,
     build_model,
     load_checkpoint,
+    parameter_count,
     predict_labels,
     save_checkpoint,
 )
@@ -80,6 +81,14 @@ class TestBuildModel:
         bl = build_model(ModelSpec(ArchitectureId.BL, input_dim=12, hidden=4, seed=5))
         for p_sb, p_bl in zip(sb.layers[0].params(), bl.layers[0].params()):
             assert np.array_equal(p_sb.value, p_bl.value)
+
+    @pytest.mark.parametrize("field,value,problem", [("seed", -1, "seed must be >= 0"),
+                                                     ("attn_dim", 0, "attn_dim must be >= 1")])
+    def test_spec_out_of_range_rejected_by_name(self, field, value, problem):
+        # every architecture, though only sb-i uses attn_dim
+        for arch in ArchitectureId:
+            with pytest.raises(ConfigurationError, match=problem):
+                ModelSpec(arch, input_dim=4, **{field: value})
 
     def test_incompatible_attention_dim_reported(self):
         with pytest.raises(ConfigurationError, match="heads"):
@@ -222,36 +231,6 @@ class TestCheckpoint:
             load_checkpoint(path)
 
 
-def write_old_checkpoint(model, path, version, b_v=0.0):
-    """A checkpoint in format 1 or 2, laid out as the writers of those formats did.
-
-    Both formats follow each additive attention's ``v_a`` with its score bias
-    ``b_v`` (shape (1,)).  Format 1 also stores each fused LSTM tensor as
-    per-gate blocks W_i, W_f, W_c, W_o (likewise U and b).
-    """
-    lstm = {p.name for layer in model.layers if isinstance(layer, BiLstm) for p in layer.params()}
-    additive = {layer.name for layer in model.layers if isinstance(layer, AdditiveSelfAttention)}
-    blocks = []
-    for p in model.params():
-        if version == 1 and p.name in lstm:
-            h = p.value.shape[-1] // 4
-            for gate, k in (("i", 0), ("f", 1), ("c", 3), ("o", 2)):
-                blocks.append((f"{p.name}_{gate}", p.value[..., k * h : (k + 1) * h]))
-            continue
-        blocks.append((p.name, p.value))
-        layer_name, _, kind = p.name.rpartition(".")
-        if layer_name in additive and kind == "v_a":
-            blocks.append((f"{layer_name}.b_v", np.array([b_v])))
-    lines = [f"ARGSEG-CKPT {version}", *_spec_to_lines(model.spec), f"tensors {len(blocks)}",
-             "end-header"]
-    data = "".join(line + "\n" for line in lines).encode()
-    for name, value in blocks:
-        dims = " ".join(str(d) for d in value.shape)
-        data += f"tensor {name} {value.ndim} {dims}\n".encode()
-        data += np.ascontiguousarray(value, dtype="<f8").tobytes()
-    path.write_bytes(data)
-
-
 def perturbed_model(rng, arch=ArchitectureId.BL_E):
     model = build_model(ModelSpec(arch, input_dim=8, hidden=3, seed=4))
     for p in model.params():  # move away from the seeded init
@@ -259,52 +238,58 @@ def perturbed_model(rng, arch=ArchitectureId.BL_E):
     return model
 
 
+def saved_bytes(model, tmp_path) -> bytes:
+    save_checkpoint(model, tmp_path / "saved.ckpt")
+    return (tmp_path / "saved.ckpt").read_bytes()
+
+
+def load_bytes(data: bytes, tmp_path):
+    path = tmp_path / "edited.ckpt"
+    path.write_bytes(data)
+    return load_checkpoint(path)
+
+
+def replace_line(data: bytes, key: bytes, line: bytes) -> bytes:
+    """``data`` with its header line that starts with ``key`` replaced by ``line``."""
+    start = data.index(b"\n" + key + b" ") + 1
+    return data[:start] + line + data[data.index(b"\n", start):]
+
+
+# SHA-256 of save_checkpoint for ModelSpec(arch, input_dim=6, hidden=3,
+# attn_dim=4, seed=2): any change to the bytes of format 3 shows here
+FORMAT_3_DIGESTS = {
+    ArchitectureId.BL: "185ad6c4455750162de11013beffdb578a1b309e9cbabdc9fffbdb9848ae2d94",
+    ArchitectureId.BL_I: "be726e7a59e3ebdc7fb77d00627cbddcc4a2ac930978f53c9dbf88b17717ed46",
+    ArchitectureId.BL_E: "6aeb268ae5370ee477e7e5acbfdffaad2accfaa45819aa25dd4543a873cd9802",
+    ArchitectureId.SB: "a4b2f1fd3515d9934e5963aac6978f6591d47cedb8a4124081313ff63ec95e25",
+    ArchitectureId.SB_I: "d412f809273ccda0d63dc793f688d88456319c3b0854507c7b9fe8a477db1bae",
+}
+
+
 class TestCheckpointFormats:
-    def test_version_one_loads_and_predicts_identically(self, tmp_path):
-        rng = np.random.default_rng(7)
-        model = perturbed_model(rng)
-        write_old_checkpoint(model, tmp_path / "v1.ckpt", 1)
-        restored = load_checkpoint(tmp_path / "v1.ckpt")
-        for a, b in zip(model.params(), restored.params(), strict=True):
-            assert np.array_equal(a.value, b.value), a.name
-        batch = toy_batch(rng, 8)
-        assert np.array_equal(predict_labels(model, batch), predict_labels(restored, batch))
-        assert np.array_equal(model.forward(batch)[0].rows, restored.forward(batch)[0].rows)
+    @pytest.mark.parametrize("arch", list(ArchitectureId))
+    def test_format_three_bytes_are_pinned(self, tmp_path, arch):
+        model = build_model(ModelSpec(arch, input_dim=6, hidden=3, attn_dim=4, seed=2))
+        data = saved_bytes(model, tmp_path)
+        assert hashlib.sha256(data).hexdigest() == FORMAT_3_DIGESTS[arch]
+        save_checkpoint(load_bytes(data, tmp_path), tmp_path / "again.ckpt")
+        assert (tmp_path / "again.ckpt").read_bytes() == data
 
-    def test_version_one_resaves_as_current_format(self, tmp_path):
-        model = perturbed_model(np.random.default_rng(8), ArchitectureId.SB)
-        write_old_checkpoint(model, tmp_path / "v1.ckpt", 1)
-        save_checkpoint(load_checkpoint(tmp_path / "v1.ckpt"), tmp_path / "a.ckpt")
-        save_checkpoint(model, tmp_path / "b.ckpt")
-        assert (tmp_path / "a.ckpt").read_bytes() == (tmp_path / "b.ckpt").read_bytes()
-        assert (tmp_path / "a.ckpt").read_bytes().startswith(b"ARGSEG-CKPT 3\n")
-
-    @pytest.mark.parametrize("version", [1, 2])
-    def test_score_bias_of_older_formats_dropped(self, tmp_path, version):
-        rng = np.random.default_rng(10)
-        model = perturbed_model(rng, ArchitectureId.SB_I)
-        path = tmp_path / f"v{version}.ckpt"
-        # any stored value: it shifted every score of a softmax row alike
-        write_old_checkpoint(model, path, version, b_v=0.375)
-        assert b"tensor attn_in.b_v 1 1\n" in path.read_bytes()
-        restored = load_checkpoint(path)
-        for a, b in zip(model.params(), restored.params(), strict=True):
-            assert a.name == b.name
-            assert np.array_equal(a.value, b.value), a.name
-        batch = toy_batch(rng, 8)
-        assert np.array_equal(predict_labels(model, batch), predict_labels(restored, batch))
-        assert np.array_equal(model.forward(batch)[0].rows, restored.forward(batch)[0].rows)
-        save_checkpoint(restored, tmp_path / "a.ckpt")
-        save_checkpoint(model, tmp_path / "b.ckpt")
-        assert (tmp_path / "a.ckpt").read_bytes() == (tmp_path / "b.ckpt").read_bytes()
+    @pytest.mark.parametrize("version", [b"0", b"1", b"2", b"4", b"03"])
+    def test_other_versions_rejected(self, tmp_path, version):
+        data = saved_bytes(perturbed_model(np.random.default_rng(14), ArchitectureId.SB), tmp_path)
+        edited = data.replace(b"ARGSEG-CKPT 3\n", b"ARGSEG-CKPT " + version + b"\n", 1)
+        with pytest.raises(FormatError, match=f"unsupported checkpoint version {version.decode()}$"):
+            load_bytes(edited, tmp_path)
 
     def test_score_bias_not_accepted_in_current_format(self, tmp_path):
-        model = perturbed_model(np.random.default_rng(11), ArchitectureId.SB_I)
-        path = tmp_path / "m.ckpt"
-        write_old_checkpoint(model, path, 2)
-        path.write_bytes(path.read_bytes().replace(b"ARGSEG-CKPT 2\n", b"ARGSEG-CKPT 3\n"))
+        # the additive attention's old constant score bias follows its v_a
+        data = saved_bytes(perturbed_model(np.random.default_rng(11), ArchitectureId.SB_I),
+                           tmp_path)
+        cut = data.index(b"tensor bilstm_1.")
+        edited = data[:cut] + b"tensor attn_in.b_v 1 1\n" + np.zeros(1).tobytes() + data[cut:]
         with pytest.raises(FormatError, match="b_v"):
-            load_checkpoint(path)
+            load_bytes(edited, tmp_path)
 
     @staticmethod
     def corrupt(data: bytes, how: str) -> bytes:
@@ -326,46 +311,145 @@ class TestCheckpointFormats:
         assert how == "non_utf8_header"
         return data.replace(b"arch ", b"arch \xff\xfe", 1)
 
-    @pytest.mark.parametrize("version", [1, 2, 3])
+    @pytest.mark.parametrize("version", [3])  # the only format there is
     @pytest.mark.parametrize("how", ["version", "tensor_count", "short_tensor_line",
                                      "non_utf8_header", "dims_2_64", "dims_2_80"])
     def test_malformed_file_is_format_error(self, tmp_path, version, how):
-        model = perturbed_model(np.random.default_rng(9), ArchitectureId.SB)
-        path = tmp_path / "m.ckpt"
-        if version < 3:
-            write_old_checkpoint(model, path, version)
-        else:
-            save_checkpoint(model, path)
-        bad = self.corrupt(path.read_bytes(), how)
-        assert bad != path.read_bytes()
-        path.write_bytes(bad)
+        data = saved_bytes(perturbed_model(np.random.default_rng(9), ArchitectureId.SB), tmp_path)
+        assert data.startswith(b"ARGSEG-CKPT %d\n" % version)
+        bad = self.corrupt(data, how)
+        assert bad != data
         with pytest.raises(FormatError):
-            load_checkpoint(path)
+            load_bytes(bad, tmp_path)
 
     @pytest.mark.parametrize("arch,attention", [(ArchitectureId.BL, b"multi_head"),
                                                 (ArchitectureId.SB_I, b"additive")])
     def test_header_names_the_fixed_design(self, tmp_path, arch, attention):
-        path = tmp_path / "m.ckpt"
-        save_checkpoint(perturbed_model(np.random.default_rng(12), arch), path)
-        data = path.read_bytes()
+        data = saved_bytes(perturbed_model(np.random.default_rng(12), arch), tmp_path)
         fixed = b"inter_stage_dim 4\nattention " + attention + b"\nheads_cap 6\n"
         assert fixed in data.partition(b"end-header\n")[0]
-        # the attention line is optional
-        path.write_bytes(data.replace(b"attention " + attention + b"\n", b"", 1))
-        save_checkpoint(load_checkpoint(path), tmp_path / "again.ckpt")
-        assert (tmp_path / "again.ckpt").read_bytes() == data
+        # every line is required, the attention line too
+        with pytest.raises(FormatError, match="attention"):
+            load_bytes(data.replace(b"attention " + attention + b"\n", b"", 1), tmp_path)
 
     @pytest.mark.parametrize("line", [b"inter_stage_dim none", b"heads_cap 5",
                                       b"attention additive"])
     def test_other_design_rejected_naming_the_field(self, tmp_path, line):
-        path = tmp_path / "m.ckpt"
-        save_checkpoint(perturbed_model(np.random.default_rng(13), ArchitectureId.BL), path)
-        data = path.read_bytes()
+        data = saved_bytes(perturbed_model(np.random.default_rng(13), ArchitectureId.BL),
+                           tmp_path)
         field = line.split()[0]
-        start = data.index(b"\n" + field + b" ") + 1
-        path.write_bytes(data[:start] + line + data[data.index(b"\n", start):])
         with pytest.raises(FormatError, match=field.decode()):
-            load_checkpoint(path)
+            load_bytes(replace_line(data, field, line), tmp_path)
+
+    @pytest.mark.parametrize("key", [b"arch", b"input_dim", b"hidden", b"inter_stage_dim",
+                                     b"attention", b"heads_cap", b"seed", b"attn_dim",
+                                     b"tensors"])
+    def test_every_header_line_required_once(self, tmp_path, key):
+        data = saved_bytes(perturbed_model(np.random.default_rng(15), ArchitectureId.SB_I),
+                           tmp_path)
+        start = data.index(b"\n" + key + b" ") + 1
+        line = data[start:data.index(b"\n", start) + 1]
+        with pytest.raises(FormatError, match=key.decode()):
+            load_bytes(data.replace(line, b"", 1), tmp_path)
+        with pytest.raises(FormatError, match=f"repeats the {key.decode()} line"):
+            load_bytes(data.replace(line, line + line, 1), tmp_path)
+
+    @pytest.mark.parametrize("line", [b"b_v 1", b"comment trained on toydata"])
+    def test_unknown_header_line_rejected(self, tmp_path, line):
+        data = saved_bytes(perturbed_model(np.random.default_rng(16), ArchitectureId.SB_I),
+                           tmp_path)
+        edited = data.replace(b"end-header\n", line + b"\nend-header\n", 1)
+        with pytest.raises(FormatError):
+            load_bytes(edited, tmp_path)
+
+    @pytest.mark.parametrize("line", [b"hidden 03", b"input_dim +8", b"seed 4_0", b"arch SB",
+                                      b"tensors 012", b"tensors 99"])
+    def test_header_value_must_read_as_written(self, tmp_path, line):
+        data = saved_bytes(perturbed_model(np.random.default_rng(17), ArchitectureId.SB),
+                           tmp_path)
+        with pytest.raises(FormatError, match=line.split()[0].decode()):
+            load_bytes(replace_line(data, line.split()[0], line), tmp_path)
+
+    @pytest.mark.parametrize("arch", list(ArchitectureId))
+    def test_tensors_out_of_order_rejected(self, tmp_path, arch):
+        model = perturbed_model(np.random.default_rng(18), arch)
+        header, sep, body = saved_bytes(model, tmp_path).partition(b"end-header\n")
+        blocks, at = {}, 0
+        for p in model.params():  # each block is its tensor line and its values
+            end = body.index(b"\n", at) + 1 + p.value.nbytes
+            blocks[p.name], at = body[at:end], end
+        # swap the two directions' W, which have the same shape
+        names = list(blocks)
+        i, j = names.index("bilstm_1.fwd.W"), names.index("bilstm_1.bwd.W")
+        names[i], names[j] = names[j], names[i]
+        with pytest.raises(FormatError, match="bilstm_1.bwd.W"):
+            load_bytes(header + sep + b"".join(blocks[n] for n in names), tmp_path)
+
+    @pytest.mark.parametrize("line", [b"input_dim 4000000000", b"hidden 66663"])
+    @pytest.mark.parametrize("arch", [ArchitectureId.BL_I, ArchitectureId.SB])
+    def test_inflated_header_is_format_error_before_allocating(self, tmp_path, arch, line):
+        data = saved_bytes(perturbed_model(np.random.default_rng(19), arch), tmp_path)
+        with pytest.raises(FormatError, match="bytes follow it"):
+            load_bytes(replace_line(data, line.split()[0], line), tmp_path)
+
+    @pytest.mark.parametrize("line,problem", [(b"seed -1", "seed must be >= 0"),
+                                              (b"attn_dim 0", "attn_dim must be >= 1")])
+    def test_spec_out_of_range_is_format_error(self, tmp_path, line, problem):
+        data = saved_bytes(perturbed_model(np.random.default_rng(20), ArchitectureId.SB),
+                           tmp_path)
+        with pytest.raises(FormatError, match=problem):
+            load_bytes(replace_line(data, line.split()[0], line), tmp_path)
+
+
+@pytest.mark.parametrize("arch", list(ArchitectureId))
+def test_parameter_count_matches_build_model(arch):
+    for input_dim, hidden, attn_dim in [(1, 1, 1), (4, 3, 2), (7, 5, 9), (12, 1, 3), (300, 8, 32)]:
+        spec = ModelSpec(arch, input_dim, hidden, attn_dim=attn_dim)
+        assert parameter_count(spec) == sum(p.value.size for p in build_model(spec).params())
+
+
+@pytest.fixture(scope="module")
+def format3_files(tmp_path_factory):
+    """A perturbed model's checkpoint bytes for every architecture, and a scratch path."""
+    root = tmp_path_factory.mktemp("fuzz")
+    files = {arch: saved_bytes(perturbed_model(np.random.default_rng(21), arch), root)
+             for arch in ArchitectureId}
+    return files, root / "mutated.ckpt"
+
+
+@pytest.mark.parametrize("arch", list(ArchitectureId))
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_mutated_checkpoint_loads_exactly_or_is_argseg_error(format3_files, arch, data):
+    files, path = format3_files
+    original = files[arch]
+    header_end = original.index(b"end-header\n")
+    how = data.draw(st.sampled_from(["truncate", "flip", "splice", "digits"]))
+    if how == "truncate":
+        mutated = original[: data.draw(st.integers(0, len(original) - 1))]
+    elif how == "flip":  # half of the time within the header
+        last = data.draw(st.sampled_from([header_end, len(original) - 1]))
+        mutated = bytearray(original)
+        for i, bit in data.draw(st.lists(st.tuples(st.integers(0, last), st.integers(0, 7)),
+                                         min_size=1, max_size=4)):
+            mutated[i] ^= 1 << bit
+    elif how == "splice":
+        donor = files[data.draw(st.sampled_from(list(ArchitectureId)))]
+        a, b = sorted(data.draw(st.integers(0, len(original))) for _ in range(2))
+        c, d = sorted(data.draw(st.integers(0, len(donor))) for _ in range(2))
+        mutated = original[:a] + donor[c:d] + original[b:]
+    else:  # a run of digits and minus signs inside the header
+        at = data.draw(st.integers(0, header_end))
+        run = data.draw(st.text("0123456789-", min_size=1, max_size=12)).encode()
+        mutated = original[:at] + run + original[at:]
+    path.write_bytes(bytes(mutated))
+    try:
+        model = load_checkpoint(path)
+    except ArgsegError:
+        return
+    # the reader accepts only what the writer writes
+    save_checkpoint(model, path.with_suffix(".again"))
+    assert path.with_suffix(".again").read_bytes() == bytes(mutated)
 
 
 @pytest.mark.parametrize("arch", list(ArchitectureId))

@@ -373,6 +373,10 @@ class TestTrainLoop:
         with pytest.raises(ContractViolation):
             TrainConfig(val_fraction=0.0)
 
+    def test_negative_seed_rejected_by_name(self):
+        with pytest.raises(ContractViolation, match="seed must be >= 0, got -1"):
+            TrainConfig(seed=-1)
+
 
 class TestEvaluate:
     def rigged_model(self, favored_class):
