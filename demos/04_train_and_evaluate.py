@@ -10,13 +10,13 @@ class-imbalance-aware score used throughout this package.
 import numpy as np
 
 from argseg.corpus import build_sequences
-from argseg.embeddings import EmbeddingSpec, GloveSource, load_glove
+from argseg.embeddings import EmbeddingSpec, load_glove
 from argseg.models import ArchitectureId, ModelSpec, build_model
 from argseg.toydata import toy_corpus, toy_glove_text
 from argseg.training import TrainConfig, evaluate, generalization_gap, train
 
 table = load_glove(toy_glove_text(dim=16, seed=7))
-emb = EmbeddingSpec([GloveSource(table)], expected_dim=16, label="toy16")
+emb = EmbeddingSpec([table], expected_dim=16, label="toy16")
 
 annotated = toy_corpus(30, seed=5)
 train_seqs, test_seqs = [], []

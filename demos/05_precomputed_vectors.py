@@ -7,20 +7,19 @@ with any sequence granularity through per-essay token ordinals: sentence and
 paragraph decompositions enumerate an essay's tokens in the same order.
 
 Here the "language model" is a seeded random generator; the point is the
-file format, the stacking, and the end-to-end run.
+file format, the stacking, and the end-to-end run.  The store, and a
+corrupted copy of it, are written into the working directory.
 """
 
-import io
+from pathlib import Path
 
 import numpy as np
 
 from argseg.corpus import build_sequences
 from argseg.embeddings import (
     EmbeddingSpec,
-    GloveSource,
-    PrecomputedSource,
     load_glove,
-    load_precomputed,
+    load_precomputed_file,
     write_precomputed,
 )
 from argseg.models import ArchitectureId, ModelSpec, build_model
@@ -39,19 +38,19 @@ for essay, spans in annotated:
         for t in range(len(seq)):
             records.append((essay.id, seq.sequence_index, t,
                             rng.standard_normal(CTX_DIM) * 0.2))
-buf = io.BytesIO()
-write_precomputed(buf, CTX_DIM, records)
-blob = buf.getvalue()
-print(f"{len(records)} vectors, {len(blob)} bytes on disk (CRC-protected)")
+store_path = Path("ctx32.pv")
+with open(store_path, "wb") as fh:
+    write_precomputed(fh, CTX_DIM, records)
+print(f"{len(records)} vectors, {store_path.stat().st_size} bytes on disk (CRC-protected)")
 
-store = load_precomputed(blob)
+store = load_precomputed_file(store_path)
 print(f"store round-trip: dim {store.dim}, {len(store)} vectors, "
       f"{len(store.essay_ids())} essays\n")
 
 print("== stacking word vectors with contextual vectors ==")
 table = load_glove(toy_glove_text(dim=16, seed=7))
 emb = EmbeddingSpec(
-    [GloveSource(table), PrecomputedSource(store)],
+    [table, store],
     expected_dim=16 + CTX_DIM,
     label="toy16+ctx32",
 )
@@ -72,9 +71,11 @@ print(f"{len(curve)} epochs; weighted F1 on the training essays "
       f"{report.weighted_f1:.3f}")
 
 print("\n== corruption is detected ==")
-broken = bytearray(blob)
+broken = bytearray(store_path.read_bytes())
 broken[len(broken) // 2] ^= 0xFF
+broken_path = Path("ctx32-broken.pv")
+broken_path.write_bytes(broken)
 try:
-    load_precomputed(bytes(broken))
+    load_precomputed_file(broken_path)
 except Exception as exc:
     print("flipped one byte ->", exc)

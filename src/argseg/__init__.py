@@ -24,11 +24,8 @@ from .corpus import (
 from .embeddings import (
     EmbeddingSpec,
     EmbeddingTable,
-    GloveSource,
-    PrecomputedSource,
     PrecomputedStore,
     load_glove,
-    load_precomputed,
     write_precomputed,
 )
 from .layers import choose_heads
@@ -62,14 +59,12 @@ __all__ = [
     "EmbeddingSpec",
     "EmbeddingTable",
     "Essay",
-    "GloveSource",
     "LabeledSequence",
     "LossCurve",
     "MetricsReport",
     "Model",
     "ModelSpec",
     "Parameter",
-    "PrecomputedSource",
     "PrecomputedStore",
     "Token",
     "TrainConfig",
@@ -82,7 +77,6 @@ __all__ = [
     "grad_check",
     "load_checkpoint",
     "load_glove",
-    "load_precomputed",
     "load_split",
     "lr_search",
     "masked_cross_entropy",

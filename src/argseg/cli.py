@@ -29,7 +29,7 @@ from .corpus import (
     read_conll,
     write_conll,
 )
-from .embeddings import EmbeddingSpec, GloveSource, oov_statistics
+from .embeddings import EmbeddingSpec, EmbeddingTable, oov_statistics
 from .errors import (
     ArgsegError,
     ConfigurationError,
@@ -173,8 +173,8 @@ def cmd_train(args: argparse.Namespace) -> int:
 
     model = build_model(model_spec)
     for src in emb.sources:
-        if isinstance(src, GloveSource):
-            misses, total = oov_statistics(src.table, sequences)
+        if isinstance(src, EmbeddingTable):
+            misses, total = oov_statistics(src, sequences)
             rate = misses / total if total else 0.0
             print(f"vocabulary coverage: {total - misses}/{total} tokens "
                   f"(OOV rate {rate:.3%})")

@@ -314,8 +314,11 @@ def load_split(csv_content: str, known_ids=None) -> SplitSpec:
 
     With ``known_ids`` given, the split must cover exactly those essays.
     """
-    reader = csv.reader(io.StringIO(csv_content), delimiter=";")
-    rows = [row for row in reader if row]
+    reader = csv.reader(io.StringIO(csv_content, newline=None), delimiter=";")
+    try:
+        rows = [row for row in reader if row]
+    except csv.Error as exc:  # e.g. a field longer than csv.field_size_limit()
+        raise SplitError(f"split file line {reader.line_num}: {exc}") from None
     if not rows:
         raise SplitError("split file is empty")
     header = [c.strip().upper() for c in rows[0]]
@@ -365,9 +368,15 @@ def write_conll(sequences: list[LabeledSequence], fh):
 
 
 def read_conll(fh) -> list[LabeledSequence]:
-    """Inverse of :func:`write_conll`; restores per-essay token ordinals."""
+    """Inverse of :func:`write_conll`; restores per-essay token ordinals.
+
+    Each essay's sequence indices must run 0, 1, ... in file order, as
+    ``write_conll`` writes ``build_sequences`` output, since the ordinals
+    follow file order.
+    """
     sequences: list[LabeledSequence] = []
     ordinals: dict[str, int] = {}
+    counts: dict[str, int] = {}  # sequences read so far, per essay
     tokens: list[Token] = []
     labels: list[str] = []
     meta: tuple[str, int] | None = None
@@ -380,6 +389,7 @@ def read_conll(fh) -> list[LabeledSequence]:
         start = ordinals.get(essay_id, 0)
         sequences.append(LabeledSequence(essay_id, seq_idx, tokens, labels, start))
         ordinals[essay_id] = start + len(tokens)
+        counts[essay_id] = seq_idx + 1
         tokens, labels, meta = [], [], None
 
     for lineno, raw in enumerate(fh, start=1):
@@ -403,6 +413,13 @@ def read_conll(fh) -> list[LabeledSequence]:
                 f"got {seq_idx!r}, {start!r}, {end!r}"
             ) from None
         if meta is None:
+            expected = counts.get(essay_id, 0)
+            if seq_idx != expected:  # the ordinals would pair the wrong vectors
+                raise CorpusIntegrityError(
+                    f"line {lineno}: essay {essay_id!r} has sequence index {seq_idx} where "
+                    f"{expected} is next (each essay's sequences are numbered 0, 1, ... "
+                    "in file order)"
+                )
             meta = (essay_id, seq_idx)
         elif meta != (essay_id, seq_idx):
             raise CorpusIntegrityError(

@@ -1,21 +1,22 @@
 """Per-token input vectors: GloVe-style tables, precomputed stores, stacking.
 
-Two source kinds exist, and each writes the rows of a batch's sequences
-straight into its columns of one (tokens, dim) array that the caller
-allocates: a table in one ``np.take``, a store one read of each covering run
-of records at a time.  A text table is one matrix whose last row is all
-zeros: its keys and every query are lowercased, out-of-vocabulary words take
-the zero row, and the miss rate is reported per run rather than aborting
-anything.  A precomputed store ships contextual vectors generated elsewhere,
-keyed by (essay id, sentence index, token index); it serves a sequence as one
-slice of the essay's token stream, found through per-essay token ordinals,
-which line up with any sequence granularity because sentence and paragraph
-decompositions enumerate an essay's tokens in the same order.  A store file
-is verified in one streaming pass of fixed-size reads that keeps only an
-index of record offsets; each sequence's records are then read from the file
-into one reused buffer when its batch is built and copied into the batch's
-rows, so memory holds the index, that buffer and one batch's rows, not the
-file.
+The two sources are an ``EmbeddingTable`` and a ``PrecomputedStore``.  Each
+has a ``dim`` and a ``write_rows`` that writes the rows of a batch's
+sequences straight into its columns of one (tokens, dim) array that the
+caller allocates: a table in one ``np.take``, a store one read of each
+covering run of records at a time.  A text table is one matrix whose last
+row is all zeros: its keys and every query are lowercased, out-of-vocabulary
+words take the zero row, and the miss rate is reported per run rather than
+aborting anything.  A precomputed store ships contextual vectors generated
+elsewhere, keyed by (essay id, sentence index, token index); it serves a
+sequence as one slice of the essay's token stream, found through per-essay
+token ordinals, which line up with any sequence granularity because sentence
+and paragraph decompositions enumerate an essay's tokens in the same order.
+A store is always a file, verified in one streaming pass of fixed-size reads
+that keeps only an index of record offsets; each sequence's records are then
+read from the file into one reused buffer when its batch is built and copied
+into the batch's rows, so memory holds the index, that buffer and one
+batch's rows, not the file.
 
 An embedding spec stacks one or more sources in a fixed order; the declared
 total dimension must match the sum of the source dimensions exactly.
@@ -63,15 +64,16 @@ class EmbeddingTable:
     def __contains__(self, word: str) -> bool:
         return word.lower() in self.index
 
-    def lookup(self, words: list[str], out: np.ndarray | None = None) -> np.ndarray:
-        """(len(words), dim) rows in one take, written into ``out`` if given
-        and returned; words are lowercased first, and unknown words get the
-        zero row."""
+    def write_rows(self, sequences: list[LabeledSequence], out: np.ndarray):
+        """Write the sequences' rows, one after another, into ``out``, a
+        (tokens, dim) float64 array, in one take; words are lowercased first,
+        and unknown words get the zero row."""
         oov = len(self.index)
         # every index is in range by construction; "clip" lets take write into
         # a contiguous ``out`` directly, where "raise" goes through a buffer
-        return np.take(self.vectors, [self.index.get(w.lower(), oov) for w in words], axis=0,
-                       out=out, mode="clip")
+        np.take(self.vectors, [self.index.get(tok.text.lower(), oov)
+                               for seq in sequences for tok in seq.tokens],
+                axis=0, out=out, mode="clip")
 
 
 def load_glove(content) -> EmbeddingTable:
@@ -80,7 +82,7 @@ def load_glove(content) -> EmbeddingTable:
     ``content`` may be a string or an iterable of lines.  The first line fixes
     the dimension; any line disagreeing, or holding a value that is not a
     finite number, raises with its line number.  Words are lowercased, as
-    lookups are; when a lowercased word repeats, the first occurrence wins and
+    queries are; when a lowercased word repeats, the first occurrence wins and
     each later one is counted in ``duplicates_skipped``.
     """
     if isinstance(content, str):
@@ -149,13 +151,13 @@ def oov_statistics(table: EmbeddingTable, sequences: list[LabeledSequence]):
 
 class PrecomputedStore:
     """Contextual vectors for every token of the essays it covers, read from
-    their source when asked for.
+    the store file when asked for.
 
     Per essay, records must tile the token stream: sentence indices start at
     0 and are consecutive, token indices within each sentence likewise.  That
     guarantee makes the ordinal view (`rows`) unambiguous.  The store keeps
     no vector: each essay is an index of its records' offsets in key order,
-    as runs of records that lie next to each other in the source, plus the
+    as runs of records that lie next to each other in the file, plus the
     essay's last (sentence, token) key.  An essay whose records sit together
     in key order is one run.
     """
@@ -185,12 +187,10 @@ class PrecomputedStore:
             )
         return essay
 
-    def rows(self, essay_id: str, start: int, count: int,
-             out: np.ndarray | None = None) -> np.ndarray:
-        """The vectors of token ordinals ``start .. start + count - 1``, read
-        now and written into ``out``, a (count, dim) float64 array that may be
-        strided, such as a batch's columns; without ``out`` they go into a new
-        array, returned read-only.
+    def rows(self, essay_id: str, start: int, out: np.ndarray):
+        """Read the vectors of token ordinals ``start .. start + len(out) - 1``
+        into ``out``, a (count, dim) float64 array that may be strided, such as
+        a batch's columns.
 
         Each run of records that lie together is read in pieces of at most
         ``_CHUNK`` bytes (or one record) into the reader's one reused buffer,
@@ -198,26 +198,28 @@ class PrecomputedStore:
         that changed since the load, or that reads short, raises
         ``FormatError`` naming the essay.
         """
-        essay = self.locate(essay_id, start, count)
-        fresh = out is None
-        if fresh:
-            out = np.empty((count, self.dim))
+        essay = self.locate(essay_id, start, len(out))
         stride = essay.layout.itemsize
         per_read = max(1, _CHUNK // stride)
         bounds = essay.run_bounds
         run = int(np.searchsorted(bounds, start, side="right")) - 1
-        ordinal, stop = start, start + count
+        ordinal, stop = start, start + len(out)
         while ordinal < stop:
             n = min(stop, int(bounds[run + 1]), ordinal + per_read) - ordinal
             offset = int(essay.run_offset[run]) + (ordinal - int(bounds[run])) * stride
-            data = self._reader.read(offset, n * stride, essay_id)
+            data = self._reader.read(offset, n * stride, f"essay {essay_id!r}: ")
             out[ordinal - start : ordinal - start + n] = np.frombuffer(data, essay.layout)["vec"]
             ordinal += n
             if ordinal == bounds[run + 1]:
                 run += 1
-        if fresh:
-            out.flags.writeable = False
-        return out
+
+    def write_rows(self, sequences: list[LabeledSequence], out: np.ndarray):
+        """Read each sequence's records straight into its slice of ``out``, a
+        (tokens, dim) float64 array, one sequence after another."""
+        lo = 0
+        for seq in sequences:
+            self.rows(seq.essay_id, seq.token_ordinal_start, out[lo : lo + len(seq)])
+            lo += len(seq)
 
 
 @dataclass
@@ -226,7 +228,7 @@ class _EssayIndex:
     length: int  # tokens
     layout: np.dtype  # one record: fields head (id length and id bytes), key, vec
     run_bounds: np.ndarray  # (runs + 1,) first token ordinal of each run, then length
-    run_offset: np.ndarray  # (runs,) source offset of each run's first record
+    run_offset: np.ndarray  # (runs,) file offset of each run's first record
 
 
 def write_precomputed(fh, dim: int, records):
@@ -265,26 +267,12 @@ def write_precomputed(fh, dim: int, records):
 _CHUNK = 1 << 20
 
 
-class _BytesReader:
-    """A store held in a bytes-like object; every read is a slice of it."""
-
-    def __init__(self, data):
-        self._view = memoryview(data).cast("B")
-        self.size = len(self._view)
-
-    def window(self, offset: int, n: int) -> memoryview:
-        return self._view[offset : offset + n]
-
-    def read(self, offset: int, n: int, essay_id: str) -> memoryview:
-        return self.window(offset, n)
-
-
 class _FileReader:
     """A store file held open and read with ``os.preadv`` into one reused
-    buffer of ``_CHUNK`` bytes, or one record if that is longer.  The load
-    reads it window by window; each later read first checks the file against
-    the size and modification time the load saw.  No ``mmap``: a mapped file
-    that shrinks raises SIGBUS where a read returns short."""
+    buffer of ``_CHUNK`` bytes, or one record if that is longer.  Every read,
+    the load's and each later one, first checks the file against the size
+    and modification time seen when it was opened.  No ``mmap``: a mapped
+    file that shrinks raises SIGBUS where a read returns short."""
 
     def __init__(self, path):
         self._path = path
@@ -295,62 +283,38 @@ class _FileReader:
         self._stamp = (st.st_size, st.st_mtime_ns)
         self._buffer = bytearray()
 
-    def _preadv(self, offset: int, n: int) -> tuple[memoryview, int]:
-        """The buffer's first ``n`` bytes, read from ``offset``, and how many
-        bytes the read filled."""
+    def read(self, offset: int, n: int, where: str = "") -> memoryview:
+        """``n`` bytes at ``offset``, valid until the next read; ``where``
+        starts the text of the ``FormatError`` a changed file or a short read
+        raises."""
+        st = os.fstat(self._fd)
+        if (st.st_size, st.st_mtime_ns) != self._stamp:
+            raise FormatError(f"{where}store file {self._path} changed since it was loaded")
         if len(self._buffer) < n:
             self._buffer = bytearray(max(n, _CHUNK))
         view = memoryview(self._buffer)[:n]
-        return view, os.preadv(self._fd, [view], offset)
-
-    def window(self, offset: int, n: int) -> memoryview:
-        """``n`` bytes at ``offset``, valid until the next window or read."""
-        view, got = self._preadv(offset, n)
+        got = os.preadv(self._fd, [view], offset)
         if got != n:
-            raise FormatError(f"store file {self._path} changed while it was loaded")
-        return view
-
-    def read(self, offset: int, n: int, essay_id: str) -> memoryview:
-        """Like ``window``, for a store in use: the errors name the essay."""
-        st = os.fstat(self._fd)
-        if (st.st_size, st.st_mtime_ns) != self._stamp:
-            raise FormatError(f"essay {essay_id!r}: store file {self._path} changed "
-                              "since it was loaded")
-        view, got = self._preadv(offset, n)
-        if got != n:
-            raise FormatError(f"essay {essay_id!r}: short read from store file {self._path} "
+            raise FormatError(f"{where}short read from store file {self._path} "
                               f"({got} of {n} bytes at offset {offset})")
         return view
 
 
-def load_precomputed(data) -> PrecomputedStore:
-    """Verify a store held in any bytes-like object and index it; any
-    corruption raises a format error.
-
-    The load reads views of ``data`` and copies none of it, and ``rows``
-    copies each read out of it, so ``data`` must not change while the store
-    is used.
-    """
-    return _load(_BytesReader(data))
-
-
 def load_precomputed_file(path) -> PrecomputedStore:
-    """Verify a store file in one pass of fixed-size reads and index it; the
-    store then reads each sequence's records from the file when asked.
+    """Verify a store file in one pass of fixed-size reads and index it; any
+    corruption raises a format error.  The store then reads each sequence's
+    records from the file when asked.
 
     Memory is the index, about 16 bytes per token while loading and one entry
     per run after it, plus one read buffer of ``_CHUNK`` bytes or one record.
     ``path`` must name a regular file, not a pipe, and it stays open while
     the store is alive.
     """
-    return _load(_FileReader(path))
-
-
-def _load(reader) -> PrecomputedStore:
+    reader = _FileReader(path)
     start = len(STORE_MAGIC) + _HEADER.size
     if reader.size < start + 4:
         raise FormatError("precomputed store is truncated (no complete header)")
-    head = bytes(reader.window(0, start))
+    head = bytes(reader.read(0, start))
     if head[: len(STORE_MAGIC)] != STORE_MAGIC:
         raise FormatError("not a precomputed vector store (bad magic)")
     version, dim, count = _HEADER.unpack_from(head, len(STORE_MAGIC))
@@ -359,7 +323,7 @@ def _load(reader) -> PrecomputedStore:
     if dim < 1:
         raise FormatError(f"store declares non-positive dimension {dim}")
     end = reader.size - 4
-    (crc_stored,) = struct.unpack("<I", reader.window(end, 4))
+    (crc_stored,) = struct.unpack("<I", reader.read(end, 4))
     scan = _Scan(dim, count, start, end)
     scan.run(reader)
     if scan.crc != crc_stored:
@@ -397,7 +361,7 @@ class _Scan:
         pos = checked = self.start  # next record; end of the bytes the CRC covers
         need = 0  # length of the record cut by the last window's end
         while self.count and self.error is None:
-            window = reader.window(pos, min(self.end - pos, max(_CHUNK, need)))
+            window = reader.read(pos, min(self.end - pos, max(_CHUNK, need)))
             self.crc = zlib.crc32(window[checked - pos :], self.crc)
             checked = pos + len(window)
             try:
@@ -407,7 +371,7 @@ class _Scan:
             else:
                 pos += used
         while checked < self.end:
-            window = reader.window(checked, min(self.end - checked, _CHUNK))
+            window = reader.read(checked, min(self.end - checked, _CHUNK))
             self.crc = zlib.crc32(window, self.crc)
             checked += len(window)
         if self.error is None and pos != self.end:
@@ -515,40 +479,12 @@ def _index_essay(essay_id: str, layout: np.dtype, keys: list[np.ndarray],
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class GloveSource:
-    table: EmbeddingTable
-
-    @property
-    def dim(self) -> int:
-        return self.table.dim
-
-    def write_rows(self, sequences: list[LabeledSequence], out: np.ndarray):
-        """Write the sequences' rows, one after another, into ``out`` in one take."""
-        self.table.lookup([tok.text for seq in sequences for tok in seq.tokens], out=out)
-
-
-@dataclass
-class PrecomputedSource:
-    store: PrecomputedStore
-
-    @property
-    def dim(self) -> int:
-        return self.store.dim
-
-    def write_rows(self, sequences: list[LabeledSequence], out: np.ndarray):
-        """Read each sequence's records straight into its slice of ``out``."""
-        lo = 0
-        for seq in sequences:
-            self.store.rows(seq.essay_id, seq.token_ordinal_start, len(seq),
-                            out=out[lo : lo + len(seq)])
-            lo += len(seq)
-
-
 class EmbeddingSpec:
-    """An ordered stack of sources with a declared (and enforced) total dim."""
+    """An ordered stack of sources, tables and stores, with a declared (and
+    enforced) total dim."""
 
-    def __init__(self, sources: list, expected_dim: int, label: str = ""):
+    def __init__(self, sources: list[EmbeddingTable | PrecomputedStore], expected_dim: int,
+                 label: str = ""):
         if not sources:
             raise ConfigurationError("embedding spec needs at least one source")
         total = sum(s.dim for s in sources)
@@ -558,10 +494,7 @@ class EmbeddingSpec:
             )
         self.sources = list(sources)
         self.expected_dim = expected_dim
-        self.label = label or "+".join(
-            f"{'glove' if isinstance(s, GloveSource) else 'precomputed'}{s.dim}"
-            for s in sources
-        )
+        self.label = label
 
     @classmethod
     def from_file(cls, path) -> "EmbeddingSpec":
@@ -598,8 +531,8 @@ class EmbeddingSpec:
                 raise FormatError(f"embedding spec {path}: unknown source kind {kind!r}")
             src_path = path.parent / entry["path"]
             try:
-                sources.append(GloveSource(load_glove_file(src_path)) if kind == "glove"
-                               else PrecomputedSource(load_precomputed_file(src_path)))
+                sources.append(load_glove_file(src_path) if kind == "glove"
+                               else load_precomputed_file(src_path))
             except (OSError, ValueError) as exc:  # missing, a directory, a NUL in the name
                 raise FormatError(f"embedding spec {path}: cannot read source "
                                   f"{entry['path']!r} ({exc})") from exc
@@ -608,7 +541,7 @@ class EmbeddingSpec:
     def check_coverage(self, sequences: list[LabeledSequence]):
         """Raise ``CoverageError`` for the first sequence that a precomputed
         source has no vectors for, from the stores' indexes, reading nothing."""
-        stores = [src.store for src in self.sources if isinstance(src, PrecomputedSource)]
+        stores = [src for src in self.sources if isinstance(src, PrecomputedStore)]
         for seq in sequences:
             for store in stores:
                 store.locate(seq.essay_id, seq.token_ordinal_start, len(seq))

@@ -27,7 +27,7 @@ from enum import Enum
 import numpy as np
 
 from .corpus import LABELS
-from .errors import ConfigurationError, ContractViolation, DimensionError, FormatError
+from .errors import ConfigurationError, ContractViolation, FormatError
 from .files import atomic_write
 from .layers import (
     HEADS_CAP,
@@ -113,18 +113,10 @@ class Model:
         for p in self.params():
             p.zero_grad()
 
-    def _check(self, batch: BatchTensor):
-        if batch.features != self.spec.input_dim:
-            raise DimensionError(
-                f"model expects {self.spec.input_dim} input features, "
-                f"batch has {batch.features}"
-            )
-
     def forward(self, batch: BatchTensor):
         """(logits, caches): the caches, one per layer in order, stay valid
         until they are handed to ``backward``, and hold every layer's
         activations until then."""
-        self._check(batch)
         caches = []
         x = batch
         for layer in self.layers:
@@ -135,7 +127,6 @@ class Model:
     def logits(self, batch: BatchTensor) -> BatchTensor:
         """The logits of ``forward`` with no cache kept: each layer's cache
         is dropped as soon as the layer returns its output."""
-        self._check(batch)
         x = batch
         for layer in self.layers:
             x = layer.forward(x)[0]

@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 
 from argseg.corpus import ConversionStats, build_sequences
-from argseg.embeddings import EmbeddingSpec, GloveSource, load_glove
+from argseg.embeddings import EmbeddingSpec, load_glove
 from argseg.toydata import toy_corpus, toy_glove_text
 from toy_files import write_toy_corpus_dir
 
@@ -50,7 +50,7 @@ def toy_table():
 
 @pytest.fixture(scope="session")
 def toy_embeddings(toy_table):
-    return EmbeddingSpec([GloveSource(toy_table)], expected_dim=16, label="toy16")
+    return EmbeddingSpec([toy_table], expected_dim=16, label="toy16")
 
 
 @pytest.fixture(scope="session")

@@ -7,7 +7,6 @@ training criteria additionally require ``ARGSEG_RUN_FULL=1``.  Everything
 else runs self-contained on synthetic fixtures.
 """
 
-import io
 import time
 from pathlib import Path
 
@@ -23,14 +22,7 @@ from argseg.corpus import (
     spans_from_labels,
     tokenize,
 )
-from argseg.embeddings import (
-    EmbeddingSpec,
-    GloveSource,
-    PrecomputedSource,
-    load_glove_file,
-    load_precomputed,
-    write_precomputed,
-)
+from argseg.embeddings import EmbeddingSpec, load_glove_file, load_precomputed_file
 from argseg.layers import choose_heads
 from argseg.models import ArchitectureId, ModelSpec, build_model, predict_labels
 from argseg.selftest import (
@@ -49,6 +41,7 @@ from argseg.training import (
 )
 
 from conftest import CORPUS_DIR, GLOVE_PATH, RUN_FULL, needs_corpus, needs_full_run
+from toy_files import read_rows, write_store
 
 GRAD_TOLERANCE = 1e-4
 BASELINE_F1_FLOOR = 0.80
@@ -91,9 +84,7 @@ def real_runs():
     for essay, spans in essays:
         seqs = build_sequences(essay, spans, "paragraph", stats)
         (train_seqs if split.assignment[essay.id] == "train" else test_seqs).extend(seqs)
-    emb = EmbeddingSpec(
-        [GloveSource(load_glove_file(GLOVE_PATH))], expected_dim=300, label="glove300"
-    )
+    emb = EmbeddingSpec([load_glove_file(GLOVE_PATH)], expected_dim=300, label="glove300")
     runs = {}
     for arch in ArchitectureId:
         spec = ModelSpec(arch, input_dim=300, hidden=64, seed=0)
@@ -235,7 +226,7 @@ def test_criterion_9_loss_curve_artifact(real_runs, tmp_path):
     passed(9, "loss curve artifact", f"generalization gap {gap:+.4f}")
 
 
-def test_precomputed_store_path_end_to_end():
+def test_precomputed_store_path_end_to_end(tmp_path):
     """Contextual-vector ingestion at the 3072-dim scale, fully synthetic."""
     dim = 3072
     rng = np.random.default_rng(42)
@@ -250,24 +241,21 @@ def test_precomputed_store_path_end_to_end():
                                 rng.standard_normal(dim) * 0.1))
         para_seqs.extend(build_sequences(essay, spans, "paragraph"))
 
-    buf = io.BytesIO()
-    write_precomputed(buf, dim, records)
-    blob = buf.getvalue()
-    store = load_precomputed(blob)
+    store = load_precomputed_file(write_store(tmp_path / "ctx.pv", dim, records))
     assert store.dim == dim and len(store) == len(records)
     first = {}  # each essay's first record: records run essay by essay in key order
     for k, (essay_id, *_) in enumerate(records):
         first.setdefault(essay_id, k)
     for k in [*range(5), *range(len(records) - 5, len(records))]:
         essay_id, _, _, vec = records[k]
-        assert np.array_equal(store.rows(essay_id, k - first[essay_id], 1)[0], vec)
+        assert np.array_equal(read_rows(store, essay_id, k - first[essay_id], 1)[0], vec)
 
     # declared dimension is authoritative; off-by-anything is rejected
     from argseg.errors import ConfigurationError
 
     with pytest.raises(ConfigurationError):
-        EmbeddingSpec([PrecomputedSource(store)], expected_dim=dim + 1)
-    emb = EmbeddingSpec([PrecomputedSource(store)], expected_dim=dim)
+        EmbeddingSpec([store], expected_dim=dim + 1)
+    emb = EmbeddingSpec([store], expected_dim=dim)
 
     spec = ModelSpec(ArchitectureId.SB, input_dim=dim, hidden=6, seed=0)
     cfg = TrainConfig(batch_size=8, max_epochs=2, patience=5,

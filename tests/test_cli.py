@@ -317,6 +317,28 @@ def test_convert_names_a_non_utf8_byte(small_corpus, tmp_path, capsys, which, of
     assert err == f"error: {bad}: not UTF-8 text (byte 0xff at offset {offset})\n"
 
 
+@pytest.mark.parametrize("newline", [b"\r", b"\r\n"])
+def test_convert_reads_a_split_file_with_other_line_endings(small_corpus, converted, tmp_path,
+                                                            newline):
+    corpus = tmp_path / "corpus"
+    shutil.copytree(small_corpus, corpus)
+    split = corpus / "train-test-split.csv"
+    split.write_bytes(split.read_bytes().replace(b"\n", newline))
+    out = tmp_path / "out"
+    assert main(["convert", str(corpus), str(split), "--out", str(out)]) == 0
+    for part in ("train.conll", "test.conll"):
+        assert sha(out / part) == sha(converted / part)
+
+
+def test_convert_names_the_split_line_the_csv_reader_rejects(small_corpus, tmp_path, capsys):
+    split = tmp_path / "split.csv"
+    split.write_text("ID;SET\n" + "x" * 131073 + ";TRAIN\n", encoding="utf-8")
+    rc = main(["convert", str(small_corpus), str(split), "--out", str(tmp_path / "out")])
+    assert rc == 1 and not (tmp_path / "out").exists()
+    assert capsys.readouterr().err == (
+        "error: split file line 2: field larger than field limit (131072)\n")
+
+
 @pytest.mark.parametrize("command", ["train", "evaluate"])
 def test_train_and_evaluate_name_a_non_utf8_byte(trained, converted, toy_embeddings_file,
                                                  tmp_path, capsys, command):

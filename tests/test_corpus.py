@@ -1,3 +1,5 @@
+import csv
+import io
 import re
 
 import pytest
@@ -18,8 +20,10 @@ from argseg.corpus import (
     tokenize,
     write_conll,
 )
-from argseg.errors import ContractViolation, CorpusIntegrityError, SplitError
+from argseg.errors import ArgsegError, ContractViolation, CorpusIntegrityError, SplitError
+from argseg.files import read_text
 from argseg.toydata import brat_lines, toy_corpus
+from toy_files import mutations
 
 
 class TestParseBrat:
@@ -256,6 +260,20 @@ class TestLoadSplit:
         with pytest.raises(SplitError, match="unknown set"):
             load_split("ID;SET\ne1;DEV\n")
 
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
+    def test_any_line_ending_loads(self, newline):
+        content = newline.join(["ID;SET", "e1;TRAIN", '"e2";"TEST"', ""])
+        assert load_split(content).assignment == {"e1": "train", "e2": "test"}
+
+    def test_stray_carriage_return_ends_the_line(self):
+        with pytest.raises(SplitError, match="^unknown set 'TR' for essay e1$"):
+            load_split("ID;SET\ne1;TR\rAIN\n")
+
+    def test_csv_error_is_a_split_error_naming_the_line(self):
+        too_long = "x" * (csv.field_size_limit() + 1)
+        with pytest.raises(SplitError, match=r"^split file line 3: field larger than field limit"):
+            load_split(f"ID;SET\ne1;TRAIN\n{too_long};TEST\n")
+
 
 class TestConll:
     def test_write_read_roundtrip(self, tmp_path):
@@ -292,3 +310,82 @@ class TestConll:
         with open(path, "r", encoding="utf-8") as fh:
             with pytest.raises(CorpusIntegrityError, match="line 2"):
                 read_conll(fh)
+
+    @staticmethod
+    def blocks(keys) -> str:
+        """One one-token sequence per (essay id, sequence index), in order."""
+        return "\n".join(f"w\t{essay_id}\t{index}\t0\t1\tO\n" for essay_id, index in keys)
+
+    @pytest.mark.parametrize("keys,line,index,expected", [
+        ([("e", 1), ("e", 0)], 1, 1, 0),  # swapped: each would get the other's ordinal
+        ([("e", 0), ("e", 0)], 3, 0, 1),  # repeated
+        ([("e", 0), ("f", 0), ("e", 2)], 5, 2, 1),  # skipped
+    ])
+    def test_sequence_index_out_of_file_order_rejected(self, keys, line, index, expected):
+        with pytest.raises(CorpusIntegrityError, match=f"^line {line}: essay 'e' has sequence "
+                                                       f"index {index} where {expected} is next"):
+            read_conll(io.StringIO(self.blocks(keys)))
+
+    def test_interleaved_essays_keep_their_ordinals(self):
+        sequences = read_conll(io.StringIO(self.blocks([("e", 0), ("f", 0), ("e", 1)])))
+        assert [(s.essay_id, s.sequence_index, s.token_ordinal_start) for s in sequences] == [
+            ("e", 0, 0), ("f", 0, 0), ("e", 1, 1)]
+
+
+# ---------------------------------------------------------------------------
+# Mutated corpus files
+# ---------------------------------------------------------------------------
+
+
+def toy_corpus_files():
+    """(essay text, essay ids, file name -> bytes) for three toy essays: the
+    first essay's brat annotations, a split file with quoted and unquoted
+    rows, and a CoNLL file."""
+    annotated = toy_corpus(3, seed=5)
+    essay, spans = annotated[0]
+    split = '"{}";"TRAIN"\n{};TRAIN\n{};TEST\n'.format(*(e.id for e, _ in annotated))
+    conll = io.StringIO()
+    write_conll([seq for e, sp in annotated for seq in build_sequences(e, sp)], conll)
+    files = {"essay.ann": brat_lines(spans, essay.text), "split.csv": '"ID";"SET"\n' + split,
+             "seqs.conll": conll.getvalue()}
+    return essay.text, [e.id for e, _ in annotated], {
+        name: text.encode("utf-8") for name, text in files.items()}
+
+
+ESSAY_TEXT, ESSAY_IDS, CORPUS_FILES = toy_corpus_files()
+RUNS = b'9-\t\r\n;"\x00'  # digits, signs and every separator the three formats use
+
+
+def load_corpus_file(name: str, text: str):
+    """Parse ``text`` as the CLI parses the file ``name``."""
+    if name == "essay.ann":
+        return parse_brat(text, ESSAY_TEXT)
+    if name == "split.csv":
+        return load_split(text, known_ids=ESSAY_IDS)
+    return read_conll(io.StringIO(text, newline=None))
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+def test_unmutated_corpus_files_load():
+    for name, data in CORPUS_FILES.items():
+        assert load_corpus_file(name, data.decode("utf-8"))
+
+
+@pytest.mark.parametrize("name", sorted(CORPUS_FILES))
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_mutated_corpus_file_gives_a_value_or_an_argseg_error(fuzz_dir, name, data):
+    """Decoded as strict UTF-8 by ``read_text``, as the CLI decodes it; any
+    other exception (``csv.Error``, ``ValueError``, ``IndexError``) escapes
+    and fails the test."""
+    path = fuzz_dir / name
+    path.write_bytes(data.draw(mutations(CORPUS_FILES[name], RUNS)))
+    try:
+        loaded = load_corpus_file(name, read_text(path))
+    except ArgsegError:
+        return
+    assert isinstance(loaded, list) or set(loaded.assignment) == set(ESSAY_IDS)

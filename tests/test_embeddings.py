@@ -15,11 +15,8 @@ from argseg import embeddings
 from argseg.corpus import LabeledSequence, Token, build_sequences
 from argseg.embeddings import (
     EmbeddingSpec,
-    GloveSource,
-    PrecomputedSource,
     load_glove,
     load_glove_file,
-    load_precomputed,
     load_precomputed_file,
     oov_statistics,
     write_precomputed,
@@ -27,6 +24,7 @@ from argseg.embeddings import (
 from argseg.errors import ArgsegError, ConfigurationError, CoverageError, FormatError
 from argseg.toydata import toy_corpus, toy_glove_text
 from argseg.training import _assemble
+from toy_files import mutations, read_rows, write_store
 
 
 def seq_of(words, essay_id="e1", seq_idx=0, ordinal=0):
@@ -36,6 +34,20 @@ def seq_of(words, essay_id="e1", seq_idx=0, ordinal=0):
         tokens.append(Token(w, pos, pos + len(w)))
         pos += len(w) + 1
     return LabeledSequence(essay_id, seq_idx, tokens, ["O"] * len(words), ordinal)
+
+
+def lookup(table, words):
+    """The table's rows for ``words``, written by ``write_rows``."""
+    out = np.empty((len(words), table.dim))
+    table.write_rows([seq_of(words)], out)
+    return out
+
+
+def load_bytes(directory: Path, data: bytes):
+    """Load ``data`` as a store file."""
+    path = directory / "v.pv"
+    path.write_bytes(data)
+    return load_precomputed_file(path)
 
 
 def glove_oracle(table, seq):
@@ -65,7 +77,7 @@ class TestLoadGlove:
     def test_single_line(self):
         table = load_glove("the 0.1 0.2 0.3")
         assert table.dim == 3
-        assert np.allclose(table.lookup(["the"]), [[0.1, 0.2, 0.3]])
+        assert np.allclose(lookup(table, ["the"]), [[0.1, 0.2, 0.3]])
 
     def test_vocabulary_size_matches_line_count_oracle(self):
         lines = [f"word{k} {k} {k + 1}" for k in range(50)]
@@ -79,14 +91,14 @@ class TestLoadGlove:
 
     def test_duplicate_first_wins(self):
         table = load_glove("a 1 2\na 3 4\n")
-        assert np.allclose(table.lookup(["a"]), [[1.0, 2.0]])
+        assert np.allclose(lookup(table, ["a"]), [[1.0, 2.0]])
         assert table.duplicates_skipped == 1
 
     def test_cased_keys_lowercased_first_wins(self):
         table = load_glove("Cat 9 9\nthe 1 2\ncat 5 5")
         assert len(table) == 2
-        assert np.array_equal(table.lookup(["CAT"]), [[9.0, 9.0]])
-        assert np.array_equal(table.lookup(["Cat", "cat"]), [[9.0, 9.0], [9.0, 9.0]])
+        assert np.array_equal(lookup(table, ["CAT"]), [[9.0, 9.0]])
+        assert np.array_equal(lookup(table, ["Cat", "cat"]), [[9.0, 9.0], [9.0, 9.0]])
         assert "Cat" in table
         assert table.duplicates_skipped == 1
 
@@ -107,16 +119,16 @@ class TestLoadGlove:
 class TestLookup:
     def test_in_vocabulary(self):
         table = load_glove("cat 1 2 3")
-        assert np.allclose(table.lookup(["cat"]), [[1, 2, 3]])
+        assert np.allclose(lookup(table, ["cat"]), [[1, 2, 3]])
 
     def test_case_folded(self):
         table = load_glove("cat 1 2 3")
-        assert np.allclose(table.lookup(["Cat", "CAT"]), [[1, 2, 3], [1, 2, 3]])
+        assert np.allclose(lookup(table, ["Cat", "CAT"]), [[1, 2, 3], [1, 2, 3]])
         assert "CAT" in table
 
     def test_oov_zero_vector(self):
         table = load_glove("cat 1 2 3")
-        assert np.array_equal(table.lookup(["zzqqy", "cat"]), [[0, 0, 0], [1, 2, 3]])
+        assert np.array_equal(lookup(table, ["zzqqy", "cat"]), [[0, 0, 0], [1, 2, 3]])
 
     def test_oov_statistics_sweep(self, toy_table, toy_sequences):
         misses, total = oov_statistics(toy_table, toy_sequences)
@@ -136,13 +148,13 @@ class TestPrecomputedStore:
         write_precomputed(buf, dim, records)
         return buf.getvalue(), records
 
-    def test_roundtrip_bit_identical(self):
+    def test_roundtrip_bit_identical(self, tmp_path):
         blob, records = self.build()
-        store = load_precomputed(blob)
+        store = load_bytes(tmp_path, blob)
         assert store.dim == 4
         assert len(store) == len(records)
         for essay, s, t, vec in records:  # 3 tokens per sentence
-            assert np.array_equal(store.rows(essay, 3 * s + t, 1)[0], vec)
+            assert np.array_equal(read_rows(store, essay, 3 * s + t, 1)[0], vec)
 
     def test_writer_output_is_pinned(self):
         """Interleaved essays, out-of-order keys, an empty and a non-ASCII id:
@@ -166,118 +178,107 @@ class TestPrecomputedStore:
         assert buf.getvalue()[len(b"prefix"):] == blob
         assert struct.unpack_from("<Q", blob, 16) == (len(records),)
 
-    def test_single_record_store(self):
-        buf = io.BytesIO()
-        write_precomputed(buf, 3, [("only", 0, 0, np.arange(3.0))])
-        store = load_precomputed(buf.getvalue())
+    def test_single_record_store(self, tmp_path):
+        store = load_precomputed_file(write_store(tmp_path / "v.pv", 3,
+                                                  [("only", 0, 0, np.arange(3.0))]))
         assert len(store) == 1
-        assert np.array_equal(store.rows("only", 0, 1)[0], [0.0, 1.0, 2.0])
+        assert np.array_equal(read_rows(store, "only", 0, 1)[0], [0.0, 1.0, 2.0])
 
-    def test_header_dim_3072_accepted_by_spec(self):
+    def test_header_dim_3072_accepted_by_spec(self, tmp_path):
         blob, _ = self.build(dim=3072, essays=("e1",), sentences=1, tokens=2)
-        store = load_precomputed(blob)
-        spec = EmbeddingSpec([PrecomputedSource(store)], expected_dim=3072)
+        spec = EmbeddingSpec([load_bytes(tmp_path, blob)], expected_dim=3072)
         assert spec.expected_dim == 3072
 
-    def test_truncated_payload_rejected(self):
+    def test_truncated_payload_rejected(self, tmp_path):
         blob, _ = self.build()
         with pytest.raises(FormatError):
-            load_precomputed(blob[: len(blob) // 2])
+            load_bytes(tmp_path, blob[: len(blob) // 2])
 
-    def test_corrupted_payload_fails_checksum(self):
+    def test_corrupted_payload_fails_checksum(self, tmp_path):
         blob, _ = self.build()
         corrupted = bytearray(blob)
         corrupted[len(blob) // 2] ^= 0xFF
         with pytest.raises(FormatError, match="checksum"):
-            load_precomputed(bytes(corrupted))
+            load_bytes(tmp_path, bytes(corrupted))
 
-    def test_non_utf8_essay_id_rejected(self):
+    def test_non_utf8_essay_id_rejected(self, tmp_path):
         blob, _ = self.build(essays=("ab",), sentences=1, tokens=1)
         header = len(b"ARGSEGPV") + 16
         payload = blob[header:-4].replace(b"ab", b"\xff\xfe", 1)
         bad = blob[:header] + payload + struct.pack("<I", zlib.crc32(payload))
         with pytest.raises(FormatError, match="UTF-8"):
-            load_precomputed(bad)
+            load_bytes(tmp_path, bad)
 
-    def test_bad_magic(self):
+    def test_bad_magic(self, tmp_path):
         with pytest.raises(FormatError, match="magic"):
-            load_precomputed(b"WRONGMAG" + b"\x00" * 32)
+            load_bytes(tmp_path, b"WRONGMAG" + b"\x00" * 32)
 
-    def test_gap_in_keys_rejected(self):
+    def test_gap_in_keys_rejected(self, tmp_path):
         rng = np.random.default_rng(1)
-        buf = io.BytesIO()
         records = [("e1", 0, 0, rng.standard_normal(2)), ("e1", 0, 2, rng.standard_normal(2))]
-        write_precomputed(buf, 2, records)
         with pytest.raises(FormatError, match="contiguous"):
-            load_precomputed(buf.getvalue())
+            load_precomputed_file(write_store(tmp_path / "v.pv", 2, records))
 
-    def test_ordinal_view_spans_sentences(self):
+    def test_ordinal_view_spans_sentences(self, tmp_path):
         blob, records = self.build(essays=("e1",), sentences=3, tokens=2)
-        store = load_precomputed(blob)
+        store = load_bytes(tmp_path, blob)
         vectors = np.stack([vec for *_, vec in records])
-        assert np.array_equal(store.rows("e1", 0, len(records)), vectors)
+        assert np.array_equal(read_rows(store, "e1", 0, len(records)), vectors)
         for ordinal in range(len(records) - 1):
-            assert np.array_equal(store.rows("e1", ordinal, 2), vectors[ordinal : ordinal + 2])
+            assert np.array_equal(read_rows(store, "e1", ordinal, 2),
+                                  vectors[ordinal : ordinal + 2])
 
-    def test_coverage_errors_name_location(self):
+    def test_coverage_errors_name_location(self, tmp_path):
         blob, _ = self.build(essays=("e1",), sentences=1, tokens=2)
-        store = load_precomputed(blob)
+        store = load_bytes(tmp_path, blob)
         with pytest.raises(CoverageError, match="no vectors for essay 'nowhere'"):
-            store.rows("nowhere", 0, 1)
+            read_rows(store, "nowhere", 0, 1)
         ends = r"is not covered \(store ends at sentence 0, token 1\)"
         with pytest.raises(CoverageError, match="'e1': token ordinal 7 " + ends):
-            store.rows("e1", 7, 1)
+            read_rows(store, "e1", 7, 1)
         with pytest.raises(CoverageError, match="'e1': token ordinal 2 " + ends):
-            store.rows("e1", 1, 2)
+            read_rows(store, "e1", 1, 2)
 
-    def test_non_finite_value_names_location(self):
+    def test_non_finite_value_names_location(self, tmp_path):
         rng = np.random.default_rng(4)
         records = [("e1", 0, 0, rng.standard_normal(2)), ("e2", 0, 0, rng.standard_normal(2)),
                    ("e2", 1, 0, np.array([0.5, np.nan])), ("e2", 1, 1, np.array([np.inf, 0.0]))]
-        buf = io.BytesIO()
-        write_precomputed(buf, 2, records)
         with pytest.raises(FormatError, match="essay 'e2': non-finite .* sentence 1, token 0"):
-            load_precomputed(buf.getvalue())
+            load_precomputed_file(write_store(tmp_path / "v.pv", 2, records))
 
 
 class TestEmbeddingSpec:
-    def test_stacked_concatenation_order(self):
+    def test_stacked_concatenation_order(self, tmp_path):
         table = load_glove("tok 1 2 3")
         rng = np.random.default_rng(2)
-        buf = io.BytesIO()
         vec = rng.standard_normal(2)
-        write_precomputed(buf, 2, [("e1", 0, 0, vec)])
-        store = load_precomputed(buf.getvalue())
-        spec = EmbeddingSpec(
-            [GloveSource(table), PrecomputedSource(store)], expected_dim=5
-        )
+        store = load_precomputed_file(write_store(tmp_path / "v.pv", 2, [("e1", 0, 0, vec)]))
+        spec = EmbeddingSpec([table, store], expected_dim=5)
         seq = seq_of(["tok"])
         row = spec.vectorize(seq)
         assert row.shape == (1, 5)
         assert np.allclose(row[0, :3], [1, 2, 3])
         assert np.allclose(row[0, 3:], vec)
 
-        flipped = EmbeddingSpec(
-            [PrecomputedSource(store), GloveSource(table)], expected_dim=5
-        )
+        flipped = EmbeddingSpec([store, table], expected_dim=5)
         row2 = flipped.vectorize(seq)
         assert np.allclose(row2[0, :2], vec)
         assert np.allclose(row2[0, 2:], [1, 2, 3])
 
     def test_glove_only_equals_lookup(self, toy_table, toy_sequences):
-        spec = EmbeddingSpec([GloveSource(toy_table)], expected_dim=toy_table.dim)
+        spec = EmbeddingSpec([toy_table], expected_dim=toy_table.dim)
         for seq in toy_sequences[:20]:
             assert_same_bytes(spec.vectorize(seq), glove_oracle(toy_table, seq))
 
     def test_glove_mixed_case_and_oov_equal_oracle(self):
         table = load_glove("the 1 2\ncat 3 -4.5\nsat 0.25 1e-300\nCat 9 9\n")
-        spec = EmbeddingSpec([GloveSource(table)], expected_dim=2)
+        spec = EmbeddingSpec([table], expected_dim=2)
         seq = seq_of(["The", "CAT", "sat", "on", "the", "Mat", "cat", "tHe"])
         rows = spec.vectorize(seq)
         assert_same_bytes(rows, glove_oracle(table, seq))
         assert not rows[3].any() and not rows[5].any()
 
-    def test_store_rows_equal_oracle_across_granularity(self):
+    def test_store_rows_equal_oracle_across_granularity(self, tmp_path):
         essays = toy_corpus(2, seed=9)
         rng = np.random.default_rng(5)
         records = []
@@ -286,41 +287,37 @@ class TestEmbeddingSpec:
                 for t in range(len(seq)):
                     records.append((essay.id, seq.sequence_index, t, rng.standard_normal(3)))
         shuffled = [records[i] for i in rng.permutation(len(records))]
-        buf = io.BytesIO()
-        write_precomputed(buf, 3, shuffled)
-        spec = EmbeddingSpec([PrecomputedSource(load_precomputed(buf.getvalue()))], expected_dim=3)
+        spec = EmbeddingSpec([load_precomputed_file(write_store(tmp_path / "v.pv", 3, shuffled))],
+                             expected_dim=3)
         for essay, spans in essays:
             for seq in build_sequences(essay, spans, "paragraph"):
                 assert_same_bytes(spec.vectorize(seq), store_oracle(records, seq))
 
-    def test_store_backed_rows_are_read_only(self):
+    def test_store_backed_rows_are_read_only(self, tmp_path):
         records = [("e1", 0, t, np.array([t, -t], dtype=float)) for t in range(3)]
-        buf = io.BytesIO()
-        write_precomputed(buf, 2, records)
-        store = load_precomputed(buf.getvalue())
-        rows = EmbeddingSpec([PrecomputedSource(store)], expected_dim=2).vectorize(seq_of(["a", "b"]))
+        store = load_precomputed_file(write_store(tmp_path / "v.pv", 2, records))
+        rows = EmbeddingSpec([store], expected_dim=2).vectorize(seq_of(["a", "b"]))
         with pytest.raises(ValueError):
             rows[0, 0] = 7.0
         with pytest.raises(ValueError):
             rows += 1.0
         for _, _, t, vec in records:  # one sentence
-            assert np.array_equal(store.rows("e1", t, 1)[0], vec)
+            assert np.array_equal(read_rows(store, "e1", t, 1)[0], vec)
 
     def test_dimension_audit_rejects_mismatch(self):
         table = load_glove("tok " + " ".join(["0.5"] * 300))
         with pytest.raises(ConfigurationError, match="4196"):
-            EmbeddingSpec([GloveSource(table)], expected_dim=4196)
+            EmbeddingSpec([table], expected_dim=4196)
 
-    def test_missing_vector_coverage_error(self):
-        buf = io.BytesIO()
-        write_precomputed(buf, 2, [("e1", 0, 0, np.zeros(2))])
-        store = load_precomputed(buf.getvalue())
-        spec = EmbeddingSpec([PrecomputedSource(store)], expected_dim=2)
+    def test_missing_vector_coverage_error(self, tmp_path):
+        store = load_precomputed_file(write_store(tmp_path / "v.pv", 2,
+                                                  [("e1", 0, 0, np.zeros(2))]))
+        spec = EmbeddingSpec([store], expected_dim=2)
         seq = seq_of(["a", "b"])  # two tokens, store has one vector
         with pytest.raises(CoverageError, match="e1"):
             spec.vectorize(seq)
 
-    def test_ordinals_align_paragraph_and_sentence_views(self):
+    def test_ordinals_align_paragraph_and_sentence_views(self, tmp_path):
         essay, spans = toy_corpus(1, seed=9)[0]
         sent_seqs = build_sequences(essay, spans, "sentence")
         rng = np.random.default_rng(3)
@@ -328,10 +325,8 @@ class TestEmbeddingSpec:
         for seq in sent_seqs:
             for t in range(len(seq)):
                 records.append((essay.id, seq.sequence_index, t, rng.standard_normal(3)))
-        buf = io.BytesIO()
-        write_precomputed(buf, 3, records)
-        store = load_precomputed(buf.getvalue())
-        spec = EmbeddingSpec([PrecomputedSource(store)], expected_dim=3)
+        spec = EmbeddingSpec([load_precomputed_file(write_store(tmp_path / "v.pv", 3, records))],
+                             expected_dim=3)
 
         para_seqs = build_sequences(essay, spans, "paragraph")
         flat_sentence = np.concatenate([spec.vectorize(s) for s in sent_seqs])
@@ -439,17 +434,14 @@ def store_file(tmp_path_factory) -> Path:
 
 
 @settings(max_examples=150, deadline=None)
-@given(stacked_batches(), st.booleans(), st.integers(1, 200))
-def test_batch_built_in_place_equals_the_per_sequence_oracle(store_file, case, from_file,
-                                                             chunk):
+@given(stacked_batches(), st.integers(1, 200))
+def test_batch_built_in_place_equals_the_per_sequence_oracle(store_file, case, chunk):
     glove, store_dim, records, sequences, store_first = case
     table = load_glove(glove)
-    with open(store_file, "wb") as fh:
-        write_precomputed(fh, store_dim, records)
+    write_store(store_file, store_dim, records)
     with mock.patch.object(embeddings, "_CHUNK", chunk):  # reads of a few records each
-        store = (load_precomputed_file(store_file) if from_file
-                 else load_precomputed(store_file.read_bytes()))
-        sources = [GloveSource(table), PrecomputedSource(store)]
+        store = load_precomputed_file(store_file)
+        sources = [table, store]
         spec = EmbeddingSpec(sources[::-1] if store_first else sources,
                              expected_dim=table.dim + store_dim)
         batch, gold = _assemble(sequences, spec)
@@ -467,24 +459,6 @@ def test_batch_built_in_place_equals_the_per_sequence_oracle(store_file, case, f
 # ---------------------------------------------------------------------------
 # Mutated embedding files
 # ---------------------------------------------------------------------------
-
-
-@st.composite
-def mutations(draw, data: bytes) -> bytes:
-    """``data`` truncated, with one bit flipped, or with a slice of it copied
-    over another place."""
-    kind = draw(st.sampled_from(["truncate", "bit_flip", "splice"]))
-    body = bytearray(data)
-    if kind == "truncate":
-        del body[draw(st.integers(0, len(body) - 1)):]
-    elif kind == "bit_flip":
-        body[draw(st.integers(0, len(body) - 1))] ^= 1 << draw(st.integers(0, 7))
-    else:
-        lo = draw(st.integers(0, len(body)))
-        hi = draw(st.integers(lo, min(len(body), lo + 64)))
-        at = draw(st.integers(0, len(body)))
-        body[at : at + draw(st.integers(0, 64))] = data[lo:hi]
-    return bytes(body)
 
 
 TOY_GLOVE = toy_glove_text(dim=3, seed=7).encode("utf-8")

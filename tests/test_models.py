@@ -6,7 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from argseg.errors import ArgsegError, ConfigurationError, ContractViolation, FormatError
+from argseg.errors import (
+    ArgsegError,
+    ConfigurationError,
+    ContractViolation,
+    DimensionError,
+    FormatError,
+)
 from argseg.layers import (
     AdditiveSelfAttention,
     BiLstm,
@@ -75,6 +81,17 @@ class TestBuildModel:
         head = model.layers[-1]
         assert (head.name, head.output_dim) == ("head", 3)
         assert [p.name for p in head.params()] == ["head.W", "head.b"]
+
+    @pytest.mark.parametrize("arch", list(ArchitectureId))
+    @pytest.mark.parametrize("features", [11, 13])
+    def test_batch_of_the_wrong_width_is_rejected_by_the_first_layer(self, arch, features):
+        model = build_model(ModelSpec(arch, input_dim=12, hidden=4))
+        batch = toy_batch(np.random.default_rng(3), features)
+        first = f"{model.layers[0].name}: input has {features} features, expected 12"
+        with pytest.raises(DimensionError, match=f"^{first}$"):
+            model.forward(batch)
+        with pytest.raises(DimensionError, match=f"^{first}$"):
+            model.logits(batch)
 
     def test_sb_is_prefix_of_bl(self):
         sb = build_model(ModelSpec(ArchitectureId.SB, input_dim=12, hidden=4, seed=5))

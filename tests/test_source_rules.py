@@ -7,6 +7,8 @@
   definition exists only for the tests.
 * No module imports ``mmap``: a mapped file that shrinks kills the process
   with SIGBUS, where a read that comes back short can raise an error.
+* ``argseg.__all__`` lists each name once, and exactly the names that
+  ``__init__.py`` imports.
 """
 
 import ast
@@ -103,6 +105,17 @@ def module_constants(tree: ast.Module) -> set[str]:
     return names
 
 
+def export_mismatch(tree: ast.Module) -> tuple[list[str], set[str], set[str]]:
+    """(names ``__all__`` lists twice, imported names it lacks, names it
+    lists that are not imported)."""
+    listed = next(ast.literal_eval(node.value) for node in tree.body
+                  if isinstance(node, ast.Assign)
+                  and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets))
+    imported = set(imported_names(tree))
+    twice = sorted({name for name in listed if listed.count(name) > 1})
+    return twice, imported - set(listed), set(listed) - imported
+
+
 def test_sources_found():
     assert len(MODULES) > 5
 
@@ -141,6 +154,13 @@ def test_no_module_imports_mmap():
     assert not mapping, "imports mmap: " + ", ".join(mapping)
 
 
+def test_all_names_exactly_what_the_package_imports():
+    twice, unlisted, unimported = export_mismatch(parse(SRC / "__init__.py"))
+    assert not twice, f"listed twice in __all__: {twice}"
+    assert not unlisted, f"imported by __init__.py but not in __all__: {sorted(unlisted)}"
+    assert not unimported, f"in __all__ but not imported: {sorted(unimported)}"
+
+
 def test_rules_catch_a_stale_import_and_a_second_constant():
     tree = ast.parse("import bisect\nimport os.path\nfrom x import y as z\nW = 1\n"
                      "def f(a: 'Q') -> None:\n    return os.sep\n")
@@ -159,6 +179,12 @@ def test_rule_catches_a_definition_only_tests_reach():
                                     "def f():\n    import mmap\n"])
 def test_rule_catches_an_mmap_import(source):
     assert "mmap" in imported_modules(ast.parse(source))
+
+
+def test_rule_catches_a_repeated_a_missing_and_a_stale_export():
+    tree = ast.parse("from .a import f, g\nfrom .b import h as k\n"
+                     "__all__ = ['f', 'k', 'f', 'gone']\n")
+    assert export_mismatch(tree) == (["f"], {"g"}, {"gone"})
 
 
 def test_rule_ignores_a_relative_module_named_mmap():

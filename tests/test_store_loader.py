@@ -1,10 +1,11 @@
-"""The precomputed-store loader against the record-by-record oracle: random
-valid stores give the same essays, last keys and matrices; mutated stores give
-the same store or the same ``FormatError`` and never another exception.  Both
-hold for bytes in memory and for files read in windows small enough that
-records straddle them; a file that changes after the load raises
-``FormatError`` on the next read.  Every read copies the records out of the
-reader, so what a store returns is never a view of its source."""
+"""The precomputed-store loader against the record-by-record oracle, which
+reads bytes: random valid store files give the same essays, last keys and
+matrices; mutated ones give the same store or the same ``FormatError`` and
+never another exception.  Both hold for files read in the default 1 MiB
+windows and in windows small enough that records straddle them.  A file that
+changes or reads short, during the load or after it, raises ``FormatError``.
+``rows`` writes into the caller's array and never hands out the reader's
+buffer."""
 
 import io
 import os
@@ -21,9 +22,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from argseg import embeddings
-from argseg.embeddings import load_precomputed, load_precomputed_file, write_precomputed
+from argseg.embeddings import load_precomputed_file, write_precomputed
 from argseg.errors import FormatError
 from store_oracle import oracle_load
+from toy_files import read_rows, write_store
 
 HEADER = 8 + 16  # magic, then version u32, dim u32, count u64
 
@@ -63,14 +65,8 @@ def outcome(load, data):
 
 def essays_of(store):
     """Each essay's last key and rows, in first-record order."""
-    essays = {essay_id: (essay.last, store.rows(essay_id, 0, essay.length))
-              for essay_id, essay in store._essays.items()}
-    assert all(not m.flags.writeable for _, m in essays.values())
-    return essays
-
-
-def loader_outcome(data):
-    return essays_of(load_precomputed(data))
+    return {essay_id: (essay.last, read_rows(store, essay_id, 0, essay.length))
+            for essay_id, essay in store._essays.items()}
 
 
 @pytest.fixture(scope="module")
@@ -90,6 +86,7 @@ def oracle_outcome(data):
 
 
 essay_ids = st.lists(st.text(max_size=6), min_size=1, max_size=4, unique=True)
+chunks = st.one_of(st.integers(1, 64), st.just(1 << 20))  # a few records, or the default
 sentence_lengths = st.lists(st.integers(1, 4), min_size=1, max_size=3)
 
 
@@ -111,89 +108,56 @@ def stores(draw):
 
 
 @settings(max_examples=150, deadline=None)
-@given(stores())
+@given(stores(), chunks)
 @example((2, [(essay_id, 0, t, np.array([t, -1.5])) for essay_id in ("", "é文")
-              for t in range(2)], "grouped"))
-def test_random_stores_equal_the_oracle(store):
+              for t in range(2)], "grouped"), 1 << 20)
+def test_file_stores_read_in_small_windows_equal_the_oracle(store_path, store, chunk):
     dim, records, layout = store
     blob = blob_of(dim, records)
+    store_path.write_bytes(blob)
     expected = oracle_load(blob)[1]
-    loaded = load_precomputed(blob)
+    with mock.patch.object(embeddings, "_CHUNK", chunk):
+        loaded = load_precomputed_file(store_path)
+        essays = essays_of(loaded)
     assert loaded.dim == dim and loaded.essay_ids() == sorted(expected)
-    essays = essays_of(loaded)
     assert list(essays) == list(expected)  # first-record order
+    buffer = np.frombuffer(loaded._reader._buffer, np.uint8)
     for essay_id, (last, matrix) in expected.items():
         got_last, got = essays[essay_id]
         assert got_last == last and type(got_last[0]) is int
-        assert np.array_equal(got, matrix) and got.tobytes() == matrix.tobytes()
-        assert not got.flags.writeable
-        assert not np.shares_memory(got, np.frombuffer(blob, np.uint8))  # a copy
+        assert got.tobytes() == matrix.tobytes()
+        assert not np.shares_memory(got, buffer)
         if layout == "grouped":  # one run in key order
             assert len(loaded._essays[essay_id].run_offset) == 1
 
 
-@settings(max_examples=150, deadline=None)
-@given(stores(), st.integers(1, 64))
-def test_file_stores_read_in_small_windows_equal_the_oracle(store_path, store, chunk):
-    dim, records, _ = store
-    blob = blob_of(dim, records)
-    assert file_outcome(store_path, blob, chunk) == outcome(oracle_outcome, blob)
-
-
-def test_in_order_single_run_essay_is_one_read_into_a_read_only_copy():
-    groups = essay_records(["a", "bb"], [[3, 2], [1]], 5, seed=8)
-    buf = bytearray(blob_of(5, groups[0] + groups[1]))
-    store = load_precomputed(buf)
-    reads = []
-    read = store._reader.read
-    store._reader.read = lambda offset, n, essay_id: reads.append(n) or read(offset, n, essay_id)
-    backing = np.frombuffer(buf, np.uint8)
-    for essay_id, records in zip(["a", "bb"], groups):
-        expected = np.stack([vec for *_, vec in records])
-        rows = store.rows(essay_id, 0, len(records))
-        assert reads.pop() == len(records) * store._essays[essay_id].layout.itemsize
-        assert not reads
-        assert not np.shares_memory(rows, backing) and rows.flags.owndata
-        assert not rows.flags.writeable
-        assert rows.tobytes() == expected.tobytes()
-        with pytest.raises(ValueError):
-            rows[0, 0] = 1.0
-        buf[HEADER:-4] = bytes(len(buf) - HEADER - 4)  # the copy outlives the bytes
-        assert rows.tobytes() == expected.tobytes()
-        buf[:] = blob_of(5, groups[0] + groups[1])
-
-
-def test_rows_written_into_a_batchs_columns():
-    """With ``out`` the rows go into the caller's (possibly strided) array,
-    which stays writable, and nothing beside it changes."""
+def test_rows_written_into_a_batchs_columns(tmp_path):
+    """The rows go into the caller's (possibly strided) array, and nothing
+    beside it changes."""
     (records,) = essay_records(["a"], [[2, 2]], 3, seed=16)
-    store = load_precomputed(blob_of(3, records[::-1]))  # four runs of one record
+    store = load_precomputed_file(write_store(tmp_path / "v.pv", 3, records[::-1]))  # 4 runs
     batch = np.full((5, 7), -1.0)
-    got = store.rows("a", 1, 3, out=batch[1:4, 2:5])
+    store.rows("a", 1, batch[1:4, 2:5])
     expected = np.stack([vec for *_, vec in records[1:]])
-    assert got.base is batch and got.flags.writeable
     assert batch[1:4, 2:5].tobytes() == expected.tobytes()
     batch[1:4, 2:5] = -1.0
     assert (batch == -1.0).all()
 
 
-def test_out_of_order_essay_is_gathered_into_a_copy():
+def test_out_of_order_essay_is_gathered_into_a_copy(tmp_path):
     (records,) = essay_records(["a"], [[3]], 2, seed=9)
-    blob = blob_of(2, records[::-1])
-    rows = load_precomputed(blob).rows("a", 0, 3)
-    assert not np.shares_memory(rows, np.frombuffer(blob, np.uint8))
-    assert not rows.flags.writeable
+    store = load_precomputed_file(write_store(tmp_path / "v.pv", 2, records[::-1]))
+    rows = read_rows(store, "a", 0, 3)
+    assert not np.shares_memory(rows, np.frombuffer(store._reader._buffer, np.uint8))
     assert np.array_equal(rows, np.stack([vec for *_, vec in records]))
 
 
 def test_file_store_reads_each_sequence_from_the_file(tmp_path, monkeypatch):
-    """Each ``rows`` call reads exactly its records with ``os.preadv``, into
-    the reader's one buffer, reused from read to read, and returns a copy."""
+    """Each ``rows`` call reads exactly its records with one ``os.preadv``,
+    into the reader's one buffer, reused from read to read, and copies them
+    into the caller's array."""
     groups = essay_records(["e1", "e2"], [[2, 2], [3]], 3, seed=10)
-    path = tmp_path / "v.pv"
-    with open(path, "wb") as fh:
-        write_precomputed(fh, 3, groups[0] + groups[1])
-    store = load_precomputed_file(path)
+    store = load_precomputed_file(write_store(tmp_path / "v.pv", 3, groups[0] + groups[1]))
     buffer = store._reader._buffer
     reads = []
     preadv = os.preadv
@@ -205,40 +169,33 @@ def test_file_store_reads_each_sequence_from_the_file(tmp_path, monkeypatch):
     monkeypatch.setattr(os, "preadv", spy)
     stride = 4 + 2 + 8 + 8 * 3
     for essay_id, records in zip(["e1", "e2"], groups):
-        rows = store.rows(essay_id, 1, len(records) - 1)
+        rows = read_rows(store, essay_id, 1, len(records) - 1)
         expected = np.stack([vec for *_, vec in records[1:]])
-        assert rows.tobytes() == expected.tobytes() and not rows.flags.writeable
+        assert rows.tobytes() == expected.tobytes()
         assert reads.pop() == ([buffer], (len(records) - 1) * stride) and not reads
-        assert not np.shares_memory(rows, np.frombuffer(buffer, np.uint8))
     assert store._reader._buffer is buffer
-    first, second = store.rows("e1", 0, 4), store.rows("e1", 0, 4)
-    assert not np.shares_memory(first, second) and first.tobytes() == second.tobytes()
+    assert read_rows(store, "e1", 0, 4).tobytes() == read_rows(store, "e1", 0, 4).tobytes()
 
 
 def test_file_store_reads_a_long_run_in_pieces_of_one_buffer(tmp_path, monkeypatch):
     """A run longer than ``_CHUNK`` bytes is read in pieces that fit the one
     buffer, which never grows past ``_CHUNK`` or one record."""
     (records,) = essay_records(["e"], [[7, 6]], 4, seed=17)
-    path = tmp_path / "v.pv"
-    with open(path, "wb") as fh:
-        write_precomputed(fh, 4, records)
     stride = 4 + 1 + 8 + 8 * 4
     monkeypatch.setattr(embeddings, "_CHUNK", 3 * stride + 1)
-    store = load_precomputed_file(path)
+    store = load_precomputed_file(write_store(tmp_path / "v.pv", 4, records))
     sizes = []
     preadv = os.preadv
     monkeypatch.setattr(os, "preadv", lambda fd, buffers, offset: (
         sizes.append(buffers[0].nbytes), preadv(fd, buffers, offset))[1])
-    rows = store.rows("e", 2, 10)
+    rows = read_rows(store, "e", 2, 10)
     assert rows.tobytes() == np.stack([vec for *_, vec in records[2:12]]).tobytes()
     assert sizes == [3 * stride, 3 * stride, 3 * stride, stride]
     assert len(store._reader._buffer) == 3 * stride + 1
 
 
 def write_two_essays(path: Path, seed: int):
-    with open(path, "wb") as fh:
-        write_precomputed(fh, 2, [r for g in essay_records(["e1", "e2"], [[3], [2]], 2, seed)
-                                  for r in g])
+    write_store(path, 2, [r for g in essay_records(["e1", "e2"], [[3], [2]], 2, seed) for r in g])
 
 
 def truncate(path: Path):
@@ -262,11 +219,11 @@ def test_file_changed_after_load_raises_format_error_naming_the_essay(tmp_path, 
     path = tmp_path / "v.pv"
     write_two_essays(path, seed=13)
     store = load_precomputed_file(path)
-    store.rows("e2", 0, 2)
+    read_rows(store, "e2", 0, 2)
     change(path)
     with pytest.raises(FormatError, match=f"essay 'e2': store file {path} changed since "
                                           "it was loaded"):
-        store.rows("e2", 0, 2)
+        read_rows(store, "e2", 0, 2)
 
 
 def test_short_read_raises_format_error_naming_the_essay(tmp_path, monkeypatch):
@@ -278,7 +235,42 @@ def test_short_read_raises_format_error_naming_the_essay(tmp_path, monkeypatch):
         fd, [view[:-1] for view in buffers], offset))
     with pytest.raises(FormatError, match=r"essay 'e1': short read from store file .* "
                                           r"\(89 of 90 bytes at offset 24\)"):
-        store.rows("e1", 0, 3)
+        read_rows(store, "e1", 0, 3)
+
+
+@pytest.mark.parametrize("chunk", [50, 1 << 20])
+def test_short_read_during_the_load_raises_format_error(tmp_path, monkeypatch, chunk):
+    """The scan's first window, at offset 24, reads one byte short."""
+    path = tmp_path / "v.pv"
+    write_two_essays(path, seed=19)
+    monkeypatch.setattr(embeddings, "_CHUNK", chunk)
+    preadv = os.preadv
+    monkeypatch.setattr(os, "preadv", lambda fd, buffers, offset: preadv(
+        fd, [view[:-1] if offset == HEADER else view for view in buffers], offset))
+    n = min(chunk, path.stat().st_size - HEADER - 4)
+    with pytest.raises(FormatError, match=f"^short read from store file {path} "
+                                          rf"\({n - 1} of {n} bytes at offset 24\)$"):
+        load_precomputed_file(path)
+
+
+def test_file_changed_during_the_load_raises_format_error(tmp_path, monkeypatch):
+    """A write that keeps the size but moves the modification time between
+    two of the load's reads is caught at the next read."""
+    path = tmp_path / "v.pv"
+    write_two_essays(path, seed=20)
+    monkeypatch.setattr(embeddings, "_CHUNK", 50)
+    preadv = os.preadv
+
+    def touch_after_first_window(fd, buffers, offset):
+        got = preadv(fd, buffers, offset)
+        if offset == HEADER:
+            stamp = path.stat().st_mtime_ns + 10**9
+            os.utime(path, ns=(stamp, stamp))
+        return got
+
+    monkeypatch.setattr(os, "preadv", touch_after_first_window)
+    with pytest.raises(FormatError, match=f"^store file {path} changed since it was loaded$"):
+        load_precomputed_file(path)
 
 
 def test_loading_a_3072_d_store_grows_peak_rss_by_at_most_a_quarter_of_the_file(tmp_path):
@@ -300,13 +292,6 @@ def test_loading_a_3072_d_store_grows_peak_rss_by_at_most_a_quarter_of_the_file(
     assert result.returncode == 0, result.stderr[-2000:]
     tokens, growth = map(int, result.stdout.split())
     assert tokens == 2000 and growth <= 0.25 * path.stat().st_size
-
-
-def test_loader_accepts_any_bytes_like_object():
-    blob = blob_of(2, essay_records(["e"], [[2]], 2, seed=11)[0])
-    expected = outcome(oracle_outcome, blob)
-    for data in (blob, bytearray(blob), memoryview(blob), np.frombuffer(blob, np.uint8)):
-        assert outcome(loader_outcome, data) == expected
 
 
 # ---------------------------------------------------------------------------
@@ -364,17 +349,11 @@ def mutated_stores(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(mutated_stores())
-def test_mutated_stores_load_as_the_oracle_does(data):
-    # any other exception (ValueError, IndexError, struct.error, MemoryError)
-    # escapes and fails the test
-    assert outcome(loader_outcome, data) == outcome(oracle_outcome, data)
-
-
-@settings(max_examples=300, deadline=None)
-@given(mutated_stores(), st.integers(1, 64))
+@given(mutated_stores(), chunks)
 def test_mutated_file_stores_read_in_small_windows_load_as_the_oracle_does(store_path, data,
                                                                           chunk):
+    # any other exception (ValueError, IndexError, struct.error, MemoryError)
+    # escapes and fails the test
     assert file_outcome(store_path, data, chunk) == outcome(oracle_outcome, data)
 
 
@@ -389,11 +368,11 @@ def test_mutated_file_stores_read_in_small_windows_load_as_the_oracle_does(store
     ([(0, 0), (4294967295, 0)], "not contiguous at sentence 4294967295, token 0"),
     ([(0, 4294967295), (0, 0)], "not contiguous at sentence 0, token 4294967295"),
 ])
-def test_bad_keys_raise_the_oracles_error(keys, message):
+def test_bad_keys_raise_the_oracles_error(store_path, keys, message):
     blob = blob_of(1, [("e", s, t, np.zeros(1)) for s, t in keys])
     with pytest.raises(FormatError, match=f"essay 'e': .*{message}"):
         oracle_load(blob)
-    assert outcome(loader_outcome, blob) == outcome(oracle_outcome, blob)
+    assert file_outcome(store_path, blob, 1 << 20) == outcome(oracle_outcome, blob)
 
 
 @pytest.mark.parametrize("chunk", [1, 1 << 20])
@@ -403,13 +382,13 @@ def test_first_non_finite_value_is_named_in_key_order(store_path, chunk):
                        ("e", 0, 1, np.array([-np.inf]))])
     expected = outcome(oracle_outcome, blob)
     assert expected == ("error", "essay 'e': non-finite vector value at sentence 0, token 1")
-    assert outcome(loader_outcome, blob) == expected
     assert file_outcome(store_path, blob, chunk) == expected
 
 
 @pytest.mark.parametrize("dim", [2**31, 2**32 - 1])
-def test_huge_declared_dim_is_rejected_before_allocating(dim):
+def test_huge_declared_dim_is_rejected_before_allocating(tmp_path, dim):
     blob = bytearray(blob_of(2, essay_records(["e"], [[1]], 2, seed=12)[0]))
     struct.pack_into("<I", blob, 12, dim)
+    (tmp_path / "v.pv").write_bytes(blob)
     with pytest.raises(FormatError, match="truncated inside a record"):
-        load_precomputed(blob)
+        load_precomputed_file(tmp_path / "v.pv")

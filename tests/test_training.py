@@ -7,7 +7,6 @@ import pytest
 
 from argseg.corpus import LABELS
 from argseg import training
-from argseg.embeddings import write_precomputed
 from argseg.errors import ContractViolation, DimensionError, NumericError, TrainingDiverged
 from argseg.metrics import confusion_matrix, metrics_from_confusion
 from argseg.models import ArchitectureId, Model, ModelSpec, build_model, save_checkpoint
@@ -27,6 +26,7 @@ from argseg.training import (
     train,
     trial_seed,
 )
+from toy_files import write_store
 
 LN3 = 1.0986122886681098  # ln 3 via mpmath at 50 digits
 
@@ -347,16 +347,15 @@ class TestTrainLoop:
         assert len(made) == len(alive["forward"]) + len(alive["logits"])
         assert set(alive["forward"]) == set(alive["logits"]) == {1}
 
-    def test_uncovered_sequence_fails_before_the_first_step(self, toy_sequences):
-        from argseg.embeddings import EmbeddingSpec, PrecomputedSource, load_precomputed
+    def test_uncovered_sequence_fails_before_the_first_step(self, toy_sequences, tmp_path):
+        from argseg.embeddings import EmbeddingSpec, load_precomputed_file
         from argseg.errors import CoverageError
 
         missing = toy_sequences[-1]  # its essay's last sequence
         records = [(seq.essay_id, 0, seq.token_ordinal_start + t, np.full(2, 0.5))
                    for seq in toy_sequences if seq is not missing for t in range(len(seq))]
-        buf = io.BytesIO()
-        write_precomputed(buf, 2, records)
-        spec = EmbeddingSpec([PrecomputedSource(load_precomputed(buf.getvalue()))], 2)
+        spec = EmbeddingSpec([load_precomputed_file(write_store(tmp_path / "v.pv", 2, records))],
+                             2)
         model = build_model(ModelSpec(ArchitectureId.SB, input_dim=2, hidden=3, seed=0))
         before = model.get_values()
         with pytest.raises(CoverageError, match=repr(missing.essay_id)):
