@@ -35,6 +35,7 @@ from .errors import (
     ConfigurationError,
     CorpusIntegrityError,
     FormatError,
+    SplitError,
     TrainingDiverged,
 )
 from .files import atomic_write, read_text
@@ -95,7 +96,10 @@ def cmd_convert(args: argparse.Namespace) -> int:
     corpus_dir = Path(args.corpus_dir)
     out_dir = Path(args.out)
     essays = _load_corpus_dir(corpus_dir)
-    split = load_split(read_text(args.split_csv), known_ids=[e.id for e, _ in essays])
+    try:
+        split = load_split(read_text(args.split_csv), known_ids=[e.id for e, _ in essays])
+    except SplitError as exc:
+        raise SplitError(f"{args.split_csv}: {exc}") from exc
 
     out_dir.mkdir(parents=True, exist_ok=True)
     stats = ConversionStats()
@@ -165,13 +169,13 @@ def cmd_train(args: argparse.Namespace) -> int:
 
     search_report = None
     if args.lr_search:
-        cfg, trials = lr_search(model_spec, sequences, emb, cfg, trials=args.lr_search)
+        cfg, model, curve, trials = lr_search(model_spec, sequences, emb, cfg,
+                                              trials=args.lr_search)
         search_report = [dataclasses.asdict(t) for t in trials]
         print(f"lr search picked {cfg.learning_rate:.3e} "
               f"(seed {cfg.seed}) from {args.lr_search} trials")
         model_spec = dataclasses.replace(model_spec, seed=cfg.seed)
 
-    model = build_model(model_spec)
     for src in emb.sources:
         if isinstance(src, EmbeddingTable):
             misses, total = oov_statistics(src, sequences)
@@ -180,11 +184,13 @@ def cmd_train(args: argparse.Namespace) -> int:
                   f"(OOV rate {rate:.3%})")
 
     diverged = None
-    try:
-        model, curve = train(model, sequences, emb, cfg)
-    except TrainingDiverged as exc:
-        diverged = str(exc)
-        curve = None
+    if not args.lr_search:
+        model = build_model(model_spec)
+        try:
+            model, curve = train(model, sequences, emb, cfg)
+        except TrainingDiverged as exc:
+            diverged = str(exc)
+            curve = None
 
     ckpt_path = out_dir / f"{arch.value}.ckpt"
     save_checkpoint(model, ckpt_path)

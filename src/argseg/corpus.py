@@ -412,6 +412,11 @@ def read_conll(fh) -> list[LabeledSequence]:
                 f"line {lineno}: sequence index, start and end must be integers, "
                 f"got {seq_idx!r}, {start!r}, {end!r}"
             ) from None
+        if start < 0 or end <= start:  # offsets feed span reconstruction
+            raise CorpusIntegrityError(
+                f"line {lineno}: token offsets must satisfy 0 <= start < end, "
+                f"got start {start} and end {end}"
+            )
         if meta is None:
             expected = counts.get(essay_id, 0)
             if seq_idx != expected:  # the ordinals would pair the wrong vectors

@@ -322,27 +322,28 @@ def lr_search(model_spec: ModelSpec, sequences: list[LabeledSequence],
     """Random search over :data:`LR_RANGE` for the learning rate; every trial is fully seeded.
 
     Each trial builds a fresh model and trains it; the config with the lowest
-    best validation loss wins.  Returns (best TrainConfig, [TrialResult]).
+    best validation loss wins.  Returns (best TrainConfig, its trained Model,
+    its LossCurve, [TrialResult]); the winner is kept, not trained again.
     """
     if trials < 1:
         raise ContractViolation(f"need at least one trial, got {trials}")
     results: list[TrialResult] = []
-    best: tuple[float, TrainConfig] | None = None
+    best: tuple[float, TrainConfig, Model, LossCurve] | None = None
     for k in range(trials):
         seed_k = trial_seed(cfg.seed, k)
         lr = sample_learning_rate(np.random.default_rng(seed_k))
         cfg_k = replace(cfg, learning_rate=lr, seed=seed_k)
         model_k = build_model(replace(model_spec, seed=seed_k))
         try:
-            _, curve = train(model_k, sequences, spec, cfg_k)
+            model_k, curve = train(model_k, sequences, spec, cfg_k)
         except TrainingDiverged as exc:
             results.append(TrialResult(k, lr, None, str(exc)))
             continue
         val = min(curve.val)
         results.append(TrialResult(k, lr, val))
         if best is None or val < best[0]:
-            best = (val, cfg_k)
+            best = (val, cfg_k, model_k, curve)
     if best is None:
         detail = "; ".join(f"trial {r.trial} (lr={r.learning_rate:.2e}): {r.error}" for r in results)
         raise NumericError(f"every learning-rate trial diverged: {detail}")
-    return best[1], results
+    return *best[1:], results

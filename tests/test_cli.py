@@ -17,6 +17,22 @@ def sha(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+def train_artifacts_digest(out: Path, arch: str) -> str:
+    """SHA-256 of a train run's checkpoint, curve and manifest, leaving out
+    the manifest's paths and clock readings."""
+    manifest = json.loads((out / "manifest-train.json").read_text())
+    for volatile in ("arguments", "outputs", "started_unix", "finished_unix"):
+        del manifest[volatile]
+    digest = hashlib.sha256((out / f"{arch}.ckpt").read_bytes())
+    digest.update((out / f"{arch}-curve.csv").read_bytes())
+    digest.update(json.dumps(manifest, sort_keys=True).encode())
+    return digest.hexdigest()
+
+
+# train_artifacts_digest of test_lr_search_flag's run
+LR_SEARCH_DIGEST = "c86e1f052fe84d091982167de2a6385eae9d1d6d4ba784dd774c0aadd1d077c4"
+
+
 @pytest.fixture(scope="module")
 def small_corpus(tmp_path_factory):
     return write_toy_corpus_dir(tmp_path_factory.mktemp("clicorpus"), n_essays=8, seed=4)
@@ -136,6 +152,8 @@ class TestTrainCommand:
         assert len(manifest["lr_search"]) == 2
         lr = manifest["config"]["learning_rate"]
         assert 1e-4 <= lr <= 1e-2
+        # the same bytes as when the winning trial was trained a second time
+        assert train_artifacts_digest(out, "sb") == LR_SEARCH_DIGEST
 
 
 @pytest.fixture(scope="module")
@@ -336,7 +354,21 @@ def test_convert_names_the_split_line_the_csv_reader_rejects(small_corpus, tmp_p
     rc = main(["convert", str(small_corpus), str(split), "--out", str(tmp_path / "out")])
     assert rc == 1 and not (tmp_path / "out").exists()
     assert capsys.readouterr().err == (
-        "error: split file line 2: field larger than field limit (131072)\n")
+        f"error: {split}: split file line 2: field larger than field limit (131072)\n")
+
+
+@pytest.mark.parametrize("edit,message", [
+    (lambda text: text.replace("TRAIN", "DEV", 1), "unknown set 'DEV' for essay "),
+    (lambda text: text.rsplit("\n", 2)[0] + "\n", "split misses essays: "),
+    (lambda text: "ID;SET;X\n", "expected header ID;SET, got "),
+])
+def test_convert_names_the_split_file_of_every_split_error(small_corpus, tmp_path, capsys,
+                                                            edit, message):
+    split = tmp_path / "split.csv"
+    split.write_text(edit((small_corpus / "train-test-split.csv").read_text()), encoding="utf-8")
+    rc = main(["convert", str(small_corpus), str(split), "--out", str(tmp_path / "out")])
+    assert rc == 1 and not (tmp_path / "out").exists()
+    assert capsys.readouterr().err.startswith(f"error: {split}: {message}")
 
 
 @pytest.mark.parametrize("command", ["train", "evaluate"])

@@ -311,6 +311,14 @@ class TestConll:
             with pytest.raises(CorpusIntegrityError, match="line 2"):
                 read_conll(fh)
 
+    @pytest.mark.parametrize("start,end", [(-7, -9), (-1, 3), (4, 4), (5, 2)])
+    def test_offsets_outside_a_token_rejected(self, start, end):
+        text = f"w\te\t0\t0\t1\tO\nw\te\t0\t{start}\t{end}\tO\n"
+        with pytest.raises(CorpusIntegrityError, match=f"^line 2: token offsets must satisfy "
+                                                       f"0 <= start < end, got start {start} "
+                                                       f"and end {end}$"):
+            read_conll(io.StringIO(text))
+
     @staticmethod
     def blocks(keys) -> str:
         """One one-token sequence per (essay id, sequence index), in order."""

@@ -484,6 +484,84 @@ def test_additive_query_chunks_match_one_chunk(monkeypatch):
         assert np.abs(a - b).max() <= 1e-12
 
 
+def additive_backward_oracle(layer, cache, grad_out):
+    """Input and parameter gradients of ``AdditiveSelfAttention`` the way its
+    backward formed them before the tiled matrix products: each sequence's
+    whole pair block, scaled by d loss / d score and summed along its axes."""
+    xv, spans, weights, q, k = cache
+    v_flat = layer.v_score.value[:, 0]
+    dxv, dq, dk = np.empty_like(xv), np.empty_like(q), np.empty_like(k)
+    dv = np.zeros(layer.attn_dim)
+    for (lo, hi), block in zip(spans, weights):
+        g = grad_out[lo:hi]
+        dxv[lo:hi] = block.T @ g
+        d_alpha = g @ xv[lo:hi].T
+        d_alpha -= (block * d_alpha).sum(axis=1, keepdims=True)
+        ds = block * d_alpha
+        u = np.tanh(q[lo:hi, None, :] + k[None, lo:hi, :])
+        dv += ds.ravel() @ u.reshape(-1, layer.attn_dim)
+        pre = (1.0 - u * u) * ds[:, :, None]
+        dq[lo:hi] = pre.sum(axis=1)
+        dk[lo:hi] = pre.sum(axis=0)
+    dq *= v_flat
+    dk *= v_flat
+    dxv += dq @ layer.w_query.value.T + dk @ layer.w_key.value.T
+    return [dxv, xv.T @ dq, xv.T @ dk, dq.sum(axis=0), dv[:, None]]
+
+
+def additive_case(name):
+    """A layer and a batch: a ragged batch, a batch whose long sequence spans
+    several tiles, or one where half the attention units saturate."""
+    rng = np.random.default_rng(302)
+    if name == "ragged":
+        return AdditiveSelfAttention(6, rng, attn_dim=4), ragged_batch(rng, 6)
+    if name == "tiled":
+        return AdditiveSelfAttention(5, rng, attn_dim=32), BatchTensor.from_rows(
+            [rng.standard_normal((n, 5)) for n in (150, 7, 61)])
+    layer = AdditiveSelfAttention(6, rng, attn_dim=4)
+    layer.b_hidden.value[:2] = (25.0, -25.0)
+    return layer, BatchTensor.from_rows([0.5 * rng.standard_normal((n, 6)) for n in (9, 4, 1)])
+
+
+@pytest.mark.parametrize("name", ["ragged", "tiled", "saturated"])
+def test_additive_backward_matches_whole_block_oracle(name):
+    layer, x = additive_case(name)
+    upstream = np.random.default_rng(303).standard_normal(x.rows.shape)
+    for param in layer.params():
+        param.zero_grad()
+    _, cache = layer.forward(x)
+    q, k = cache[3], cache[4]
+    if name == "tiled":
+        assert layer._rows_per_chunk(150) * 3 <= 150  # at least 3 tiles
+    expected = additive_backward_oracle(layer, cache, upstream)
+    got = [layer.backward(cache, upstream)] + [p.grad for p in layer.params()]
+    for a, b in zip(expected, got, strict=True):
+        assert a.shape == b.shape
+        assert np.abs(a - b).max() <= 1e-12 * np.abs(a).max()
+    if name == "saturated":
+        pre = q[:, None, :2] + k[None, :, :2]  # every pair, across the sequences too
+        assert np.abs(pre).min() >= 20.0
+        # tanh' is exactly 0 there, so these units' gradients are exactly 0
+        for grad in (layer.w_query.grad, layer.w_key.grad, layer.b_hidden.grad):
+            assert not grad[..., :2].any()
+
+
+def test_additive_scores_do_not_depend_on_the_tile_size(monkeypatch):
+    rng = np.random.default_rng(304)
+    layer = AdditiveSelfAttention(5, rng, attn_dim=32)
+    x = BatchTensor.from_rows([rng.standard_normal((n, 5)) for n in (131, 150, 77, 6, 1)])
+    tiled = layer.forward(x)[0].rows
+    monkeypatch.setattr(AdditiveSelfAttention, "CHUNK_ELEMENTS", 150 * 150 * 32)
+    assert layer._rows_per_chunk(150) == 150
+    assert layer.forward(x)[0].rows.tobytes() == tiled.tobytes()
+
+
+def test_additive_scratch_tile_is_at_most_one_mib():
+    layer = AdditiveSelfAttention(4, np.random.default_rng(305))
+    for n in range(1, 501):
+        assert layer._buffer([(0, n), (n, n + 1)]).nbytes <= 1 << 20
+
+
 LAYER_BUILDERS = [
     ("linear", lambda rng: (TimeDistributedLinear(4, 3, rng), 4)),
     ("bilstm", lambda rng: (BiLstm(4, 5, rng), 4)),

@@ -424,15 +424,23 @@ class TestLrSearch:
     def test_single_trial_returns_that_config(self, toy_sequences, toy_embeddings):
         spec = ModelSpec(ArchitectureId.SB, input_dim=16, hidden=4)
         cfg = TrainConfig(batch_size=8, max_epochs=2, patience=5, seed=21)
-        best, results = lr_search(spec, toy_sequences, toy_embeddings, cfg, trials=1)
+        best, model, curve, results = lr_search(spec, toy_sequences, toy_embeddings, cfg,
+                                                trials=1)
         assert len(results) == 1
         assert best.learning_rate == results[0].learning_rate
         assert best.seed == trial_seed(21, 0)
+        # the trial's own model and curve, as a second run of its config gives them
+        assert min(curve.val) == results[0].best_val_loss
+        again = build_model(ModelSpec(ArchitectureId.SB, input_dim=16, hidden=4, seed=best.seed))
+        again, again_curve = train(again, toy_sequences, toy_embeddings, best)
+        assert (again_curve.train, again_curve.val) == (curve.train, curve.val)
+        for a, b in zip(model.params(), again.params(), strict=True):
+            assert a.value.tobytes() == b.value.tobytes()
 
     def test_default_iteration_count_is_four(self, toy_sequences, toy_embeddings):
         spec = ModelSpec(ArchitectureId.SB, input_dim=16, hidden=4)
         cfg = TrainConfig(batch_size=8, max_epochs=2, patience=5, seed=22)
-        best, results = lr_search(spec, toy_sequences, toy_embeddings, cfg)
+        best, _, _, results = lr_search(spec, toy_sequences, toy_embeddings, cfg)
         assert len(results) == 4
         finite = [r for r in results if r.best_val_loss is not None]
         assert best.learning_rate in {r.learning_rate for r in finite}
