@@ -72,6 +72,11 @@ def _write_manifest(out_dir: Path, command: str, args: argparse.Namespace,
     return path
 
 
+def _spec_record(spec: ModelSpec) -> dict:
+    """``spec`` as the train manifest records it."""
+    return {**dataclasses.asdict(spec), "arch": spec.arch.value}
+
+
 def _load_corpus_dir(corpus_dir: Path):
     txt_files = sorted(corpus_dir.glob("*.txt"))
     if not txt_files:
@@ -196,7 +201,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     save_checkpoint(model, ckpt_path)
     outputs = {"checkpoint": str(ckpt_path)}
     extra = {"outputs": outputs, "config": dataclasses.asdict(cfg),
-             "model_spec": {**dataclasses.asdict(model_spec), "arch": arch.value}}
+             "model_spec": _spec_record(model_spec)}
     if search_report:
         extra["lr_search"] = search_report
     if curve is not None:
@@ -250,12 +255,17 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     train_manifest = ckpt.with_name("manifest-train.json")
     if train_manifest.exists():
         try:
-            lr = float(json.loads(train_manifest.read_text(encoding="utf-8"))
-                       ["config"]["learning_rate"])
+            manifest = json.loads(train_manifest.read_text(encoding="utf-8"))
+            trained_lr = float(manifest["config"]["learning_rate"])
         except (KeyError, TypeError, ValueError) as exc:
             raise FormatError(
                 f"training manifest {train_manifest}: no numeric config.learning_rate ({exc!r})"
             ) from exc
+        # the manifest is the directory's last train run, which may have
+        # trained another checkpoint: its rate is this one's only if its
+        # model_spec is this checkpoint's
+        if manifest.get("model_spec") == _spec_record(model.spec):
+            lr = trained_lr
 
     row = report_csv_row(report, model.spec.arch.value, emb.label,
                          model.spec.seed, lr, gap)
@@ -295,14 +305,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("train_file", help="CoNLL-style training sequences")
     p.add_argument("--arch", choices=ARCH_CHOICES, required=True)
     p.add_argument("--embeddings", required=True, help="embedding spec JSON")
-    p.add_argument("--batch-size", type=int, default=64)
-    p.add_argument("--lr", type=float, default=1e-3)
+    p.add_argument("--batch-size", type=int, default=TrainConfig.batch_size)
+    p.add_argument("--lr", type=float, default=TrainConfig.learning_rate)
     p.add_argument("--lr-search", type=int, default=0, metavar="TRIALS",
                    help="random-search the learning rate first")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-epochs", type=int, default=100)
-    p.add_argument("--patience", type=int, default=10)
-    p.add_argument("--hidden", type=int, default=64)
+    p.add_argument("--seed", type=int, default=TrainConfig.seed)
+    p.add_argument("--max-epochs", type=int, default=TrainConfig.max_epochs)
+    p.add_argument("--patience", type=int, default=TrainConfig.patience)
+    p.add_argument("--hidden", type=int, default=ModelSpec.hidden)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_train)
 

@@ -4,14 +4,15 @@ Four layer types: bidirectional LSTM (two LSTM cells), additive
 self-attention, scaled dot-product multi-head self-attention, and a
 time-distributed linear map.  Each layer owns its
 :class:`~argseg.numeric.Parameter` objects, returns an activation cache from
-``forward`` and accumulates parameter gradients in ``backward``.  Caches are
-owned by the caller, so one layer can be checked or trained without any
-global tape.  A cache is valid from its forward until the caller drops it;
-a layer's ``backward`` only reads it, so one cache may serve several
-backwards, but ``Model.backward`` consumes the caches of a model's forward,
-and ``Model.logits`` drops each cache as soon as the next layer has its
-input.  A model ends in a linear map to per-token B/I/O logits; the softmax
-is applied once, inside the loss.
+``forward`` and writes every parameter gradient in ``backward``: each
+backward sets ``grad`` to the gradient of that pass alone, so no gradient is
+ever cleared.  Caches are owned by the caller, so one layer can be checked
+or trained without any global tape.  A cache is valid from its forward
+until the caller drops it; a layer's ``backward`` only reads it, so one
+cache may serve several backwards, but ``Model.backward`` consumes the
+caches of a model's forward, and ``Model.logits`` drops each cache as soon
+as the next layer has its input.  A model ends in a linear map to
+per-token B/I/O logits; the softmax is applied once, inside the loss.
 
 Shape convention: a batch is a :class:`~argseg.numeric.BatchTensor`, its
 tokens packed sequence-major into one (N, F) array of rows plus the
@@ -19,7 +20,7 @@ sequences' lengths.  Every layer maps (N, F_in) rows to (N, F_out) rows and,
 in backward, (N, F_out) gradients to (N, F_in); no layer sees padding.
 
 ``backward(cache, grad_out, input_grad=True)``: with ``input_grad=False`` a
-layer accumulates the same parameter gradients, returns ``None`` and skips
+layer writes the same parameter gradients, returns ``None`` and skips
 the work that only feeds the input gradient.  The BiLSTM skips each
 direction's (M, 4H) x (4H, D) GEMM, their sum and the scatter into packed
 order; multi-head attention the three (N, D) x (D, D) GEMMs (Q, K and V
@@ -64,13 +65,23 @@ class Layer:
         raise NotImplementedError
 
     def backward(self, cache, grad_out: np.ndarray, input_grad: bool = True):
-        """Accumulate parameter gradients; return d(loss)/d(input rows).
+        """Write every parameter gradient; return d(loss)/d(input rows).
 
-        With ``input_grad=False`` the parameter gradients are exactly the
-        same, the work that only feeds the input gradient is skipped, and
-        the result is ``None``.
+        Each ``grad`` is overwritten with this pass's gradient, so a second
+        backward over the same cache leaves the same bytes.  With
+        ``input_grad=False`` the parameter gradients are exactly the same,
+        the work that only feeds the input gradient is skipped, and the
+        result is ``None``.
         """
         raise NotImplementedError
+
+    def _check_input(self, x: BatchTensor, width: int, tokens: bool = False):
+        """Raise unless the rows of ``x`` are ``width`` wide and, with
+        ``tokens``, every sequence has at least one token."""
+        if x.features != width:
+            raise DimensionError(f"{self.name}: input has {x.features} features, expected {width}")
+        if tokens and not x.lengths.all():
+            raise ContractViolation(f"{self.name}: every sequence in the batch needs a token")
 
 
 # ---------------------------------------------------------------------------
@@ -214,14 +225,13 @@ def _direction_backward(cell: LstmCell, cache, grad_run, x_run, pos: _Positions,
     """Backward pass of one direction into caller-allocated arrays.
 
     ``grad_run`` (M, H) is the direction's upstream gradient at the running
-    positions.  Parameter gradients accumulate into ``cell``; ``work`` =
-    (d_acts, h_in, dx_run, dw, du) receives the gate gradients, the states
-    entering each step and the input gradient, all at the running positions,
-    and the two weight-gradient products before they are accumulated.  A
+    positions.  The parameter gradients are written into ``cell``; ``work`` =
+    (d_acts, h_in, dx_run) receives the gate gradients, the states entering
+    each step and the input gradient, all at the running positions.  A
     ``dx_run`` of ``None`` skips the input gradient.
     """
     acts, hs, cs, tanh_c = cache
-    d_acts, h_in, dx_run, dw, du = work
+    d_acts, h_in, dx_run = work
     hdim = hs.shape[1]
     sig = 3 * hdim
     u_t = cell.u.value.T
@@ -261,11 +271,9 @@ def _direction_backward(cell: LstmCell, cache, grad_run, x_run, pos: _Positions,
         np.multiply(gc_n, f, out=dc_n)
     # mode="clip" writes straight into ``out``; the default buffers it
     np.take(hs, np.take(entering, pos.step) + pos.rank, axis=0, out=h_in, mode="clip")
-    np.matmul(x_run.T, d_acts, out=dw)
-    cell.w.grad += dw
-    np.matmul(h_in.T, d_acts, out=du)
-    cell.u.grad += du
-    cell.b.grad += d_acts.sum(axis=0)
+    np.matmul(x_run.T, d_acts, out=cell.w.grad)
+    np.matmul(h_in.T, d_acts, out=cell.u.grad)
+    np.sum(d_acts, axis=0, out=cell.b.grad)
     if dx_run is not None:
         np.matmul(d_acts, cell.w.value.T, out=dx_run)
 
@@ -295,10 +303,7 @@ class BiLstm(Layer):
         return self.fwd.params() + self.bwd.params()
 
     def forward(self, x: BatchTensor):
-        if x.features != self.input_dim:
-            raise DimensionError(
-                f"{self.name}: input has {x.features} features, expected {self.input_dim}"
-            )
+        self._check_input(x, self.input_dim)
         h = self.hidden
         pos = _positions(x.lengths)
         n_run = len(pos.packed)
@@ -326,11 +331,10 @@ class BiLstm(Layer):
         h = self.hidden
         grad_run = np.take(grad_out, pos.packed, axis=0)
         d_acts, h_in = np.empty((n_run, 4 * h)), np.empty((n_run, h))
-        dw, du = np.empty((dim, 4 * h)), np.empty((h, 4 * h))
         dx_runs = np.empty((2, n_run, dim)) if input_grad else (None, None)
         for k, (cell, reverse) in enumerate(((self.fwd, False), (self.bwd, True))):
             _direction_backward(cell, caches[k], grad_run[:, k * h : (k + 1) * h], x_run, pos,
-                                (d_acts, h_in, dx_runs[k], dw, du), reverse)
+                                (d_acts, h_in, dx_runs[k]), reverse)
         if not input_grad:
             return None
         dx_run = dx_runs[0]
@@ -413,12 +417,7 @@ class AdditiveSelfAttention(Layer):
             yield t0, t1, u
 
     def forward(self, x: BatchTensor):
-        if x.features != self.dim:
-            raise DimensionError(
-                f"{self.name}: input has {x.features} features, expected {self.dim}"
-            )
-        if not x.lengths.all():
-            raise ContractViolation(f"{self.name}: every sequence in the batch needs a token")
+        self._check_input(x, self.dim, tokens=True)
         xv = x.rows
         q = xv @ self.w_query.value
         q += self.b_hidden.value
@@ -464,10 +463,10 @@ class AdditiveSelfAttention(Layer):
                 dk[lo:hi] += np.matmul(ds_c.T[:, None, :], u.transpose(1, 0, 2))[:, 0]
         dq *= v_flat
         dk *= v_flat
-        self.v_score.grad[:, 0] += dv
-        self.b_hidden.grad += dq.sum(axis=0)
-        self.w_query.grad += xv.T @ dq
-        self.w_key.grad += xv.T @ dk
+        self.v_score.grad[:, 0] = dv
+        np.sum(dq, axis=0, out=self.b_hidden.grad)
+        np.matmul(xv.T, dq, out=self.w_query.grad)
+        np.matmul(xv.T, dk, out=self.w_key.grad)
         if not input_grad:
             return None
         dxv += dq @ self.w_query.value.T
@@ -512,12 +511,7 @@ class MultiHeadSelfAttention(Layer):
         return m.reshape(len(m), self.heads, self.head_dim).transpose(1, 0, 2)
 
     def forward(self, x: BatchTensor):
-        if x.features != self.dim:
-            raise DimensionError(
-                f"{self.name}: input has {x.features} features, expected {self.dim}"
-            )
-        if not x.lengths.all():
-            raise ContractViolation(f"{self.name}: every sequence in the batch needs a token")
+        self._check_input(x, self.dim, tokens=True)
         xv = x.rows
         q = xv @ self.w_q.value
         k = xv @ self.w_k.value
@@ -535,7 +529,7 @@ class MultiHeadSelfAttention(Layer):
 
     def backward(self, cache, grad_out: np.ndarray, input_grad: bool = True):
         xv, spans, weights, q, k, v, ctx = cache
-        self.w_o.grad += ctx.T @ grad_out
+        np.matmul(ctx.T, grad_out, out=self.w_o.grad)
         d_ctx = grad_out @ self.w_o.value.T
 
         scale = 1.0 / np.sqrt(self.head_dim)
@@ -549,9 +543,9 @@ class MultiHeadSelfAttention(Layer):
             self._heads(dq[lo:hi])[...] = (d_logits @ kb) * scale
             self._heads(dk[lo:hi])[...] = (d_logits.transpose(0, 2, 1) @ qb) * scale
 
-        self.w_q.grad += xv.T @ dq
-        self.w_k.grad += xv.T @ dk
-        self.w_v.grad += xv.T @ dv
+        np.matmul(xv.T, dq, out=self.w_q.grad)
+        np.matmul(xv.T, dk, out=self.w_k.grad)
+        np.matmul(xv.T, dv, out=self.w_v.grad)
         if not input_grad:
             return None
         dxv = dq @ self.w_q.value.T
@@ -592,15 +586,12 @@ class TimeDistributedLinear(Layer):
         return [self.w, self.b]
 
     def forward(self, x: BatchTensor):
-        if x.features != self.input_dim:
-            raise DimensionError(
-                f"{self.name}: input has {x.features} features, expected {self.input_dim}"
-            )
+        self._check_input(x, self.input_dim)
         out = x.rows @ self.w.value
         out += self.b.value
         return x.with_rows(out), x.rows
 
     def backward(self, cache, grad_out: np.ndarray, input_grad: bool = True):
-        self.w.grad += cache.T @ grad_out
-        self.b.grad += grad_out.sum(axis=0)
+        np.matmul(cache.T, grad_out, out=self.w.grad)
+        np.sum(grad_out, axis=0, out=self.b.grad)
         return grad_out @ self.w.value.T if input_grad else None

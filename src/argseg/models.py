@@ -109,10 +109,6 @@ class Model:
             out.extend(layer.params())
         return out
 
-    def zero_grads(self):
-        for p in self.params():
-            p.zero_grad()
-
     def forward(self, batch: BatchTensor):
         """(logits, caches): the caches, one per layer in order, stay valid
         until they are handed to ``backward``, and hold every layer's
@@ -133,7 +129,7 @@ class Model:
         return x
 
     def backward(self, caches: list, grad_out: np.ndarray, input_grad: bool = True):
-        """Accumulate every parameter gradient; return d(loss)/d(input rows).
+        """Write every parameter gradient; return d(loss)/d(input rows).
 
         ``caches`` is consumed: each layer's cache is popped from the list
         as its backward starts and released when that backward returns, so

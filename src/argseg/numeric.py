@@ -43,11 +43,11 @@ def softmax_rows(a: np.ndarray) -> np.ndarray:
 
 @dataclass
 class Parameter:
-    """A named weight array paired with an explicitly managed gradient.
+    """A named weight array paired with its gradient.
 
-    The gradient starts as zeros of the value's shape.  Gradients accumulate
-    across backward calls; they are cleared only by an explicit
-    :meth:`zero_grad`, never implicitly.
+    ``grad`` is allocated once, as zeros of the value's shape.  The owning
+    layer's backward overwrites it with the gradient of that pass, and the
+    optimizer reads it; nothing adds to it.
     """
 
     name: str
@@ -57,9 +57,6 @@ class Parameter:
     def __post_init__(self):
         self.value = as_array(self.value)
         self.grad = np.zeros_like(self.value)
-
-    def zero_grad(self):
-        self.grad[...] = 0.0
 
 
 class BatchTensor:
@@ -170,7 +167,8 @@ def grad_check(layer, x: BatchTensor, epsilon: float = 1e-3, rng=None) -> float:
     aliasing into the relative error of near-cancelling gradient entries.
 
     ``layer`` must expose params(), forward(BatchTensor) -> (BatchTensor,
-    cache), and backward(cache, grad_rows) -> grad_rows_in.
+    cache), and backward(cache, grad_rows) -> grad_rows_in, where backward
+    writes every parameter's ``grad``.
     """
     if not (0.0 < epsilon <= 1e-2):
         raise ValueError(f"epsilon must lie in (0, 1e-2], got {epsilon}")
@@ -183,9 +181,6 @@ def grad_check(layer, x: BatchTensor, epsilon: float = 1e-3, rng=None) -> float:
 
     out, cache = layer.forward(x)
     upstream = rng.standard_normal(out.rows.shape) * PROBE_SCALE
-
-    for p in params:
-        p.zero_grad()
     grad_in = layer.backward(cache, upstream)
 
     def probe() -> float:

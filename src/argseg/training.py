@@ -195,7 +195,6 @@ def _train_epoch(model: Model, params: list[Parameter], state: AdamState, lr: fl
             return None
         running += loss * len(gold)
         seen += len(gold)
-        model.zero_grads()
         model.backward(caches, grad, input_grad=False)
         adam_step(params, state, lr)
     return running / seen
@@ -277,7 +276,7 @@ def train(model: Model, train_sequences: list[LabeledSequence],
 
 
 def evaluate(model: Model, sequences: list[LabeledSequence],
-             spec: EmbeddingSpec, batch_size: int = 64) -> MetricsReport:
+             spec: EmbeddingSpec, batch_size: int = TrainConfig.batch_size) -> MetricsReport:
     """Metrics of a frozen model over the given sequences, vectorized batch by
     batch; a sequence the spec does not cover raises ``CoverageError`` first."""
     if batch_size < 1:

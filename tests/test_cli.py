@@ -264,6 +264,26 @@ def test_evaluate_without_siblings_reports_nan(trained, converted, toy_embedding
     assert row[3] == "nan" and row[-1] == "nan"  # lr and gap
 
 
+def test_evaluate_reports_the_rate_of_the_checkpoints_own_run(converted, toy_embeddings_file,
+                                                              tmp_path):
+    # one --out, two architectures: the manifest is the later run's, the
+    # checkpoints and curves are one per architecture
+    out = tmp_path / "run"
+    for arch, lr in (("sb", "0.001"), ("bl-i", "0.009")):
+        assert main(["train", str(converted / "train.conll"), "--arch", arch,
+                     "--embeddings", str(toy_embeddings_file), "--hidden", "4",
+                     "--max-epochs", "1", "--lr", lr, "--batch-size", "8",
+                     "--out", str(out)]) == 0
+    results = tmp_path / "eval" / "results.csv"
+    for arch in ("sb", "bl-i"):
+        assert main(["evaluate", str(out / f"{arch}.ckpt"), str(converted / "test.conll"),
+                     "--embeddings", str(toy_embeddings_file),
+                     "--out", str(results.parent)]) == 0
+    rows = [line.split(",") for line in results.read_text().splitlines()]
+    assert [(row[0], row[3]) for row in rows[1:]] == [("sb", "nan"), ("bl-i", "0.009")]
+    assert rows[1][-1] != "nan"  # the sb curve is still its own
+
+
 def test_selftest_command_passes(capsys):
     import time
 

@@ -235,8 +235,6 @@ class TestBiLstm:
         upstream = rng.standard_normal((9, 8))
         runs = []
         for _ in range(2):
-            for param in layer.params():
-                param.zero_grad()
             out, cache = layer.forward(x)
             dx = layer.backward(cache, upstream)
             runs.append([out.rows, dx] + [p.grad.copy() for p in layer.params()])
@@ -424,8 +422,6 @@ def ragged_batch(rng, dim):
 
 def forward_backward(layer, x, upstream):
     """Output, input gradient and parameter gradients of one fresh pass."""
-    for param in layer.params():
-        param.zero_grad()
     out, cache = layer.forward(x)
     dx = layer.backward(cache, upstream)
     return [out.rows, dx] + [p.grad.copy() for p in layer.params()]
@@ -527,8 +523,6 @@ def additive_case(name):
 def test_additive_backward_matches_whole_block_oracle(name):
     layer, x = additive_case(name)
     upstream = np.random.default_rng(303).standard_normal(x.rows.shape)
-    for param in layer.params():
-        param.zero_grad()
     _, cache = layer.forward(x)
     q, k = cache[3], cache[4]
     if name == "tiled":
@@ -602,12 +596,24 @@ def test_input_grad_off_keeps_parameter_gradients(name, builder):
     x = ragged_batch(rng, width)
     out, cache = layer.forward(x)
     upstream = rng.standard_normal(out.rows.shape)
-    for param in layer.params():
-        param.zero_grad()
     assert layer.backward(cache, upstream) is not None
     full = [p.grad.copy() for p in layer.params()]
-    for param in layer.params():
-        param.zero_grad()
     assert layer.backward(cache, upstream, input_grad=False) is None
     for p, expected in zip(layer.params(), full, strict=True):
+        assert p.grad.tobytes() == expected.tobytes(), f"{name}: {p.name}"
+
+
+@pytest.mark.parametrize("name,builder", LAYER_BUILDERS)
+def test_second_backward_writes_the_same_gradients(name, builder):
+    # backward writes each parameter gradient, so a second pass over the
+    # same cache leaves the same bytes
+    rng = np.random.default_rng(303)
+    layer, width = builder(rng)
+    out, cache = layer.forward(ragged_batch(rng, width))
+    upstream = rng.standard_normal(out.rows.shape)
+    layer.backward(cache, upstream)
+    once = [p.grad.copy() for p in layer.params()]
+    assert any(g.any() for g in once)
+    layer.backward(cache, upstream)
+    for p, expected in zip(layer.params(), once, strict=True):
         assert p.grad.tobytes() == expected.tobytes(), f"{name}: {p.name}"

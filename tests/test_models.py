@@ -476,13 +476,26 @@ def test_input_grad_off_keeps_parameter_gradients(arch):
     x = BatchTensor.from_rows([rng.standard_normal((n, 12)) for n in (4, 1, 6)])
     logits, caches = model.forward(x)
     upstream = rng.standard_normal(logits.rows.shape)
-    model.zero_grads()
     assert model.backward(caches, upstream).shape == x.rows.shape
     assert caches == []  # consumed: a second backward needs a second forward
     full = [p.grad.copy() for p in model.params()]
-    model.zero_grads()
     assert model.backward(model.forward(x)[1], upstream, input_grad=False) is None
     for p, expected in zip(model.params(), full, strict=True):
+        assert p.grad.tobytes() == expected.tobytes(), p.name
+
+
+@pytest.mark.parametrize("arch", list(ArchitectureId))
+def test_second_backward_writes_the_same_gradients(arch):
+    rng = np.random.default_rng(42)
+    model = build_model(ModelSpec(arch, input_dim=12, hidden=5, seed=3))
+    logits, caches = model.forward(
+        BatchTensor.from_rows([rng.standard_normal((n, 12)) for n in (4, 1, 6)]))
+    upstream = rng.standard_normal(logits.rows.shape)
+    model.backward(list(caches), upstream, input_grad=False)  # a copy: backward pops
+    once = [p.grad.copy() for p in model.params()]
+    model.backward(caches, upstream, input_grad=False)
+    for p, expected in zip(model.params(), once, strict=True):
+        assert p.grad.any(), p.name
         assert p.grad.tobytes() == expected.tobytes(), p.name
 
 

@@ -43,20 +43,6 @@ class TestParameter:
         p = Parameter("w", np.ones((2, 3)))
         assert p.grad.shape == (2, 3) and not p.grad.any()
 
-    def test_backward_twice_doubles_grads_exactly(self):
-        rng = np.random.default_rng(3)
-        layer = TimeDistributedLinear(4, 2, rng)
-        x = BatchTensor.from_rows([rng.standard_normal((3, 4))])
-        out, cache = layer.forward(x)
-        upstream = rng.standard_normal(out.rows.shape)
-        for param in layer.params():
-            param.zero_grad()
-        layer.backward(cache, upstream)
-        once = [p.grad.copy() for p in layer.params()]
-        layer.backward(cache, upstream)
-        for p, g1 in zip(layer.params(), once):
-            assert np.array_equal(p.grad, 2.0 * g1)
-
 
 class TestBatchTensor:
     def test_from_rows_pads_and_masks(self):

@@ -9,6 +9,9 @@
   with SIGBUS, where a read that comes back short can raise an error.
 * ``argseg.__all__`` lists each name once, and exactly the names that
   ``__init__.py`` imports.
+* No augmented assignment targets a ``.grad`` attribute or a subscript of
+  one: a layer's backward writes each gradient, so nothing ever has to
+  clear one first.
 """
 
 import ast
@@ -116,6 +119,20 @@ def export_mismatch(tree: ast.Module) -> tuple[list[str], set[str], set[str]]:
     return twice, imported - set(listed), set(listed) - imported
 
 
+def grad_accumulations(tree: ast.Module) -> list[int]:
+    """The line of each augmented assignment to ``<expr>.grad`` or to a
+    subscript of one."""
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.AugAssign):
+            target = node.target
+            while isinstance(target, ast.Subscript):
+                target = target.value
+            if isinstance(target, ast.Attribute) and target.attr == "grad":
+                lines.append(node.lineno)
+    return lines
+
+
 def test_sources_found():
     assert len(MODULES) > 5
 
@@ -161,6 +178,11 @@ def test_all_names_exactly_what_the_package_imports():
     assert not unimported, f"in __all__ but not imported: {sorted(unimported)}"
 
 
+def test_no_gradient_is_accumulated():
+    found = [f"{path.name}:{line}" for path in MODULES for line in grad_accumulations(parse(path))]
+    assert not found, "augmented assignment to a .grad: " + ", ".join(found)
+
+
 def test_rules_catch_a_stale_import_and_a_second_constant():
     tree = ast.parse("import bisect\nimport os.path\nfrom x import y as z\nW = 1\n"
                      "def f(a: 'Q') -> None:\n    return os.sep\n")
@@ -189,3 +211,9 @@ def test_rule_catches_a_repeated_a_missing_and_a_stale_export():
 
 def test_rule_ignores_a_relative_module_named_mmap():
     assert imported_modules(ast.parse("from .mmap import f\nimport os")) == {"os"}
+
+
+def test_rule_catches_a_gradient_accumulation():
+    tree = ast.parse("p.grad += g\np.grad[:, 0] -= g\nm.w.grad[0][1] *= 2\n"
+                     "p.grad = g\np.grad[...] = g\ngrad += g\np.value += g\nx[p.grad] += 1\n")
+    assert grad_accumulations(tree) == [1, 2, 3]
