@@ -29,7 +29,7 @@ print([t.text for t in tokens[:12]], "...\n")
 
 print("== paragraph sequences with BIO labels ==")
 for seq in build_sequences(essay, parsed, "paragraph"):
-    tagged = " ".join(f"{t.text}/{lab}" for t, lab in zip(seq.tokens, seq.labels))
+    tagged = " ".join(f"{word}/{lab}" for word, lab in zip(seq.words, seq.labels))
     print(f"[{seq.sequence_index}] {tagged}")
 print()
 

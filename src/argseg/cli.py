@@ -148,8 +148,25 @@ def cmd_convert(args: argparse.Namespace) -> int:
 
 
 def _results_csv_append(path: Path, row: str):
-    """Add a row to the results table, rewriting the whole file atomically."""
-    old = path.read_bytes() if path.exists() else (report_csv_header() + "\n").encode("utf-8")
+    """Add a row to the results table, rewriting the whole file atomically.
+
+    An existing table must be UTF-8 text whose first line is
+    :func:`report_csv_header`; any other file raises ``FormatError`` and is
+    left as it was, so no row lands under another layout's header."""
+    header = report_csv_header() + "\n"
+    if not path.exists():
+        old = header.encode("utf-8")
+    else:
+        old = path.read_bytes()
+        try:
+            text = old.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"results table {path}: not UTF-8 text (byte "
+                              f"0x{old[exc.start]:02x} at offset {exc.start})") from None
+        if not text.startswith(header):
+            first = text.partition("\n")[0]
+            raise FormatError(f"results table {path}: first line is {first!r}, "
+                              f"not {report_csv_header()!r}")
     with atomic_write(path, binary=True) as fh:
         fh.write(old + (row + "\n").encode("utf-8"))
 

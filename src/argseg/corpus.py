@@ -11,6 +11,12 @@ blank-line-separated and one-paragraph-per-line essay files work); sentence
 boundaries are soft and are suppressed when they would cut through an
 annotated unit.  A unit cut by a hard boundary restarts as B in the next
 sequence, and the relabel is counted so conversions stay auditable.
+
+A :class:`LabeledSequence` keeps its tokens as parallel columns (words,
+start and end offsets, labels), so reading a sequence file builds no object
+per token.  Its ``tokens`` view builds :class:`Token` objects on demand; the
+convert-time functions (:func:`tokenize`, :func:`reconstruct`,
+:func:`bio_label`) work on such ``Token`` lists.
 """
 
 from __future__ import annotations
@@ -66,25 +72,41 @@ class Token:
 class LabeledSequence:
     """One model-input sequence: tokens with global offsets plus BIO labels.
 
+    The tokens are four parallel plain lists, one entry per token: ``words``
+    (the token strings), ``starts`` and ``ends`` (character offsets within
+    the essay text) and ``labels``.  ``tokens`` is a read-only view that
+    builds the :class:`Token` objects from the columns on each access.
+
     ``token_ordinal_start`` is the index of the first token within the whole
     essay's token stream; precomputed-vector stores are aligned through it.
     """
 
     essay_id: str
     sequence_index: int
-    tokens: list[Token]
+    words: list[str]
+    starts: list[int]
+    ends: list[int]
     labels: list[str]
     token_ordinal_start: int = 0
 
     def __post_init__(self):
-        if len(self.tokens) != len(self.labels):
+        if not len(self.words) == len(self.starts) == len(self.ends):
+            raise ContractViolation(
+                f"{self.essay_id}[{self.sequence_index}]: {len(self.words)} words vs "
+                f"{len(self.starts)} starts and {len(self.ends)} ends"
+            )
+        if len(self.words) != len(self.labels):
             raise ContractViolation(
                 f"{self.essay_id}[{self.sequence_index}]: "
-                f"{len(self.tokens)} tokens vs {len(self.labels)} labels"
+                f"{len(self.words)} tokens vs {len(self.labels)} labels"
             )
 
+    @property
+    def tokens(self) -> list[Token]:
+        return [Token(w, s, e) for w, s, e in zip(self.words, self.starts, self.ends)]
+
     def __len__(self) -> int:
-        return len(self.tokens)
+        return len(self.words)
 
 
 @dataclass
@@ -285,9 +307,11 @@ def build_sequences(
             seq_labels[0] = "B"
             if stats is not None:
                 stats.boundary_relabels += 1
-        sequences.append(
-            LabeledSequence(essay.id, len(sequences), seq_tokens, seq_labels, ordinal)
-        )
+        sequences.append(LabeledSequence(
+            essay.id, len(sequences), [tok.text for tok in seq_tokens],
+            [tok.start for tok in seq_tokens], [tok.end for tok in seq_tokens],
+            seq_labels, ordinal,
+        ))
         ordinal += len(seq_tokens)
         ti = tj
 
@@ -360,10 +384,10 @@ def write_conll(sequences: list[LabeledSequence], fh):
         if not first:
             fh.write("\n")
         first = False
-        for tok, lab in zip(seq.tokens, seq.labels):
+        for word, start, end, lab in zip(seq.words, seq.starts, seq.ends, seq.labels):
             fh.write(
-                f"{tok.text}\t{seq.essay_id}\t{seq.sequence_index}\t"
-                f"{tok.start}\t{tok.end}\t{lab}\n"
+                f"{word}\t{seq.essay_id}\t{seq.sequence_index}\t"
+                f"{start}\t{end}\t{lab}\n"
             )
 
 
@@ -377,20 +401,22 @@ def read_conll(fh) -> list[LabeledSequence]:
     sequences: list[LabeledSequence] = []
     ordinals: dict[str, int] = {}
     counts: dict[str, int] = {}  # sequences read so far, per essay
-    tokens: list[Token] = []
+    words: list[str] = []
+    starts: list[int] = []
+    ends: list[int] = []
     labels: list[str] = []
     meta: tuple[str, int] | None = None
 
     def flush():
-        nonlocal tokens, labels, meta
-        if not tokens:
+        nonlocal words, starts, ends, labels, meta
+        if not words:
             return
         essay_id, seq_idx = meta
         start = ordinals.get(essay_id, 0)
-        sequences.append(LabeledSequence(essay_id, seq_idx, tokens, labels, start))
-        ordinals[essay_id] = start + len(tokens)
+        sequences.append(LabeledSequence(essay_id, seq_idx, words, starts, ends, labels, start))
+        ordinals[essay_id] = start + len(words)
         counts[essay_id] = seq_idx + 1
-        tokens, labels, meta = [], [], None
+        words, starts, ends, labels, meta = [], [], [], [], None
 
     for lineno, raw in enumerate(fh, start=1):
         line = raw.rstrip("\n")
@@ -430,7 +456,9 @@ def read_conll(fh) -> list[LabeledSequence]:
             raise CorpusIntegrityError(
                 f"line {lineno}: sequence changed id without a blank separator"
             )
-        tokens.append(Token(text, start, end))
+        words.append(text)
+        starts.append(start)
+        ends.append(end)
         labels.append(label)
     flush()
     return sequences

@@ -71,8 +71,8 @@ class EmbeddingTable:
         oov = len(self.index)
         # every index is in range by construction; "clip" lets take write into
         # a contiguous ``out`` directly, where "raise" goes through a buffer
-        np.take(self.vectors, [self.index.get(tok.text.lower(), oov)
-                               for seq in sequences for tok in seq.tokens],
+        np.take(self.vectors, [self.index.get(word.lower(), oov)
+                               for seq in sequences for word in seq.words],
                 axis=0, out=out, mode="clip")
 
 
@@ -134,7 +134,7 @@ def load_glove_file(path) -> EmbeddingTable:
 
 def oov_statistics(table: EmbeddingTable, sequences: list[LabeledSequence]):
     """(misses, total) over every token of the given sequences."""
-    words = [tok.text for seq in sequences for tok in seq.tokens]
+    words = [word for seq in sequences for word in seq.words]
     return sum(word not in table for word in words), len(words)
 
 

@@ -83,6 +83,10 @@ class ModelSpec:
     attn_dim: int = 32  # width of the additive scorer
 
     def __post_init__(self):
+        for name in ("input_dim", "hidden", "seed", "attn_dim"):
+            value = getattr(self, name)
+            if type(value) is not int:  # also rejects bool
+                raise ConfigurationError(f"{name} must be an int, got {value!r}")
         if min(self.input_dim, self.hidden, self.attn_dim) < 1:
             raise ConfigurationError(f"input_dim, hidden and attn_dim must be >= 1, got "
                                      f"{self.input_dim}, {self.hidden}, {self.attn_dim}")

@@ -40,6 +40,12 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("batch_size", "max_epochs", "patience", "seed"):
+            value = getattr(self, name)
+            if type(value) is not int:  # also rejects bool
+                raise ContractViolation(f"{name} must be an int, got {value!r}")
+        if not math.isfinite(self.learning_rate):
+            raise ContractViolation(f"learning_rate must be finite, got {self.learning_rate}")
         if self.batch_size < 1:
             raise ContractViolation(f"batch_size must be >= 1, got {self.batch_size}")
         if not (0.0 < self.val_fraction < 0.5):

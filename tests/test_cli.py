@@ -118,15 +118,20 @@ class TestTrainCommand:
             hashes.append(sha(out / "sb-i.ckpt"))
         assert hashes[0] == hashes[1]
 
-    def test_negative_seed_is_named_error(self, converted, toy_embeddings_file, tmp_path, capsys):
-        out = tmp_path / "neg"
+    @pytest.mark.parametrize("flag,value,problem", [
+        ("--seed", "-1", "seed must be >= 0, got -1"),
+        ("--lr", "nan", "learning_rate must be finite, got nan"),
+    ], ids=["negative_seed", "non_finite_lr"])
+    def test_setting_that_cannot_train_is_named_error(self, converted, toy_embeddings_file,
+                                                      tmp_path, capsys, flag, value, problem):
+        out = tmp_path / "bad"
         rc = main([
             "train", str(converted / "train.conll"),
             "--arch", "sb", "--embeddings", str(toy_embeddings_file),
-            "--seed", "-1", "--out", str(out),
+            flag, value, "--out", str(out),
         ])
         assert rc == 1
-        assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
+        assert capsys.readouterr().err == f"error: {problem}\n"
         assert not (out / "sb.ckpt").exists()
 
     def test_unknown_arch_is_usage_error(self, converted, toy_embeddings_file, tmp_path):
@@ -415,6 +420,25 @@ def test_evaluate_rewrites_results_with_one_header(trained, converted, toy_embed
     assert (tmp_path / "results.csv").read_bytes() == first + (lines[1] + "\n").encode()
     assert sorted(p.name for p in tmp_path.iterdir()) == [
         "manifest-evaluate.json", "results.csv"]
+
+
+@pytest.mark.parametrize("content,problem", [
+    (b"name,score\nx,1\n", "first line is 'name,score'"),
+    (b"arch,embedding,seed,lr,weighted_f1,accuracy,f1_B,f1_I,f1_O\nsb,e,0,nan,1,1,1,1,1\n",
+     "first line is 'arch,embedding,seed,lr,weighted_f1,accuracy,f1_B,f1_I,f1_O'"),
+    (b"arch,embedding,seed,lr,weighted_f1,accuracy,f1_B,f1_I,f1_O,gap\nsb,\xff\n",
+     "not UTF-8 text (byte 0xff at offset 66)"),
+], ids=["other_tool", "older_layout", "not_utf8"])
+def test_evaluate_leaves_a_results_file_of_another_layout_as_it_is(
+        trained, converted, toy_embeddings_file, tmp_path, capsys, content, problem):
+    results = tmp_path / "results.csv"
+    results.write_bytes(content)
+    assert main(["evaluate", str(trained / "sb.ckpt"), str(converted / "test.conll"),
+                 "--embeddings", str(toy_embeddings_file), "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: results table {results}: {problem}")
+    assert results.read_bytes() == content
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["results.csv"]
 
 
 def test_convert_that_fails_while_writing_keeps_the_old_outputs(small_corpus, tmp_path,

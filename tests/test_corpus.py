@@ -6,10 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from argseg.cli import main
 from argseg.corpus import (
     AnnotationSpan,
     ConversionStats,
     Essay,
+    LabeledSequence,
+    Token,
     bio_label,
     build_sequences,
     load_split,
@@ -275,23 +278,69 @@ class TestLoadSplit:
             load_split(f"ID;SET\ne1;TRAIN\n{too_long};TEST\n")
 
 
+class TestLabeledSequence:
+    COLUMNS = {"words": ["a", "b"], "starts": [0, 2], "ends": [1, 3], "labels": ["O", "B"]}
+
+    @pytest.mark.parametrize("column", list(COLUMNS))
+    def test_columns_of_unequal_length_rejected(self, column):
+        columns = {**self.COLUMNS, column: self.COLUMNS[column][:1]}
+        with pytest.raises(ContractViolation, match=r"^e1\[3\]: "):
+            LabeledSequence("e1", 3, **columns)
+
+    def test_tokens_are_built_from_the_columns(self):
+        seq = LabeledSequence("e1", 0, **self.COLUMNS)
+        assert len(seq) == 2
+        assert seq.tokens == [Token("a", 0, 1), Token("b", 2, 3)]
+
+
+@pytest.fixture(scope="module")
+def converted_train(tmp_path_factory, toy_corpus_dir):
+    """``train.conll`` of ``argseg convert`` over the toy corpus directory."""
+    out = tmp_path_factory.mktemp("converted")
+    assert main(["convert", str(toy_corpus_dir), str(toy_corpus_dir / "train-test-split.csv"),
+                 "--out", str(out)]) == 0
+    return out / "train.conll"
+
+
 class TestConll:
-    def test_write_read_roundtrip(self, tmp_path):
+    @pytest.mark.parametrize("granularity", ["paragraph", "sentence"])
+    def test_write_read_roundtrip(self, tmp_path, granularity):
         sequences = []
         for essay, spans in toy_corpus(4, seed=8):
-            sequences.extend(build_sequences(essay, spans, "paragraph"))
+            built = build_sequences(essay, spans, granularity)
+            tokens = tokenize(essay.text)
+            for seq in built:  # each sequence's columns are its slice of the essay's tokens
+                ordinal = seq.token_ordinal_start
+                assert seq.tokens == tokens[ordinal:ordinal + len(seq)]
+            sequences.extend(built)
         path = tmp_path / "seqs.conll"
         with open(path, "w", encoding="utf-8") as fh:
             write_conll(sequences, fh)
         with open(path, "r", encoding="utf-8") as fh:
             restored = read_conll(fh)
-        assert len(restored) == len(sequences)
-        for a, b in zip(sequences, restored):
-            assert a.essay_id == b.essay_id
-            assert a.sequence_index == b.sequence_index
-            assert a.labels == b.labels
-            assert a.tokens == b.tokens
-            assert a.token_ordinal_start == b.token_ordinal_start
+        assert restored == sequences  # every column, id, index and ordinal
+
+    def test_read_conll_builds_no_token(self, converted_train, monkeypatch):
+        made = []
+        init = Token.__init__
+
+        def counting_init(self, *args):
+            made.append(args)
+            init(self, *args)
+
+        monkeypatch.setattr(Token, "__init__", counting_init)
+        with open(converted_train, encoding="utf-8") as fh:
+            sequences = read_conll(fh)
+        assert sequences and made == []
+        sequences[0].tokens  # the count does see the view's tokens
+        assert len(made) == len(sequences[0])
+
+    def test_rewrite_reproduces_a_converted_file(self, converted_train):
+        with open(converted_train, encoding="utf-8", newline="") as fh:
+            sequences = read_conll(fh)
+        out = io.StringIO(newline="")
+        write_conll(sequences, out)
+        assert out.getvalue().encode("utf-8") == converted_train.read_bytes()
 
     def test_malformed_line_rejected(self, tmp_path):
         path = tmp_path / "bad.conll"

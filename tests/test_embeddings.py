@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from argseg import embeddings
-from argseg.corpus import LabeledSequence, Token, build_sequences
+from argseg.corpus import LabeledSequence, build_sequences
 from argseg.embeddings import (
     EmbeddingSpec,
     load_glove,
@@ -28,12 +28,14 @@ from toy_files import mutations, read_rows, write_store
 
 
 def seq_of(words, essay_id="e1", seq_idx=0, ordinal=0):
-    tokens = []
+    starts, ends = [], []
     pos = 0
     for w in words:
-        tokens.append(Token(w, pos, pos + len(w)))
+        starts.append(pos)
+        ends.append(pos + len(w))
         pos += len(w) + 1
-    return LabeledSequence(essay_id, seq_idx, tokens, ["O"] * len(words), ordinal)
+    return LabeledSequence(essay_id, seq_idx, list(words), starts, ends, ["O"] * len(words),
+                           ordinal)
 
 
 def lookup(table, words):

@@ -99,13 +99,20 @@ class TestBuildModel:
         for p_sb, p_bl in zip(sb.layers[0].params(), bl.layers[0].params()):
             assert np.array_equal(p_sb.value, p_bl.value)
 
-    @pytest.mark.parametrize("field,value,problem", [("seed", -1, "seed must be >= 0"),
-                                                     ("attn_dim", 0, "attn_dim must be >= 1")])
+    @pytest.mark.parametrize("field,value,problem", [
+        ("seed", -1, "seed must be >= 0"),
+        ("attn_dim", 0, "attn_dim must be >= 1"),
+        ("input_dim", True, "input_dim must be an int, got True"),
+        ("input_dim", 16.0, "input_dim must be an int, got 16.0"),
+        ("hidden", 2.5, "hidden must be an int, got 2.5"),
+        ("seed", False, "seed must be an int, got False"),
+        ("attn_dim", "4", "attn_dim must be an int, got '4'"),
+    ])
     def test_spec_out_of_range_rejected_by_name(self, field, value, problem):
         # every architecture, though only sb-i uses attn_dim
         for arch in ArchitectureId:
             with pytest.raises(ConfigurationError, match=problem):
-                ModelSpec(arch, input_dim=4, **{field: value})
+                ModelSpec(arch, **{"input_dim": 4, field: value})
 
     def test_incompatible_attention_dim_reported(self):
         with pytest.raises(ConfigurationError, match="heads"):

@@ -374,6 +374,20 @@ class TestTrainLoop:
         with pytest.raises(ContractViolation, match="seed must be >= 0, got -1"):
             TrainConfig(seed=-1)
 
+    @pytest.mark.parametrize("field,value,problem", [
+        ("learning_rate", math.nan, "must be finite, got nan"),
+        ("learning_rate", math.inf, "must be finite, got inf"),
+        ("learning_rate", -math.inf, "must be finite, got -inf"),
+        ("batch_size", 2.5, "must be an int, got 2.5"),
+        ("max_epochs", 2.5, "must be an int, got 2.5"),
+        ("patience", 3.0, "must be an int, got 3.0"),
+        ("seed", True, "must be an int, got True"),
+        ("batch_size", "8", "must be an int, got '8'"),
+    ])
+    def test_config_that_cannot_train_rejected_by_name(self, field, value, problem):
+        with pytest.raises(ContractViolation, match=f"^{field} {problem}$"):
+            TrainConfig(**{field: value})
+
 
 class TestEvaluate:
     def rigged_model(self, favored_class):
