@@ -147,28 +147,26 @@ def cmd_convert(args: argparse.Namespace) -> int:
     return 0
 
 
-def _results_csv_append(path: Path, row: str):
-    """Add a row to the results table, rewriting the whole file atomically.
+def _results_table(path: Path) -> bytes:
+    """The results table's bytes, or just its header when there is none yet.
 
     An existing table must be UTF-8 text whose first line is
-    :func:`report_csv_header`; any other file raises ``FormatError`` and is
-    left as it was, so no row lands under another layout's header."""
+    :func:`report_csv_header`; any other file raises ``FormatError``, so no
+    row lands under another layout's header."""
     header = report_csv_header() + "\n"
     if not path.exists():
-        old = header.encode("utf-8")
-    else:
-        old = path.read_bytes()
-        try:
-            text = old.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise FormatError(f"results table {path}: not UTF-8 text (byte "
-                              f"0x{old[exc.start]:02x} at offset {exc.start})") from None
-        if not text.startswith(header):
-            first = text.partition("\n")[0]
-            raise FormatError(f"results table {path}: first line is {first!r}, "
-                              f"not {report_csv_header()!r}")
-    with atomic_write(path, binary=True) as fh:
-        fh.write(old + (row + "\n").encode("utf-8"))
+        return header.encode("utf-8")
+    old = path.read_bytes()
+    try:
+        text = old.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"results table {path}: not UTF-8 text (byte "
+                          f"0x{old[exc.start]:02x} at offset {exc.start})") from None
+    if not text.startswith(header):
+        first = text.partition("\n")[0]
+        raise FormatError(f"results table {path}: first line is {first!r}, "
+                          f"not {report_csv_header()!r}")
+    return old
 
 
 def cmd_train(args: argparse.Namespace) -> int:
@@ -181,22 +179,8 @@ def cmd_train(args: argparse.Namespace) -> int:
     arch = ArchitectureId.from_string(args.arch)
     model_spec = ModelSpec(arch, input_dim=emb.expected_dim, hidden=args.hidden,
                            seed=args.seed)
-    cfg = TrainConfig(
-        batch_size=args.batch_size,
-        max_epochs=args.max_epochs,
-        patience=args.patience,
-        learning_rate=args.lr,
-        seed=args.seed,
-    )
-
-    search_report = None
-    if args.lr_search:
-        cfg, model, curve, trials = lr_search(model_spec, sequences, emb, cfg,
-                                              trials=args.lr_search)
-        search_report = [dataclasses.asdict(t) for t in trials]
-        print(f"lr search picked {cfg.learning_rate:.3e} "
-              f"(seed {cfg.seed}) from {args.lr_search} trials")
-        model_spec = dataclasses.replace(model_spec, seed=cfg.seed)
+    cfg = TrainConfig(batch_size=args.batch_size, max_epochs=args.max_epochs,
+                      patience=args.patience, learning_rate=args.lr, seed=args.seed)
 
     for src in emb.sources:
         if isinstance(src, EmbeddingTable):
@@ -205,31 +189,35 @@ def cmd_train(args: argparse.Namespace) -> int:
             print(f"vocabulary coverage: {total - misses}/{total} tokens "
                   f"(OOV rate {rate:.3%})")
 
-    diverged = None
-    if not args.lr_search:
+    extra = {}
+    diverged = curve = None
+    if args.lr_search:
+        cfg, model, curve, trials = lr_search(model_spec, sequences, emb, cfg,
+                                              trials=args.lr_search)
+        extra["lr_search"] = [dataclasses.asdict(t) for t in trials]
+        print(f"lr search picked {cfg.learning_rate:.3e} "
+              f"(seed {cfg.seed}) from {args.lr_search} trials")
+        model_spec = dataclasses.replace(model_spec, seed=cfg.seed)
+    else:
         model = build_model(model_spec)
         try:
             model, curve = train(model, sequences, emb, cfg)
         except TrainingDiverged as exc:
             diverged = str(exc)
-            curve = None
 
     ckpt_path = out_dir / f"{arch.value}.ckpt"
     save_checkpoint(model, ckpt_path)
     outputs = {"checkpoint": str(ckpt_path)}
-    extra = {"outputs": outputs, "config": dataclasses.asdict(cfg),
-             "model_spec": _spec_record(model_spec)}
-    if search_report:
-        extra["lr_search"] = search_report
+    extra.update(outputs=outputs, config=dataclasses.asdict(cfg),
+                 model_spec=_spec_record(model_spec))
     if curve is not None:
         curves_path = out_dir / f"{arch.value}-curve.csv"
         with atomic_write(curves_path) as fh:
             curve.write_csv(fh)
         outputs["curve"] = str(curves_path)
         gap = generalization_gap(curve)
-        extra["final_train_loss"] = curve.train[-1]
-        extra["final_val_loss"] = curve.val[-1]
-        extra["generalization_gap"] = gap
+        extra.update(final_train_loss=curve.train[-1], final_val_loss=curve.val[-1],
+                     generalization_gap=gap)
         print(f"trained {arch.value} for {len(curve)} epochs; "
               f"final train loss {curve.train[-1]:.4f}, "
               f"val loss {curve.val[-1]:.4f}, gap {gap:+.4f}")
@@ -246,6 +234,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     started = time.time()
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
+    results_path = out_dir / "results.csv"
+    _results_table(results_path)  # refuse a table of another layout before scoring
     model = load_checkpoint(args.checkpoint)
     emb = EmbeddingSpec.from_file(args.embeddings)
     if emb.expected_dim != model.spec.input_dim:
@@ -286,8 +276,9 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
     row = report_csv_row(report, model.spec.arch.value, emb.label,
                          model.spec.seed, lr, gap)
-    results_path = out_dir / "results.csv"
-    _results_csv_append(results_path, row)
+    old = _results_table(results_path)  # again: it may have changed while scoring
+    with atomic_write(results_path, binary=True) as fh:
+        fh.write(old + (row + "\n").encode("utf-8"))
     print(report.summary())
     inputs = {"checkpoint": _sha256(Path(args.checkpoint)),
               "test_file": _sha256(Path(args.test_file)),

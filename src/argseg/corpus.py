@@ -218,7 +218,7 @@ def bio_label(tokens: list[Token], spans: list[AnnotationSpan]) -> list[str]:
     return labels
 
 
-def spans_from_labels(tokens: list[Token], labels: list[str]) -> list[tuple[int, int]]:
+def spans_from_labels(labels: list[str]) -> list[tuple[int, int]]:
     """Recover unit token ranges [first, last] from a BIO labeling."""
     units = []
     start = None

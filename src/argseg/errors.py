@@ -22,7 +22,7 @@ class NumericError(ArgsegError):
 
 
 class TrainingDiverged(NumericError):
-    """Training hit a non-finite loss; the model retains its last finite state."""
+    """Training went non-finite; the model retains its last finite state."""
 
 
 class CorpusIntegrityError(ArgsegError):

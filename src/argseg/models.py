@@ -83,6 +83,8 @@ class ModelSpec:
     attn_dim: int = 32  # width of the additive scorer
 
     def __post_init__(self):
+        if not isinstance(self.arch, ArchitectureId):
+            raise ConfigurationError(f"arch must be an ArchitectureId, got {self.arch!r}")
         for name in ("input_dim", "hidden", "seed", "attn_dim"):
             value = getattr(self, name)
             if type(value) is not int:  # also rejects bool

@@ -104,7 +104,7 @@ def check_corpus_roundtrip(n_essays=6, seed=3) -> int:
         if corpus.reconstruct(essay.text, tokens) != essay.text:
             failures += 1
         labels = corpus.bio_label(tokens, spans)
-        units = corpus.spans_from_labels(tokens, labels)
+        units = corpus.spans_from_labels(labels)
         expected = []
         for span in sorted(spans, key=lambda s: s.start):
             covered = [

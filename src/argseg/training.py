@@ -18,6 +18,7 @@ validation loss and always restores the best parameters seen.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -44,6 +45,10 @@ class TrainConfig:
             value = getattr(self, name)
             if type(value) is not int:  # also rejects bool
                 raise ContractViolation(f"{name} must be an int, got {value!r}")
+        for name in ("learning_rate", "val_fraction"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ContractViolation(f"{name} must be a real number, got {value!r}")
         if not math.isfinite(self.learning_rate):
             raise ContractViolation(f"learning_rate must be finite, got {self.learning_rate}")
         if self.batch_size < 1:
@@ -187,18 +192,19 @@ def _dataset_loss(model: Model, batches) -> float:
 
 
 def _train_epoch(model: Model, params: list[Parameter], state: AdamState, lr: float,
-                 batches) -> float | None:
-    """One Adam step per batch; the mean training loss over the epoch's
-    tokens, or ``None`` once a batch's loss is not finite (that batch takes
-    no step).  Each batch's arrays are this function's locals, so none of
-    them outlives the epoch."""
+                 batches) -> float:
+    """One Adam step per batch; the mean training loss over the epoch's tokens.
+    A batch whose loss is not finite raises :class:`NumericError` naming it
+    and takes no step; :func:`adam_step` raises on a bad gradient; ``train``
+    turns either into :class:`TrainingDiverged`.  Each batch's arrays are
+    this function's locals, so none of them outlives the epoch."""
     running = 0.0
     seen = 0
-    for batch, gold in batches:
+    for k, (batch, gold) in enumerate(batches, start=1):
         logits, caches = model.forward(batch)
         loss, grad = masked_cross_entropy(logits, gold)
         if not math.isfinite(loss):
-            return None
+            raise NumericError(f"training loss is {loss} in batch {k}")
         running += loss * len(gold)
         seen += len(gold)
         model.backward(caches, grad, input_grad=False)
@@ -231,8 +237,13 @@ def train(model: Model, train_sequences: list[LabeledSequence],
     They are read batch by batch; a sequence the spec does not cover raises
     ``CoverageError`` before the first step.
 
-    Aborts with :class:`TrainingDiverged` if the loss goes non-finite; the
-    model then carries the last parameters that were still finite.
+    Training stops once more than ``cfg.patience`` epochs follow the best
+    one, the first of the lowest validation losses on the curve.  A
+    divergence of any cause (a training loss, gradient, parameter or
+    validation loss that is not finite) raises :class:`TrainingDiverged`
+    naming the epoch and the cause; the model then carries the parameters of
+    the last finite epoch (or its initial ones), which ``argseg train``
+    saves before it exits 1.
     """
     if not train_sequences:
         raise ContractViolation("no training sequences")
@@ -243,39 +254,32 @@ def train(model: Model, train_sequences: list[LabeledSequence],
     params = model.params()
     state = AdamState(params)
     curve = LossCurve()
+    last_finite = best_values = model.get_values()  # set_values copies, so they may alias
 
-    best_val = math.inf
-    best_values = model.get_values()
-    last_finite = model.get_values()
-    epochs_since_best = 0
-
-    for _epoch in range(cfg.max_epochs):
+    for epoch in range(1, cfg.max_epochs + 1):
         batches = _batches(train_seqs, rng.permutation(len(train_seqs)), spec, cfg.batch_size)
-        train_loss = _train_epoch(model, params, state, cfg.learning_rate, batches)
-        if train_loss is None or not all(np.isfinite(p.value).all() for p in params):
+        try:
+            train_loss = _train_epoch(model, params, state, cfg.learning_rate, batches)
+            for p in params:
+                if not np.isfinite(p.value).all():
+                    raise NumericError(f"parameter {p.name} is not finite")
+            val_loss = _dataset_loss(
+                model, _batches(val_seqs, np.arange(len(val_seqs)), spec, cfg.batch_size))
+            if not math.isfinite(val_loss):
+                raise NumericError(f"validation loss is {val_loss}")
+        except NumericError as exc:
             model.set_values(last_finite)
             raise TrainingDiverged(
-                f"loss went non-finite in epoch {len(curve) + 1}; "
-                "model restored to its last finite state"
-            )
-
-        val_loss = _dataset_loss(
-            model, _batches(val_seqs, np.arange(len(val_seqs)), spec, cfg.batch_size))
+                f"epoch {epoch}: {exc}; model restored to its last finite state") from exc
         curve.train.append(train_loss)
         curve.val.append(val_loss)
-        if not math.isfinite(val_loss):
-            model.set_values(last_finite)
-            raise TrainingDiverged("validation loss went non-finite")
         last_finite = model.get_values()
 
-        if val_loss < best_val:
-            best_val = val_loss
-            best_values = model.get_values()
-            epochs_since_best = 0
-        else:
-            epochs_since_best += 1
-            if epochs_since_best > cfg.patience:
-                break
+        best = int(np.argmin(curve.val))  # the first of equal losses
+        if best == len(curve) - 1:
+            best_values = last_finite
+        elif len(curve) - 1 - best > cfg.patience:
+            break
 
     model.set_values(best_values)
     return model, curve

@@ -172,7 +172,7 @@ def test_criterion_6_corpus_pipeline():
         tokens = tokenize(essay.text)
         assert reconstruct(essay.text, tokens) == essay.text
         labels = bio_label(tokens, spans)
-        units = spans_from_labels(tokens, labels)
+        units = spans_from_labels(labels)
         expected = []
         for span in sorted(spans, key=lambda s: s.start):
             covered = [

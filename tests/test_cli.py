@@ -6,10 +6,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from argseg import cli
 from argseg.cli import main
-from argseg.models import load_checkpoint
+from argseg.models import ArchitectureId, ModelSpec, build_model, load_checkpoint
 from toy_files import write_toy_corpus_dir
 
 
@@ -133,6 +135,31 @@ class TestTrainCommand:
         assert rc == 1
         assert capsys.readouterr().err == f"error: {problem}\n"
         assert not (out / "sb.ckpt").exists()
+
+    def test_diverged_run_keeps_the_last_finite_checkpoint(self, converted, toy_embeddings_file,
+                                                           tmp_path, capsys):
+        out = tmp_path / "diverged"
+        # Adam's first step moves every parameter by about the rate, so the
+        # next batch's logits overflow
+        with np.errstate(over="ignore", invalid="ignore"):
+            rc = main([
+                "train", str(converted / "train.conll"),
+                "--arch", "sb", "--embeddings", str(toy_embeddings_file),
+                "--hidden", "4", "--max-epochs", "3", "--lr", "1e308",
+                "--seed", "2", "--batch-size", "8", "--out", str(out),
+            ])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("training diverged: epoch 1: "), err
+        assert err.endswith("; last finite checkpoint kept\n"), err
+        model = load_checkpoint(out / "sb.ckpt")
+        fresh = build_model(ModelSpec(ArchitectureId.SB, input_dim=16, hidden=4, seed=2))
+        for p, q in zip(model.params(), fresh.params(), strict=True):
+            assert np.isfinite(p.value).all(), p.name
+            assert np.array_equal(p.value, q.value), p.name
+        manifest = json.loads((out / "manifest-train.json").read_text())
+        assert "curve" not in manifest["outputs"]
+        assert not (out / "sb-curve.csv").exists()
 
     def test_unknown_arch_is_usage_error(self, converted, toy_embeddings_file, tmp_path):
         with pytest.raises(SystemExit) as exc:
@@ -430,7 +457,13 @@ def test_evaluate_rewrites_results_with_one_header(trained, converted, toy_embed
      "not UTF-8 text (byte 0xff at offset 66)"),
 ], ids=["other_tool", "older_layout", "not_utf8"])
 def test_evaluate_leaves_a_results_file_of_another_layout_as_it_is(
-        trained, converted, toy_embeddings_file, tmp_path, capsys, content, problem):
+        trained, converted, toy_embeddings_file, tmp_path, capsys, monkeypatch, content,
+        problem):
+    def never(*args, **kwargs):
+        raise AssertionError("the table is refused before any checkpoint is read or scored")
+
+    monkeypatch.setattr(cli, "load_checkpoint", never)
+    monkeypatch.setattr(cli, "evaluate", never)
     results = tmp_path / "results.csv"
     results.write_bytes(content)
     assert main(["evaluate", str(trained / "sb.ckpt"), str(converted / "test.conll"),

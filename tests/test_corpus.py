@@ -152,7 +152,7 @@ class TestBioLabel:
         for essay, spans in toy_corpus(8, seed=5):
             tokens = tokenize(essay.text)
             labels = bio_label(tokens, spans)
-            units = spans_from_labels(tokens, labels)
+            units = spans_from_labels(labels)
             expected = []
             for span in sorted(spans, key=lambda s: s.start):
                 covered = [

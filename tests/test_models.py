@@ -107,12 +107,14 @@ class TestBuildModel:
         ("hidden", 2.5, "hidden must be an int, got 2.5"),
         ("seed", False, "seed must be an int, got False"),
         ("attn_dim", "4", "attn_dim must be an int, got '4'"),
+        ("arch", "sb", "arch must be an ArchitectureId, got 'sb'"),
+        ("arch", None, "arch must be an ArchitectureId, got None"),
     ])
     def test_spec_out_of_range_rejected_by_name(self, field, value, problem):
         # every architecture, though only sb-i uses attn_dim
         for arch in ArchitectureId:
             with pytest.raises(ConfigurationError, match=problem):
-                ModelSpec(arch, **{"input_dim": 4, field: value})
+                ModelSpec(**{"arch": arch, "input_dim": 4, field: value})
 
     def test_incompatible_attention_dim_reported(self):
         with pytest.raises(ConfigurationError, match="heads"):

@@ -209,15 +209,23 @@ class TestTrainLoop:
         assert curve1.val == curve2.val
         assert len(curve1) == 4
 
-    def test_patience_zero_stops_at_first_regression(self, toy_sequences, toy_embeddings):
+    @pytest.mark.parametrize("patience", [0, 2])
+    def test_patience_stops_at_the_epoch_the_curve_gives(self, toy_sequences, toy_embeddings,
+                                                          patience):
         spec = ModelSpec(ArchitectureId.SB, input_dim=16, hidden=6, seed=2)
-        cfg = TrainConfig(batch_size=8, max_epochs=50, patience=0,
+        cfg = TrainConfig(batch_size=8, max_epochs=50, patience=patience,
                           learning_rate=5e-3, seed=3)
         _, curve = train(build_model(spec), toy_sequences, toy_embeddings, cfg)
-        vals = curve.val
-        assert all(b < a for a, b in zip(vals[:-2], vals[1:-1]))
-        if len(vals) < 50:
-            assert vals[-1] >= vals[-2]
+        # the first epoch that follows the best so far by more than `patience`
+        stop, best = None, 0
+        for epoch, val in enumerate(curve.val):
+            if val < curve.val[best]:
+                best = epoch
+            elif epoch - best > patience:
+                stop = epoch + 1
+                break
+        assert stop is not None  # a run that patience, not max_epochs, ends
+        assert len(curve) == stop
 
     def test_best_epoch_parameters_restored(self, toy_sequences, toy_embeddings):
         from argseg.training import _batches, _dataset_loss
@@ -245,6 +253,19 @@ class TestTrainLoop:
             train(model, toy_sequences, toy_embeddings, cfg)
         for p in model.params():
             assert np.isfinite(p.value).all()
+
+    def test_overflowing_gradient_diverges_and_restores(self, toy_sequences, toy_embeddings):
+        model = build_model(ModelSpec(ArchitectureId.SB, input_dim=16, hidden=4, seed=5))
+        # the loss stays finite, but the gradient reaching the BiLSTM squares past 1e308
+        model.layers[-1].w.value[...] *= 1e160
+        start = model.get_values()
+        cfg = TrainConfig(batch_size=8, max_epochs=3, patience=5, seed=0)
+        with pytest.raises(TrainingDiverged,
+                           match=r"^epoch 1: overflowing gradient for parameter bilstm_1\.fwd\.W; "
+                                 r"model restored to its last finite state$"):
+            train(model, toy_sequences, toy_embeddings, cfg)
+        for p, value in zip(model.params(), start, strict=True):
+            assert np.array_equal(p.value, value), p.name
 
     def test_saturated_head_loss_stays_finite(self, toy_sequences, toy_embeddings):
         from argseg.training import _assemble
@@ -383,6 +404,10 @@ class TestTrainLoop:
         ("patience", 3.0, "must be an int, got 3.0"),
         ("seed", True, "must be an int, got True"),
         ("batch_size", "8", "must be an int, got '8'"),
+        ("learning_rate", "0.1", "must be a real number, got '0.1'"),
+        ("learning_rate", True, "must be a real number, got True"),
+        ("val_fraction", "0.1", "must be a real number, got '0.1'"),
+        ("val_fraction", None, "must be a real number, got None"),
     ])
     def test_config_that_cannot_train_rejected_by_name(self, field, value, problem):
         with pytest.raises(ContractViolation, match=f"^{field} {problem}$"):
@@ -459,6 +484,28 @@ class TestLrSearch:
         assert min(r.best_val_loss for r in finite) == pytest.approx(
             next(r.best_val_loss for r in finite if r.learning_rate == best.learning_rate)
         )
+
+    def test_trial_whose_gradient_overflows_is_recorded(self, toy_sequences, toy_embeddings,
+                                                         monkeypatch):
+        built = []
+
+        def build(spec):
+            model = build_model(spec)
+            if not built:  # trial 0
+                model.layers[-1].w.value[...] *= 1e160
+            built.append(model)
+            return model
+
+        monkeypatch.setattr(training, "build_model", build)
+        spec = ModelSpec(ArchitectureId.SB, input_dim=16, hidden=4)
+        cfg = TrainConfig(batch_size=8, max_epochs=2, patience=5, seed=24)
+        best, model, curve, results = lr_search(spec, toy_sequences, toy_embeddings, cfg,
+                                                trials=2)
+        assert model is built[1]
+        assert best.seed == trial_seed(24, 1)
+        assert results[0].best_val_loss is None
+        assert "overflowing gradient for parameter" in results[0].error
+        assert results[1].best_val_loss == min(curve.val)
 
     def test_all_trials_diverging_reported(self, toy_sequences, toy_embeddings, monkeypatch):
         import argseg.training as training_module
