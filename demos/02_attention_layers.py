@@ -5,9 +5,11 @@ network; multi-head attention splits the feature space into subspaces and
 uses scaled dot products.  Neither knows about positions, so permuting a
 sequence permutes the output identically.  A batch holds only tokens: the
 rows of its sequences one after the other, and each sequence's (lo, hi)
-span of them.  Each layer keeps one weight block per sequence in
-``cache[2]``: a sequence of n tokens gets an n x n block (h x n x n for
-multi-head), whose rows are distributions over its tokens.
+span of them.  Each layer's ``blocks(cache)`` yields one weight block per
+sequence: a sequence of n tokens gets an n x n block (h x n x n for
+multi-head), whose rows are distributions over its tokens.  Additive
+attention keeps its blocks in the cache; multi-head attention keeps only
+Q, K and V and builds each block again when asked.
 """
 
 import numpy as np
@@ -36,12 +38,13 @@ multihead = MultiHeadSelfAttention(dim, heads=2, rng=rng)
 
 out_add, cache_add = additive.forward(x)
 out_mha, cache_mha = multihead.forward(x)
-block_add = cache_add[2][0]
-block_mha = cache_mha[2][0]
+blocks_add = list(additive.blocks(cache_add))
+block_add = blocks_add[0]
+block_mha = next(multihead.blocks(cache_mha))
 
 print("== additive attention weights of the 4-token row (rows: query, cols: key) ==")
 print(np.round(block_add, 3))
-print("block shapes", [b.shape for b in cache_add[2]], "one per sequence")
+print("block shapes", [b.shape for b in blocks_add], "one per sequence")
 print("rows sum to", block_add.sum(axis=1))
 lo, hi = x.spans[1]
 print("the 1-token row attends only to itself: its output equals its input:",

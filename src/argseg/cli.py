@@ -246,33 +246,26 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     sequences = read_conll(io.StringIO(read_text(args.test_file), newline=None))
     report = evaluate(model, sequences, emb)
 
-    # sibling training artifacts, when the checkpoint came from cmd_train
+    # the training manifest beside the checkpoint, when it came from cmd_train
     gap = float("nan")
     lr = float("nan")
-    ckpt = Path(args.checkpoint)
-    curve_path = ckpt.with_name(ckpt.stem + "-curve.csv")
-    if curve_path.exists():
-        try:
-            lines = curve_path.read_text(encoding="utf-8").strip().splitlines()
-            if len(lines) > 1:
-                _, tr, vl = lines[-1].split(",")
-                gap = float(vl) - float(tr)
-        except ValueError as exc:  # wrong field count, not a number, not UTF-8
-            raise FormatError(f"loss curve {curve_path}: malformed ({exc})") from exc
-    train_manifest = ckpt.with_name("manifest-train.json")
+    train_manifest = Path(args.checkpoint).with_name("manifest-train.json")
     if train_manifest.exists():
         try:
             manifest = json.loads(train_manifest.read_text(encoding="utf-8"))
             trained_lr = float(manifest["config"]["learning_rate"])
+            # a diverged run records no loss curve, hence no gap
+            trained_gap = float(manifest.get("generalization_gap", "nan"))
         except (KeyError, TypeError, ValueError) as exc:
             raise FormatError(
-                f"training manifest {train_manifest}: no numeric config.learning_rate ({exc!r})"
+                f"training manifest {train_manifest}: no numeric config.learning_rate "
+                f"and generalization_gap ({exc!r})"
             ) from exc
         # the manifest is the directory's last train run, which may have
-        # trained another checkpoint: its rate is this one's only if its
-        # model_spec is this checkpoint's
+        # trained another checkpoint: its rate and gap are this one's only
+        # if its model_spec is this checkpoint's
         if manifest.get("model_spec") == _spec_record(model.spec):
-            lr = trained_lr
+            lr, gap = trained_lr, trained_gap
 
     row = report_csv_row(report, model.spec.arch.value, emb.label,
                          model.spec.seed, lr, gap)

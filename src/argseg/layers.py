@@ -37,9 +37,11 @@ writes its output and input gradient back in packed order.
 
 Both attention layers work on the rows directly: their projections run over
 all tokens, and each sequence attends over its own block of query x key
-pairs.  Each class docstring says what its cache holds; in both attention
-caches ``cache[2]`` is the list of per-sequence weight blocks, queries by
-keys, each query row summing to 1.
+pairs.  Each class docstring says what its cache holds.  Both attention
+layers have ``blocks(cache)``, which yields the per-sequence weight blocks,
+queries by keys, each query row summing to 1: additive attention caches its
+blocks, while multi-head attention caches only Q, K and V and builds each
+block again.
 """
 
 from __future__ import annotations
@@ -416,6 +418,10 @@ class AdditiveSelfAttention(Layer):
             np.tanh(u, out=u)
             yield t0, t1, u
 
+    def blocks(self, cache):
+        """Yield each sequence's (n_b, n_b) weights, as forward cached them."""
+        yield from cache[2]
+
     def forward(self, x: BatchTensor):
         self._check_input(x, self.dim, tokens=True)
         xv = x.rows
@@ -484,8 +490,13 @@ class MultiHeadSelfAttention(Layer):
 
     The four projections and their gradient GEMMs run over all tokens of the
     batch, and each sequence b forms just its own (h, n_b, n_b) logits.  The
-    cache is (input rows, spans, weights, Q, K, V, context), where weights
-    holds one (h, n_b, n_b) block per sequence.
+    cache is (input rows, spans, Q, K, V): no weights and no concatenated
+    head outputs.  Each sequence's weight block is a temporary of forward;
+    :meth:`blocks` and backward build it again with forward's expression,
+    so they see the same bits, and backward rebuilds the head outputs for
+    W_o's gradient.  This keeps sum_b h * n_b^2 + N * D floats out of the
+    cache, at the price of each block's logits, softmax and head outputs
+    once more per batch.
     """
 
     def __init__(self, dim: int, heads: int, rng, name: str = "mha"):
@@ -510,6 +521,16 @@ class MultiHeadSelfAttention(Layer):
         """(n, D) rows of one sequence as an (h, n, d_k) view."""
         return m.reshape(len(m), self.heads, self.head_dim).transpose(1, 0, 2)
 
+    def _block(self, qb: np.ndarray, kb: np.ndarray) -> np.ndarray:
+        """The (h, n, n) weights of one sequence from its (h, n, d_k) Q and K."""
+        return softmax_rows((qb @ kb.transpose(0, 2, 1)) * (1.0 / np.sqrt(self.head_dim)))
+
+    def blocks(self, cache):
+        """Yield each sequence's (h, n_b, n_b) weights, rebuilt from Q and K."""
+        _, spans, q, k, _ = cache
+        for lo, hi in spans:
+            yield self._block(self._heads(q[lo:hi]), self._heads(k[lo:hi]))
+
     def forward(self, x: BatchTensor):
         self._check_input(x, self.dim, tokens=True)
         xv = x.rows
@@ -517,25 +538,21 @@ class MultiHeadSelfAttention(Layer):
         k = xv @ self.w_k.value
         v = xv @ self.w_v.value
 
-        scale = 1.0 / np.sqrt(self.head_dim)
-        weights = []
         ctx = np.empty_like(xv)
         for lo, hi in x.spans:
             qb, kb, vb = (self._heads(m[lo:hi]) for m in (q, k, v))
-            block = softmax_rows((qb @ kb.transpose(0, 2, 1)) * scale)
-            self._heads(ctx[lo:hi])[...] = block @ vb
-            weights.append(block)
-        return x.with_rows(ctx @ self.w_o.value), (xv, x.spans, weights, q, k, v, ctx)
+            self._heads(ctx[lo:hi])[...] = self._block(qb, kb) @ vb
+        return x.with_rows(ctx @ self.w_o.value), (xv, x.spans, q, k, v)
 
     def backward(self, cache, grad_out: np.ndarray, input_grad: bool = True):
-        xv, spans, weights, q, k, v, ctx = cache
-        np.matmul(ctx.T, grad_out, out=self.w_o.grad)
+        xv, spans, q, k, v = cache
         d_ctx = grad_out @ self.w_o.value.T
 
         scale = 1.0 / np.sqrt(self.head_dim)
-        dq, dk, dv = (np.empty_like(xv) for _ in range(3))
-        for (lo, hi), block in zip(spans, weights):
+        ctx, dq, dk, dv = (np.empty_like(xv) for _ in range(4))
+        for (lo, hi), block in zip(spans, self.blocks(cache)):
             qb, kb, vb, dcb = (self._heads(m[lo:hi]) for m in (q, k, v, d_ctx))
+            self._heads(ctx[lo:hi])[...] = block @ vb
             d_alpha = dcb @ vb.transpose(0, 2, 1)
             self._heads(dv[lo:hi])[...] = block.transpose(0, 2, 1) @ dcb
             d_alpha -= (block * d_alpha).sum(axis=2, keepdims=True)
@@ -543,6 +560,8 @@ class MultiHeadSelfAttention(Layer):
             self._heads(dq[lo:hi])[...] = (d_logits @ kb) * scale
             self._heads(dk[lo:hi])[...] = (d_logits.transpose(0, 2, 1) @ qb) * scale
 
+        np.matmul(ctx.T, grad_out, out=self.w_o.grad)
+        del ctx  # freed before the input-gradient GEMMs allocate
         np.matmul(xv.T, dq, out=self.w_q.grad)
         np.matmul(xv.T, dk, out=self.w_k.grad)
         np.matmul(xv.T, dv, out=self.w_v.grad)

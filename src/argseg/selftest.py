@@ -65,9 +65,10 @@ def check_model_gradients(seeds=range(5)) -> float:
 def check_attention_invariants(trials=20) -> float:
     """Permutation equivariance, and the per-sequence blocks of both forms.
 
-    On a batch of three sequences each layer must cache (``cache[2]``)
+    On a batch of three sequences each layer's ``blocks(cache)`` must yield
     exactly one weight block per sequence, spanning its tokens, with rows
-    summing to 1, and give each sequence the rows it gives when run alone.
+    summing to 1, and each layer must give each sequence the rows it gives
+    when run alone.
     """
     worst = 0.0
     for trial in range(trials):
@@ -87,9 +88,10 @@ def check_attention_invariants(trials=20) -> float:
             out_perm, _ = layer.forward(BatchTensor.from_rows([values[perm]]))
             worst = max(worst, float(np.abs(out.rows[perm] - out_perm.rows).max()))
             out2, cache = layer.forward(x2)
-            if [block.shape[-2:] for block in cache[2]] != [(m, m) for m in lengths]:
+            blocks = list(layer.blocks(cache))
+            if [block.shape[-2:] for block in blocks] != [(m, m) for m in lengths]:
                 worst = max(worst, 1.0)
-            for (lo, hi), block in zip(x2.spans, cache[2]):
+            for (lo, hi), block in zip(x2.spans, blocks):
                 worst = max(worst, float(np.abs(block.sum(axis=-1) - 1.0).max()))
                 alone, _ = layer.forward(BatchTensor.from_rows([values[: hi - lo]]))
                 worst = max(worst, float(np.abs(out2.rows[lo:hi] - alone.rows).max()))

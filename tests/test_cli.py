@@ -266,20 +266,16 @@ def evaluate_beside(trained, converted, embeddings, tmp_path, sibling=None, cont
     ])
 
 
-HEADER = b"epoch,train_loss,val_loss\n"
-
-
 @pytest.mark.parametrize(
     "sibling,content",
     [
-        ("sb-curve.csv", HEADER + b"1,0.5\n"),
-        ("sb-curve.csv", HEADER + b"1,low,0.5\n"),
-        ("sb-curve.csv", HEADER + b"1,0.5,0.\xff\n"),
         ("manifest-train.json", b"[1, 2]"),
         ("manifest-train.json", b'{"config": "fast"}'),
+        ("manifest-train.json",
+         b'{"config": {"learning_rate": 0.01}, "generalization_gap": "small"}'),
+        ("manifest-train.json", b'{"config": {"learning_rate": 0.01}} \xff'),
     ],
-    ids=["curve_two_fields", "curve_not_numeric", "curve_not_utf8", "manifest_list",
-         "manifest_config_str"],
+    ids=["manifest_list", "manifest_config_str", "manifest_gap_str", "manifest_not_utf8"],
 )
 def test_evaluate_malformed_sibling_is_error(trained, converted, toy_embeddings_file, tmp_path,
                                              capsys, sibling, content):
@@ -313,7 +309,29 @@ def test_evaluate_reports_the_rate_of_the_checkpoints_own_run(converted, toy_emb
                      "--out", str(results.parent)]) == 0
     rows = [line.split(",") for line in results.read_text().splitlines()]
     assert [(row[0], row[3]) for row in rows[1:]] == [("sb", "nan"), ("bl-i", "0.009")]
-    assert rows[1][-1] != "nan"  # the sb curve is still its own
+    # the gap, too, is read from the manifest only for the run it records
+    assert rows[1][-1] == "nan" and rows[2][-1] != "nan"
+
+
+def test_evaluate_after_a_diverged_run_reports_no_gap(converted, toy_embeddings_file,
+                                                      tmp_path):
+    # a finished run, then a diverged one into the same --out: the curve file
+    # left by the first run is not the diverged checkpoint's
+    out = tmp_path / "run"
+    for lr, epochs, rc in (("0.01", "2", 0), ("1e308", "3", 1)):
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert main(["train", str(converted / "train.conll"), "--arch", "sb",
+                         "--embeddings", str(toy_embeddings_file), "--hidden", "4",
+                         "--max-epochs", epochs, "--lr", lr, "--seed", "2",
+                         "--batch-size", "8", "--out", str(out)]) == rc
+    assert (out / "sb-curve.csv").exists()
+    manifest = json.loads((out / "manifest-train.json").read_text())
+    assert "generalization_gap" not in manifest
+    results = tmp_path / "eval" / "results.csv"
+    assert main(["evaluate", str(out / "sb.ckpt"), str(converted / "test.conll"),
+                 "--embeddings", str(toy_embeddings_file), "--out", str(results.parent)]) == 0
+    row = results.read_text().splitlines()[1].split(",")
+    assert (row[0], row[3], row[-1]) == ("sb", "1e+308", "nan")
 
 
 def test_selftest_command_passes(capsys):

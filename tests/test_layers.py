@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from argseg.layers import (
     TimeDistributedLinear,
     choose_heads,
 )
-from argseg.numeric import BatchTensor, grad_check
+from argseg.numeric import BatchTensor, grad_check, softmax_rows
 
 
 def full_batch(values):
@@ -407,12 +408,13 @@ class TestAttentionInvariants:
                 layer = MultiHeadSelfAttention(4, 2, rng)
             rows = [rng.standard_normal((5, 4)), rng.standard_normal((3, 4))]
             _, cache = layer.forward(BatchTensor.from_rows(rows))
-            for row, block in zip(rows, cache[2], strict=True):
+            for row, block in zip(rows, layer.blocks(cache), strict=True):
                 # one query and one key per token: no padded query or key
                 assert block.shape[-2:] == (len(row), len(row))
                 assert np.abs(block.sum(axis=-1) - 1.0).max() <= 1e-9
                 _, alone_cache = layer.forward(full_batch(row[None]))
-                assert np.abs(block - alone_cache[2][0]).max() <= 1e-12
+                (alone_block,) = layer.blocks(alone_cache)
+                assert np.abs(block - alone_block).max() <= 1e-12
 
 
 def ragged_batch(rng, dim):
@@ -443,15 +445,17 @@ class TestAttentionOnRaggedBatches:
     def test_rows_match_each_row_run_alone(self, case):
         layer, x, _ = case
         out, cache = layer.forward(x)
-        assert len(cache[2]) == x.batch
-        for (lo, hi), block in zip(x.spans, cache[2]):
+        blocks = list(layer.blocks(cache))
+        assert len(blocks) == x.batch
+        for (lo, hi), block in zip(x.spans, blocks):
             n = hi - lo
             alone, alone_cache = layer.forward(full_batch(x.rows[None, lo:hi]))
             assert np.abs(out.rows[lo:hi] - alone.rows).max() <= 1e-12
-            # the cached block is the row's own weights, one key per token
-            assert block.shape == alone_cache[2][0].shape
+            # the block is the row's own weights, one key per token
+            (alone_block,) = layer.blocks(alone_cache)
+            assert block.shape == alone_block.shape
             assert block.shape[-1] == n
-            assert np.abs(block - alone_cache[2][0]).max() <= 1e-12
+            assert np.abs(block - alone_block).max() <= 1e-12
 
     def test_gradients(self, case):
         layer, x, rng = case
@@ -503,6 +507,88 @@ def additive_backward_oracle(layer, cache, grad_out):
     dk *= v_flat
     dxv += dq @ layer.w_query.value.T + dk @ layer.w_key.value.T
     return [dxv, xv.T @ dq, xv.T @ dk, dq.sum(axis=0), dv[:, None]]
+
+
+def multi_head_cached_weights_oracle(layer, x, grad_out, input_grad):
+    """Output, input gradient and parameter gradients of
+    ``MultiHeadSelfAttention`` the way it formed them when its cache held
+    every sequence's weight block and the concatenated head outputs."""
+    xv = x.rows
+    q, k, v = (xv @ p.value for p in (layer.w_q, layer.w_k, layer.w_v))
+    scale = 1.0 / np.sqrt(layer.head_dim)
+    weights, ctx = [], np.empty_like(xv)
+    for lo, hi in x.spans:
+        qb, kb, vb = (layer._heads(m[lo:hi]) for m in (q, k, v))
+        block = softmax_rows((qb @ kb.transpose(0, 2, 1)) * scale)
+        layer._heads(ctx[lo:hi])[...] = block @ vb
+        weights.append(block)
+    out = ctx @ layer.w_o.value
+    d_ctx = grad_out @ layer.w_o.value.T
+    dq, dk, dv = (np.empty_like(xv) for _ in range(3))
+    for (lo, hi), block in zip(x.spans, weights):
+        qb, kb, vb, dcb = (layer._heads(m[lo:hi]) for m in (q, k, v, d_ctx))
+        d_alpha = dcb @ vb.transpose(0, 2, 1)
+        layer._heads(dv[lo:hi])[...] = block.transpose(0, 2, 1) @ dcb
+        d_alpha -= (block * d_alpha).sum(axis=2, keepdims=True)
+        d_logits = block * d_alpha
+        layer._heads(dq[lo:hi])[...] = (d_logits @ kb) * scale
+        layer._heads(dk[lo:hi])[...] = (d_logits.transpose(0, 2, 1) @ qb) * scale
+    grads = [xv.T @ dq, xv.T @ dk, xv.T @ dv, ctx.T @ grad_out]
+    dxv = None
+    if input_grad:
+        dxv = dq @ layer.w_q.value.T
+        dxv += dk @ layer.w_k.value.T
+        dxv += dv @ layer.w_v.value.T
+    return [out, dxv] + grads
+
+
+def multi_head_case():
+    """A 6-head layer at D=24 and a ragged batch with a 1-token sequence."""
+    rng = np.random.default_rng(306)
+    layer = MultiHeadSelfAttention(24, 6, rng)
+    return layer, BatchTensor.from_rows([rng.standard_normal((n, 24)) for n in (40, 1, 25, 33)])
+
+
+@pytest.mark.parametrize("input_grad", [True, False])
+def test_multi_head_matches_cached_weights_oracle(input_grad):
+    layer, x = multi_head_case()
+    upstream = np.random.default_rng(307).standard_normal(x.rows.shape)
+    out, cache = layer.forward(x)
+    dx = layer.backward(cache, upstream, input_grad=input_grad)
+    got = [out.rows, dx] + [p.grad for p in layer.params()]
+    expected = multi_head_cached_weights_oracle(layer, x, upstream, input_grad)
+    for a, b in zip(expected, got, strict=True):
+        assert (a is None and b is None) or a.tobytes() == b.tobytes()
+
+
+def test_multi_head_rebuilt_blocks_reproduce_the_output():
+    layer, x = multi_head_case()
+    out, cache = layer.forward(x)
+    _, spans, q, k, v = cache
+    assert (q.shape, k.shape, v.shape) == (x.rows.shape,) * 3
+    ctx = np.empty_like(x.rows)
+    for (lo, hi), block in zip(spans, layer.blocks(cache), strict=True):
+        assert block.shape == (6, hi - lo, hi - lo)
+        layer._heads(ctx[lo:hi])[...] = block @ layer._heads(v[lo:hi])
+    assert (ctx @ layer.w_o.value).tobytes() == out.rows.tobytes()
+
+
+def test_multi_head_cache_holds_only_q_k_v():
+    # tracemalloc sees numpy's buffers: after forward, the output and the
+    # cache may hold Q, K, V and the output rows, but no weight block and
+    # no concatenated head outputs (the input rows and spans are the batch's)
+    layer, x = multi_head_case()
+    layer.forward(x)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        out, cache = layer.forward(x)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    n, d = x.rows.shape
+    # 1 KiB covers the array headers and tuples, a twentieth of one (N, D) array
+    assert held <= 4 * n * d * 8 + 1024, held
 
 
 def additive_case(name):
