@@ -39,7 +39,7 @@ from .errors import (
     TrainingDiverged,
 )
 from .files import atomic_write, read_text
-from .metrics import report_csv_header, report_csv_row
+from .metrics import REPORT_CSV_HEADER, report_csv_row
 from .models import ArchitectureId, ModelSpec, build_model, load_checkpoint, save_checkpoint
 from .selftest import run_selftest
 from .training import TrainConfig, evaluate, generalization_gap, lr_search, train
@@ -53,6 +53,12 @@ def _sha256(path: Path) -> str:
         for chunk in iter(lambda: fh.read(1 << 20), b""):
             h.update(chunk)
     return h.hexdigest()
+
+
+def _embedding_inputs(spec_path: str, emb: EmbeddingSpec) -> dict[str, str]:
+    """Checksums of the embedding spec and of each vector file it names."""
+    return {"embeddings": _sha256(Path(spec_path)),
+            **{f"embeddings.sources[{i}]": _sha256(p) for i, p in enumerate(emb.paths)}}
 
 
 def _write_manifest(out_dir: Path, command: str, args: argparse.Namespace,
@@ -111,7 +117,7 @@ def cmd_convert(args: argparse.Namespace) -> int:
     parts: dict[str, list[LabeledSequence]] = {"train": [], "test": []}
     for essay, spans in essays:
         seqs = build_sequences(essay, spans, args.granularity, stats)
-        parts[split.assignment[essay.id]].extend(seqs)
+        parts[split[essay.id]].extend(seqs)
 
     outputs = {}
     for part, seqs in parts.items():
@@ -151,9 +157,9 @@ def _results_table(path: Path) -> bytes:
     """The results table's bytes, or just its header when there is none yet.
 
     An existing table must be UTF-8 text whose first line is
-    :func:`report_csv_header`; any other file raises ``FormatError``, so no
+    :data:`REPORT_CSV_HEADER`; any other file raises ``FormatError``, so no
     row lands under another layout's header."""
-    header = report_csv_header() + "\n"
+    header = REPORT_CSV_HEADER + "\n"
     if not path.exists():
         return header.encode("utf-8")
     old = path.read_bytes()
@@ -165,7 +171,7 @@ def _results_table(path: Path) -> bytes:
     if not text.startswith(header):
         first = text.partition("\n")[0]
         raise FormatError(f"results table {path}: first line is {first!r}, "
-                          f"not {report_csv_header()!r}")
+                          f"not {REPORT_CSV_HEADER!r}")
     return old
 
 
@@ -182,14 +188,17 @@ def cmd_train(args: argparse.Namespace) -> int:
     cfg = TrainConfig(batch_size=args.batch_size, max_epochs=args.max_epochs,
                       patience=args.patience, learning_rate=args.lr, seed=args.seed)
 
-    for src in emb.sources:
+    vocabulary = []
+    for i, src in enumerate(emb.sources):
         if isinstance(src, EmbeddingTable):
             misses, total = oov_statistics(src, sequences)
             rate = misses / total if total else 0.0
             print(f"vocabulary coverage: {total - misses}/{total} tokens "
-                  f"(OOV rate {rate:.3%})")
+                  f"(OOV rate {rate:.3%}); duplicate keys skipped: {src.duplicates_skipped}")
+            vocabulary.append({"source": i, "oov_tokens": misses, "tokens": total,
+                               "duplicates_skipped": src.duplicates_skipped})
 
-    extra = {}
+    extra = {"vocabulary": vocabulary}
     diverged = curve = None
     if args.lr_search:
         cfg, model, curve, trials = lr_search(model_spec, sequences, emb, cfg,
@@ -197,7 +206,6 @@ def cmd_train(args: argparse.Namespace) -> int:
         extra["lr_search"] = [dataclasses.asdict(t) for t in trials]
         print(f"lr search picked {cfg.learning_rate:.3e} "
               f"(seed {cfg.seed}) from {args.lr_search} trials")
-        model_spec = dataclasses.replace(model_spec, seed=cfg.seed)
     else:
         model = build_model(model_spec)
         try:
@@ -209,7 +217,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     save_checkpoint(model, ckpt_path)
     outputs = {"checkpoint": str(ckpt_path)}
     extra.update(outputs=outputs, config=dataclasses.asdict(cfg),
-                 model_spec=_spec_record(model_spec))
+                 model_spec=_spec_record(model.spec))
     if curve is not None:
         curves_path = out_dir / f"{arch.value}-curve.csv"
         with atomic_write(curves_path) as fh:
@@ -222,7 +230,7 @@ def cmd_train(args: argparse.Namespace) -> int:
               f"final train loss {curve.train[-1]:.4f}, "
               f"val loss {curve.val[-1]:.4f}, gap {gap:+.4f}")
     inputs = {"train_file": _sha256(Path(args.train_file)),
-              "embeddings": _sha256(Path(args.embeddings))}
+              **_embedding_inputs(args.embeddings, emb)}
     _write_manifest(out_dir, "train", args, inputs, extra, started)
     if diverged:
         print(f"training diverged: {diverged}; last finite checkpoint kept", file=sys.stderr)
@@ -275,7 +283,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     print(report.summary())
     inputs = {"checkpoint": _sha256(Path(args.checkpoint)),
               "test_file": _sha256(Path(args.test_file)),
-              "embeddings": _sha256(Path(args.embeddings))}
+              **_embedding_inputs(args.embeddings, emb)}
     _write_manifest(out_dir, "evaluate", args, inputs,
                     {"outputs": {"results": str(results_path)},
                      "weighted_f1": report.weighted_f1,

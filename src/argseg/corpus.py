@@ -114,7 +114,7 @@ class ConversionStats:
     essays: int = 0
     sequences: int = 0
     boundary_relabels: int = 0
-    label_counts: dict = field(default_factory=lambda: {"B": 0, "I": 0, "O": 0})
+    label_counts: dict = field(default_factory=lambda: dict.fromkeys(LABELS, 0))
 
     def count_labels(self, labels):
         for lab in labels:
@@ -328,13 +328,9 @@ def build_sequences(
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class SplitSpec:
-    assignment: dict[str, str]  # essay id -> "train" | "test"
-
-
-def load_split(csv_content: str, known_ids=None) -> SplitSpec:
-    """Parse the corpus' semicolon-separated split file (header ``ID;SET``).
+def load_split(csv_content: str, known_ids=None) -> dict[str, str]:
+    """Parse the corpus' split file (``;``-separated, header ``ID;SET``) into
+    essay id -> "train" | "test".
 
     With ``known_ids`` given, the split must cover exactly those essays.
     """
@@ -366,7 +362,7 @@ def load_split(csv_content: str, known_ids=None) -> SplitSpec:
         missing = sorted(known - set(assignment))
         if missing:
             raise SplitError(f"split misses essays: {missing[:5]}")
-    return SplitSpec(assignment)
+    return assignment
 
 
 # ---------------------------------------------------------------------------

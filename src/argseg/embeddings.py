@@ -51,15 +51,11 @@ class EmbeddingTable:
     """Vocabulary -> vector table held as one (V + 1, dim) matrix plus an index;
     the last row, all zeros, is the row of every word the index lacks."""
 
-    def __init__(self, dim: int, vectors: np.ndarray, index: dict[str, int],
-                 duplicates_skipped: int = 0):
-        self.dim = dim
+    def __init__(self, vectors: np.ndarray, index: dict[str, int], duplicates_skipped: int = 0):
+        self.dim = vectors.shape[1]
         self.vectors = vectors
         self.index = index
         self.duplicates_skipped = duplicates_skipped
-
-    def __len__(self) -> int:
-        return len(self.index)
 
     def __contains__(self, word: str) -> bool:
         return word.lower() in self.index
@@ -121,11 +117,11 @@ def load_glove(content) -> EmbeddingTable:
     if dim is None:
         raise FormatError("embedding table is empty")
     rows.append(np.zeros(dim))  # the out-of-vocabulary row
-    return EmbeddingTable(dim, np.vstack(rows), index, duplicates_skipped=duplicates)
+    return EmbeddingTable(np.vstack(rows), index, duplicates_skipped=duplicates)
 
 
 def load_glove_file(path) -> EmbeddingTable:
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:  # drops a leading BOM
         try:
             return load_glove(fh)
         except UnicodeDecodeError:
@@ -481,10 +477,10 @@ def _index_essay(essay_id: str, layout: np.dtype, keys: list[np.ndarray],
 
 class EmbeddingSpec:
     """An ordered stack of sources, tables and stores, with a declared (and
-    enforced) total dim."""
+    enforced) total dim, and the files the sources were read from (``paths``)."""
 
     def __init__(self, sources: list[EmbeddingTable | PrecomputedStore], expected_dim: int,
-                 label: str = ""):
+                 label: str = "", paths: list[Path] = ()):
         if not sources:
             raise ConfigurationError("embedding spec needs at least one source")
         total = sum(s.dim for s in sources)
@@ -495,6 +491,7 @@ class EmbeddingSpec:
         self.sources = list(sources)
         self.expected_dim = expected_dim
         self.label = label
+        self.paths = list(paths)
 
     @classmethod
     def from_file(cls, path) -> "EmbeddingSpec":
@@ -504,7 +501,7 @@ class EmbeddingSpec:
         """
         path = Path(path)
         try:
-            doc = json.loads(path.read_text(encoding="utf-8"))
+            doc = json.loads(path.read_text(encoding="utf-8-sig"))  # drops a leading BOM
         except ValueError as exc:  # bad JSON or not UTF-8
             raise FormatError(f"embedding spec {path}: invalid JSON ({exc})") from exc
         try:
@@ -525,18 +522,18 @@ class EmbeddingSpec:
                 isinstance(e, dict) and isinstance(e.get("path"), str) for e in entries):
             raise FormatError(f"embedding spec {path}: sources must be objects with a string path")
         sources = []
-        for entry in entries:
+        paths = [path.parent / entry["path"] for entry in entries]
+        for entry, src_path in zip(entries, paths):
             kind = entry.get("kind")
             if kind not in ("glove", "precomputed"):
                 raise FormatError(f"embedding spec {path}: unknown source kind {kind!r}")
-            src_path = path.parent / entry["path"]
             try:
                 sources.append(load_glove_file(src_path) if kind == "glove"
                                else load_precomputed_file(src_path))
             except (OSError, ValueError) as exc:  # missing, a directory, a NUL in the name
                 raise FormatError(f"embedding spec {path}: cannot read source "
                                   f"{entry['path']!r} ({exc})") from exc
-        return cls(sources, expected, label=label)
+        return cls(sources, expected, label=label, paths=paths)
 
     def check_coverage(self, sequences: list[LabeledSequence]):
         """Raise ``CoverageError`` for the first sequence that a precomputed

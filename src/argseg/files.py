@@ -1,6 +1,6 @@
 """Reading input text strictly and writing outputs atomically.
 
-Every text input the commands read is decoded as strict UTF-8, so a bad byte
+Every corpus, split and sequence file is decoded as strict UTF-8, so a bad byte
 raises :class:`CorpusIntegrityError` naming the file and the byte's offset.
 Every file they write goes to a temporary file in the same directory, which
 then replaces the target in one ``os.replace``: an interrupted or failed

@@ -376,7 +376,7 @@ class AdditiveSelfAttention(Layer):
     # in L2 and below the 4 MiB at which numpy asks for huge pages
     CHUNK_ELEMENTS = 1 << 17
 
-    def __init__(self, dim: int, rng, attn_dim: int = 32, name: str = "attn"):
+    def __init__(self, dim: int, rng, attn_dim: int, name: str = "attn"):
         if attn_dim < 1:
             raise ConfigurationError(f"{name}: attention width must be >= 1")
         self.name = name
@@ -597,7 +597,6 @@ class TimeDistributedLinear(Layer):
     def __init__(self, input_dim: int, output_dim: int, rng, name: str = "linear"):
         self.name = name
         self.input_dim = input_dim
-        self.output_dim = output_dim
         self.w = Parameter(f"{name}.W", glorot_uniform(rng, input_dim, output_dim))
         self.b = Parameter(f"{name}.b", np.zeros(output_dim))
 

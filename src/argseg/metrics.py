@@ -65,8 +65,7 @@ def metrics_from_confusion(confusion: np.ndarray) -> MetricsReport:
     return MetricsReport(confusion, precision, recall, f1, support, weighted, accuracy)
 
 
-def report_csv_header() -> str:
-    return "arch,embedding,seed,lr,weighted_f1,accuracy,f1_B,f1_I,f1_O,gap"
+REPORT_CSV_HEADER = "arch,embedding,seed,lr,weighted_f1,accuracy,f1_B,f1_I,f1_O,gap"
 
 
 def report_csv_row(report: MetricsReport, arch: str, embedding: str, seed: int,

@@ -30,7 +30,6 @@ def softmax_rows(a: np.ndarray) -> np.ndarray:
 
     Every output row is non-negative and sums to 1 for any finite input.
     """
-    a = np.asarray(a, dtype=np.float64)
     shifted = a - a.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
     return e / e.sum(axis=-1, keepdims=True)
@@ -150,19 +149,20 @@ def relative_error(analytic: float, numeric: float) -> float:
 
 
 PROBE_SCALE = 1e-8
+EPSILON = 1e-3  # the central difference's step
 
 
-def grad_check(layer, x: BatchTensor, epsilon: float = 1e-3, rng=None) -> float:
+def grad_check(layer, x: BatchTensor, rng=None) -> float:
     """Compare analytic gradients of ``layer`` against central finite differences.
 
     The probe loss is sum(R * forward(x).rows) for a fixed random weighting
     R, one row per output token.  Every parameter entry and every input entry
-    is perturbed by +/- epsilon; the worst relative error
+    is perturbed by +/- :data:`EPSILON`; the worst relative error
     |a - n| / max(|a|, |n|, 1e-8) over all entries is returned.
 
     R is drawn at :data:`PROBE_SCALE` magnitude: the backward pass is exactly
     linear in its upstream gradient, so the algebra verified is scale
-    independent, while a small probe keeps the O(epsilon^2) truncation error
+    independent, while a small probe keeps the O(EPSILON^2) truncation error
     of the central difference below the 1e-8 comparison floor instead of
     aliasing into the relative error of near-cancelling gradient entries.
 
@@ -170,8 +170,6 @@ def grad_check(layer, x: BatchTensor, epsilon: float = 1e-3, rng=None) -> float:
     cache), and backward(cache, grad_rows) -> grad_rows_in, where backward
     writes every parameter's ``grad``.
     """
-    if not (0.0 < epsilon <= 1e-2):
-        raise ValueError(f"epsilon must lie in (0, 1e-2], got {epsilon}")
     params = layer.params()
     for p in params:
         if not np.isfinite(p.value).all():
@@ -193,14 +191,14 @@ def grad_check(layer, x: BatchTensor, epsilon: float = 1e-3, rng=None) -> float:
         nonlocal worst
         for i in range(flat_values.size):
             orig = flat_values[i]
-            flat_values[i] = orig + epsilon
+            flat_values[i] = orig + EPSILON
             f_plus = probe()
-            flat_values[i] = orig - epsilon
+            flat_values[i] = orig - EPSILON
             f_minus = probe()
             flat_values[i] = orig
             if not (np.isfinite(f_plus) and np.isfinite(f_minus)):
                 raise NumericError(f"non-finite probe value while perturbing {label}")
-            numeric = (f_plus - f_minus) / (2.0 * epsilon)
+            numeric = (f_plus - f_minus) / (2.0 * EPSILON)
             worst = max(worst, relative_error(flat_grads[i], numeric))
 
     for p in params:

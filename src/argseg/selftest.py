@@ -21,7 +21,6 @@ from .models import ArchitectureId, ModelSpec, build_model
 from .numeric import BatchTensor, grad_check
 
 GRAD_TOLERANCE = 1e-4
-EPSILON = 1e-3
 
 
 def random_batch(rng, features) -> BatchTensor:
@@ -46,7 +45,7 @@ def check_layer_gradients(seeds=range(5)) -> float:
         rng = np.random.default_rng(seed)
         for layer, width in layer_zoo(rng):
             x = random_batch(rng, width)
-            worst = max(worst, grad_check(layer, x, EPSILON, rng))
+            worst = max(worst, grad_check(layer, x, rng))
     return worst
 
 
@@ -58,7 +57,7 @@ def check_model_gradients(seeds=range(5)) -> float:
             spec = ModelSpec(arch, input_dim=4, hidden=3, attn_dim=4, seed=seed)
             model = build_model(spec)
             x = random_batch(rng, 4)
-            worst = max(worst, grad_check(model, x, EPSILON, rng))
+            worst = max(worst, grad_check(model, x, rng))
     return worst
 
 

@@ -33,8 +33,8 @@ def _sentence(rng, words, low, high) -> list[str]:
     return [words[int(rng.integers(0, len(words)))] for _ in range(n)]
 
 
-def toy_essay(essay_id: str, rng, paragraphs: int = 3) -> tuple[Essay, list[AnnotationSpan]]:
-    """One synthetic essay plus its unit spans (word-aligned, non-overlapping)."""
+def toy_essay(essay_id: str, rng) -> tuple[Essay, list[AnnotationSpan]]:
+    """One three-paragraph synthetic essay plus its unit spans (word-aligned, non-overlapping)."""
     parts: list[str] = []
     spans: list[AnnotationSpan] = []
     pos = 0
@@ -46,7 +46,7 @@ def toy_essay(essay_id: str, rng, paragraphs: int = 3) -> tuple[Essay, list[Anno
 
     emit(" ".join(_sentence(rng, TITLE_WORDS, 4, 7)))
     emit("\n\n")
-    for _ in range(paragraphs):
+    for _ in range(3):
         n_sentences = int(rng.integers(2, 5))
         for s in range(n_sentences):
             if s > 0:

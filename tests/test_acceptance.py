@@ -83,7 +83,7 @@ def real_runs():
     train_seqs, test_seqs = [], []
     for essay, spans in essays:
         seqs = build_sequences(essay, spans, "paragraph", stats)
-        (train_seqs if split.assignment[essay.id] == "train" else test_seqs).extend(seqs)
+        (train_seqs if split[essay.id] == "train" else test_seqs).extend(seqs)
     emb = EmbeddingSpec([load_glove_file(GLOVE_PATH)], expected_dim=300, label="glove300")
     runs = {}
     for arch in ArchitectureId:
@@ -167,7 +167,7 @@ def test_criterion_5_head_divisor_rule():
 def test_criterion_6_corpus_pipeline():
     essays, split = load_real_corpus()
     assert len(essays) == 402
-    assert len(split.assignment) == 402
+    assert len(split) == 402
     for essay, spans in essays:
         tokens = tokenize(essay.text)
         assert reconstruct(essay.text, tokens) == essay.text

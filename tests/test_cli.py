@@ -11,6 +11,7 @@ import pytest
 
 from argseg import cli
 from argseg.cli import main
+from argseg.corpus import read_conll
 from argseg.models import ArchitectureId, ModelSpec, build_model, load_checkpoint
 from toy_files import write_toy_corpus_dir
 
@@ -32,7 +33,7 @@ def train_artifacts_digest(out: Path, arch: str) -> str:
 
 
 # train_artifacts_digest of test_lr_search_flag's run
-LR_SEARCH_DIGEST = "c86e1f052fe84d091982167de2a6385eae9d1d6d4ba784dd774c0aadd1d077c4"
+LR_SEARCH_DIGEST = "fd516f419aa86e4f257199a186466d25ce026e2cd87325904a0f9c978eea2463"
 
 
 @pytest.fixture(scope="module")
@@ -170,6 +171,44 @@ class TestTrainCommand:
             ])
         assert exc.value.code == 2
 
+    def test_manifest_checksums_the_vector_files(self, converted, toy_embeddings_file, tmp_path):
+        """Two runs under the same spec JSON, whose tables differ in one value."""
+        word, first, rest = (toy_embeddings_file.parent / "toy-vectors.txt").read_text(
+            encoding="utf-8").split(" ", 2)
+        inputs = []
+        for sub, value in (("a", first), ("b", "0.125")):
+            emb = tmp_path / sub / "emb"
+            emb.mkdir(parents=True)
+            shutil.copy(toy_embeddings_file, emb / "toy16.json")
+            (emb / "toy-vectors.txt").write_text(f"{word} {value} {rest}", encoding="utf-8")
+            rc = main(["train", str(converted / "train.conll"), "--arch", "sb",
+                       "--embeddings", str(emb / "toy16.json"), "--hidden", "2",
+                       "--max-epochs", "1", "--out", str(tmp_path / sub / "run")])
+            assert rc == 0
+            manifest = json.loads((tmp_path / sub / "run" / "manifest-train.json").read_text())
+            inputs.append(manifest["inputs_sha256"])
+        assert inputs[0]["embeddings"] == inputs[1]["embeddings"]
+        assert inputs[0]["embeddings.sources[0]"] == sha(
+            toy_embeddings_file.parent / "toy-vectors.txt")
+        assert inputs[0]["embeddings.sources[0]"] != inputs[1]["embeddings.sources[0]"]
+
+    def test_vocabulary_line_and_manifest_count_merged_keys(self, converted, tmp_path, capsys):
+        (tmp_path / "v.txt").write_text("The 1 2\nthe 3 4\n", encoding="utf-8")
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(
+            {"expected_dim": 2, "sources": [{"kind": "glove", "path": "v.txt"}]}), encoding="utf-8")
+        rc = main(["train", str(converted / "train.conll"), "--arch", "sb",
+                   "--embeddings", str(spec), "--hidden", "2", "--max-epochs", "1",
+                   "--out", str(tmp_path / "run")])
+        assert rc == 0
+        assert "; duplicate keys skipped: 1\n" in capsys.readouterr().out
+        with open(converted / "train.conll", encoding="utf-8") as fh:
+            words = [word.lower() for seq in read_conll(fh) for word in seq.words]
+        manifest = json.loads((tmp_path / "run" / "manifest-train.json").read_text())
+        misses = len(words) - words.count("the")
+        assert manifest["vocabulary"] == [{"source": 0, "oov_tokens": misses,
+                                           "tokens": len(words), "duplicates_skipped": 1}]
+
     def test_lr_search_flag(self, converted, toy_embeddings_file, tmp_path):
         out = tmp_path / "search"
         rc = main([
@@ -215,6 +254,18 @@ class TestEvaluateCommand:
         assert lines[1].startswith("sb,")
         f1 = float(lines[1].split(",")[4])
         assert 0.0 <= f1 <= 1.0
+
+    def test_evaluate_manifest_checksums_the_vector_files(self, trained, converted,
+                                                          toy_embeddings_file, tmp_path):
+        out = tmp_path / "eval"
+        rc = main([
+            "evaluate", str(trained / "sb.ckpt"), str(converted / "test.conll"),
+            "--embeddings", str(toy_embeddings_file), "--out", str(out),
+        ])
+        assert rc == 0
+        inputs = json.loads((out / "manifest-evaluate.json").read_text())["inputs_sha256"]
+        glove = toy_embeddings_file.parent / "toy-vectors.txt"
+        assert inputs["embeddings.sources[0]"] == sha(glove)
 
     def test_train_score_at_least_test_score(self, trained, converted, toy_embeddings_file, tmp_path):
         from argseg.embeddings import EmbeddingSpec

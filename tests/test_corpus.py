@@ -236,14 +236,14 @@ class TestLoadSplit:
         quoted = '"ID";"SET"\n"essay001";"TRAIN"\n"essay002";"TEST"\n'
         for content in (plain, quoted):
             split = load_split(content)
-            assert split.assignment == {"essay001": "train", "essay002": "test"}
+            assert split == {"essay001": "train", "essay002": "test"}
 
     def test_full_coverage_counts(self):
         rows = ["ID;SET"] + [
             f"essay{k:03d};{'TRAIN' if k % 4 else 'TEST'}" for k in range(1, 31)
         ]
         split = load_split("\n".join(rows))
-        parts = list(split.assignment.values())
+        parts = list(split.values())
         assert len(parts) == 30 and parts.count("test") == 7
 
     def test_duplicate_rejected(self):
@@ -266,7 +266,7 @@ class TestLoadSplit:
     @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
     def test_any_line_ending_loads(self, newline):
         content = newline.join(["ID;SET", "e1;TRAIN", '"e2";"TEST"', ""])
-        assert load_split(content).assignment == {"e1": "train", "e2": "test"}
+        assert load_split(content) == {"e1": "train", "e2": "test"}
 
     def test_stray_carriage_return_ends_the_line(self):
         with pytest.raises(SplitError, match="^unknown set 'TR' for essay e1$"):
@@ -445,4 +445,4 @@ def test_mutated_corpus_file_gives_a_value_or_an_argseg_error(fuzz_dir, name, da
         loaded = load_corpus_file(name, read_text(path))
     except ArgsegError:
         return
-    assert isinstance(loaded, list) or set(loaded.assignment) == set(ESSAY_IDS)
+    assert isinstance(loaded, list) or set(loaded) == set(ESSAY_IDS)

@@ -85,7 +85,7 @@ class TestLoadGlove:
         lines = [f"word{k} {k} {k + 1}" for k in range(50)]
         content = "\n".join(lines)
         table = load_glove(content)
-        assert len(table) == len(content.splitlines())
+        assert len(table.index) == len(content.splitlines())
 
     def test_inconsistent_dimension_names_line(self):
         with pytest.raises(FormatError, match="line 3"):
@@ -98,7 +98,7 @@ class TestLoadGlove:
 
     def test_cased_keys_lowercased_first_wins(self):
         table = load_glove("Cat 9 9\nthe 1 2\ncat 5 5")
-        assert len(table) == 2
+        assert len(table.index) == 2
         assert np.array_equal(lookup(table, ["CAT"]), [[9.0, 9.0]])
         assert np.array_equal(lookup(table, ["Cat", "cat"]), [[9.0, 9.0], [9.0, 9.0]])
         assert "Cat" in table
@@ -340,6 +340,20 @@ class TestEmbeddingSpec:
         assert spec.expected_dim == 16
         assert spec.label == "toy16"
 
+    def test_from_file_keeps_the_source_paths(self, toy_embeddings_file):
+        spec = EmbeddingSpec.from_file(toy_embeddings_file)
+        assert spec.paths == [toy_embeddings_file.parent / "toy-vectors.txt"]
+
+    def test_byte_order_marks_are_dropped_from_spec_and_table(self, tmp_path):
+        bom = "\ufeff".encode("utf-8")
+        (tmp_path / "v.txt").write_bytes(bom + b"the 1 2\ncat 3 4\n")
+        path = tmp_path / "spec.json"
+        path.write_bytes(bom + json.dumps(
+            {"expected_dim": 2, "sources": [{"kind": "glove", "path": "v.txt"}]}).encode())
+        (table,) = EmbeddingSpec.from_file(path).sources
+        assert set(table.index) == {"the", "cat"}
+        assert np.array_equal(lookup(table, ["The"]), [[1.0, 2.0]])
+
     def test_from_file_bad_json(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{not json", encoding="utf-8")
@@ -480,7 +494,7 @@ def test_mutated_glove_file_gives_a_table_or_a_format_error(mutation_dir, data):
         table = load_glove_file(path)
     except ArgsegError:
         return
-    assert table.vectors.shape == (len(table) + 1, table.dim)
+    assert table.vectors.shape == (len(table.index) + 1, table.dim)
     assert np.isfinite(table.vectors).all() and not table.vectors[-1].any()
 
 

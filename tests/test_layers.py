@@ -227,7 +227,7 @@ class TestBiLstm:
     def test_gradients_on_mixed_batch(self):
         rng = np.random.default_rng(9)
         layer = BiLstm(3, 4, rng)
-        assert grad_check(layer, self.mixed_batch(rng), 1e-3, rng) < 1e-4
+        assert grad_check(layer, self.mixed_batch(rng), rng) < 1e-4
 
     def test_repeated_runs_are_byte_identical(self):
         rng = np.random.default_rng(10)
@@ -284,7 +284,7 @@ class TestAdditiveAttention:
 
     def test_all_padding_row_rejected(self):
         rng = np.random.default_rng(12)
-        layer = AdditiveSelfAttention(3, rng)
+        layer = AdditiveSelfAttention(3, rng, attn_dim=32)
         with pytest.raises(ContractViolation):
             layer.forward(BatchTensor(np.zeros((3, 3)), [3, 0]))
 
@@ -459,7 +459,7 @@ class TestAttentionOnRaggedBatches:
 
     def test_gradients(self, case):
         layer, x, rng = case
-        assert grad_check(layer, x, 1e-3, rng) < 1e-4
+        assert grad_check(layer, x, rng) < 1e-4
 
     def test_repeated_passes_are_byte_identical(self, case):
         layer, x, rng = case
@@ -637,7 +637,7 @@ def test_additive_scores_do_not_depend_on_the_tile_size(monkeypatch):
 
 
 def test_additive_scratch_tile_is_at_most_one_mib():
-    layer = AdditiveSelfAttention(4, np.random.default_rng(305))
+    layer = AdditiveSelfAttention(4, np.random.default_rng(305), attn_dim=32)
     for n in range(1, 501):
         assert layer._buffer([(0, n), (n, n + 1)]).nbytes <= 1 << 20
 
@@ -656,7 +656,7 @@ def test_gradients_across_seeds(name, builder):
         rng = np.random.default_rng(seed)
         layer, width = builder(rng)
         values = rng.standard_normal((2, 3, width)) * 0.5
-        err = grad_check(layer, BatchTensor.from_rows([values[0], values[1, :2]]), 1e-3, rng)
+        err = grad_check(layer, BatchTensor.from_rows([values[0], values[1, :2]]), rng)
         assert err < 1e-4, f"{name} seed {seed}: {err:.3e}"
 
 
@@ -665,14 +665,14 @@ def test_single_step_cell_gradients():
     rng = np.random.default_rng(30)
     layer = BiLstm(4, 5, rng)
     x = full_batch(rng.standard_normal((2, 1, 4)) * 0.5)
-    assert grad_check(layer, x, 1e-3, rng) < 1e-4
+    assert grad_check(layer, x, rng) < 1e-4
 
 
 def test_multi_head_gradients_at_reference_shape():
     rng = np.random.default_rng(31)
     layer = MultiHeadSelfAttention(6, 2, rng)
     x = full_batch(rng.standard_normal((2, 3, 6)) * 0.5)
-    assert grad_check(layer, x, 1e-3, rng) < 1e-4
+    assert grad_check(layer, x, rng) < 1e-4
 
 
 @pytest.mark.parametrize("name,builder", LAYER_BUILDERS)

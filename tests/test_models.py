@@ -79,7 +79,7 @@ class TestBuildModel:
         model = build_model(ModelSpec(arch, input_dim=12, hidden=4))
         assert [type(l) for l in model.layers] == expected
         head = model.layers[-1]
-        assert (head.name, head.output_dim) == ("head", 3)
+        assert (head.name, head.w.value.shape[1]) == ("head", 3)
         assert [p.name for p in head.params()] == ["head.W", "head.b"]
 
     @pytest.mark.parametrize("arch", list(ArchitectureId))
@@ -214,7 +214,7 @@ def test_full_model_gradients(arch):
         model = build_model(
             ModelSpec(arch, input_dim=4, hidden=3, attn_dim=4, seed=seed)
         )
-        err = grad_check(model, toy_batch(rng, 4), 1e-3, rng)
+        err = grad_check(model, toy_batch(rng, 4), rng)
         assert err < 1e-4, f"{arch.value} seed {seed}: {err:.3e}"
 
 

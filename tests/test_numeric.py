@@ -110,15 +110,7 @@ class TestGradCheck:
         rng = np.random.default_rng(0)
         layer = TimeDistributedLinear(4, 3, rng)
         x = BatchTensor.from_rows([rng.standard_normal((3, 4)) * 0.5])
-        assert grad_check(layer, x, 1e-3, rng) < 1e-10
-
-    def test_epsilon_domain(self):
-        rng = np.random.default_rng(0)
-        layer = TimeDistributedLinear(2, 2, rng)
-        x = BatchTensor.from_rows([np.ones((1, 2))])
-        for eps in (0.0, -1e-3, 0.5):
-            with pytest.raises(ValueError):
-                grad_check(layer, x, eps)
+        assert grad_check(layer, x, rng) < 1e-10
 
     def test_nonfinite_parameter_named(self):
         rng = np.random.default_rng(0)
@@ -132,4 +124,4 @@ class TestGradCheck:
         rng = np.random.default_rng(0)
         broken = _BrokenBackward(TimeDistributedLinear(4, 3, rng))
         x = BatchTensor.from_rows([rng.standard_normal((3, 4))])
-        assert grad_check(broken, x, 1e-3, rng) > 1e-3
+        assert grad_check(broken, x, rng) > 1e-3

@@ -5,6 +5,8 @@
 * Every function, method and class defined in ``src/argseg`` is referenced by
   name in ``src/``, ``demos/`` or ``perfbench/`` (bar its tests), so no
   definition exists only for the tests.
+* Every attribute a method stores on ``self`` is read somewhere in those
+  same program files, so no member exists only for the tests either.
 * No module imports ``mmap``: a mapped file that shrinks kills the process
   with SIGBUS, where a read that comes back short can raise an error.
 * ``argseg.__all__`` lists each name once, and exactly the names that
@@ -90,6 +92,22 @@ def referenced_names(tree: ast.Module) -> set[str]:
             for node in ast.walk(tree) if isinstance(node, (ast.Name, ast.Attribute))}
 
 
+def stored_attributes(tree: ast.Module) -> dict[str, int]:
+    """Each attribute assigned on ``self`` -> the line of its first assignment."""
+    stored = {}
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+                and isinstance(node.value, ast.Name) and node.value.id == "self"):
+            stored.setdefault(node.attr, node.lineno)
+    return stored
+
+
+def read_attributes(tree: ast.Module) -> set[str]:
+    """Every attribute name the tree reads, on any object."""
+    return {node.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+
+
 def program_files() -> list[Path]:
     """The package, the demos and the benchmark, without any test directory."""
     files = [path for folder in ("src", "demos", "perfbench")
@@ -166,6 +184,13 @@ def test_every_definition_is_reached_outside_the_tests():
         unreached)
 
 
+def test_every_stored_attribute_is_read_outside_the_tests():
+    read = set().union(*(read_attributes(parse(path)) for path in program_files()))
+    unread = [f"{path.name}:{line}: {name}" for path in MODULES
+              for name, line in stored_attributes(parse(path)).items() if name not in read]
+    assert not unread, "stored on self in src/argseg but read only by tests: " + ", ".join(unread)
+
+
 def test_no_module_imports_mmap():
     mapping = [path.name for path in MODULES if "mmap" in imported_modules(parse(path))]
     assert not mapping, "imports mmap: " + ", ".join(mapping)
@@ -195,6 +220,13 @@ def test_rule_catches_a_definition_only_tests_reach():
                      "    def unused(self): ...\n"
                      "def f():\n    return C().used()\nf()\n")
     assert set(definitions(tree)) - referenced_names(tree) == {"unused"}
+
+
+def test_rule_catches_an_attribute_only_tests_read():
+    tree = ast.parse("class C:\n    def __init__(self, a):\n        self.kept = a\n"
+                     "        self.dropped, other.x = a, a\n        self.counted = 0\n"
+                     "    def step(self):\n        self.counted += 1\n        return self.kept\n")
+    assert set(stored_attributes(tree)) - read_attributes(tree) == {"dropped", "counted"}
 
 
 @pytest.mark.parametrize("source", ["import mmap", "import os, mmap as m", "from mmap import mmap",
