@@ -10,8 +10,10 @@ ever cleared.  Caches are owned by the caller, so one layer can be checked
 or trained without any global tape.  A cache is valid from its forward
 until the caller drops it; a layer's ``backward`` only reads it, so one
 cache may serve several backwards, but ``Model.backward`` consumes the
-caches of a model's forward, and ``Model.logits`` drops each cache as soon
-as the next layer has its input.  A model ends in a linear map to
+caches of a model's forward.  ``infer(x)`` is the inference pass, which
+``Model.logits`` calls: the bytes of ``forward(x)[0]`` with no cache kept.
+It is ``forward(x)[0]`` itself except for the BiLSTM, whose ``infer``
+allocates no training cache at all.  A model ends in a linear map to
 per-token B/I/O logits; the softmax is applied once, inside the loss.
 
 Shape convention: a batch is a :class:`~argseg.numeric.BatchTensor`, its
@@ -33,7 +35,9 @@ LSTM parameters are fused per direction, with gate blocks in the order
 i|f|o|g (input, forget and output gates, then the candidate).  The BiLSTM
 gathers its inputs into time-major order once, runs its recurrence over the
 sequences that have not ended, evaluates all four gates with one tanh, and
-writes its output and input gradient back in packed order.
+writes its output and input gradient back in packed order.  Its cache holds
+what backward reads and nothing it can rebuild with the same bits: not
+tanh of the cell states, which backward computes again step by step.
 
 Both attention layers work on the rows directly: their projections run over
 all tokens, and each sequence attends over its own block of query x key
@@ -65,6 +69,10 @@ class Layer:
 
     def forward(self, x: BatchTensor):
         raise NotImplementedError
+
+    def infer(self, x: BatchTensor) -> BatchTensor:
+        """The output of ``forward`` without keeping its cache."""
+        return self.forward(x)[0]
 
     def backward(self, cache, grad_out: np.ndarray, input_grad: bool = True):
         """Write every parameter gradient; return d(loss)/d(input rows).
@@ -175,8 +183,9 @@ def _state_rows(pos: _Positions, reverse: bool) -> tuple[list[int], list[int]]:
     n_0 + starts[t], and the state entering step t is the first n_t rows
     step t - 1 wrote.  In reverse, step t writes at M - starts[t], and the
     state entering it, at M - starts[t + 1], is the n_{t+1} rows step t + 1
-    wrote followed by n_t - n_{t+1} rows that stay zero: the initial state
-    of the sequences whose last token is t.
+    wrote followed by n_t - n_{t+1} zero rows: the initial state of the
+    sequences whose last token is t.  Every row is written once, by a step
+    or as a zero initial state.
     """
     starts = pos.starts
     if reverse:
@@ -185,54 +194,66 @@ def _state_rows(pos: _Positions, reverse: bool) -> tuple[list[int], list[int]]:
     return [0] + written[:-1], written
 
 
-def _run_direction(halved, x_run, pos: _Positions, cache, reverse: bool):
+def _run_direction(halved, x_run, pos: _Positions, acts, states, reverse: bool):
     """Forward pass of one direction, time-major, into caller-allocated arrays.
 
     ``halved`` is the cell's :meth:`LstmCell.halved` parameters and
-    ``x_run`` the (M, D) inputs in time-major order.  ``cache`` =
-    (acts, hs, cs, tanh_c): acts (M, 4H) receives the gate activations; hs
-    and cs (M + n_0, H), zero-filled, the states (see :func:`_state_rows`);
-    tanh_c (M, H) tanh(c).
+    ``x_run`` the (M, D) inputs in time-major order; acts (M, 4H) receives
+    the gate activations.  ``states`` = ((hs, h_rows), (cs, c_rows)) holds
+    the hidden and cell states, each with its row maps: per step t, the
+    first row entering step t and the first row step t writes.  hs is
+    (M + n_0, H) with the rows of :func:`_state_rows`; cs has either the
+    same rows, where a backward reads them, or all-zero maps into one
+    (n_0, H) block updated in place.  Neither needs initialising: each step
+    first zeroes the entering rows of the sequences that start there.
     """
     w, u, b = halved
-    acts, hs, cs, tanh_c = cache
+    (hs, (h_enter, h_write)), (cs, (c_enter, c_write)) = states
     hdim = hs.shape[1]
     sig = 3 * hdim
     np.matmul(x_run, w, out=acts)
     acts += b
     z = np.empty((pos.widest, 4 * hdim))
     ig = np.empty((pos.widest, hdim))
-    entering, written = _state_rows(pos, reverse)
+    tanh_c = np.empty((pos.widest, hdim))
     tlen = len(pos.starts) - 1
+    carried = 0  # states that the previous step handed on
     for t in (reversed(range(tlen)) if reverse else range(tlen)):
         lo, hi = pos.starts[t], pos.starts[t + 1]
         n = hi - lo
-        src, dst = entering[t], written[t]
+        h_src, c_src, c_dst = h_enter[t], c_enter[t], c_write[t]
+        if n > carried:
+            hs[h_src + carried : h_src + n] = 0.0
+            cs[c_src + carried : c_src + n] = 0.0
+        carried = n
         a = acts[lo:hi]
-        h_prev, c_prev, c = hs[src : src + n], cs[src : src + n], cs[dst : dst + n]
-        np.matmul(h_prev, u, out=z[:n])
+        c, tc = cs[c_dst : c_dst + n], tanh_c[:n]
+        np.matmul(hs[h_src : h_src + n], u, out=z[:n])
         a += z[:n]
         np.tanh(a, out=a)
         a[:, :sig] *= 0.5
         a[:, :sig] += 0.5
-        np.multiply(a[:, hdim : 2 * hdim], c_prev, out=c)
+        np.multiply(a[:, hdim : 2 * hdim], cs[c_src : c_src + n], out=c)
         np.multiply(a[:, :hdim], a[:, sig:], out=ig[:n])
         c += ig[:n]
-        np.tanh(c, out=tanh_c[lo:hi])
-        np.multiply(a[:, 2 * hdim : sig], tanh_c[lo:hi], out=hs[dst : dst + n])
+        np.tanh(c, out=tc)
+        np.multiply(a[:, 2 * hdim : sig], tc, out=hs[h_write[t] : h_write[t] + n])
 
 
 def _direction_backward(cell: LstmCell, cache, grad_run, x_run, pos: _Positions, work,
                         reverse: bool):
     """Backward pass of one direction into caller-allocated arrays.
 
-    ``grad_run`` (M, H) is the direction's upstream gradient at the running
-    positions.  The parameter gradients are written into ``cell``; ``work`` =
-    (d_acts, h_in, dx_run) receives the gate gradients, the states entering
-    each step and the input gradient, all at the running positions.  A
-    ``dx_run`` of ``None`` skips the input gradient.
+    ``cache`` = (acts, hs, cs), as :func:`_run_direction` left them with the
+    rows of :func:`_state_rows`; each step computes tanh(c_t) again from
+    cs, so it gets the forward's bits.  ``grad_run`` (M, H) is the
+    direction's upstream gradient at the running positions.  The parameter
+    gradients are written into ``cell``; ``work`` = (d_acts, h_in, dx_run)
+    receives the gate gradients, the states entering each step and the input
+    gradient, all at the running positions.  A ``dx_run`` of ``None`` skips
+    the input gradient.
     """
-    acts, hs, cs, tanh_c = cache
+    acts, hs, cs = cache
     d_acts, h_in, dx_run = work
     hdim = hs.shape[1]
     sig = 3 * hdim
@@ -242,15 +263,16 @@ def _direction_backward(cell: LstmCell, cache, grad_run, x_run, pos: _Positions,
     gh = np.empty((pos.widest, hdim))
     gc = np.empty((pos.widest, hdim))
     dsig = np.empty((pos.widest, sig))
-    entering, _ = _state_rows(pos, reverse)
+    tanh_c = np.empty((pos.widest, hdim))
+    entering, written = _state_rows(pos, reverse)
     tlen = len(pos.starts) - 1
     for t in (range(tlen) if reverse else reversed(range(tlen))):
         lo, hi = pos.starts[t], pos.starts[t + 1]
         n = hi - lo
-        src = entering[t]
+        src, dst = entering[t], written[t]
         a, da = acts[lo:hi], d_acts[lo:hi]
         i, f, o, g = (a[:, k * hdim : (k + 1) * hdim] for k in range(4))
-        tc = tanh_c[lo:hi]
+        tc = np.tanh(cs[dst : dst + n], out=tanh_c[:n])
         dh_n, dc_n, gh_n, gc_n, dsig_n = (m[:n] for m in (dh, dc, gh, gc, dsig))
         np.add(grad_run[lo:hi], dh_n, out=gh_n)  # dL/dh_t
         np.multiply(tc, tc, out=gc_n)
@@ -285,13 +307,19 @@ class BiLstm(Layer):
 
     Output features = 2*hidden; the row of token t holds [forward state at
     t, backward state at t].  Both directions run time-major (see
-    :class:`_Positions`): forward gathers the input rows into time-major
-    order once, the input projection and the input-side gradient GEMMs run
-    on that block, and step t works on the sequences that have not yet
-    ended.  The two directions run one after the other on the calling
-    thread.  The cache is (time-major inputs, positions, per direction (gate
-    activations at the tokens, hidden states, cell states, tanh of the cell
-    states)).
+    :class:`_Positions`): the input rows are gathered into time-major order
+    once, the input projection and the input-side gradient GEMMs run on that
+    block, and step t works on the sequences that have not yet ended.  The
+    two directions run one after the other on the calling thread, through
+    the same recurrence (:func:`_run_direction`).
+
+    ``forward`` caches (time-major inputs, positions, per direction (gate
+    activations at the tokens, hidden states, cell states)); backward
+    computes tanh of each step's cell states again.  ``infer`` keeps no
+    cache: one activation block and one hidden-state block serve both
+    directions, the cell state lives in one (n_0, H) block updated in place,
+    and it allocates only these, the time-major inputs and its output.
+    Both give the same output bytes.
     """
 
     def __init__(self, input_dim: int, hidden: int, rng, name: str = "bilstm"):
@@ -304,28 +332,44 @@ class BiLstm(Layer):
     def params(self) -> list[Parameter]:
         return self.fwd.params() + self.bwd.params()
 
-    def forward(self, x: BatchTensor):
+    def _run(self, x: BatchTensor, keep: bool):
+        """(output, time-major inputs, positions, caches); with ``keep`` each
+        direction gets arrays of its own, kept as its cache, and without it
+        the directions share theirs and ``caches`` is empty."""
         self._check_input(x, self.input_dim)
         h = self.hidden
         pos = _positions(x.lengths)
         n_run = len(pos.packed)
+        n_state = n_run + pos.widest
         x_run = np.take(x.rows, pos.packed, axis=0)
-        caches = [
-            (
-                np.empty((n_run, 4 * h)),
-                np.zeros((n_run + pos.widest, h)),
-                np.zeros((n_run + pos.widest, h)),
-                np.empty((n_run, h)),
-            )
-            for _ in range(2)
-        ]
+        if keep:
+            caches = [(np.empty((n_run, 4 * h)), np.empty((n_state, h)), np.empty((n_state, h)))
+                      for _ in range(2)]
+            buffers = caches
+        else:  # the running sequences' cell states are updated in place
+            caches = []
+            buffers = [(np.empty((n_run, 4 * h)), np.empty((n_state, h)),
+                        np.empty((pos.widest, h)))] * 2
+        in_place = ([0] * (len(pos.starts) - 1),) * 2
         out = np.empty((n_run, 2 * h))
-        directions = zip((self.fwd, self.bwd), caches, (False, True))
-        for k, (cell, cache, reverse) in enumerate(directions):
-            _run_direction(cell.halved(), x_run, pos, cache, reverse)
-            _, written = _state_rows(pos, reverse)
-            out[pos.packed, k * h : (k + 1) * h] = cache[1][np.take(written, pos.step) + pos.rank]
-        return x.with_rows(out), (x_run, pos, caches)
+        directions = zip(buffers, (self.fwd, self.bwd), (False, True))
+        for k, ((acts, hs, cs), cell, reverse) in enumerate(directions):
+            rows = _state_rows(pos, reverse)
+            states = ((hs, rows), (cs, rows if keep else in_place))
+            _run_direction(cell.halved(), x_run, pos, acts, states, reverse)
+            # step by step, so no (M, H) gather of the states is allocated
+            cols = out[:, k * h : (k + 1) * h]
+            for t, dst in enumerate(rows[1]):
+                lo, hi = pos.starts[t], pos.starts[t + 1]
+                cols[pos.packed[lo:hi]] = hs[dst : dst + hi - lo]
+        return x.with_rows(out), x_run, pos, caches
+
+    def forward(self, x: BatchTensor):
+        out, x_run, pos, caches = self._run(x, keep=True)
+        return out, (x_run, pos, caches)
+
+    def infer(self, x: BatchTensor) -> BatchTensor:
+        return self._run(x, keep=False)[0]
 
     def backward(self, cache, grad_out: np.ndarray, input_grad: bool = True):
         x_run, pos, caches = cache
@@ -333,17 +377,22 @@ class BiLstm(Layer):
         h = self.hidden
         grad_run = np.take(grad_out, pos.packed, axis=0)
         d_acts, h_in = np.empty((n_run, 4 * h)), np.empty((n_run, h))
+        # both directions' input gradients in one (2, M, D) block; the result
+        # is its second half and keeps it alive.  With two separate arrays,
+        # glibc's dynamic mmap threshold settled lower, and bl-i's evaluate
+        # faulted about 10x as often
         dx_runs = np.empty((2, n_run, dim)) if input_grad else (None, None)
         for k, (cell, reverse) in enumerate(((self.fwd, False), (self.bwd, True))):
             _direction_backward(cell, caches[k], grad_run[:, k * h : (k + 1) * h], x_run, pos,
                                 (d_acts, h_in, dx_runs[k]), reverse)
         if not input_grad:
             return None
-        dx_run = dx_runs[0]
-        dx_run += dx_runs[1]
-        dx = np.empty_like(dx_run)
-        dx[pos.packed] = dx_run
-        return dx
+        dx_run, dx = dx_runs
+        dx_run += dx
+        time_major = np.empty_like(pos.packed)  # the time-major row of each packed row
+        time_major[pos.packed] = np.arange(n_run)
+        # mode="clip" writes straight into ``out``; the default buffers it
+        return np.take(dx_run, time_major, axis=0, out=dx, mode="clip")
 
 
 # ---------------------------------------------------------------------------

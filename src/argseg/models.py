@@ -101,8 +101,8 @@ class Model:
 
     ``forward`` returns the caches, one per layer, that the caller hands
     back to ``backward``, which consumes them; ``logits`` is the forward of
-    inference, which keeps no cache.  A trainer passes ``input_grad=False``,
-    since nothing trains the input rows.
+    inference, which runs each layer's ``infer`` and keeps no cache.  A
+    trainer passes ``input_grad=False``, since nothing trains the input rows.
     """
 
     def __init__(self, spec: ModelSpec, layers: list[Layer]):
@@ -127,11 +127,12 @@ class Model:
         return x, caches
 
     def logits(self, batch: BatchTensor) -> BatchTensor:
-        """The logits of ``forward`` with no cache kept: each layer's cache
-        is dropped as soon as the layer returns its output."""
+        """The logits of ``forward``, byte for byte, from each layer's
+        ``infer``: no cache is kept, and each layer's output is dropped as
+        soon as the next layer has returned its own."""
         x = batch
         for layer in self.layers:
-            x = layer.forward(x)[0]
+            x = layer.infer(x)
         return x
 
     def backward(self, caches: list, grad_out: np.ndarray, input_grad: bool = True):

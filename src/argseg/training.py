@@ -289,6 +289,8 @@ def evaluate(model: Model, sequences: list[LabeledSequence],
              spec: EmbeddingSpec, batch_size: int = TrainConfig.batch_size) -> MetricsReport:
     """Metrics of a frozen model over the given sequences, vectorized batch by
     batch; a sequence the spec does not cover raises ``CoverageError`` first."""
+    if type(batch_size) is not int:  # also rejects bool
+        raise ContractViolation(f"batch_size must be an int, got {batch_size!r}")
     if batch_size < 1:
         raise ContractViolation(f"batch_size must be >= 1, got {batch_size}")
     if not sequences:

@@ -3,6 +3,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import expit
 
 from argseg.errors import ConfigurationError, ContractViolation, DimensionError
@@ -703,3 +705,86 @@ def test_second_backward_writes_the_same_gradients(name, builder):
     layer.backward(cache, upstream)
     for p, expected in zip(layer.params(), once, strict=True):
         assert p.grad.tobytes() == expected.tobytes(), f"{name}: {p.name}"
+
+
+# ---------------------------------------------------------------------------
+# Inference pass
+# ---------------------------------------------------------------------------
+
+INFER_LENGTHS = {
+    "one_token": (5, 1, 3),
+    "empty": (4, 0, 2),
+    "single": (6,),
+    # running counts 1, 2, 4, 5, 5, 5, 6, 7, 7 by step from the last: the
+    # reverse direction gains sequences at steps 8, 6, 4, 2, 1 and 0
+    "staggered": (9, 2, 5, 5, 7, 1, 3),
+}
+
+
+@pytest.mark.parametrize("lengths", INFER_LENGTHS.values(), ids=INFER_LENGTHS)
+@pytest.mark.parametrize("name,builder", LAYER_BUILDERS)
+def test_infer_gives_the_bytes_of_forward(name, builder, lengths):
+    rng = np.random.default_rng(308)
+    layer, width = builder(rng)
+    x = BatchTensor.from_rows([rng.standard_normal((n, width)) for n in lengths])
+    if 0 in lengths and name in ("additive", "multi_head"):
+        with pytest.raises(ContractViolation, match="needs a token"):
+            layer.infer(x)
+        return
+    expected = layer.forward(x)[0]
+    got = layer.infer(x)
+    assert got.rows.tobytes() == expected.rows.tobytes()
+    assert got.spans == x.spans
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.integers(0, 9), min_size=1, max_size=7).filter(any))
+def test_bilstm_infer_gives_the_bytes_of_forward_for_any_lengths(lengths):
+    rng = np.random.default_rng(309)
+    layer = BiLstm(3, 4, rng)
+    x = BatchTensor.from_rows([rng.standard_normal((n, 3)) for n in lengths])
+    assert layer.infer(x).rows.tobytes() == layer.forward(x)[0].rows.tobytes()
+
+
+def traced_peak(fn) -> int:
+    """Bytes that ``fn()`` allocated at its peak, beyond what was live before."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+def test_bilstm_infer_allocates_no_cell_state_or_tanh_block():
+    # infer must hold its output, the time-major inputs, one (M, 4H)
+    # activation block and one (M + n_0, H) hidden-state block.  Everything
+    # else it allocates (step buffers, the halved parameters, index arrays
+    # and numpy's ufunc buffers) stays below one (M, H) array, so an (M, H)
+    # cell-state or tanh array alive during the recurrence breaks the bound
+    rng = np.random.default_rng(310)
+    dim, hidden = 8, 64
+    lengths = [int(n) for n in rng.integers(1, 150, size=16)]
+    layer = BiLstm(dim, hidden, rng)
+    x = BatchTensor.from_rows([rng.standard_normal((n, dim)) for n in lengths])
+    layer.infer(x)
+    m = sum(lengths)
+    needed = 8 * (m * 2 * hidden + m * dim + m * 4 * hidden + (m + len(lengths)) * hidden)
+    assert needed <= traced_peak(lambda: layer.infer(x)) < needed + 8 * m * hidden
+
+
+def test_bilstm_input_gradient_needs_two_input_sized_arrays():
+    # with the input gradient, backward's peak grows by two (M, D) arrays
+    # and two (M,) index arrays over the peak without it, not by a third
+    rng = np.random.default_rng(311)
+    dim, hidden = 48, 4
+    layer = BiLstm(dim, hidden, rng)
+    lengths = (60, 3, 25, 40, 1, 0, 60, 12)
+    x = BatchTensor.from_rows([rng.standard_normal((n, dim)) for n in lengths])
+    out, cache = layer.forward(x)
+    upstream = rng.standard_normal(out.rows.shape)
+    layer.backward(cache, upstream)
+    without = traced_peak(lambda: layer.backward(cache, upstream, input_grad=False))
+    m = sum(lengths)
+    assert traced_peak(lambda: layer.backward(cache, upstream)) <= without + 8 * m * (2 * dim + 2)

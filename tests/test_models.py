@@ -555,18 +555,29 @@ def test_backward_releases_each_cache_when_its_layer_is_done(arch):
 
 @pytest.mark.parametrize("arch", list(ArchitectureId))
 def test_inference_drops_each_cache_once_the_next_layer_has_its_input(arch):
+    # each layer's inference entry is spied on; a layer whose infer runs its
+    # forward also reports that forward's cache.  When a layer starts, every
+    # array an earlier layer made, bar this layer's input rows, is freed.
     model, x = lifetime_batch(arch)
     expected = model.forward(x)[0].rows
     refs, earlier_alive = [], []
     for i, layer in enumerate(model.layers):
-        def spy(batch, i=i, inner=layer.forward):
-            earlier_alive.append(sum(ref() is not None for earlier in refs[:i]
-                                     for ref in earlier))
+        made = []
+
+        def forward_spy(batch, inner=layer.forward, made=made):
             out, cache = inner(batch)
-            refs.append(weak_cache(cache, x))
+            made.extend(weak_cache(cache, batch))
             return out, cache
 
-        layer.forward = spy
+        def infer_spy(batch, i=i, inner=layer.infer, made=made):
+            earlier_alive.append(sum(ref() is not None and ref() is not batch.rows
+                                     for earlier in refs[:i] for ref in earlier))
+            out = inner(batch)
+            made.append(weakref.ref(out.rows))
+            refs.append(made)
+            return out
+
+        layer.forward, layer.infer = forward_spy, infer_spy
     labels = predict_labels(model, x)
     assert earlier_alive == [0] * len(model.layers) and all(refs[1:])
     assert np.array_equal(labels, np.argmax(expected, axis=1))

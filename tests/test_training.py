@@ -1,5 +1,6 @@
 import io
 import math
+import re
 import weakref
 
 import numpy as np
@@ -431,10 +432,12 @@ class TestEvaluate:
         report = evaluate(self.rigged_model(LABELS.index("I")), all_o, toy_embeddings)
         assert report.weighted_f1 == 0.0
 
-    @pytest.mark.parametrize("batch_size", [0, -1])
+    @pytest.mark.parametrize("batch_size", [0, -1, True, 2.5, "4"])
     def test_bad_batch_size_rejected(self, toy_sequences, toy_embeddings, batch_size):
         model = build_model(ModelSpec(ArchitectureId.SB, input_dim=16, hidden=3, seed=0))
-        with pytest.raises(ContractViolation, match=f"batch_size must be >= 1, got {batch_size}"):
+        message = (f"batch_size must be >= 1, got {batch_size}" if type(batch_size) is int
+                   else f"batch_size must be an int, got {batch_size!r}")
+        with pytest.raises(ContractViolation, match=re.escape(message)):
             evaluate(model, toy_sequences[:4], toy_embeddings, batch_size=batch_size)
 
     def test_pure_function(self, toy_sequences, toy_embeddings):
