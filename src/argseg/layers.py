@@ -211,6 +211,9 @@ def _run_direction(halved, x_run, pos: _Positions, acts, states, reverse: bool):
     (hs, (h_enter, h_write)), (cs, (c_enter, c_write)) = states
     hdim = hs.shape[1]
     sig = 3 * hdim
+    # i|f|o become 0.5 tanh + 0.5 (see LstmCell.halved) and g stays tanh, by
+    # whole-row operations: x * 1 and x + -0.0 give x back, bit for bit
+    scale, offset = (np.repeat([0.5, g], [sig, hdim]) for g in (1.0, -0.0))
     np.matmul(x_run, w, out=acts)
     acts += b
     z = np.empty((pos.widest, 4 * hdim))
@@ -231,8 +234,8 @@ def _run_direction(halved, x_run, pos: _Positions, acts, states, reverse: bool):
         np.matmul(hs[h_src : h_src + n], u, out=z[:n])
         a += z[:n]
         np.tanh(a, out=a)
-        a[:, :sig] *= 0.5
-        a[:, :sig] += 0.5
+        a *= scale
+        a += offset
         np.multiply(a[:, hdim : 2 * hdim], cs[c_src : c_src + n], out=c)
         np.multiply(a[:, :hdim], a[:, sig:], out=ig[:n])
         c += ig[:n]
@@ -293,8 +296,10 @@ def _direction_backward(cell: LstmCell, cache, grad_run, x_run, pos: _Positions,
         dg *= gc_n
         np.matmul(da, u_t, out=dh_n)
         np.multiply(gc_n, f, out=dc_n)
+    # an integer array: indices taken from an empty list would be float
+    entering = np.array(entering, dtype=np.intp)
     # mode="clip" writes straight into ``out``; the default buffers it
-    np.take(hs, np.take(entering, pos.step) + pos.rank, axis=0, out=h_in, mode="clip")
+    np.take(hs, entering[pos.step] + pos.rank, axis=0, out=h_in, mode="clip")
     np.matmul(x_run.T, d_acts, out=cell.w.grad)
     np.matmul(h_in.T, d_acts, out=cell.u.grad)
     np.sum(d_acts, axis=0, out=cell.b.grad)

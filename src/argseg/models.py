@@ -15,6 +15,10 @@ Every model ends in a linear head that emits per-token logits over
 {B, I, O}; the softmax over them is taken once, inside the training loss.
 A model maps a packed :class:`~argseg.numeric.BatchTensor` of (N, D) token
 rows to (N, 3) logit rows, one per token.
+
+A checkpoint is the text lines of :func:`_header`, then per parameter its
+:func:`_tensor_line` and its values as little-endian float64;
+:func:`load_checkpoint` accepts exactly what :func:`save_checkpoint` writes.
 """
 
 from __future__ import annotations
@@ -214,57 +218,26 @@ def predict_labels(model: Model, batch: BatchTensor) -> np.ndarray:
 # Checkpoints
 # ---------------------------------------------------------------------------
 
-_CKPT_MAGIC = b"ARGSEG-CKPT"
+_CKPT_MAGIC = "ARGSEG-CKPT"
 _CKPT_VERSION = 3
 
 
-def _fixed_fields(arch: ArchitectureId) -> dict[str, str]:
-    """Header fields that every checkpoint of ``arch`` holds with these values;
-    they name the design that this package always builds."""
-    return {
-        "inter_stage_dim": str(BRIDGE_DIM),
-        "attention": "multi_head" if arch.is_stacked else "additive",
-        "heads_cap": str(HEADS_CAP),
-    }
-
-
-def _header_fields(spec: ModelSpec) -> dict[str, str]:
-    """The header's key-value lines for ``spec``, in the order they are written."""
-    return {
-        "arch": spec.arch.value,
-        "input_dim": str(spec.input_dim),
-        "hidden": str(spec.hidden),
-        **_fixed_fields(spec.arch),
-        "seed": str(spec.seed),
-        "attn_dim": str(spec.attn_dim),
-    }
-
-
-def _spec_from_fields(fields: dict[str, str]) -> ModelSpec:
-    """The spec of a header whose key-value lines are ``fields``.  They must be
-    exactly the lines that :func:`_header_fields` gives for it, plus ``tensors``."""
-    try:
-        spec = ModelSpec(
-            arch=ArchitectureId.from_string(fields["arch"]),
-            input_dim=int(fields["input_dim"]),
-            hidden=int(fields["hidden"]),
-            seed=int(fields["seed"]),
-            attn_dim=int(fields["attn_dim"]),
-        )
-    except KeyError as exc:
-        raise FormatError(f"checkpoint header lacks the {exc.args[0]} line") from None
-    except (ValueError, ConfigurationError) as exc:
-        raise FormatError(f"checkpoint header is malformed: {exc}") from None
-    expected = _header_fields(spec)
-    lines = {*expected, "tensors"}
-    if fields.keys() != lines:
-        raise FormatError(f"checkpoint header lacks {sorted(lines - fields.keys())} and has "
-                          f"unknown lines {sorted(fields.keys() - lines)}")
-    for key, value in expected.items():
-        if fields[key] != value:
-            raise FormatError(f"checkpoint field {key} is {fields[key]!r}, but a "
-                              f"{spec.arch.value} model here writes {value!r}")
-    return spec
+def _header(spec: ModelSpec, tensors: int) -> list[str]:
+    """The header lines of a checkpoint of ``spec`` with ``tensors`` tensors, in
+    the order they are written; the three after ``hidden`` name the fixed design."""
+    return [
+        f"{_CKPT_MAGIC} {_CKPT_VERSION}",
+        f"arch {spec.arch.value}",
+        f"input_dim {spec.input_dim}",
+        f"hidden {spec.hidden}",
+        f"inter_stage_dim {BRIDGE_DIM}",
+        f"attention {'multi_head' if spec.arch.is_stacked else 'additive'}",
+        f"heads_cap {HEADS_CAP}",
+        f"seed {spec.seed}",
+        f"attn_dim {spec.attn_dim}",
+        f"tensors {tensors}",
+        "end-header",
+    ]
 
 
 def _tensor_line(p: Parameter) -> str:
@@ -273,29 +246,24 @@ def _tensor_line(p: Parameter) -> str:
 
 
 def save_checkpoint(model: Model, path):
-    """Write a versioned header plus named float64 little-endian blocks,
-    atomically: an existing checkpoint is replaced whole or not at all."""
+    """Write ``model``'s checkpoint atomically: an old file is replaced whole or not at all."""
     params = model.params()
     with atomic_write(path, binary=True) as fh:
-        fh.write(_CKPT_MAGIC + b" %d\n" % _CKPT_VERSION)
-        for key, value in _header_fields(model.spec).items():
-            fh.write(f"{key} {value}\n".encode("utf-8"))
-        fh.write(b"tensors %d\n" % len(params))
-        fh.write(b"end-header\n")
+        for line in _header(model.spec, len(params)):
+            fh.write(f"{line}\n".encode("utf-8"))
         for p in params:
             fh.write(_tensor_line(p).encode("utf-8") + b"\n")
             fh.write(np.ascontiguousarray(p.value, dtype="<f8").tobytes())
 
 
 def load_checkpoint(path) -> Model:
-    """Rebuild the model from a checkpoint that :func:`save_checkpoint` wrote;
-    round-trips byte-exactly.
+    """Rebuild the model that :func:`save_checkpoint` wrote; round-trips byte-exactly.
 
-    Only format 3 is read.  Every header line that the writer emits must
-    appear exactly once, and the tensors must follow in ``model.params()``
-    order, each line naming the parameter's name and shape.  Any other
-    version, and any malformed file, raises :class:`FormatError`; so does a
-    header whose model needs more values than the rest of the file holds.
+    Only format 3 is read.  The spec comes from the ``arch``, ``input_dim``,
+    ``hidden``, ``seed`` and ``attn_dim`` lines, and the header must then be
+    :func:`_header`'s lines for it, in order.  Any other file, and a header
+    whose model needs more values than the rest of the file holds, raises
+    :class:`FormatError`; for other lines it names the first that differs.
     """
     with open(path, "rb") as fh:
 
@@ -308,28 +276,34 @@ def load_checkpoint(path) -> Model:
             except UnicodeDecodeError as exc:
                 raise FormatError(f"checkpoint header is not UTF-8: {exc}") from None
 
-        magic, _, version = read_line().partition(" ")
-        if magic.encode() != _CKPT_MAGIC:
+        lines = [read_line()]
+        magic, _, version = lines[0].partition(" ")
+        if magic != _CKPT_MAGIC:
             raise FormatError("not a checkpoint file (bad magic string)")
         if version != str(_CKPT_VERSION):
             raise FormatError(f"unsupported checkpoint version {version}")
+        while lines[-1] != "end-header":
+            lines.append(read_line())
 
-        fields: dict[str, str] = {}
-        while (line := read_line()) != "end-header":
-            key, _, value = line.partition(" ")
-            if key in fields:
-                raise FormatError(f"checkpoint header repeats the {key} line")
-            fields[key] = value
-        spec = _spec_from_fields(fields)
+        fields = dict(line.partition(" ")[::2] for line in lines)
+        try:
+            spec = ModelSpec(ArchitectureId.from_string(fields["arch"]), *(
+                int(fields[key]) for key in ("input_dim", "hidden", "seed", "attn_dim")))
+        except KeyError as exc:
+            raise FormatError(f"checkpoint header lacks the {exc.args[0]} line") from None
+        except (ValueError, ConfigurationError) as exc:
+            raise FormatError(f"checkpoint header is malformed: {exc}") from None
         left, values = os.fstat(fh.fileno()).st_size - fh.tell(), parameter_count(spec)
         if values > left // 8:
             raise FormatError(f"checkpoint header describes a model of {values} values, "
                               f"but only {left} bytes follow it")
         model = build_model(spec)
         params = model.params()
-        if fields["tensors"] != str(len(params)):
-            raise FormatError(f"checkpoint field tensors is {fields['tensors']!r}, but a "
-                              f"{spec.arch.value} model has {len(params)}")
+        # each list ends at its one end-header line: unequal lists differ before
+        for line, written in zip(lines, _header(spec, len(params))):
+            if line != written:
+                raise FormatError(f"checkpoint header line {line!r} where a "
+                                  f"{spec.arch.value} model writes {written!r}")
 
         for p in params:
             line = read_line()

@@ -246,6 +246,19 @@ class TestBiLstm:
                 assert a.tobytes() == b.tobytes()
         assert runs[0][1].shape == x.rows.shape  # one input-gradient row per token
 
+    @pytest.mark.parametrize("input_grad", [True, False])
+    def test_batch_of_only_empty_sequences(self, input_grad):
+        layer = BiLstm(3, 4, np.random.default_rng(11))
+        for p in layer.params():
+            p.grad[...] = 1.0
+        x = BatchTensor(np.empty((0, 3)), [0, 0])
+        assert layer.infer(x).rows.shape == (0, 8)
+        out, cache = layer.forward(x)
+        assert out.rows.shape == (0, 8)
+        dx = layer.backward(cache, np.empty((0, 8)), input_grad=input_grad)
+        assert (dx.shape == (0, 3)) if input_grad else dx is None
+        assert not any(p.grad.any() for p in layer.params())
+
 
 class TestAdditiveAttention:
     def test_identical_tokens_reproduced(self):

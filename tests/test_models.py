@@ -377,8 +377,21 @@ class TestCheckpointFormats:
         line = data[start:data.index(b"\n", start) + 1]
         with pytest.raises(FormatError, match=key.decode()):
             load_bytes(data.replace(line, b"", 1), tmp_path)
-        with pytest.raises(FormatError, match=f"repeats the {key.decode()} line"):
+        with pytest.raises(FormatError, match=f"header line '{key.decode()} "):
             load_bytes(data.replace(line, line + line, 1), tmp_path)
+
+    @pytest.mark.parametrize("first", [b"arch", b"input_dim", b"hidden", b"inter_stage_dim",
+                                       b"attention", b"heads_cap", b"seed", b"attn_dim"])
+    def test_header_lines_swapped_rejected_naming_both(self, tmp_path, first):
+        data = saved_bytes(perturbed_model(np.random.default_rng(22), ArchitectureId.BL),
+                           tmp_path)
+        start = data.index(b"\n" + first + b" ") + 1
+        middle = data.index(b"\n", start) + 1
+        end = data.index(b"\n", middle) + 1
+        one, two = data[start:middle - 1].decode(), data[middle:end - 1].decode()
+        swapped = data[:start] + data[middle:end] + data[start:middle] + data[end:]
+        with pytest.raises(FormatError, match=f"line '{two}' where a bl model writes '{one}'"):
+            load_bytes(swapped, tmp_path)
 
     @pytest.mark.parametrize("line", [b"b_v 1", b"comment trained on toydata"])
     def test_unknown_header_line_rejected(self, tmp_path, line):

@@ -14,6 +14,12 @@
 * No augmented assignment targets a ``.grad`` attribute or a subscript of
   one: a layer's backward writes each gradient, so nothing ever has to
   clear one first.
+* Every defaulted parameter of a module-level function in ``src/argseg`` is
+  passed, by keyword or by position, by some call in those program files,
+  so no parameter exists only for the tests.  Calls are matched by the
+  callee's name; methods are left out, since their names also match other
+  objects' calls.  ``cli.main(argv)`` is exempt: it is the console entry
+  point, which the tests drive in process.
 """
 
 import ast
@@ -151,6 +157,43 @@ def grad_accumulations(tree: ast.Module) -> list[int]:
     return lines
 
 
+def defaulted_parameters(tree: ast.Module) -> list[tuple[str, str, int | None, int]]:
+    """(function, parameter, its position or ``None`` if keyword-only, line) of
+    each parameter with a default of each module-level function."""
+    found = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            args = node.args
+            positional = args.posonlyargs + args.args
+            found += [(node.name, positional[i].arg, i, node.lineno)
+                      for i in range(len(positional) - len(args.defaults), len(positional))]
+            found += [(node.name, arg.arg, None, node.lineno)
+                      for arg, default in zip(args.kwonlyargs, args.kw_defaults)
+                      if default is not None]
+    return found
+
+
+def passed_arguments(tree: ast.Module) -> set[tuple[str, int | str]]:
+    """(callee name, position or keyword) of each argument of each call; a
+    ``*`` or ``**`` argument is recorded as ``"*"`` or ``"**"``."""
+    passed = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            name = node.func.id if isinstance(node.func, ast.Name) else getattr(
+                node.func, "attr", None)
+            passed.update((name, "*" if isinstance(arg, ast.Starred) else i)
+                          for i, arg in enumerate(node.args))
+            passed.update((name, keyword.arg or "**") for keyword in node.keywords)
+    return passed
+
+
+def never_passed(tree: ast.Module, passed: set) -> list[tuple[str, str, int]]:
+    """(function, parameter, line) of each defaulted parameter in ``tree`` that
+    no argument in ``passed`` can fill."""
+    return [(name, param, line) for name, param, at, line in defaulted_parameters(tree)
+            if not {(name, param), (name, at), (name, "*"), (name, "**")} & passed]
+
+
 def test_sources_found():
     assert len(MODULES) > 5
 
@@ -208,6 +251,14 @@ def test_no_gradient_is_accumulated():
     assert not found, "augmented assignment to a .grad: " + ", ".join(found)
 
 
+def test_every_default_is_passed_outside_the_tests():
+    passed = set().union(*(passed_arguments(parse(path)) for path in program_files()))
+    never = [f"{path.name}:{line}: {name}({param})" for path in MODULES
+             for name, param, line in never_passed(parse(path), passed)
+             if (path.name, name) != ("cli.py", "main")]
+    assert not never, "defaulted parameters that only tests pass: " + ", ".join(never)
+
+
 def test_rules_catch_a_stale_import_and_a_second_constant():
     tree = ast.parse("import bisect\nimport os.path\nfrom x import y as z\nW = 1\n"
                      "def f(a: 'Q') -> None:\n    return os.sep\n")
@@ -249,3 +300,10 @@ def test_rule_catches_a_gradient_accumulation():
     tree = ast.parse("p.grad += g\np.grad[:, 0] -= g\nm.w.grad[0][1] *= 2\n"
                      "p.grad = g\np.grad[...] = g\ngrad += g\np.value += g\nx[p.grad] += 1\n")
     assert grad_accumulations(tree) == [1, 2, 3]
+
+
+def test_rule_catches_a_default_only_tests_pass():
+    tree = ast.parse("def f(a, b=1, /, c=2, *, d=3, e=4): ...\ndef g(x=0): ...\n"
+                     "def h(y=0): ...\nclass C:\n    def m(self, z=1): ...\n"
+                     "f(0, 1, e=5)\nobj.f(0, 1, 2)\ng(*xs)\n")
+    assert never_passed(tree, passed_arguments(tree)) == [("f", "d", 1), ("h", "y", 3)]
