@@ -15,6 +15,8 @@ caches of a model's forward.  ``infer(x)`` is the inference pass, which
 It is ``forward(x)[0]`` itself except for the BiLSTM, whose ``infer``
 allocates no training cache at all.  A model ends in a linear map to
 per-token B/I/O logits; the softmax is applied once, inside the loss.
+Forwards allocate in their input rows' dtype, so that ``grad_check`` can
+run them on complex rows; backward is float64 only.
 
 Shape convention: a batch is a :class:`~argseg.numeric.BatchTensor`, its
 tokens packed sequence-major into one (N, F) array of rows plus the
@@ -216,9 +218,9 @@ def _run_direction(halved, x_run, pos: _Positions, acts, states, reverse: bool):
     scale, offset = (np.repeat([0.5, g], [sig, hdim]) for g in (1.0, -0.0))
     np.matmul(x_run, w, out=acts)
     acts += b
-    z = np.empty((pos.widest, 4 * hdim))
-    ig = np.empty((pos.widest, hdim))
-    tanh_c = np.empty((pos.widest, hdim))
+    z = np.empty((pos.widest, 4 * hdim), acts.dtype)
+    ig = np.empty((pos.widest, hdim), acts.dtype)
+    tanh_c = np.empty((pos.widest, hdim), acts.dtype)
     tlen = len(pos.starts) - 1
     carried = 0  # states that the previous step handed on
     for t in (reversed(range(tlen)) if reverse else range(tlen)):
@@ -347,16 +349,17 @@ class BiLstm(Layer):
         n_run = len(pos.packed)
         n_state = n_run + pos.widest
         x_run = np.take(x.rows, pos.packed, axis=0)
+        dtype = x.rows.dtype
         if keep:
-            caches = [(np.empty((n_run, 4 * h)), np.empty((n_state, h)), np.empty((n_state, h)))
-                      for _ in range(2)]
+            caches = [(np.empty((n_run, 4 * h), dtype), np.empty((n_state, h), dtype),
+                       np.empty((n_state, h), dtype)) for _ in range(2)]
             buffers = caches
         else:  # the running sequences' cell states are updated in place
             caches = []
-            buffers = [(np.empty((n_run, 4 * h)), np.empty((n_state, h)),
-                        np.empty((pos.widest, h)))] * 2
+            buffers = [(np.empty((n_run, 4 * h), dtype), np.empty((n_state, h), dtype),
+                        np.empty((pos.widest, h), dtype))] * 2
         in_place = ([0] * (len(pos.starts) - 1),) * 2
-        out = np.empty((n_run, 2 * h))
+        out = np.empty((n_run, 2 * h), dtype)
         directions = zip(buffers, (self.fwd, self.bwd), (False, True))
         for k, ((acts, hs, cs), cell, reverse) in enumerate(directions):
             rows = _state_rows(pos, reverse)
@@ -452,10 +455,10 @@ class AdditiveSelfAttention(Layer):
         group = 4 // math.gcd(n, 4)
         return rows - rows % group if rows >= group else rows
 
-    def _buffer(self, spans) -> np.ndarray:
+    def _buffer(self, spans, dtype) -> np.ndarray:
         """One work buffer large enough for any chunk of any sequence."""
         size = max(min(n, self._rows_per_chunk(n)) * n for n in (hi - lo for lo, hi in spans))
-        return np.empty(size * self.attn_dim)
+        return np.empty(size * self.attn_dim, dtype)
 
     def _tanh_chunks(self, q: np.ndarray, k: np.ndarray, buf: np.ndarray):
         """Yield (t0, t1, u) with u = tanh(q_t + k_s) for query rows t0:t1.
@@ -483,12 +486,12 @@ class AdditiveSelfAttention(Layer):
         q += self.b_hidden.value
         k = xv @ self.w_key.value
         v_flat = self.v_score.value[:, 0]
-        buf = self._buffer(x.spans)
+        buf = self._buffer(x.spans, xv.dtype)
 
         weights = []
         out = np.empty_like(xv)
         for lo, hi in x.spans:
-            scores = np.empty((hi - lo, hi - lo))
+            scores = np.empty((hi - lo, hi - lo), xv.dtype)
             for t0, t1, u in self._tanh_chunks(q[lo:hi], k[lo:hi], buf):
                 np.matmul(u.reshape(-1, self.attn_dim), v_flat, out=scores[t0:t1].reshape(-1))
             block = softmax_rows(scores)
@@ -499,7 +502,7 @@ class AdditiveSelfAttention(Layer):
     def backward(self, cache, grad_out: np.ndarray, input_grad: bool = True):
         xv, spans, weights, q, k = cache
         v_flat = self.v_score.value[:, 0]
-        buf = self._buffer(spans)
+        buf = self._buffer(spans, xv.dtype)
 
         dxv = np.empty_like(xv) if input_grad else None
         dq = np.empty_like(q)

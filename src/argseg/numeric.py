@@ -1,10 +1,9 @@
 """Float64 core: stable softmax, parameters, packed batches, and gradient checks.
 
 Everything downstream (layers, models, training) is built on the primitives
-here.  All arrays are C-contiguous float64; 32-bit precision makes the
-finite-difference checks in :func:`grad_check` unreliable at the tolerances
-we enforce.  A :class:`BatchTensor` holds only tokens: one (N, F) array of
-rows, sequence after sequence, plus each sequence's length.
+here.  All arrays are C-contiguous float64.  A :class:`BatchTensor` holds
+only tokens: one (N, F) array of rows, sequence after sequence, plus each
+sequence's length.
 """
 
 from __future__ import annotations
@@ -148,23 +147,25 @@ def relative_error(analytic: float, numeric: float) -> float:
     return abs(analytic - numeric) / max(abs(analytic), abs(numeric), 1e-8)
 
 
-PROBE_SCALE = 1e-8
-EPSILON = 1e-3  # the central difference's step
+STEP = 1e-30  # the complex step
 
 
 def grad_check(layer, x: BatchTensor, rng=None) -> float:
-    """Compare analytic gradients of ``layer`` against central finite differences.
+    """Compare analytic gradients of ``layer`` against complex-step derivatives.
 
     The probe loss is sum(R * forward(x).rows) for a fixed random weighting
-    R, one row per output token.  Every parameter entry and every input entry
-    is perturbed by +/- :data:`EPSILON`; the worst relative error
-    |a - n| / max(|a|, |n|, 1e-8) over all entries is returned.
+    R, one row per output token.  Each parameter entry and each input entry
+    in turn gets an imaginary part :data:`STEP`, and one forward on complex
+    values gives the derivative Im(loss) / STEP.  No difference is taken,
+    so nothing cancels and the derivative is exact to rounding for any
+    small step.  The worst relative error |a - n| / max(|a|, |n|, 1e-8) over
+    all entries is returned.
 
-    R is drawn at :data:`PROBE_SCALE` magnitude: the backward pass is exactly
-    linear in its upstream gradient, so the algebra verified is scale
-    independent, while a small probe keeps the O(EPSILON^2) truncation error
-    of the central difference below the 1e-8 comparison floor instead of
-    aliasing into the relative error of near-cancelling gradient entries.
+    A forward must be analytic in its values for this to hold: no ``abs``,
+    ``maximum`` or comparison on values (the max that
+    :func:`softmax_rows` subtracts cancels out).  The parameters get
+    complex copies for the probes, and their float64 arrays are put back
+    whether the check returns or raises.
 
     ``layer`` must expose params(), forward(BatchTensor) -> (BatchTensor,
     cache), and backward(cache, grad_rows) -> grad_rows_in, where backward
@@ -178,30 +179,26 @@ def grad_check(layer, x: BatchTensor, rng=None) -> float:
         rng = np.random.default_rng(0)
 
     out, cache = layer.forward(x)
-    upstream = rng.standard_normal(out.rows.shape) * PROBE_SCALE
+    upstream = rng.standard_normal(out.rows.shape)
     grad_in = layer.backward(cache, upstream)
 
-    def probe() -> float:
-        probed, _ = layer.forward(x)
-        return float(np.sum(probed.rows * upstream))
-
+    values = [p.value for p in params]
+    x = x.with_rows(x.rows.astype(complex))
     worst = 0.0
-
-    def sweep(flat_values: np.ndarray, flat_grads: np.ndarray, label: str):
-        nonlocal worst
-        for i in range(flat_values.size):
-            orig = flat_values[i]
-            flat_values[i] = orig + EPSILON
-            f_plus = probe()
-            flat_values[i] = orig - EPSILON
-            f_minus = probe()
-            flat_values[i] = orig
-            if not (np.isfinite(f_plus) and np.isfinite(f_minus)):
-                raise NumericError(f"non-finite probe value while perturbing {label}")
-            numeric = (f_plus - f_minus) / (2.0 * EPSILON)
-            worst = max(worst, relative_error(flat_grads[i], numeric))
-
-    for p in params:
-        sweep(p.value.reshape(-1), p.grad.reshape(-1), p.name)
-    sweep(x.rows.reshape(-1), grad_in.reshape(-1), "input")
+    try:
+        for p in params:
+            p.value = p.value.astype(complex)
+        sweeps = [(p.value, p.grad, p.name) for p in params] + [(x.rows, grad_in, "input")]
+        for probed, grads, label in sweeps:
+            probed, grads = probed.reshape(-1), grads.reshape(-1)
+            for i in range(probed.size):
+                probed[i] += 1j * STEP
+                loss = np.sum(layer.forward(x)[0].rows * upstream)
+                probed[i] = probed[i].real
+                if not np.isfinite(loss):
+                    raise NumericError(f"non-finite probe value while perturbing {label}")
+                worst = max(worst, relative_error(grads[i], loss.imag / STEP))
+    finally:
+        for p, value in zip(params, values):
+            p.value = value
     return worst

@@ -20,7 +20,7 @@ from .layers import (
 from .models import ArchitectureId, ModelSpec, build_model
 from .numeric import BatchTensor, grad_check
 
-GRAD_TOLERANCE = 1e-4
+GRAD_TOLERANCE = 1e-10
 
 
 def random_batch(rng, features) -> BatchTensor:

@@ -654,7 +654,7 @@ def test_additive_scores_do_not_depend_on_the_tile_size(monkeypatch):
 def test_additive_scratch_tile_is_at_most_one_mib():
     layer = AdditiveSelfAttention(4, np.random.default_rng(305), attn_dim=32)
     for n in range(1, 501):
-        assert layer._buffer([(0, n), (n, n + 1)]).nbytes <= 1 << 20
+        assert layer._buffer([(0, n), (n, n + 1)], np.float64).nbytes <= 1 << 20
 
 
 LAYER_BUILDERS = [

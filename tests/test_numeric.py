@@ -6,6 +6,13 @@ from hypothesis import strategies as st
 from argseg.errors import ContractViolation, DimensionError, NumericError
 from argseg.layers import TimeDistributedLinear
 from argseg.numeric import BatchTensor, Parameter, grad_check, softmax_rows
+from argseg.selftest import (
+    GRAD_TOLERANCE,
+    check_layer_gradients,
+    check_model_gradients,
+    layer_zoo,
+    random_batch,
+)
 
 # reference values computed with mpmath at 50 decimal digits
 SOFTMAX_123 = [0.09003057317038046, 0.24472847105479764, 0.6652409557748219]
@@ -87,8 +94,8 @@ class TestBatchTensor:
             BatchTensor(np.zeros((5, 4)), lengths)
 
 
-class _BrokenBackward:
-    """Wrapper that corrupts one parameter gradient, for harness sanity."""
+class _Wrapper:
+    """A layer that hands every pass to ``inner``; subclasses change one."""
 
     def __init__(self, inner):
         self.inner = inner
@@ -100,9 +107,82 @@ class _BrokenBackward:
         return self.inner.forward(x)
 
     def backward(self, cache, grad_out):
+        return self.inner.backward(cache, grad_out)
+
+
+class _BrokenBackward(_Wrapper):
+    """Scales one parameter gradient by ``factor``, for harness sanity."""
+
+    def __init__(self, inner, factor=2.0):
+        super().__init__(inner)
+        self.factor = factor
+
+    def backward(self, cache, grad_out):
         out = self.inner.backward(cache, grad_out)
-        self.inner.params()[0].grad *= 2.0
+        self.inner.params()[0].grad *= self.factor
         return out
+
+
+class _CentralDifferences(_Wrapper):
+    """Backward gives central differences of the probe loss
+    sum(grad_out * forward(x).rows), not the layer's own gradients, so
+    grad_check on it compares the complex step with central differences.
+    ``STEP`` suits a unit-scale ``grad_out``: at 1e-3 the truncation error
+    reaches 5e-5 relative on the BiLSTM, at 1e-4 it stays below 1e-6."""
+
+    STEP = 1e-4
+
+    def forward(self, x):
+        return self.inner.forward(x)[0], x
+
+    def _differences(self, x, grad_out, values):
+        flat = values.reshape(-1)
+        grads = np.empty(flat.size)
+        for i in range(flat.size):
+            orig, losses = flat[i], []
+            for moved in (orig + self.STEP, orig - self.STEP):
+                flat[i] = moved
+                losses.append(np.sum(self.inner.forward(x)[0].rows * grad_out))
+            flat[i] = orig
+            grads[i] = (losses[0] - losses[1]) / (2.0 * self.STEP)
+        return grads.reshape(values.shape)
+
+    def backward(self, x, grad_out):
+        for p in self.params():
+            p.grad[...] = self._differences(x, grad_out, p.value)
+        return self._differences(x, grad_out, x.rows)
+
+
+class _NanOnComplex(_Wrapper):
+    """Forward is NaN on complex rows, so every probe is."""
+
+    def forward(self, x):
+        out, cache = self.inner.forward(x)
+        if np.iscomplexobj(out.rows):
+            out = out.with_rows(np.full_like(out.rows, np.nan))
+        return out, cache
+
+
+class _DropsImaginaryInput(_Wrapper):
+    """Reads only the real part of its rows and, wrongly, gives them a zero
+    gradient: the complex step sees the same zero."""
+
+    def forward(self, x):
+        return self.inner.forward(x.with_rows(x.rows.real.copy()))
+
+    def backward(self, cache, grad_out):
+        return np.zeros_like(self.inner.backward(cache, grad_out))
+
+
+def value_snapshot(layer):
+    return [(p.value, p.value.tobytes()) for p in layer.params()]
+
+
+def assert_values_restored(layer, before):
+    """Each parameter holds its float64 array of ``before``, with its bytes."""
+    for p, (value, data) in zip(layer.params(), before, strict=True):
+        assert p.value is value, p.name
+        assert p.value.dtype == np.float64 and p.value.tobytes() == data, p.name
 
 
 class TestGradCheck:
@@ -125,3 +205,48 @@ class TestGradCheck:
         broken = _BrokenBackward(TimeDistributedLinear(4, 3, rng))
         x = BatchTensor.from_rows([rng.standard_normal((3, 4))])
         assert grad_check(broken, x, rng) > 1e-3
+
+    def test_complex_step_agrees_with_central_differences(self):
+        # a forward that is not analytic in its values would break the
+        # complex step; central differences need no such forward
+        for seed in range(5):
+            rng = np.random.default_rng(seed)
+            for layer, width in layer_zoo(rng):
+                x = random_batch(rng, width)
+                err = grad_check(_CentralDifferences(layer), x, rng)
+                assert err < 1e-5, f"{layer.name} seed {seed}: {err:.3e}"
+
+    def test_cross_check_catches_what_the_complex_step_cannot(self):
+        rng = np.random.default_rng(0)
+        layer = _DropsImaginaryInput(TimeDistributedLinear(4, 3, rng))
+        x = BatchTensor.from_rows([rng.standard_normal((3, 4))])
+        assert grad_check(layer, x, rng) < GRAD_TOLERANCE
+        assert grad_check(_CentralDifferences(layer), x, rng) > 1e-3
+
+    def test_zoos_pass_the_bound_and_a_one_in_a_million_slip_fails_it(self):
+        assert GRAD_TOLERANCE <= 1e-10
+        assert check_layer_gradients() < GRAD_TOLERANCE
+        assert check_model_gradients() < GRAD_TOLERANCE
+        rng = np.random.default_rng(0)
+        for layer, width in layer_zoo(rng):
+            err = grad_check(_BrokenBackward(layer, 1.0 + 1e-6), random_batch(rng, width), rng)
+            assert err > GRAD_TOLERANCE, layer.name
+
+    def test_parameters_restored_after_the_check(self):
+        rng = np.random.default_rng(1)
+        for layer, width in layer_zoo(rng):
+            before = value_snapshot(layer)
+            x = random_batch(rng, width)
+            rows = x.rows.tobytes()
+            grad_check(layer, x, rng)
+            assert_values_restored(layer, before)
+            assert x.rows.dtype == np.float64 and x.rows.tobytes() == rows
+
+    def test_parameters_restored_after_a_non_finite_probe(self):
+        rng = np.random.default_rng(2)
+        layer = TimeDistributedLinear(4, 3, rng, name="probe")
+        before = value_snapshot(layer)
+        x = BatchTensor.from_rows([rng.standard_normal((3, 4))])
+        with pytest.raises(NumericError, match="non-finite probe value while perturbing probe.W"):
+            grad_check(_NanOnComplex(layer), x, rng)
+        assert_values_restored(layer, before)
