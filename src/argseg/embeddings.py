@@ -19,7 +19,10 @@ into the batch's rows, so memory holds the index, that buffer and one
 batch's rows, not the file.
 
 An embedding spec stacks one or more sources in a fixed order; the declared
-total dimension must match the sum of the source dimensions exactly.
+total dimension must match the sum of the source dimensions exactly.  It
+builds each batch (``EmbeddingSpec.batch``); when every source is a table,
+the batch carries its distinct words' rows, which the first layer's input
+projections multiply in place of every token's row.
 """
 
 from __future__ import annotations
@@ -36,6 +39,7 @@ import numpy as np
 
 from .corpus import LabeledSequence
 from .errors import ConfigurationError, CoverageError, FormatError
+from .numeric import BatchTensor
 
 STORE_MAGIC = b"ARGSEGPV"
 STORE_VERSION = 1
@@ -64,11 +68,15 @@ class EmbeddingTable:
         """Write the sequences' rows, one after another, into ``out``, a
         (tokens, dim) float64 array, in one take; words are lowercased first,
         and unknown words get the zero row."""
+        self.write_keys((word.lower() for seq in sequences for word in seq.words), out)
+
+    def write_keys(self, keys, out: np.ndarray):
+        """Write the rows of lowercased ``keys`` into ``out``, a (keys, dim)
+        float64 array, in one take; unknown keys get the zero row."""
         oov = len(self.index)
         # every index is in range by construction; "clip" lets take write into
         # a contiguous ``out`` directly, where "raise" goes through a buffer
-        np.take(self.vectors, [self.index.get(word.lower(), oov)
-                               for seq in sequences for word in seq.words],
+        np.take(self.vectors, [self.index.get(key, oov) for key in keys],
                 axis=0, out=out, mode="clip")
 
 
@@ -553,6 +561,32 @@ class EmbeddingSpec:
             src.write_rows(sequences, out[:, col : col + src.dim])
             col += src.dim
         return out
+
+    def batch(self, sequences: list[LabeledSequence]) -> BatchTensor:
+        """The batch of the sequences' rows, one sequence after another.
+
+        When every source is a word table, a token's row depends only on its
+        lowercased word.  One pass over the tokens then gives each word a
+        distinct id, each table writes its columns of the distinct words'
+        rows only, and one take writes the tokens' rows from them; the batch
+        carries the distinct rows and the ids (see ``BatchTensor``).  With
+        any precomputed store, the rows are written by ``write_rows`` and the
+        batch carries no distinct rows.
+        """
+        lengths = [len(seq) for seq in sequences]
+        rows = np.empty((sum(lengths), self.expected_dim))
+        if not all(isinstance(src, EmbeddingTable) for src in self.sources):
+            return BatchTensor(self.write_rows(sequences, rows), lengths)
+        ids: dict[str, int] = {}
+        inverse = np.array([ids.setdefault(word.lower(), len(ids))
+                            for seq in sequences for word in seq.words], dtype=np.intp)
+        distinct = np.empty((len(ids), self.expected_dim))
+        col = 0
+        for table in self.sources:
+            table.write_keys(ids, distinct[:, col : col + table.dim])
+            col += table.dim
+        np.take(distinct, inverse, axis=0, out=rows, mode="clip")  # see write_keys
+        return BatchTensor(rows, lengths, (distinct, inverse))
 
     def vectorize(self, seq: LabeledSequence) -> np.ndarray:
         """(len(seq), expected_dim) float64 rows, read-only: sources

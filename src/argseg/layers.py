@@ -22,6 +22,13 @@ Shape convention: a batch is a :class:`~argseg.numeric.BatchTensor`, its
 tokens packed sequence-major into one (N, F) array of rows plus the
 sequences' lengths.  Every layer maps (N, F_in) rows to (N, F_out) rows and,
 in backward, (N, F_out) gradients to (N, F_in); no layer sees padding.
+The input projections ask the batch for its rows times W
+(:meth:`~argseg.numeric.BatchTensor.times`): the BiLSTM's W, additive
+attention's W_t and W_x and multi-head attention's W_q, W_k and W_v.  A
+batch built from word tables carries its distinct rows, and for it only
+those are multiplied, with the same bits; a layer's output carries none, so
+only the first layer's projections use them.  Every backward reads the
+input rows themselves.
 
 ``backward(cache, grad_out, input_grad=True)``: with ``input_grad=False`` a
 layer writes the same parameter gradients, returns ``None`` and skips
@@ -35,7 +42,7 @@ during training, whose input rows are fixed vectors.
 
 LSTM parameters are fused per direction, with gate blocks in the order
 i|f|o|g (input, forget and output gates, then the candidate).  The BiLSTM
-gathers its inputs into time-major order once, runs its recurrence over the
+projects its inputs in time-major order, runs its recurrence over the
 sequences that have not ended, evaluates all four gates with one tanh, and
 writes its output and input gradient back in packed order.  Its cache holds
 what backward reads and nothing it can rebuild with the same bits: not
@@ -196,27 +203,26 @@ def _state_rows(pos: _Positions, reverse: bool) -> tuple[list[int], list[int]]:
     return [0] + written[:-1], written
 
 
-def _run_direction(halved, x_run, pos: _Positions, acts, states, reverse: bool):
+def _run_direction(halved, pos: _Positions, acts, states, reverse: bool):
     """Forward pass of one direction, time-major, into caller-allocated arrays.
 
-    ``halved`` is the cell's :meth:`LstmCell.halved` parameters and
-    ``x_run`` the (M, D) inputs in time-major order; acts (M, 4H) receives
-    the gate activations.  ``states`` = ((hs, h_rows), (cs, c_rows)) holds
-    the hidden and cell states, each with its row maps: per step t, the
-    first row entering step t and the first row step t writes.  hs is
-    (M + n_0, H) with the rows of :func:`_state_rows`; cs has either the
-    same rows, where a backward reads them, or all-zero maps into one
-    (n_0, H) block updated in place.  Neither needs initialising: each step
-    first zeroes the entering rows of the sequences that start there.
+    ``halved`` is the cell's :meth:`LstmCell.halved` parameters.  acts
+    (M, 4H) holds the inputs' projection by the halved W, in time-major
+    order, and receives the gate activations.  ``states`` = ((hs, h_rows),
+    (cs, c_rows)) holds the hidden and cell states, each with its row maps:
+    per step t, the first row entering step t and the first row step t
+    writes.  hs is (M + n_0, H) with the rows of :func:`_state_rows`; cs has
+    either the same rows, where a backward reads them, or all-zero maps into
+    one (n_0, H) block updated in place.  Neither needs initialising: each
+    step first zeroes the entering rows of the sequences that start there.
     """
-    w, u, b = halved
+    _, u, b = halved
     (hs, (h_enter, h_write)), (cs, (c_enter, c_write)) = states
     hdim = hs.shape[1]
     sig = 3 * hdim
     # i|f|o become 0.5 tanh + 0.5 (see LstmCell.halved) and g stays tanh, by
     # whole-row operations: x * 1 and x + -0.0 give x back, bit for bit
     scale, offset = (np.repeat([0.5, g], [sig, hdim]) for g in (1.0, -0.0))
-    np.matmul(x_run, w, out=acts)
     acts += b
     z = np.empty((pos.widest, 4 * hdim), acts.dtype)
     ig = np.empty((pos.widest, hdim), acts.dtype)
@@ -314,19 +320,21 @@ class BiLstm(Layer):
 
     Output features = 2*hidden; the row of token t holds [forward state at
     t, backward state at t].  Both directions run time-major (see
-    :class:`_Positions`): the input rows are gathered into time-major order
-    once, the input projection and the input-side gradient GEMMs run on that
-    block, and step t works on the sequences that have not yet ended.  The
-    two directions run one after the other on the calling thread, through
-    the same recurrence (:func:`_run_direction`).
+    :class:`_Positions`), and step t works on the sequences that have not
+    yet ended.  The input projection comes from :meth:`BatchTensor.times`
+    in time-major order: a batch with distinct rows projects only those,
+    and otherwise the input rows are gathered into time-major order once
+    and projected.  The input-side gradient GEMMs run on the time-major
+    inputs.  The two directions run one after the other on the calling
+    thread, through the same recurrence (:func:`_run_direction`).
 
     ``forward`` caches (time-major inputs, positions, per direction (gate
     activations at the tokens, hidden states, cell states)); backward
     computes tanh of each step's cell states again.  ``infer`` keeps no
     cache: one activation block and one hidden-state block serve both
     directions, the cell state lives in one (n_0, H) block updated in place,
-    and it allocates only these, the time-major inputs and its output.
-    Both give the same output bytes.
+    and it allocates only these, its output and, for a batch without
+    distinct rows, the time-major inputs.  Both give the same output bytes.
     """
 
     def __init__(self, input_dim: int, hidden: int, rng, name: str = "bilstm"):
@@ -342,13 +350,16 @@ class BiLstm(Layer):
     def _run(self, x: BatchTensor, keep: bool):
         """(output, time-major inputs, positions, caches); with ``keep`` each
         direction gets arrays of its own, kept as its cache, and without it
-        the directions share theirs and ``caches`` is empty."""
+        the directions share theirs and ``caches`` is empty.  Without
+        ``keep``, a batch with distinct rows takes no time-major inputs, and
+        they are ``None``."""
         self._check_input(x, self.input_dim)
         h = self.hidden
         pos = _positions(x.lengths)
         n_run = len(pos.packed)
         n_state = n_run + pos.widest
-        x_run = np.take(x.rows, pos.packed, axis=0)
+        distinct = x.projects_distinct(self.fwd.w.value)
+        x_run = np.take(x.rows, pos.packed, axis=0) if keep or not distinct else None
         dtype = x.rows.dtype
         if keep:
             caches = [(np.empty((n_run, 4 * h), dtype), np.empty((n_state, h), dtype),
@@ -364,7 +375,13 @@ class BiLstm(Layer):
         for k, ((acts, hs, cs), cell, reverse) in enumerate(directions):
             rows = _state_rows(pos, reverse)
             states = ((hs, rows), (cs, rows if keep else in_place))
-            _run_direction(cell.halved(), x_run, pos, acts, states, reverse)
+            halved = cell.halved()
+            if distinct:
+                x.times(halved[0], pos.packed, out=acts)
+            else:
+                np.matmul(x_run, halved[0], out=acts)
+            _run_direction(halved, pos, acts, states, reverse)
+            del halved  # freed before the next direction's copies are made
             # step by step, so no (M, H) gather of the states is allocated
             cols = out[:, k * h : (k + 1) * h]
             for t, dst in enumerate(rows[1]):
@@ -482,9 +499,9 @@ class AdditiveSelfAttention(Layer):
     def forward(self, x: BatchTensor):
         self._check_input(x, self.dim, tokens=True)
         xv = x.rows
-        q = xv @ self.w_query.value
+        q = x.times(self.w_query.value)
         q += self.b_hidden.value
-        k = xv @ self.w_key.value
+        k = x.times(self.w_key.value)
         v_flat = self.v_score.value[:, 0]
         buf = self._buffer(x.spans, xv.dtype)
 
@@ -591,9 +608,7 @@ class MultiHeadSelfAttention(Layer):
     def forward(self, x: BatchTensor):
         self._check_input(x, self.dim, tokens=True)
         xv = x.rows
-        q = xv @ self.w_q.value
-        k = xv @ self.w_k.value
-        v = xv @ self.w_v.value
+        q, k, v = (x.times(w.value) for w in (self.w_q, self.w_k, self.w_v))
 
         ctx = np.empty_like(xv)
         for lo, hi in x.spans:

@@ -1,9 +1,11 @@
 """Float64 core: stable softmax, parameters, packed batches, and gradient checks.
 
 Everything downstream (layers, models, training) is built on the primitives
-here.  All arrays are C-contiguous float64.  A :class:`BatchTensor` holds
-only tokens: one (N, F) array of rows, sequence after sequence, plus each
-sequence's length.
+here.  Parameters, batches and gradients are float64; only ``grad_check``
+runs forwards on complex copies.  A :class:`BatchTensor` holds only tokens:
+one (N, F) array of rows, sequence after sequence, plus each sequence's
+length, and, for a batch built from word tables, its distinct rows with the
+index of each token's row among them.
 """
 
 from __future__ import annotations
@@ -66,11 +68,16 @@ class BatchTensor:
     row is a token and every layer, loss and metric works on all of them.
     ``time`` and ``mask`` describe the batch as if it were padded to its
     longest sequence; nothing in the package computes on that view.
+
+    ``pair``, optional, is (distinct (U, F), inverse (N,)) with
+    ``rows == distinct[inverse]``, which the caller guarantees: a batch of
+    word-table rows, where a token's row depends only on its word.  Both are
+    kept read-only, and :meth:`times` multiplies only the U distinct rows.
     """
 
-    __slots__ = ("rows", "lengths", "spans")
+    __slots__ = ("rows", "lengths", "spans", "_distinct")
 
-    def __init__(self, rows: np.ndarray, lengths):
+    def __init__(self, rows: np.ndarray, lengths, pair=None):
         rows = as_array(rows)
         if rows.ndim != 2:
             raise DimensionError(f"batch tensor needs 2-D rows, got {rows.shape}")
@@ -85,6 +92,7 @@ class BatchTensor:
         self.rows = rows
         self.lengths = lengths.astype(np.int64)
         self.spans = list(zip((ends - lengths).tolist(), ends.tolist()))
+        self._distinct = None if pair is None else _distinct_pair(rows, *pair)
 
     @property
     def batch(self) -> int:
@@ -106,12 +114,37 @@ class BatchTensor:
         mask.flags.writeable = False
         return mask
 
+    def projects_distinct(self, w: np.ndarray) -> bool:
+        """Whether :meth:`times` multiplies only the distinct rows by ``w``:
+        the batch has them and the product's rows stand alone (see
+        :func:`_rows_stand_alone`)."""
+        return self._distinct is not None and _rows_stand_alone(len(self._distinct[0]), w)
+
+    def times(self, w: np.ndarray, order=None, out=None) -> np.ndarray:
+        """``rows[order] @ w``, or ``rows @ w`` without an ``order``, written
+        into ``out`` if given.
+
+        Where :meth:`projects_distinct` holds, only the distinct rows are
+        multiplied and the product's rows are taken in ``order``; each row
+        has the bits it has in the product of every row.
+        """
+        if not self.projects_distinct(w):
+            rows = self.rows if order is None else np.take(self.rows, order, axis=0)
+            return np.matmul(rows, w, out=out)
+        distinct, inverse = self._distinct
+        ids = inverse if order is None else inverse[order]
+        # every index is in range (checked once); "clip" lets take write into
+        # a contiguous ``out`` directly, where "raise" goes through a buffer
+        return np.take(distinct @ w, ids, axis=0, out=out, mode="clip")
+
     def with_rows(self, rows: np.ndarray) -> "BatchTensor":
-        """The same sequences with new per-token features (layers keep the lengths)."""
+        """The same sequences with new per-token features (layers keep the
+        lengths); new features are not a function of the word, so the
+        distinct rows are dropped."""
         if rows.shape[0] != self.rows.shape[0]:
             raise DimensionError(f"{rows.shape[0]} rows for a batch of {self.rows.shape[0]} tokens")
         out = BatchTensor.__new__(BatchTensor)
-        out.rows, out.lengths, out.spans = rows, self.lengths, self.spans
+        out.rows, out.lengths, out.spans, out._distinct = rows, self.lengths, self.spans, None
         return out
 
     @classmethod
@@ -126,6 +159,42 @@ class BatchTensor:
                     f"row {i} has shape {r.shape}; rows must be 2-D and equally wide"
                 )
         return cls(np.concatenate(rows, dtype=np.float64), [r.shape[0] for r in rows])
+
+
+def _rows_stand_alone(rows: int, w: np.ndarray) -> bool:
+    """Whether each row of a ``rows``-row product with ``w`` gets the bits it
+    has in a product with any other rows.
+
+    OpenBLAS picks its GEMM kernels, and so the order of each row's sums, by
+    the operands' sizes.  With numpy 2.4.6's OpenBLAS 0.3.31 on x86-64 with
+    AVX-512, a row's bits were measured not to depend on the other rows when
+    ``w`` is at most 384 deep (the depth is summed in one block) and a
+    multiple of 8 wide (no narrow column tail), with two rows or more (one
+    row goes to GEMV).  Outside these sizes they do depend on them: at
+    300 x 300 the last 4 columns of the last rows differ.
+    """
+    depth, width = w.shape
+    return rows > 1 and depth <= 384 and width % 8 == 0
+
+
+def _distinct_pair(rows: np.ndarray, distinct, inverse) -> tuple[np.ndarray, np.ndarray]:
+    """The (distinct, inverse) pair of a batch of ``rows``, checked for
+    shapes and index range and made read-only."""
+    distinct, inverse = as_array(distinct), np.asarray(inverse)
+    if distinct.ndim != 2 or distinct.shape[1] != rows.shape[1]:
+        raise DimensionError(f"distinct rows of shape {distinct.shape} for a batch of "
+                             f"{rows.shape[1]} features")
+    if inverse.shape != (rows.shape[0],):
+        raise DimensionError(f"inverse of shape {inverse.shape} for a batch of "
+                             f"{rows.shape[0]} tokens")
+    if not np.issubdtype(inverse.dtype, np.integer):
+        raise ContractViolation(f"inverse must hold integers, got {inverse.dtype}")
+    if inverse.size and (inverse.min() < 0 or inverse.max() >= len(distinct)):
+        raise ContractViolation(f"inverse indices must lie in [0, {len(distinct)}), got "
+                                f"[{inverse.min()}, {inverse.max()}]")
+    inverse = inverse.astype(np.intp, copy=False)
+    distinct.flags.writeable = inverse.flags.writeable = False
+    return distinct, inverse
 
 
 # ---------------------------------------------------------------------------

@@ -162,11 +162,8 @@ def adam_step(params: list[Parameter], state: AdamState, lr: float):
 
 
 def _assemble(sequences: list[LabeledSequence], spec: EmbeddingSpec):
-    """One batch of the sequences, vectorized now into one array of rows, and
-    their gold labels."""
-    lengths = [len(seq) for seq in sequences]
-    rows = spec.write_rows(sequences, np.empty((sum(lengths), spec.expected_dim)))
-    batch = BatchTensor(rows, lengths)
+    """One batch of the sequences, vectorized now, and their gold labels."""
+    batch = spec.batch(sequences)
     gold = [LABELS.index(lab) for seq in sequences for lab in seq.labels]
     return batch, np.array(gold, dtype=np.int64)
 

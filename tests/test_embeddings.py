@@ -414,6 +414,69 @@ class TestEmbeddingSpec:
 VOCAB = ["the", "Cat", "SAT", "on", "mat", "zzqqy", "."]  # "zzqqy" is out of vocabulary
 
 
+# two tables, mixed case, out-of-vocabulary words, an empty sequence and a
+# word whose lowercase is longer than it ("İ")
+SPEC_TABLES = ("the 1 2\ncat 3 -4.5\nsat 0.25 1e-300\nCat 9 9\n", "sat 7\nmat -1\ni̇ 5\n")
+SPEC_WORDS = [["The", "CAT", "sat", "on"], [], ["the", "Mat", "cat", "tHe", "İ"], ["ON", "sat"]]
+
+
+class TestSpecBatch:
+    @staticmethod
+    def sequences():
+        return [seq_of(words, seq_idx=k) for k, words in enumerate(SPEC_WORDS)]
+
+    def test_tables_give_the_oracle_rows_and_their_distinct_rows(self):
+        tables = [load_glove(text) for text in SPEC_TABLES]
+        spec = EmbeddingSpec(tables, expected_dim=3)
+        sequences = self.sequences()
+        batch = spec.batch(sequences)
+        every = seq_of([word for words in SPEC_WORDS for word in words])
+        oracle = np.concatenate([glove_oracle(table, every) for table in tables], axis=1)
+        assert_same_bytes(batch.rows, oracle)
+        assert_same_bytes(batch.rows, spec.write_rows(sequences, np.empty(oracle.shape)))
+        assert batch.lengths.tolist() == [len(words) for words in SPEC_WORDS]
+        distinct, inverse = batch._distinct
+        assert_same_bytes(distinct[inverse], batch.rows)
+        lowered = [word.lower() for word in every.words]
+        assert len(distinct) == len(set(lowered)) == 6
+        assert [lowered[inverse.tolist().index(k)] for k in range(len(distinct))] == list(
+            dict.fromkeys(lowered))
+
+    def test_vectorize_gives_the_oracle_rows(self):
+        tables = [load_glove(text) for text in SPEC_TABLES]
+        spec = EmbeddingSpec(tables, expected_dim=3)
+        for seq in self.sequences():
+            if len(seq):
+                rows = spec.vectorize(seq)
+                oracle = np.concatenate([glove_oracle(table, seq) for table in tables], axis=1)
+                assert_same_bytes(rows, oracle)
+                assert_same_bytes(rows, spec.batch([seq]).rows)
+
+    @pytest.mark.parametrize("with_table", [False, True], ids=["store", "glove_and_store"])
+    def test_a_store_gives_the_oracle_rows_and_no_distinct_rows(self, tmp_path, with_table):
+        rng = np.random.default_rng(11)
+        sequences = [seq_of(words, seq_idx=k, ordinal=sum(map(len, SPEC_WORDS[:k])))
+                     for k, words in enumerate(SPEC_WORDS)]
+        records = [("e1", 0, t, rng.standard_normal(2)) for t in range(11)]
+        store = load_precomputed_file(write_store(tmp_path / "v.pv", 2, records))
+        table = load_glove(SPEC_TABLES[0])
+        spec = EmbeddingSpec([table, store] if with_table else [store],
+                             expected_dim=4 if with_table else 2)
+        batch = spec.batch(sequences)
+        assert batch._distinct is None
+        every = seq_of([word for words in SPEC_WORDS for word in words])
+        oracle = store_oracle(records, every)
+        if with_table:
+            oracle = np.concatenate([glove_oracle(table, every), oracle], axis=1)
+        assert_same_bytes(batch.rows, oracle)
+
+    def test_training_batches_carry_the_distinct_rows(self, toy_embeddings, toy_sequences):
+        batch, _ = _assemble(toy_sequences[:8], toy_embeddings)
+        distinct, inverse = batch._distinct
+        assert len(distinct) < len(batch.rows)
+        assert_same_bytes(distinct[inverse], batch.rows)
+
+
 @st.composite
 def stacked_batches(draw):
     """(glove text, store dim, store records, sequences of one batch, store

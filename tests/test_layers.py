@@ -17,11 +17,24 @@ from argseg.layers import (
     choose_heads,
 )
 from argseg.numeric import BatchTensor, grad_check, softmax_rows
+from argseg.selftest import GRAD_TOLERANCE
 
 
 def full_batch(values):
     """A batch of equal-length sequences from a (B, T, F) array."""
     return BatchTensor.from_rows(list(np.asarray(values, dtype=float)))
+
+
+def distinct_batch(rng, lengths, dim, words):
+    """A batch whose tokens take their rows from ``words`` distinct rows, the
+    last all zeros (an out-of-vocabulary word), carrying the pair; and the
+    same rows as a plain batch from ``from_rows``."""
+    distinct = rng.standard_normal((words, dim))
+    distinct[-1] = 0.0
+    inverse = rng.integers(0, words, size=sum(lengths))
+    rows = distinct[inverse]
+    plain = BatchTensor.from_rows(np.split(rows, np.cumsum(lengths)[:-1]))
+    return BatchTensor(rows, lengths, (distinct, inverse)), plain
 
 
 # ---------------------------------------------------------------------------
@@ -229,7 +242,7 @@ class TestBiLstm:
     def test_gradients_on_mixed_batch(self):
         rng = np.random.default_rng(9)
         layer = BiLstm(3, 4, rng)
-        assert grad_check(layer, self.mixed_batch(rng), rng) < 1e-4
+        assert grad_check(layer, self.mixed_batch(rng), rng) < GRAD_TOLERANCE
 
     def test_repeated_runs_are_byte_identical(self):
         rng = np.random.default_rng(10)
@@ -474,7 +487,7 @@ class TestAttentionOnRaggedBatches:
 
     def test_gradients(self, case):
         layer, x, rng = case
-        assert grad_check(layer, x, rng) < 1e-4
+        assert grad_check(layer, x, rng) < GRAD_TOLERANCE
 
     def test_repeated_passes_are_byte_identical(self, case):
         layer, x, rng = case
@@ -672,7 +685,7 @@ def test_gradients_across_seeds(name, builder):
         layer, width = builder(rng)
         values = rng.standard_normal((2, 3, width)) * 0.5
         err = grad_check(layer, BatchTensor.from_rows([values[0], values[1, :2]]), rng)
-        assert err < 1e-4, f"{name} seed {seed}: {err:.3e}"
+        assert err < GRAD_TOLERANCE, f"{name} seed {seed}: {err:.3e}"
 
 
 def test_single_step_cell_gradients():
@@ -680,14 +693,14 @@ def test_single_step_cell_gradients():
     rng = np.random.default_rng(30)
     layer = BiLstm(4, 5, rng)
     x = full_batch(rng.standard_normal((2, 1, 4)) * 0.5)
-    assert grad_check(layer, x, rng) < 1e-4
+    assert grad_check(layer, x, rng) < GRAD_TOLERANCE
 
 
 def test_multi_head_gradients_at_reference_shape():
     rng = np.random.default_rng(31)
     layer = MultiHeadSelfAttention(6, 2, rng)
     x = full_batch(rng.standard_normal((2, 3, 6)) * 0.5)
-    assert grad_check(layer, x, rng) < 1e-4
+    assert grad_check(layer, x, rng) < GRAD_TOLERANCE
 
 
 @pytest.mark.parametrize("name,builder", LAYER_BUILDERS)
@@ -731,15 +744,21 @@ INFER_LENGTHS = {
     # running counts 1, 2, 4, 5, 5, 5, 6, 7, 7 by step from the last: the
     # reverse direction gains sequences at steps 8, 6, 4, 2, 1 and 0
     "staggered": (9, 2, 5, 5, 7, 1, 3),
+    # a batch that carries its distinct rows
+    "distinct_rows": (7, 3, 6, 4),
 }
 
 
-@pytest.mark.parametrize("lengths", INFER_LENGTHS.values(), ids=INFER_LENGTHS)
+@pytest.mark.parametrize("case", INFER_LENGTHS)
 @pytest.mark.parametrize("name,builder", LAYER_BUILDERS)
-def test_infer_gives_the_bytes_of_forward(name, builder, lengths):
+def test_infer_gives_the_bytes_of_forward(name, builder, case):
     rng = np.random.default_rng(308)
     layer, width = builder(rng)
-    x = BatchTensor.from_rows([rng.standard_normal((n, width)) for n in lengths])
+    lengths = INFER_LENGTHS[case]
+    if case == "distinct_rows":
+        x, _ = distinct_batch(rng, lengths, width, words=5)
+    else:
+        x = BatchTensor.from_rows([rng.standard_normal((n, width)) for n in lengths])
     if 0 in lengths and name in ("additive", "multi_head"):
         with pytest.raises(ContractViolation, match="needs a token"):
             layer.infer(x)
@@ -801,3 +820,75 @@ def test_bilstm_input_gradient_needs_two_input_sized_arrays():
     without = traced_peak(lambda: layer.backward(cache, upstream, input_grad=False))
     m = sum(lengths)
     assert traced_peak(lambda: layer.backward(cache, upstream)) <= without + 8 * m * (2 * dim + 2)
+
+
+def test_bilstm_infer_on_distinct_rows_takes_no_time_major_inputs():
+    # the bound of test_bilstm_infer_allocates_no_cell_state_or_tanh_block,
+    # less one (M, D) array: infer projects the distinct rows, so it gathers
+    # no time-major copy of the input.  The batch is long enough that one
+    # direction's halved parameters stay below one (M, H) array, and D > H,
+    # so such a copy alone breaks the bound
+    rng = np.random.default_rng(312)
+    dim, hidden = 96, 64
+    lengths = [int(n) for n in rng.integers(1, 300, size=32)]
+    layer = BiLstm(dim, hidden, rng)
+    x, _ = distinct_batch(rng, lengths, dim, words=49)
+    assert x.projects_distinct(layer.fwd.w.value)
+    layer.infer(x)
+    m = sum(lengths)
+    needed = 8 * (m * 2 * hidden + m * dim + m * 4 * hidden + (m + len(lengths)) * hidden)
+    bound = needed + 8 * m * hidden
+    peak = traced_peak(lambda: layer.infer(x))
+    assert needed - 8 * m * dim <= peak < bound - 8 * m * dim
+
+
+# ---------------------------------------------------------------------------
+# Batches that carry their distinct rows
+# ---------------------------------------------------------------------------
+
+
+def passes_bytes(layer, x, upstream) -> list[bytes]:
+    """Forward rows, infer rows, the input gradient and every parameter
+    gradient, then every parameter gradient of ``input_grad=False``."""
+    out, cache = layer.forward(x)
+    got = [out.rows.tobytes(), layer.infer(x).rows.tobytes(),
+           layer.backward(cache, upstream).tobytes()]
+    got += [p.grad.tobytes() for p in layer.params()]
+    assert layer.backward(cache, upstream, input_grad=False) is None
+    return got + [p.grad.tobytes() for p in layer.params()]
+
+
+def para300_lengths(rng, shortest):
+    lengths = rng.integers(shortest, 45, size=64)
+    lengths[:2] = shortest, 44
+    return [int(n) for n in lengths]
+
+
+# (layer, input width, lengths, distinct rows, whether the input projection
+# multiplies only the distinct rows); "para300" is the shape of a para300
+# batch, whose 300-wide attention projections keep the plain product (see
+# _rows_stand_alone in argseg.numeric), and "width304" the nearest width that uses the pair
+DISTINCT_CASES = {
+    "bilstm-small": (lambda rng: BiLstm(4, 4, rng), 4, lambda rng: [5, 0, 1, 3], 6, True),
+    "bilstm-para300": (lambda rng: BiLstm(300, 64, rng), 300,
+                       lambda rng: para300_lengths(rng, 0), 49, True),
+    "multi_head-small": (lambda rng: MultiHeadSelfAttention(8, 2, rng), 8,
+                         lambda rng: [5, 1, 3], 6, True),
+    "multi_head-para300": (lambda rng: MultiHeadSelfAttention(300, 6, rng), 300,
+                           lambda rng: para300_lengths(rng, 1), 49, False),
+    "multi_head-width304": (lambda rng: MultiHeadSelfAttention(304, 4, rng), 304,
+                            lambda rng: para300_lengths(rng, 1), 49, True),
+}
+
+
+@pytest.mark.parametrize("case", DISTINCT_CASES)
+def test_distinct_rows_give_the_bytes_of_plain_rows(case):
+    build, dim, lengths, words, projects = DISTINCT_CASES[case]
+    rng = np.random.default_rng(313)
+    layer = build(rng)
+    with_pair, plain = distinct_batch(rng, lengths(rng), dim, words)
+    first = layer.params()[0].value  # the input projection (W, or W_q)
+    assert with_pair.projects_distinct(first) is projects
+    assert not plain.projects_distinct(first)
+    upstream = rng.standard_normal(layer.infer(plain).rows.shape)
+    assert passes_bytes(layer, with_pair, upstream) == passes_bytes(layer, plain, upstream)

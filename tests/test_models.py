@@ -29,6 +29,7 @@ from argseg.models import (
     save_checkpoint,
 )
 from argseg.numeric import BatchTensor, grad_check, softmax_rows
+from argseg.selftest import GRAD_TOLERANCE
 
 # 2 directions x 4 gates x (W + U + b) for the BiLSTM, then the 3-way head
 SB_PARAM_COUNT = 2 * 4 * (300 * 64 + 64 * 64 + 64) + (128 * 3 + 3)
@@ -215,7 +216,7 @@ def test_full_model_gradients(arch):
             ModelSpec(arch, input_dim=4, hidden=3, attn_dim=4, seed=seed)
         )
         err = grad_check(model, toy_batch(rng, 4), rng)
-        assert err < 1e-4, f"{arch.value} seed {seed}: {err:.3e}"
+        assert err < GRAD_TOLERANCE, f"{arch.value} seed {seed}: {err:.3e}"
 
 
 class TestCheckpoint:

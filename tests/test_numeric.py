@@ -94,6 +94,82 @@ class TestBatchTensor:
             BatchTensor(np.zeros((5, 4)), lengths)
 
 
+def pair_batch(rng, lengths, dim, words):
+    """Rows taken from ``words`` distinct rows, with the (distinct, inverse) pair."""
+    distinct = rng.standard_normal((words, dim))
+    inverse = rng.integers(0, words, size=sum(lengths))
+    return distinct[inverse], lengths, (distinct, inverse)
+
+
+class TestDistinctRows:
+    def test_pair_is_kept_read_only(self):
+        rows, lengths, (distinct, inverse) = pair_batch(np.random.default_rng(0), [2, 3], 4, 3)
+        bt = BatchTensor(rows, lengths, (distinct, inverse))
+        kept_distinct, kept_inverse = bt._distinct
+        assert np.array_equal(kept_distinct[kept_inverse], bt.rows)
+        assert not kept_distinct.flags.writeable and not kept_inverse.flags.writeable
+
+    def test_inverse_length_must_match_the_rows(self):
+        rows, lengths, (distinct, inverse) = pair_batch(np.random.default_rng(1), [2, 3], 4, 3)
+        with pytest.raises(DimensionError, match=r"inverse of shape \(4,\) for a batch of 5"):
+            BatchTensor(rows, lengths, (distinct, inverse[:4]))
+
+    def test_distinct_width_must_match_the_rows(self):
+        rows, lengths, (distinct, inverse) = pair_batch(np.random.default_rng(2), [2, 3], 4, 3)
+        with pytest.raises(DimensionError, match="of 4 features"):
+            BatchTensor(rows, lengths, (distinct[:, :3], inverse))
+
+    @pytest.mark.parametrize("bad", [-1, 3], ids=["negative", "past_the_end"])
+    def test_inverse_must_index_the_distinct_rows(self, bad):
+        rows, lengths, (distinct, inverse) = pair_batch(np.random.default_rng(3), [2, 3], 4, 3)
+        inverse[1] = bad
+        with pytest.raises(ContractViolation, match=r"must lie in \[0, 3\)"):
+            BatchTensor(rows, lengths, (distinct, inverse))
+
+    def test_inverse_must_hold_integers(self):
+        rows, lengths, (distinct, inverse) = pair_batch(np.random.default_rng(4), [2, 3], 4, 3)
+        with pytest.raises(ContractViolation, match="integers"):
+            BatchTensor(rows, lengths, (distinct, inverse.astype(float)))
+
+    def test_new_rows_drop_the_pair(self):
+        bt = BatchTensor(*pair_batch(np.random.default_rng(5), [2, 3], 8, 3))
+        w = np.ones((8, 8))
+        assert bt.projects_distinct(w)
+        assert not bt.with_rows(bt.rows * 2.0).projects_distinct(w)
+
+    # (depth, width, distinct rows): inside the sizes at which a product's
+    # rows stand alone, then past the depth, with a narrow column tail, and
+    # with one distinct row, where the plain product is kept
+    @pytest.mark.parametrize("depth,width,words,projects", [
+        (4, 8, 2, True), (300, 256, 49, True), (384, 64, 120, True),
+        (400, 64, 49, False), (300, 300, 49, False), (16, 20, 49, False), (16, 16, 1, False)])
+    def test_times_gives_the_bytes_of_the_plain_product(self, depth, width, words, projects):
+        rng = np.random.default_rng(depth + width + words)
+        rows, lengths, pair = pair_batch(rng, [int(n) for n in rng.integers(0, 45, 64)],
+                                         depth, words)
+        bt = BatchTensor(rows, lengths, pair)
+        w = rng.standard_normal((depth, width))
+        order = rng.permutation(len(rows))
+        assert bt.projects_distinct(w) is projects
+        assert bt.times(w).tobytes() == (rows @ w).tobytes()
+        out = np.empty((len(rows), width))
+        assert bt.times(w, order, out=out) is out
+        assert out.tobytes() == (rows[order] @ w).tobytes()
+
+    def test_rows_stand_alone_at_random_sizes(self):
+        # the measured property the distinct product rests on, at 40 random
+        # sizes inside it
+        rng = np.random.default_rng(6)
+        for _ in range(40):
+            depth, width = int(rng.integers(1, 385)), 8 * int(rng.integers(1, 65))
+            words = int(rng.integers(2, 121))
+            rows, lengths, pair = pair_batch(rng, [int(rng.integers(words, 2001))], depth, words)
+            w = rng.standard_normal((depth, width))
+            bt = BatchTensor(rows, lengths, pair)
+            assert bt.projects_distinct(w)
+            assert bt.times(w).tobytes() == (rows @ w).tobytes(), (depth, width, words)
+
+
 class _Wrapper:
     """A layer that hands every pass to ``inner``; subclasses change one."""
 
