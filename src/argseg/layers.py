@@ -24,11 +24,14 @@ sequences' lengths.  Every layer maps (N, F_in) rows to (N, F_out) rows and,
 in backward, (N, F_out) gradients to (N, F_in); no layer sees padding.
 The input projections ask the batch for its rows times W
 (:meth:`~argseg.numeric.BatchTensor.times`): the BiLSTM's W, additive
-attention's W_t and W_x and multi-head attention's W_q, W_k and W_v.  A
-batch built from word tables carries its distinct rows, and for it only
-those are multiplied, with the same bits; a layer's output carries none, so
-only the first layer's projections use them.  Every backward reads the
-input rows themselves.
+attention's W_t and W_x and multi-head attention's W_q, W_k and W_v.  Each
+W is padded with zero columns to a multiple of 8 wide for the product, so a
+300-wide projection's last 4 columns may get other last bits than an
+unpadded product's.  A batch built from word tables carries its distinct
+rows, and for it only those are multiplied, with the bits of the same rows
+without them; multi-head attention at D=300 uses them too.  A layer's
+output carries none, so only the first layer's projections use them.
+Every backward reads the input rows themselves.
 
 ``backward(cache, grad_out, input_grad=True)``: with ``input_grad=False`` a
 layer writes the same parameter gradients, returns ``None`` and skips
@@ -562,8 +565,10 @@ class MultiHeadSelfAttention(Layer):
     concatenated heads go through an output projection W_o.  No biases
     anywhere.
 
-    The four projections and their gradient GEMMs run over all tokens of the
-    batch, and each sequence b forms just its own (h, n_b, n_b) logits.  The
+    Q, K and V come from :meth:`BatchTensor.times`, which projects only the
+    distinct rows of a batch that has them.  W_o and the gradient GEMMs run
+    over all tokens of the batch, and each sequence b forms just its own
+    (h, n_b, n_b) logits.  The
     cache is (input rows, spans, Q, K, V): no weights and no concatenated
     head outputs.  Each sequence's weight block is a temporary of forward;
     :meth:`blocks` and backward build it again with forward's expression,

@@ -5,7 +5,10 @@ here.  Parameters, batches and gradients are float64; only ``grad_check``
 runs forwards on complex copies.  A :class:`BatchTensor` holds only tokens:
 one (N, F) array of rows, sequence after sequence, plus each sequence's
 length, and, for a batch built from word tables, its distinct rows with the
-index of each token's row among them.
+index of each token's row among them.  :meth:`BatchTensor.times` multiplies
+the rows by a weight padded to a multiple of 8 columns, and only the
+distinct rows where their products' rows stand alone: the first layer's
+projections, multi-head attention's 300 x 300 ones included.
 """
 
 from __future__ import annotations
@@ -124,18 +127,36 @@ class BatchTensor:
         """``rows[order] @ w``, or ``rows @ w`` without an ``order``, written
         into ``out`` if given.
 
-        Where :meth:`projects_distinct` holds, only the distinct rows are
-        multiplied and the product's rows are taken in ``order``; each row
-        has the bits it has in the product of every row.
+        ``w`` is first padded with zero columns to a multiple of 8 wide, and
+        the product's first ``width`` columns are returned.  The rule depends
+        only on ``w``'s shape, so a batch with distinct rows and one without
+        give the same bits; at a width that is a multiple of 8 it is the
+        plain product.  Where :meth:`projects_distinct` holds, only the
+        distinct rows are multiplied and the rows of their product's first
+        ``width`` columns are taken in ``order``; each row has the bits it
+        has in the product of every row.  Otherwise, without ``out``, a
+        padded product is returned as a view of its first ``width`` columns.
         """
-        if not self.projects_distinct(w):
-            rows = self.rows if order is None else np.take(self.rows, order, axis=0)
+        depth, width = w.shape
+        if width % 8:
+            padded = np.zeros((depth, width + -width % 8), w.dtype)
+            padded[:, :width] = w
+        else:
+            padded = w
+        if self.projects_distinct(w):
+            distinct, inverse = self._distinct
+            ids = inverse if order is None else inverse[order]
+            # every index is in range (checked once); "clip" lets take write into
+            # a contiguous ``out`` directly, where "raise" goes through a buffer
+            return np.take((distinct @ padded)[:, :width], ids, axis=0, out=out, mode="clip")
+        rows = self.rows if order is None else np.take(self.rows, order, axis=0)
+        if padded is w:
             return np.matmul(rows, w, out=out)
-        distinct, inverse = self._distinct
-        ids = inverse if order is None else inverse[order]
-        # every index is in range (checked once); "clip" lets take write into
-        # a contiguous ``out`` directly, where "raise" goes through a buffer
-        return np.take(distinct @ w, ids, axis=0, out=out, mode="clip")
+        product = (rows @ padded)[:, :width]
+        if out is None:
+            return product
+        out[...] = product
+        return out
 
     def with_rows(self, rows: np.ndarray) -> "BatchTensor":
         """The same sequences with new per-token features (layers keep the
@@ -162,19 +183,22 @@ class BatchTensor:
 
 
 def _rows_stand_alone(rows: int, w: np.ndarray) -> bool:
-    """Whether each row of a ``rows``-row product with ``w`` gets the bits it
-    has in a product with any other rows.
+    """Whether each row of a ``rows``-row product with ``w``, padded to a
+    multiple of 8 columns as :meth:`BatchTensor.times` pads it, gets the bits
+    it has in a product with any other rows.
 
     OpenBLAS picks its GEMM kernels, and so the order of each row's sums, by
     the operands' sizes.  With numpy 2.4.6's OpenBLAS 0.3.31 on x86-64 with
     AVX-512, a row's bits were measured not to depend on the other rows when
     ``w`` is at most 384 deep (the depth is summed in one block) and a
     multiple of 8 wide (no narrow column tail), with two rows or more (one
-    row goes to GEMV).  Outside these sizes they do depend on them: at
-    300 x 300 the last 4 columns of the last rows differ.
+    row goes to GEMV).  :meth:`BatchTensor.times` pads every width, so only
+    the depth and the row count are left to check.  Past them the bits do
+    depend on the other rows: at depth 385 a 32-wide product's rows differ
+    in their last bits.  ``argseg selftest`` checks this at the architectures' shapes
+    (:func:`argseg.selftest.check_distinct_rows`).
     """
-    depth, width = w.shape
-    return rows > 1 and depth <= 384 and width % 8 == 0
+    return rows > 1 and w.shape[0] <= 384
 
 
 def _distinct_pair(rows: np.ndarray, distinct, inverse) -> tuple[np.ndarray, np.ndarray]:

@@ -1,4 +1,4 @@
-"""Built-in verification: gradient checks, corpus round-trips, invariants.
+"""Built-in verification: gradient checks, invariants, distinct rows, corpus round-trips.
 
 Everything here runs from fixed seeds on small fixtures in well under a
 minute, so it doubles as an installation smoke test (`argseg selftest`).
@@ -97,6 +97,43 @@ def check_attention_invariants() -> float:
     return worst
 
 
+# (input depth, projection width): the five architectures' first-layer
+# projections at 300-d vectors and the default sizes (the BiLSTM's W is
+# 4H = 256 wide, additive attention's W_t and W_x 32, multi-head attention's
+# W_q, W_k and W_v 300) and at the training pins' 16-d inputs (4H = 32, and
+# 16), with a narrow width that times pads (4); then the gate's edge, depths
+# 384 and 385, where a 32-wide product's rows depend on the other rows
+DISTINCT_SHAPES = ((300, 256), (300, 32), (300, 300), (16, 32), (16, 16), (16, 4),
+                   (384, 32), (385, 32))
+
+
+def check_distinct_rows() -> tuple[int, int]:
+    """(shapes whose products differ, shapes projected through the distinct rows).
+
+    A batch of ``para300``-like lengths (64 sequences of 1 to 44 tokens) whose
+    rows come from 49 words, with its distinct rows, must give the bytes of
+    the same rows without them at every shape of
+    :data:`DISTINCT_SHAPES`, in packed and in a permuted order.  This checks
+    the property :func:`argseg.numeric._rows_stand_alone` asserts of the BLAS
+    on the machine that runs it.
+    """
+    rng = np.random.default_rng(61)
+    lengths = [int(n) for n in rng.integers(1, 45, size=64)]
+    differ = projected = 0
+    for depth, width in DISTINCT_SHAPES:
+        distinct = rng.standard_normal((49, depth))
+        inverse = rng.integers(0, 49, size=sum(lengths))
+        rows = distinct[inverse]
+        with_pair = BatchTensor(rows, lengths, (distinct, inverse))
+        plain = BatchTensor(rows, lengths)
+        w = rng.standard_normal((depth, width))
+        order = rng.permutation(len(inverse))
+        projected += with_pair.projects_distinct(w)
+        differ += any(with_pair.times(w, *args).tobytes() != plain.times(w, *args).tobytes()
+                      for args in ((), (order,)))
+    return differ, projected
+
+
 def check_corpus_roundtrip() -> int:
     """Tokenization reconstructs texts; BIO labels reconstruct span coverage."""
     failures = 0
@@ -131,6 +168,9 @@ def run_selftest() -> bool:
          lambda worst: (worst < GRAD_TOLERANCE, f"max rel err {worst:.2e}")),
         ("attention invariants", check_attention_invariants,
          lambda worst: (worst < 1e-9, f"max deviation {worst:.2e}")),
+        ("distinct rows", check_distinct_rows,
+         lambda counts: (counts[0] == 0, f"{counts[0]} of {len(DISTINCT_SHAPES)} shapes differ, "
+                                         f"{counts[1]} projected through the distinct rows")),
         ("corpus round-trip", check_corpus_roundtrip,
          lambda failures: (failures == 0, f"{failures} failing essays")),
     ]

@@ -396,7 +396,8 @@ def test_selftest_command_passes(capsys):
     assert main(["selftest"]) == 0
     assert time.time() - started < 60.0
     out = capsys.readouterr().out
-    assert out.count("PASS") >= 4
+    assert out.count("PASS") >= 5
+    assert "PASS  distinct rows (0 of 8 shapes differ, 7 projected through the distinct rows)" in out
     assert "FAIL" not in out
 
 
@@ -411,7 +412,7 @@ def test_selftest_reports_a_raising_check_and_runs_the_rest(capsys, monkeypatch)
     assert main(["selftest"]) == 1
     captured = capsys.readouterr()
     lines = [ln for ln in captured.out.splitlines() if ln.startswith(("PASS", "FAIL"))]
-    assert len(lines) == 4
+    assert len(lines) == 5
     assert lines[1] == "FAIL  model gradients (ValueError: core dimension mismatch)"
     assert all(ln.startswith("PASS") for ln in lines[:1] + lines[2:])
     assert "Traceback" not in captured.out + captured.err

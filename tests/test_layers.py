@@ -866,8 +866,8 @@ def para300_lengths(rng, shortest):
 
 # (layer, input width, lengths, distinct rows, whether the input projection
 # multiplies only the distinct rows); "para300" is the shape of a para300
-# batch, whose 300-wide attention projections keep the plain product (see
-# _rows_stand_alone in argseg.numeric), and "width304" the nearest width that uses the pair
+# batch, whose 300-wide attention projections are padded to 304 columns (see
+# BatchTensor.times in argseg.numeric)
 DISTINCT_CASES = {
     "bilstm-small": (lambda rng: BiLstm(4, 4, rng), 4, lambda rng: [5, 0, 1, 3], 6, True),
     "bilstm-para300": (lambda rng: BiLstm(300, 64, rng), 300,
@@ -875,9 +875,7 @@ DISTINCT_CASES = {
     "multi_head-small": (lambda rng: MultiHeadSelfAttention(8, 2, rng), 8,
                          lambda rng: [5, 1, 3], 6, True),
     "multi_head-para300": (lambda rng: MultiHeadSelfAttention(300, 6, rng), 300,
-                           lambda rng: para300_lengths(rng, 1), 49, False),
-    "multi_head-width304": (lambda rng: MultiHeadSelfAttention(304, 4, rng), 304,
-                            lambda rng: para300_lengths(rng, 1), 49, True),
+                           lambda rng: para300_lengths(rng, 1), 49, True),
 }
 
 
@@ -892,3 +890,18 @@ def test_distinct_rows_give_the_bytes_of_plain_rows(case):
     assert not plain.projects_distinct(first)
     upstream = rng.standard_normal(layer.infer(plain).rows.shape)
     assert passes_bytes(layer, with_pair, upstream) == passes_bytes(layer, plain, upstream)
+
+
+def test_multi_head_infer_on_distinct_rows_peaks_no_higher_than_on_plain_rows():
+    # at the para300 shape Q, K and V of a pair batch are taken from a slice
+    # of the padded (49, 304) product: the projection allocates its (N, D)
+    # result, the padded weight and (49, 304)-sized arrays, and no other
+    # (N, D) array, so infer peaks no higher than on the same plain rows
+    rng = np.random.default_rng(314)
+    layer = MultiHeadSelfAttention(300, 6, rng)
+    with_pair, plain = distinct_batch(rng, para300_lengths(rng, 1), 300, words=49)
+    assert with_pair.projects_distinct(layer.w_q.value)
+    layer.infer(plain)
+    assert traced_peak(lambda: layer.infer(with_pair)) <= traced_peak(lambda: layer.infer(plain))
+    result = with_pair.rows.nbytes
+    assert result <= traced_peak(lambda: with_pair.times(layer.w_q.value)) < 2 * result

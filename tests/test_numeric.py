@@ -3,11 +3,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from argseg import numeric
 from argseg.errors import ContractViolation, DimensionError, NumericError
 from argseg.layers import TimeDistributedLinear
 from argseg.numeric import BatchTensor, Parameter, grad_check, softmax_rows
 from argseg.selftest import (
+    DISTINCT_SHAPES,
     GRAD_TOLERANCE,
+    check_distinct_rows,
     check_layer_gradients,
     check_model_gradients,
     layer_zoo,
@@ -138,11 +141,13 @@ class TestDistinctRows:
         assert not bt.with_rows(bt.rows * 2.0).projects_distinct(w)
 
     # (depth, width, distinct rows): inside the sizes at which a product's
-    # rows stand alone, then past the depth, with a narrow column tail, and
-    # with one distinct row, where the plain product is kept
+    # rows stand alone, with and without a column tail that times pads, then
+    # past the depth and with one distinct row, where the plain product is
+    # kept, padded too
     @pytest.mark.parametrize("depth,width,words,projects", [
         (4, 8, 2, True), (300, 256, 49, True), (384, 64, 120, True),
-        (400, 64, 49, False), (300, 300, 49, False), (16, 20, 49, False), (16, 16, 1, False)])
+        (400, 64, 49, False), (300, 300, 49, True), (16, 20, 49, True), (16, 16, 1, False),
+        (400, 20, 49, False)])
     def test_times_gives_the_bytes_of_the_plain_product(self, depth, width, words, projects):
         rng = np.random.default_rng(depth + width + words)
         rows, lengths, pair = pair_batch(rng, [int(n) for n in rng.integers(0, 45, 64)],
@@ -151,23 +156,39 @@ class TestDistinctRows:
         w = rng.standard_normal((depth, width))
         order = rng.permutation(len(rows))
         assert bt.projects_distinct(w) is projects
-        assert bt.times(w).tobytes() == (rows @ w).tobytes()
+        if width % 8:  # w with zero columns to a multiple of 8, then the first width
+            w8 = np.hstack([w, np.zeros((depth, -width % 8))])
+            expected = (rows @ w8)[:, :width], (rows[order] @ w8)[:, :width]
+        else:
+            expected = rows @ w, rows[order] @ w
+        assert bt.times(w).tobytes() == expected[0].tobytes()
         out = np.empty((len(rows), width))
         assert bt.times(w, order, out=out) is out
-        assert out.tobytes() == (rows[order] @ w).tobytes()
+        assert out.tobytes() == expected[1].tobytes()
 
     def test_rows_stand_alone_at_random_sizes(self):
         # the measured property the distinct product rests on, at 40 random
-        # sizes inside it
+        # sizes inside it, at any width: times pads it to a multiple of 8
         rng = np.random.default_rng(6)
         for _ in range(40):
-            depth, width = int(rng.integers(1, 385)), 8 * int(rng.integers(1, 65))
+            depth, width = int(rng.integers(1, 385)), int(rng.integers(1, 513))
             words = int(rng.integers(2, 121))
             rows, lengths, pair = pair_batch(rng, [int(rng.integers(words, 2001))], depth, words)
             w = rng.standard_normal((depth, width))
+            w8 = np.hstack([w, np.zeros((depth, -width % 8))])
             bt = BatchTensor(rows, lengths, pair)
             assert bt.projects_distinct(w)
-            assert bt.times(w).tobytes() == (rows @ w).tobytes(), (depth, width, words)
+            assert bt.times(w).tobytes() == (rows @ w8)[:, :width].tobytes(), (depth, width, words)
+
+    def test_selftest_distinct_rows_check_passes(self):
+        # every shape but depth 385 is inside the gate
+        assert check_distinct_rows() == (0, len(DISTINCT_SHAPES) - 1)
+
+    def test_selftest_distinct_rows_check_fails_with_a_gate_that_admits_depth_385(
+            self, monkeypatch):
+        monkeypatch.setattr(numeric, "_rows_stand_alone",
+                            lambda rows, w: rows > 1 and w.shape[0] <= 385)
+        assert check_distinct_rows() == (1, len(DISTINCT_SHAPES))
 
 
 class _Wrapper:

@@ -87,7 +87,7 @@ LAYER_DIGESTS = {
     ("multi_head", "small"):
         "f876748cb7be5ed8f56da32d7167166cb897318c26fa666aef1b9a0ac5ee481c",
     ("multi_head", "para300"):
-        "1e4f909c03198b4590d12f1cf8fcff526f49a40a487e639ab1c73bda09112c83",
+        "76102abfe82ddae187123e7564ec0754028bf075e7d72574fca0705468bf991d",
 }
 
 
