@@ -30,8 +30,13 @@ W is padded with zero columns to a multiple of 8 wide for the product, so a
 unpadded product's.  A batch built from word tables carries its distinct
 rows, and for it only those are multiplied, with the bits of the same rows
 without them; multi-head attention at D=300 uses them too.  A layer's
-output carries none, so only the first layer's projections use them.
-Every backward reads the input rows themselves.
+output carries none, so only the first layer's projections use them.  The
+weight gradients of those projections come from the transpose twin
+(:meth:`~argseg.numeric.BatchTensor.t_times`), which for a batch with
+distinct rows first sums the gradient's rows per distinct row: they get
+other last bits than the same rows' without them, and every other output
+and gradient keeps its bytes.  Such a batch is cached as it is, so the
+BiLSTM then gathers no time-major copy of its rows.
 
 ``backward(cache, grad_out, input_grad=True)``: with ``input_grad=False`` a
 layer writes the same parameter gradients, returns ``None`` and skips
@@ -254,18 +259,18 @@ def _run_direction(halved, pos: _Positions, acts, states, reverse: bool):
         np.multiply(a[:, 2 * hdim : sig], tc, out=hs[h_write[t] : h_write[t] + n])
 
 
-def _direction_backward(cell: LstmCell, cache, grad_run, x_run, pos: _Positions, work,
-                        reverse: bool):
+def _direction_backward(cell: LstmCell, cache, grad_run, pos: _Positions, work, reverse: bool):
     """Backward pass of one direction into caller-allocated arrays.
 
     ``cache`` = (acts, hs, cs), as :func:`_run_direction` left them with the
     rows of :func:`_state_rows`; each step computes tanh(c_t) again from
     cs, so it gets the forward's bits.  ``grad_run`` (M, H) is the
-    direction's upstream gradient at the running positions.  The parameter
-    gradients are written into ``cell``; ``work`` = (d_acts, h_in, dx_run)
-    receives the gate gradients, the states entering each step and the input
-    gradient, all at the running positions.  A ``dx_run`` of ``None`` skips
-    the input gradient.
+    direction's upstream gradient at the running positions.  The gradients
+    of U and b are written into ``cell``, and the caller forms W's from the
+    gate gradients; ``work`` = (d_acts, h_in, dx_run) receives the gate
+    gradients, the states entering each step and the input gradient, all at
+    the running positions.  A ``dx_run`` of ``None`` skips the input
+    gradient.
     """
     acts, hs, cs = cache
     d_acts, h_in, dx_run = work
@@ -311,7 +316,6 @@ def _direction_backward(cell: LstmCell, cache, grad_run, x_run, pos: _Positions,
     entering = np.array(entering, dtype=np.intp)
     # mode="clip" writes straight into ``out``; the default buffers it
     np.take(hs, entering[pos.step] + pos.rank, axis=0, out=h_in, mode="clip")
-    np.matmul(x_run.T, d_acts, out=cell.w.grad)
     np.matmul(h_in.T, d_acts, out=cell.u.grad)
     np.sum(d_acts, axis=0, out=cell.b.grad)
     if dx_run is not None:
@@ -327,13 +331,17 @@ class BiLstm(Layer):
     yet ended.  The input projection comes from :meth:`BatchTensor.times`
     in time-major order: a batch with distinct rows projects only those,
     and otherwise the input rows are gathered into time-major order once
-    and projected.  The input-side gradient GEMMs run on the time-major
-    inputs.  The two directions run one after the other on the calling
-    thread, through the same recurrence (:func:`_run_direction`).
+    and projected.  W's gradients come from :meth:`BatchTensor.t_times` on
+    the batch in the same order, which sums per distinct row, or else from
+    the time-major inputs.  The two directions run one after the other on
+    the calling thread, through the same recurrence (:func:`_run_direction`).
 
-    ``forward`` caches (time-major inputs, positions, per direction (gate
-    activations at the tokens, hidden states, cell states)); backward
-    computes tanh of each step's cell states again.  ``infer`` keeps no
+    ``forward`` caches (the batch where its distinct rows were projected,
+    else the time-major inputs; positions; per direction (gate activations
+    at the tokens, hidden states, cell states)).  It never holds both, nor
+    the rows of a batch without distinct rows, which may be the previous
+    layer's output.  Backward computes tanh of each step's cell states
+    again.  ``infer`` keeps no
     cache: one activation block and one hidden-state block serve both
     directions, the cell state lives in one (n_0, H) block updated in place,
     and it allocates only these, its output and, for a batch without
@@ -353,16 +361,16 @@ class BiLstm(Layer):
     def _run(self, x: BatchTensor, keep: bool):
         """(output, time-major inputs, positions, caches); with ``keep`` each
         direction gets arrays of its own, kept as its cache, and without it
-        the directions share theirs and ``caches`` is empty.  Without
-        ``keep``, a batch with distinct rows takes no time-major inputs, and
-        they are ``None``."""
+        the directions share theirs and ``caches`` is empty.  A batch whose
+        distinct rows are projected takes no time-major inputs, and they are
+        ``None``."""
         self._check_input(x, self.input_dim)
         h = self.hidden
         pos = _positions(x.lengths)
         n_run = len(pos.packed)
         n_state = n_run + pos.widest
         distinct = x.projects_distinct(self.fwd.w.value)
-        x_run = np.take(x.rows, pos.packed, axis=0) if keep or not distinct else None
+        x_run = None if distinct else np.take(x.rows, pos.packed, axis=0)
         dtype = x.rows.dtype
         if keep:
             caches = [(np.empty((n_run, 4 * h), dtype), np.empty((n_state, h), dtype),
@@ -394,25 +402,31 @@ class BiLstm(Layer):
 
     def forward(self, x: BatchTensor):
         out, x_run, pos, caches = self._run(x, keep=True)
-        return out, (x_run, pos, caches)
+        # the batch itself where its distinct rows were projected, else the
+        # time-major inputs: never both, and never the rows of a batch without
+        # distinct rows, so the previous layer's output can be freed
+        return out, (x if x_run is None else x_run, pos, caches)
 
     def infer(self, x: BatchTensor) -> BatchTensor:
         return self._run(x, keep=False)[0]
 
     def backward(self, cache, grad_out: np.ndarray, input_grad: bool = True):
-        x_run, pos, caches = cache
-        n_run, dim = x_run.shape
-        h = self.hidden
+        inputs, pos, caches = cache
+        n_run, h = len(pos.packed), self.hidden
         grad_run = np.take(grad_out, pos.packed, axis=0)
         d_acts, h_in = np.empty((n_run, 4 * h)), np.empty((n_run, h))
         # both directions' input gradients in one (2, M, D) block; the result
         # is its second half and keeps it alive.  With two separate arrays,
         # glibc's dynamic mmap threshold settled lower, and bl-i's evaluate
         # faulted about 10x as often
-        dx_runs = np.empty((2, n_run, dim)) if input_grad else (None, None)
+        dx_runs = np.empty((2, n_run, self.input_dim)) if input_grad else (None, None)
         for k, (cell, reverse) in enumerate(((self.fwd, False), (self.bwd, True))):
-            _direction_backward(cell, caches[k], grad_run[:, k * h : (k + 1) * h], x_run, pos,
+            _direction_backward(cell, caches[k], grad_run[:, k * h : (k + 1) * h], pos,
                                 (d_acts, h_in, dx_runs[k]), reverse)
+            if isinstance(inputs, BatchTensor):  # its rows, read in time-major order
+                inputs.t_times(d_acts, pos.packed, out=cell.w.grad)
+            else:
+                np.matmul(inputs.T, d_acts, out=cell.w.grad)
         if not input_grad:
             return None
         dx_run, dx = dx_runs
@@ -436,10 +450,11 @@ class AdditiveSelfAttention(Layer):
     The score has no output bias: a constant added to every score of a
     softmax row cancels.
 
-    The projections run over all tokens of the batch, and each sequence b
-    scores just its own n_b x n_b block of pairs.  The cache is (input rows,
-    spans, weights, queries with b_h, keys), where weights holds one
-    (n_b, n_b) block per sequence.
+    The projections come from :meth:`BatchTensor.times` and their weight
+    gradients from :meth:`BatchTensor.t_times`; each sequence b scores just
+    its own n_b x n_b block of pairs.  The cache is (the batch, weights,
+    queries with b_h, keys), where weights holds one (n_b, n_b) block per
+    sequence.
 
     The pairwise activations u = tanh(q_t + k_s) are built one tile of query
     rows at a time, in one scratch buffer (see ``CHUNK_ELEMENTS``).  Backward
@@ -497,7 +512,7 @@ class AdditiveSelfAttention(Layer):
 
     def blocks(self, cache):
         """Yield each sequence's (n_b, n_b) weights, as forward cached them."""
-        yield from cache[2]
+        yield from cache[1]
 
     def forward(self, x: BatchTensor):
         self._check_input(x, self.dim, tokens=True)
@@ -517,10 +532,11 @@ class AdditiveSelfAttention(Layer):
             block = softmax_rows(scores)
             np.matmul(block, xv[lo:hi], out=out[lo:hi])
             weights.append(block)
-        return x.with_rows(out), (xv, x.spans, weights, q, k)
+        return x.with_rows(out), (x, weights, q, k)
 
     def backward(self, cache, grad_out: np.ndarray, input_grad: bool = True):
-        xv, spans, weights, q, k = cache
+        x, weights, q, k = cache
+        xv, spans = x.rows, x.spans
         v_flat = self.v_score.value[:, 0]
         buf = self._buffer(spans, xv.dtype)
 
@@ -548,8 +564,8 @@ class AdditiveSelfAttention(Layer):
         dk *= v_flat
         self.v_score.grad[:, 0] = dv
         np.sum(dq, axis=0, out=self.b_hidden.grad)
-        np.matmul(xv.T, dq, out=self.w_query.grad)
-        np.matmul(xv.T, dk, out=self.w_key.grad)
+        x.t_times(dq, out=self.w_query.grad)
+        x.t_times(dk, out=self.w_key.grad)
         if not input_grad:
             return None
         dxv += dq @ self.w_query.value.T
@@ -566,11 +582,11 @@ class MultiHeadSelfAttention(Layer):
     anywhere.
 
     Q, K and V come from :meth:`BatchTensor.times`, which projects only the
-    distinct rows of a batch that has them.  W_o and the gradient GEMMs run
-    over all tokens of the batch, and each sequence b forms just its own
-    (h, n_b, n_b) logits.  The
-    cache is (input rows, spans, Q, K, V): no weights and no concatenated
-    head outputs.  Each sequence's weight block is a temporary of forward;
+    distinct rows of a batch that has them, and W_q's, W_k's and W_v's
+    gradients from :meth:`BatchTensor.t_times`, which sums per distinct row.
+    W_o and the other gradient GEMMs run over all tokens of the batch, and
+    each sequence b forms just its own (h, n_b, n_b) logits.  The cache is
+    (the batch, Q, K, V): no weights and no concatenated head outputs.  Each sequence's weight block is a temporary of forward;
     :meth:`blocks` and backward build it again with forward's expression,
     so they see the same bits, and backward rebuilds the head outputs for
     W_o's gradient.  This keeps sum_b h * n_b^2 + N * D floats out of the
@@ -606,28 +622,27 @@ class MultiHeadSelfAttention(Layer):
 
     def blocks(self, cache):
         """Yield each sequence's (h, n_b, n_b) weights, rebuilt from Q and K."""
-        _, spans, q, k, _ = cache
-        for lo, hi in spans:
+        x, q, k, _ = cache
+        for lo, hi in x.spans:
             yield self._block(self._heads(q[lo:hi]), self._heads(k[lo:hi]))
 
     def forward(self, x: BatchTensor):
         self._check_input(x, self.dim, tokens=True)
-        xv = x.rows
         q, k, v = (x.times(w.value) for w in (self.w_q, self.w_k, self.w_v))
 
-        ctx = np.empty_like(xv)
+        ctx = np.empty_like(x.rows)
         for lo, hi in x.spans:
             qb, kb, vb = (self._heads(m[lo:hi]) for m in (q, k, v))
             self._heads(ctx[lo:hi])[...] = self._block(qb, kb) @ vb
-        return x.with_rows(ctx @ self.w_o.value), (xv, x.spans, q, k, v)
+        return x.with_rows(ctx @ self.w_o.value), (x, q, k, v)
 
     def backward(self, cache, grad_out: np.ndarray, input_grad: bool = True):
-        xv, spans, q, k, v = cache
+        x, q, k, v = cache
         d_ctx = grad_out @ self.w_o.value.T
 
         scale = 1.0 / np.sqrt(self.head_dim)
-        ctx, dq, dk, dv = (np.empty_like(xv) for _ in range(4))
-        for (lo, hi), block in zip(spans, self.blocks(cache)):
+        ctx, dq, dk, dv = (np.empty_like(x.rows) for _ in range(4))
+        for (lo, hi), block in zip(x.spans, self.blocks(cache)):
             qb, kb, vb, dcb = (self._heads(m[lo:hi]) for m in (q, k, v, d_ctx))
             self._heads(ctx[lo:hi])[...] = block @ vb
             d_alpha = dcb @ vb.transpose(0, 2, 1)
@@ -639,9 +654,9 @@ class MultiHeadSelfAttention(Layer):
 
         np.matmul(ctx.T, grad_out, out=self.w_o.grad)
         del ctx  # freed before the input-gradient GEMMs allocate
-        np.matmul(xv.T, dq, out=self.w_q.grad)
-        np.matmul(xv.T, dk, out=self.w_k.grad)
-        np.matmul(xv.T, dv, out=self.w_v.grad)
+        x.t_times(dq, out=self.w_q.grad)
+        x.t_times(dk, out=self.w_k.grad)
+        x.t_times(dv, out=self.w_v.grad)
         if not input_grad:
             return None
         dxv = dq @ self.w_q.value.T

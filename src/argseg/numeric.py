@@ -8,7 +8,10 @@ length, and, for a batch built from word tables, its distinct rows with the
 index of each token's row among them.  :meth:`BatchTensor.times` multiplies
 the rows by a weight padded to a multiple of 8 columns, and only the
 distinct rows where their products' rows stand alone: the first layer's
-projections, multi-head attention's 300 x 300 ones included.
+projections, multi-head attention's 300 x 300 ones included.  Its transpose
+twin :meth:`BatchTensor.t_times` gives those projections' weight gradients;
+with distinct rows it sums the gradient's rows per distinct row first, so
+those gradients get other last bits than the same rows' without them.
 """
 
 from __future__ import annotations
@@ -75,7 +78,8 @@ class BatchTensor:
     ``pair``, optional, is (distinct (U, F), inverse (N,)) with
     ``rows == distinct[inverse]``, which the caller guarantees: a batch of
     word-table rows, where a token's row depends only on its word.  Both are
-    kept read-only, and :meth:`times` multiplies only the U distinct rows.
+    kept read-only; :meth:`times` multiplies only the U distinct rows, and
+    :meth:`t_times` only their sums.
     """
 
     __slots__ = ("rows", "lengths", "spans", "_distinct")
@@ -158,6 +162,37 @@ class BatchTensor:
         out[...] = product
         return out
 
+    def t_times(self, g: np.ndarray, order=None, out=None) -> np.ndarray:
+        """``rows[order].T @ g``, or ``rows.T @ g`` without an ``order``,
+        written into ``out`` if given: the transpose twin of :meth:`times`,
+        which gives the weight gradient of a projection :meth:`times` made.
+
+        Without distinct rows it is the plain product.  With them, g's rows
+        are first summed per distinct row, in their order, and the (F, U)
+        transposed distinct rows are multiplied by the (U, W) sums.  That
+        groups each entry's sum otherwise than the plain product does, so
+        its last bits may differ; the error stays below (M + U) eps
+        (|rows|^T |g|) for M rows of ``g``.  The sums are taken by
+        ``np.bincount`` over a (row, column) index, :data:`_SUM_COLUMNS`
+        columns of ``g`` at a time, so the index stays an (M, 32) array.
+        """
+        if self._distinct is None:
+            rows = self.rows if order is None else np.take(self.rows, order, axis=0)
+            return np.matmul(rows.T, g, out=out)
+        distinct, inverse = self._distinct
+        ids = inverse if order is None else inverse[order]
+        words, width = len(distinct), g.shape[1]
+        step = min(width, _SUM_COLUMNS)
+        # the bin of each entry of a block of g: its row's distinct row, then its column
+        bins = (ids * step)[:, None] + np.arange(step)
+        sums = np.empty((words, width))
+        for lo in range(0, width, step):
+            cols = min(step, width - lo)
+            binned = np.bincount(bins[:, :cols].ravel(), g[:, lo : lo + cols].ravel(),
+                                 words * step)
+            sums[:, lo : lo + cols] = binned.reshape(words, step)[:, :cols]
+        return np.matmul(distinct.T, sums, out=out)
+
     def with_rows(self, rows: np.ndarray) -> "BatchTensor":
         """The same sequences with new per-token features (layers keep the
         lengths); new features are not a function of the word, so the
@@ -180,6 +215,9 @@ class BatchTensor:
                     f"row {i} has shape {r.shape}; rows must be 2-D and equally wide"
                 )
         return cls(np.concatenate(rows, dtype=np.float64), [r.shape[0] for r in rows])
+
+
+_SUM_COLUMNS = 32  # columns of g that one ``np.bincount`` of :meth:`BatchTensor.t_times` sums
 
 
 def _rows_stand_alone(rows: int, w: np.ndarray) -> bool:

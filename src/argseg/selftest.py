@@ -21,6 +21,9 @@ from .models import ArchitectureId, ModelSpec, build_model
 from .numeric import BatchTensor, grad_check
 
 GRAD_TOLERANCE = 1e-10
+# how far, normwise and relative, a weight gradient summed per distinct row
+# (BatchTensor.t_times) may lie from the plain product's
+SUMMED_TOLERANCE = 1e-12
 
 
 def random_batch(rng, features) -> BatchTensor:
@@ -107,19 +110,23 @@ DISTINCT_SHAPES = ((300, 256), (300, 32), (300, 300), (16, 32), (16, 16), (16, 4
                    (384, 32), (385, 32))
 
 
-def check_distinct_rows() -> tuple[int, int]:
-    """(shapes whose products differ, shapes projected through the distinct rows).
+def check_distinct_rows() -> tuple[int, int, float]:
+    """(shapes whose products differ, shapes projected through the distinct
+    rows, the worst normwise relative deviation of ``t_times``).
 
     A batch of ``para300``-like lengths (64 sequences of 1 to 44 tokens) whose
     rows come from 49 words, with its distinct rows, must give the bytes of
     the same rows without them at every shape of
     :data:`DISTINCT_SHAPES`, in packed and in a permuted order.  This checks
     the property :func:`argseg.numeric._rows_stand_alone` asserts of the BLAS
-    on the machine that runs it.
+    on the machine that runs it.  In the same orders, its transposed products
+    with a gradient (:meth:`BatchTensor.t_times`), summed per distinct row,
+    must lie within :data:`SUMMED_TOLERANCE` of the same rows', normwise.
     """
     rng = np.random.default_rng(61)
     lengths = [int(n) for n in rng.integers(1, 45, size=64)]
     differ = projected = 0
+    worst = 0.0
     for depth, width in DISTINCT_SHAPES:
         distinct = rng.standard_normal((49, depth))
         inverse = rng.integers(0, 49, size=sum(lengths))
@@ -131,7 +138,13 @@ def check_distinct_rows() -> tuple[int, int]:
         projected += with_pair.projects_distinct(w)
         differ += any(with_pair.times(w, *args).tobytes() != plain.times(w, *args).tobytes()
                       for args in ((), (order,)))
-    return differ, projected
+        g = rng.standard_normal((len(inverse), width))
+        for args in ((), (order,)):
+            expected = plain.t_times(g, *args)
+            deviation = np.linalg.norm(with_pair.t_times(g, *args) - expected)
+            # np.maximum, unlike max, keeps a NaN, which then fails the line
+            worst = float(np.maximum(worst, deviation / np.linalg.norm(expected)))
+    return differ, projected, worst
 
 
 def check_corpus_roundtrip() -> int:
@@ -169,8 +182,10 @@ def run_selftest() -> bool:
         ("attention invariants", check_attention_invariants,
          lambda worst: (worst < 1e-9, f"max deviation {worst:.2e}")),
         ("distinct rows", check_distinct_rows,
-         lambda counts: (counts[0] == 0, f"{counts[0]} of {len(DISTINCT_SHAPES)} shapes differ, "
-                                         f"{counts[1]} projected through the distinct rows")),
+         lambda found: (found[0] == 0 and found[2] <= SUMMED_TOLERANCE,
+                        f"{found[0]} of {len(DISTINCT_SHAPES)} shapes differ, {found[1]} "
+                        f"projected through the distinct rows, summed gradients off by "
+                        f"{found[2]:.1e}")),
         ("corpus round-trip", check_corpus_roundtrip,
          lambda failures: (failures == 0, f"{failures} failing essays")),
     ]

@@ -35,8 +35,8 @@ def train_artifacts_digest(out: Path, arch: str) -> dict[str, str]:
 
 # train_artifacts_digest of test_lr_search_flag's run
 LR_SEARCH_DIGEST = {
-    "checkpoint and curve": "07a3fef978a0e3af77e81bf1b1fd6c6294fc6571eda69f67f6c8389cf97a3cb2",
-    "manifest": "0644f32db36dd722ecf51f55af21af5be39e0f30988e00e6edc868a913de6b53",
+    "checkpoint and curve": "74907cf3dc8a150e9891f25453f8a98e7465319dee0cb8b487b6132252751259",
+    "manifest": "9cbb301e7a8445353634d6e60282f563dcf8523a439e798d6aeadb969cd394a8",
 }
 
 
@@ -397,7 +397,8 @@ def test_selftest_command_passes(capsys):
     assert time.time() - started < 60.0
     out = capsys.readouterr().out
     assert out.count("PASS") >= 5
-    assert "PASS  distinct rows (0 of 8 shapes differ, 7 projected through the distinct rows)" in out
+    assert ("PASS  distinct rows (0 of 8 shapes differ, 7 projected through the distinct rows, "
+            "summed gradients off by ") in out
     assert "FAIL" not in out
 
 

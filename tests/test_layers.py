@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -324,9 +325,9 @@ class TestAdditiveAttention:
         out_padded, cache = layer.forward(padded)
         out_short, short_cache = layer.forward(full_batch(short[None]))
         assert np.allclose(out_padded.rows[:2], out_short.rows, atol=1e-12)
-        block = cache[2][0]  # the short row's weights cover its two tokens only
+        block = next(layer.blocks(cache))  # the short row's weights cover its two tokens only
         assert block.shape == (2, 2)
-        assert np.abs(block - short_cache[2][0]).max() <= 1e-12
+        assert np.abs(block - next(layer.blocks(short_cache))).max() <= 1e-12
 
 
 class TestMultiHeadAttention:
@@ -516,7 +517,8 @@ def additive_backward_oracle(layer, cache, grad_out):
     """Input and parameter gradients of ``AdditiveSelfAttention`` the way its
     backward formed them before the tiled matrix products: each sequence's
     whole pair block, scaled by d loss / d score and summed along its axes."""
-    xv, spans, weights, q, k = cache
+    x, weights, q, k = cache
+    xv, spans = x.rows, x.spans
     v_flat = layer.v_score.value[:, 0]
     dxv, dq, dk = np.empty_like(xv), np.empty_like(q), np.empty_like(k)
     dv = np.zeros(layer.attn_dim)
@@ -592,10 +594,10 @@ def test_multi_head_matches_cached_weights_oracle(input_grad):
 def test_multi_head_rebuilt_blocks_reproduce_the_output():
     layer, x = multi_head_case()
     out, cache = layer.forward(x)
-    _, spans, q, k, v = cache
-    assert (q.shape, k.shape, v.shape) == (x.rows.shape,) * 3
+    cached, q, k, v = cache
+    assert cached is x and (q.shape, k.shape, v.shape) == (x.rows.shape,) * 3
     ctx = np.empty_like(x.rows)
-    for (lo, hi), block in zip(spans, layer.blocks(cache), strict=True):
+    for (lo, hi), block in zip(x.spans, layer.blocks(cache), strict=True):
         assert block.shape == (6, hi - lo, hi - lo)
         layer._heads(ctx[lo:hi])[...] = block @ layer._heads(v[lo:hi])
     assert (ctx @ layer.w_o.value).tobytes() == out.rows.tobytes()
@@ -638,7 +640,7 @@ def test_additive_backward_matches_whole_block_oracle(name):
     layer, x = additive_case(name)
     upstream = np.random.default_rng(303).standard_normal(x.rows.shape)
     _, cache = layer.forward(x)
-    q, k = cache[3], cache[4]
+    _, _, q, k = cache
     if name == "tiled":
         assert layer._rows_per_chunk(150) * 3 <= 150  # at least 3 tiles
     expected = additive_backward_oracle(layer, cache, upstream)
@@ -847,15 +849,23 @@ def test_bilstm_infer_on_distinct_rows_takes_no_time_major_inputs():
 # ---------------------------------------------------------------------------
 
 
-def passes_bytes(layer, x, upstream) -> list[bytes]:
+def passes(layer, x, upstream) -> dict[str, np.ndarray]:
     """Forward rows, infer rows, the input gradient and every parameter
-    gradient, then every parameter gradient of ``input_grad=False``."""
+    gradient, by name; ``input_grad=False`` must give the same parameter
+    gradients, bytes and all."""
     out, cache = layer.forward(x)
-    got = [out.rows.tobytes(), layer.infer(x).rows.tobytes(),
-           layer.backward(cache, upstream).tobytes()]
-    got += [p.grad.tobytes() for p in layer.params()]
+    got = {"forward": out.rows, "infer": layer.infer(x).rows,
+           "input": layer.backward(cache, upstream)}
+    got.update((p.name, p.grad.copy()) for p in layer.params())
     assert layer.backward(cache, upstream, input_grad=False) is None
-    return got + [p.grad.tobytes() for p in layer.params()]
+    for p in layer.params():
+        assert p.grad.tobytes() == got[p.name].tobytes(), p.name
+    return got
+
+
+# the input projections' weights (the BiLSTM's W, W_t and W_x, W_q, W_k and
+# W_v), whose gradients BatchTensor.t_times sums per distinct row first
+INPUT_WEIGHTS = (".W", ".W_t", ".W_x", ".W_q", ".W_k", ".W_v")
 
 
 def para300_lengths(rng, shortest):
@@ -876,6 +886,8 @@ DISTINCT_CASES = {
                          lambda rng: [5, 1, 3], 6, True),
     "multi_head-para300": (lambda rng: MultiHeadSelfAttention(300, 6, rng), 300,
                            lambda rng: para300_lengths(rng, 1), 49, True),
+    "additive-para300": (lambda rng: AdditiveSelfAttention(300, rng, attn_dim=32), 300,
+                         lambda rng: para300_lengths(rng, 1), 49, True),
 }
 
 
@@ -889,7 +901,40 @@ def test_distinct_rows_give_the_bytes_of_plain_rows(case):
     assert with_pair.projects_distinct(first) is projects
     assert not plain.projects_distinct(first)
     upstream = rng.standard_normal(layer.infer(plain).rows.shape)
-    assert passes_bytes(layer, with_pair, upstream) == passes_bytes(layer, plain, upstream)
+    got, expected = passes(layer, with_pair, upstream), passes(layer, plain, upstream)
+    assert got.keys() == expected.keys()
+    for name, value in expected.items():
+        if name.endswith(INPUT_WEIGHTS):  # summed per distinct row: other last bits
+            assert np.linalg.norm(got[name] - value) <= 1e-12 * np.linalg.norm(value), name
+        else:
+            assert got[name].tobytes() == value.tobytes(), name
+
+
+def test_bilstm_forward_on_distinct_rows_takes_no_time_major_inputs():
+    # forward caches the batch itself in place of an (M, D) time-major copy
+    # of its rows, so it peaks at least (nearly) one such copy lower
+    rng = np.random.default_rng(315)
+    layer = BiLstm(300, 64, rng)
+    with_pair, plain = distinct_batch(rng, para300_lengths(rng, 0), 300, words=49)
+    assert with_pair.projects_distinct(layer.fwd.w.value)
+    layer.forward(plain)
+    saved = traced_peak(lambda: layer.forward(plain)) - traced_peak(lambda: layer.forward(with_pair))
+    assert saved >= 0.9 * plain.rows.nbytes, saved
+
+
+def test_bilstm_cache_keeps_only_a_batch_with_distinct_rows_alive():
+    # without distinct rows the cache holds the time-major copy, not the
+    # input rows, so the previous layer's output is freed with its batch
+    layer = BiLstm(6, 4, np.random.default_rng(316))
+    # distinct_batch gives (the batch with distinct rows, the same rows without)
+    for which, kept in ((1, False), (0, True)):
+        x = distinct_batch(np.random.default_rng(317), [5, 0, 3, 7], 6, words=4)[which]
+        rows = weakref.ref(x.rows)
+        out, cache = layer.forward(x)
+        del x
+        assert (rows() is not None) is kept
+        upstream = np.random.default_rng(318).standard_normal(out.rows.shape)
+        assert layer.backward(cache, upstream).shape == (15, 6)
 
 
 def test_multi_head_infer_on_distinct_rows_peaks_no_higher_than_on_plain_rows():

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,6 +12,7 @@ from argseg.numeric import BatchTensor, Parameter, grad_check, softmax_rows
 from argseg.selftest import (
     DISTINCT_SHAPES,
     GRAD_TOLERANCE,
+    SUMMED_TOLERANCE,
     check_distinct_rows,
     check_layer_gradients,
     check_model_gradients,
@@ -182,13 +185,103 @@ class TestDistinctRows:
 
     def test_selftest_distinct_rows_check_passes(self):
         # every shape but depth 385 is inside the gate
-        assert check_distinct_rows() == (0, len(DISTINCT_SHAPES) - 1)
+        differ, projected, summed = check_distinct_rows()
+        assert (differ, projected) == (0, len(DISTINCT_SHAPES) - 1)
+        assert 0.0 < summed <= SUMMED_TOLERANCE
 
     def test_selftest_distinct_rows_check_fails_with_a_gate_that_admits_depth_385(
             self, monkeypatch):
         monkeypatch.setattr(numeric, "_rows_stand_alone",
                             lambda rows, w: rows > 1 and w.shape[0] <= 385)
-        assert check_distinct_rows() == (1, len(DISTINCT_SHAPES))
+        assert check_distinct_rows()[:2] == (1, len(DISTINCT_SHAPES))
+
+    def test_selftest_distinct_rows_check_fails_when_one_word_is_not_summed(self, monkeypatch):
+        summed = BatchTensor.t_times
+
+        def drops_a_word(self, g, order=None, out=None):
+            if self._distinct is not None:  # the rows of one word add nothing
+                ids = self._distinct[1] if order is None else self._distinct[1][order]
+                g = g * (ids != ids[0])[:, None]
+            return summed(self, g, order, out)
+
+        monkeypatch.setattr(BatchTensor, "t_times", drops_a_word)
+        assert check_distinct_rows()[2] > SUMMED_TOLERANCE
+
+
+def longdouble_t_times(rows, order, g):
+    """``rows[order].T @ g`` in extended precision, from float64 operands."""
+    taken = rows if order is None else rows[order]
+    return taken.astype(np.longdouble).T @ g.astype(np.longdouble)
+
+
+class TestTransposedTimes:
+    @pytest.mark.parametrize("ordered", [False, True])
+    def test_without_distinct_rows_it_is_the_plain_product(self, ordered):
+        rng = np.random.default_rng(7)
+        bt = BatchTensor.from_rows([rng.standard_normal((n, 300)) for n in (44, 0, 17, 30)])
+        g = rng.standard_normal((len(bt.rows), 256))
+        order = rng.permutation(len(bt.rows)) if ordered else None
+        expected = (bt.rows if order is None else bt.rows[order]).T @ g
+        assert bt.t_times(g, order).tobytes() == expected.tobytes()
+        out = np.empty((300, 256))
+        assert bt.t_times(g, order, out=out) is out
+        assert out.tobytes() == expected.tobytes()
+
+    def test_distinct_rows_lie_within_the_summation_bound(self):
+        # 20 shapes, the first six fixed: the projection widths (4, 32, 256
+        # and 300), one distinct row, and a batch of only empty sequences,
+        # whose gradient is zero.  The bound is the a-priori one of M + U
+        # roundings per entry, (M + U) eps (|X|^T |g|)
+        rng = np.random.default_rng(8)
+        fixed = [(300, 4, 49), (300, 32, 49), (300, 256, 49), (300, 300, 49), (16, 32, 1),
+                 (16, 32, 3)]
+        for case in range(20):
+            if case < len(fixed):
+                depth, width, words = fixed[case]
+            else:
+                depth, width, words = (int(rng.integers(1, n)) for n in (301, 301, 80))
+            lengths = [0, 0] if case == 5 else [int(n) for n in rng.integers(0, 45, 8)]
+            rows, lengths, pair = pair_batch(rng, lengths, depth, words)
+            bt, plain = BatchTensor(rows, lengths, pair), BatchTensor(rows, lengths)
+            g = rng.standard_normal((len(rows), width))
+            order = rng.permutation(len(rows)) if case % 2 else None
+            got = bt.t_times(g, order)
+            taken = rows if order is None else rows[order]
+            bound = (len(rows) + words) * np.finfo(float).eps * (np.abs(taken).T @ np.abs(g))
+            error = np.abs(got - longdouble_t_times(rows, order, g))
+            assert (error <= bound).all(), (depth, width, words)
+            expected = plain.t_times(g, order)
+            if not len(rows):
+                assert got.shape == (depth, width) and not got.any()
+                continue
+            assert np.linalg.norm(got - expected) <= 1e-12 * np.linalg.norm(expected)
+
+    def test_distinct_rows_with_out_write_into_it(self):
+        rng = np.random.default_rng(9)
+        bt = BatchTensor(*pair_batch(rng, [5, 0, 3], 6, 4))
+        g = rng.standard_normal((8, 40))  # a block of 32 columns and one of 8
+        out = np.empty((6, 40))
+        assert bt.t_times(g, out=out) is out
+        assert out.tobytes() == bt.t_times(g).tobytes()
+
+    def test_distinct_rows_peak_below_one_gradient_sized_array(self):
+        # at the para300 shape and the BiLSTM's 4H = 256 columns, the sums
+        # need an (M, 32) index and block, not an (M, W) one
+        rng = np.random.default_rng(10)
+        lengths = [int(n) for n in rng.integers(1, 45, 64)]
+        bt = BatchTensor(*pair_batch(rng, lengths, 300, 49))
+        g = rng.standard_normal((len(bt.rows), 256))
+        out = np.empty((300, 256))
+        order = rng.permutation(len(bt.rows))
+        bt.t_times(g, order, out=out)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            bt.t_times(g, order, out=out)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak < g.nbytes, peak
 
 
 class _Wrapper:

@@ -30,8 +30,11 @@ from argseg.numeric import BatchTensor
 from argseg.training import TrainConfig, evaluate, train
 
 # (batch size, longest sequence, input width, hidden width); "para300" is
-# the shape of a para300 training batch
-SHAPES = {"small": (3, 5, 4, 5), "para300": (64, 44, 300, 64)}
+# the shape of a para300 training batch, and "para300-distinct" the same
+# shape with rows from WORDS words, carrying its distinct rows
+SHAPES = {"small": (3, 5, 4, 5), "para300": (64, 44, 300, 64),
+          "para300-distinct": (64, 44, 300, 64)}
+WORDS = 49
 
 LAYERS = {
     "linear": lambda rng, d, h: TimeDistributedLinear(d, h, rng),
@@ -49,6 +52,10 @@ def layer_case(name, shape):
     shortest = 0 if name == "bilstm" else 1
     lengths = rng.integers(shortest, longest + 1, size=batch)
     lengths[:2] = shortest, longest
+    if shape.endswith("-distinct"):
+        distinct = rng.standard_normal((WORDS, dim))
+        inverse = rng.integers(0, WORDS, size=lengths.sum())
+        return layer, BatchTensor(distinct[inverse], lengths, (distinct, inverse)), rng
     rows = [rng.standard_normal((n, dim)) for n in lengths]
     return layer, BatchTensor.from_rows(rows), rng
 
@@ -88,6 +95,12 @@ LAYER_DIGESTS = {
         "f876748cb7be5ed8f56da32d7167166cb897318c26fa666aef1b9a0ac5ee481c",
     ("multi_head", "para300"):
         "76102abfe82ddae187123e7564ec0754028bf075e7d72574fca0705468bf991d",
+    ("bilstm", "para300-distinct"):
+        "70ae51c64102554f9c7fa8d0c8ed6bc417e62bfb305194050907b85d1437c9e2",
+    ("additive", "para300-distinct"):
+        "8b04dbfa512e9e7bf23cae18e26a83f254eb8db6b9d18cd8b1168f6c643ea2b8",
+    ("multi_head", "para300-distinct"):
+        "d3b598bd98e968f3f63a35f62f0e9966aec640a7d1cc7cb81766aebbea2eafbb",
 }
 
 
@@ -126,11 +139,11 @@ def training_digest(arch, sequences, embeddings) -> str:
 
 
 TRAINING_DIGESTS = {
-    ArchitectureId.BL: "ab55131b9997addda9c760a88a590fe925394d9bb270d4694dd4ef019e42f658",
-    ArchitectureId.BL_I: "9b2a774d07f448bd668c1e20ef71e0ae2f2089bc7501b3154cbcf29c5aef978d",
-    ArchitectureId.BL_E: "75e430ec833188758f3bb98ba738f728a2b93f55d364ee158278e01bd4415734",
-    ArchitectureId.SB: "2d1bf4c15bbf09dbd63eb610907ae15eabc4858f0a21e13978f4f278cbb376e4",
-    ArchitectureId.SB_I: "456d511aca7c30420611dbcb7176974ca7fcca9bdd64bc5194e7133de925da81",
+    ArchitectureId.BL: "3dda3ae83a86be505f4df396a893c249963601b2c6ca2d491497cd073deaf9f0",
+    ArchitectureId.BL_I: "9e48dfef80727fc12c519bf666aa0f3884455fc0270557e19e5eba600d555eb0",
+    ArchitectureId.BL_E: "03f9bcd34ac3b68a89b1a64272be6e0d010fd773aa110e9d88c142fdeb782983",
+    ArchitectureId.SB: "469695ea65a538c9eb587397d205ba6d015d5a20ee9618684516cfbe1dab2f34",
+    ArchitectureId.SB_I: "d3402c28afce95c4d27ec437617555d766a0c10d929343a9751b04a5391d4a03",
 }
 
 
