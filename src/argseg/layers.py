@@ -23,13 +23,15 @@ tokens packed sequence-major into one (N, F) array of rows plus the
 sequences' lengths.  Every layer maps (N, F_in) rows to (N, F_out) rows and,
 in backward, (N, F_out) gradients to (N, F_in); no layer sees padding.
 The input projections ask the batch for its rows times W
-(:meth:`~argseg.numeric.BatchTensor.times`): the BiLSTM's W, additive
+(:meth:`~argseg.numeric.BatchTensor.times`, or its factored form
+:meth:`~argseg.numeric.BatchTensor.project`): the BiLSTM's W, additive
 attention's W_t and W_x and multi-head attention's W_q, W_k and W_v.  Each
 W is padded with zero columns to a multiple of 8 wide for the product, so a
 300-wide projection's last 4 columns may get other last bits than an
 unpadded product's.  A batch built from word tables carries its distinct
 rows, and for it only those are multiplied, with the bits of the same rows
-without them; multi-head attention at D=300 uses them too.  A layer's
+without them; multi-head attention at D=300 uses them too, and keeps Q, K
+and V as one row per distinct row.  A layer's
 output carries none, so only the first layer's projections use them.  The
 weight gradients of those projections come from the transpose twin
 (:meth:`~argseg.numeric.BatchTensor.t_times`), which for a batch with
@@ -61,8 +63,8 @@ all tokens, and each sequence attends over its own block of query x key
 pairs.  Each class docstring says what its cache holds.  Both attention
 layers have ``blocks(cache)``, which yields the per-sequence weight blocks,
 queries by keys, each query row summing to 1: additive attention caches its
-blocks, while multi-head attention caches only Q, K and V and builds each
-block again.
+blocks, while multi-head attention caches only Q, K and V, per distinct row
+where the batch's were projected, and builds each block again.
 """
 
 from __future__ import annotations
@@ -581,17 +583,23 @@ class MultiHeadSelfAttention(Layer):
     concatenated heads go through an output projection W_o.  No biases
     anywhere.
 
-    Q, K and V come from :meth:`BatchTensor.times`, which projects only the
-    distinct rows of a batch that has them, and W_q's, W_k's and W_v's
-    gradients from :meth:`BatchTensor.t_times`, which sums per distinct row.
-    W_o and the other gradient GEMMs run over all tokens of the batch, and
-    each sequence b forms just its own (h, n_b, n_b) logits.  The cache is
-    (the batch, Q, K, V): no weights and no concatenated head outputs.  Each sequence's weight block is a temporary of forward;
-    :meth:`blocks` and backward build it again with forward's expression,
-    so they see the same bits, and backward rebuilds the head outputs for
-    W_o's gradient.  This keeps sum_b h * n_b^2 + N * D floats out of the
-    cache, at the price of each block's logits, softmax and head outputs
-    once more per batch.
+    Q, K and V come from :meth:`BatchTensor.project` in factored form, a
+    table and ids: for a batch whose distinct rows it projects, a (U, D)
+    table of their rows and each token's row in it, and otherwise the (N, D)
+    product and no ids.  Each sequence takes its Q, K and V rows from the
+    tables, by its ids or as a slice; they are the bytes of the full
+    product.  W_q's, W_k's and W_v's gradients come from
+    :meth:`BatchTensor.t_times`, which sums per distinct row.  W_o and the
+    other gradient GEMMs run over all tokens of the batch, and each
+    sequence b forms just its own (h, n_b, n_b) logits.  The cache is (the
+    batch, ids, Q, K, V), with Q, K and V as tables: no weights, no
+    concatenated head outputs, and for a para300 batch (49 distinct words)
+    no per-token Q, K or V.  Each sequence's weight block is a temporary of
+    forward; :meth:`blocks` and backward build it again with forward's
+    expression, so they see the same bits, and backward rebuilds the head
+    outputs for W_o's gradient.  This keeps sum_b h * n_b^2 + N * D floats
+    out of the cache, at the price of each block's logits, softmax and head
+    outputs once more per batch.
     """
 
     def __init__(self, dim: int, heads: int, rng, name: str = "mha"):
@@ -620,30 +628,38 @@ class MultiHeadSelfAttention(Layer):
         """The (h, n, n) weights of one sequence from its (h, n, d_k) Q and K."""
         return softmax_rows((qb @ kb.transpose(0, 2, 1)) * (1.0 / np.sqrt(self.head_dim)))
 
+    def _sequence(self, table: np.ndarray, ids, lo: int, hi: int) -> np.ndarray:
+        """Rows lo:hi of a projection in factored form (see
+        :meth:`BatchTensor.project`) as an (h, n, d_k) view."""
+        return self._heads(table[lo:hi] if ids is None else np.take(table, ids[lo:hi], axis=0))
+
     def blocks(self, cache):
         """Yield each sequence's (h, n_b, n_b) weights, rebuilt from Q and K."""
-        x, q, k, _ = cache
+        x, ids, q, k, _ = cache
         for lo, hi in x.spans:
-            yield self._block(self._heads(q[lo:hi]), self._heads(k[lo:hi]))
+            yield self._block(self._sequence(q, ids, lo, hi), self._sequence(k, ids, lo, hi))
 
     def forward(self, x: BatchTensor):
         self._check_input(x, self.dim, tokens=True)
-        q, k, v = (x.times(w.value) for w in (self.w_q, self.w_k, self.w_v))
+        # W_q, W_k and W_v are equally deep, so the three share their ids
+        (q, ids), (k, _), (v, _) = (x.project(w.value) for w in (self.w_q, self.w_k, self.w_v))
 
         ctx = np.empty_like(x.rows)
         for lo, hi in x.spans:
-            qb, kb, vb = (self._heads(m[lo:hi]) for m in (q, k, v))
+            qb, kb, vb = (self._sequence(m, ids, lo, hi) for m in (q, k, v))
             self._heads(ctx[lo:hi])[...] = self._block(qb, kb) @ vb
-        return x.with_rows(ctx @ self.w_o.value), (x, q, k, v)
+        return x.with_rows(ctx @ self.w_o.value), (x, ids, q, k, v)
 
     def backward(self, cache, grad_out: np.ndarray, input_grad: bool = True):
-        x, q, k, v = cache
+        x, ids, q, k, v = cache
         d_ctx = grad_out @ self.w_o.value.T
 
         scale = 1.0 / np.sqrt(self.head_dim)
         ctx, dq, dk, dv = (np.empty_like(x.rows) for _ in range(4))
-        for (lo, hi), block in zip(x.spans, self.blocks(cache)):
-            qb, kb, vb, dcb = (self._heads(m[lo:hi]) for m in (q, k, v, d_ctx))
+        for lo, hi in x.spans:
+            qb, kb, vb = (self._sequence(m, ids, lo, hi) for m in (q, k, v))
+            dcb = self._heads(d_ctx[lo:hi])
+            block = self._block(qb, kb)
             self._heads(ctx[lo:hi])[...] = block @ vb
             d_alpha = dcb @ vb.transpose(0, 2, 1)
             self._heads(dv[lo:hi])[...] = block.transpose(0, 2, 1) @ dcb

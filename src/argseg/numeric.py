@@ -5,10 +5,13 @@ here.  Parameters, batches and gradients are float64; only ``grad_check``
 runs forwards on complex copies.  A :class:`BatchTensor` holds only tokens:
 one (N, F) array of rows, sequence after sequence, plus each sequence's
 length, and, for a batch built from word tables, its distinct rows with the
-index of each token's row among them.  :meth:`BatchTensor.times` multiplies
-the rows by a weight padded to a multiple of 8 columns, and only the
-distinct rows where their products' rows stand alone: the first layer's
-projections, multi-head attention's 300 x 300 ones included.  Its transpose
+index of each token's row among them.  :meth:`BatchTensor.project` gives
+the rows times a weight padded to a multiple of 8 columns in factored form,
+a table and each token's row in it: where the products' rows stand alone it
+multiplies only the distinct rows, and otherwise the table is the product
+itself.  :meth:`BatchTensor.times` takes the table's rows for the tokens.
+These are the first layer's projections, multi-head attention's 300 x 300
+ones included; multi-head attention keeps the tables.  Its transpose
 twin :meth:`BatchTensor.t_times` gives those projections' weight gradients;
 with distinct rows it sums the gradient's rows per distinct row first, so
 those gradients get other last bits than the same rows' without them.
@@ -78,8 +81,8 @@ class BatchTensor:
     ``pair``, optional, is (distinct (U, F), inverse (N,)) with
     ``rows == distinct[inverse]``, which the caller guarantees: a batch of
     word-table rows, where a token's row depends only on its word.  Both are
-    kept read-only; :meth:`times` multiplies only the U distinct rows, and
-    :meth:`t_times` only their sums.
+    kept read-only; :meth:`project` and :meth:`times` multiply only the U
+    distinct rows, and :meth:`t_times` only their sums.
     """
 
     __slots__ = ("rows", "lengths", "spans", "_distinct")
@@ -122,24 +125,25 @@ class BatchTensor:
         return mask
 
     def projects_distinct(self, w: np.ndarray) -> bool:
-        """Whether :meth:`times` multiplies only the distinct rows by ``w``:
+        """Whether :meth:`project` multiplies only the distinct rows by ``w``:
         the batch has them and the product's rows stand alone (see
         :func:`_rows_stand_alone`)."""
         return self._distinct is not None and _rows_stand_alone(len(self._distinct[0]), w)
 
-    def times(self, w: np.ndarray, order=None, out=None) -> np.ndarray:
-        """``rows[order] @ w``, or ``rows @ w`` without an ``order``, written
-        into ``out`` if given.
+    def project(self, w: np.ndarray, order=None) -> tuple[np.ndarray, np.ndarray | None]:
+        """``rows[order] @ w`` (``rows @ w`` without an ``order``) in factored
+        form: ``(table, ids)`` with the product equal to ``table[ids]``, or to
+        ``table`` itself where ``ids`` is ``None``.
 
         ``w`` is first padded with zero columns to a multiple of 8 wide, and
-        the product's first ``width`` columns are returned.  The rule depends
-        only on ``w``'s shape, so a batch with distinct rows and one without
-        give the same bits; at a width that is a multiple of 8 it is the
-        plain product.  Where :meth:`projects_distinct` holds, only the
-        distinct rows are multiplied and the rows of their product's first
-        ``width`` columns are taken in ``order``; each row has the bits it
-        has in the product of every row.  Otherwise, without ``out``, a
-        padded product is returned as a view of its first ``width`` columns.
+        ``table`` is a view of the product's first ``width`` columns.  The
+        rule depends only on ``w``'s shape, so a batch with distinct rows and
+        one without give the same bits; at a width that is a multiple of 8 it
+        is the plain product.  Where :meth:`projects_distinct` holds, ``table`` is the
+        (U, width) product of the distinct rows and ``ids`` their inverse,
+        taken in ``order``: each row of ``table`` has the bits it has in the
+        product of every row.  Otherwise ``ids`` is ``None`` and ``table`` is
+        the product of the rows, gathered in ``order`` first.
         """
         depth, width = w.shape
         if width % 8:
@@ -149,17 +153,23 @@ class BatchTensor:
             padded = w
         if self.projects_distinct(w):
             distinct, inverse = self._distinct
-            ids = inverse if order is None else inverse[order]
+            return (distinct @ padded)[:, :width], inverse if order is None else inverse[order]
+        rows = self.rows if order is None else np.take(self.rows, order, axis=0)
+        return (rows @ padded)[:, :width], None
+
+    def times(self, w: np.ndarray, order=None, out=None) -> np.ndarray:
+        """``rows[order] @ w``, or ``rows @ w`` without an ``order``, written
+        into ``out`` if given: :meth:`project`'s table, with its rows taken
+        by its ids where it has them.  Without ids and without ``out``, the
+        table itself is returned."""
+        table, ids = self.project(w, order)
+        if ids is not None:
             # every index is in range (checked once); "clip" lets take write into
             # a contiguous ``out`` directly, where "raise" goes through a buffer
-            return np.take((distinct @ padded)[:, :width], ids, axis=0, out=out, mode="clip")
-        rows = self.rows if order is None else np.take(self.rows, order, axis=0)
-        if padded is w:
-            return np.matmul(rows, w, out=out)
-        product = (rows @ padded)[:, :width]
+            return np.take(table, ids, axis=0, out=out, mode="clip")
         if out is None:
-            return product
-        out[...] = product
+            return table
+        out[...] = table
         return out
 
     def t_times(self, g: np.ndarray, order=None, out=None) -> np.ndarray:

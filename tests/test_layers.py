@@ -594,8 +594,8 @@ def test_multi_head_matches_cached_weights_oracle(input_grad):
 def test_multi_head_rebuilt_blocks_reproduce_the_output():
     layer, x = multi_head_case()
     out, cache = layer.forward(x)
-    cached, q, k, v = cache
-    assert cached is x and (q.shape, k.shape, v.shape) == (x.rows.shape,) * 3
+    cached, ids, q, k, v = cache  # a batch without distinct rows: no ids, (N, D) tables
+    assert cached is x and ids is None and (q.shape, k.shape, v.shape) == (x.rows.shape,) * 3
     ctx = np.empty_like(x.rows)
     for (lo, hi), block in zip(x.spans, layer.blocks(cache), strict=True):
         assert block.shape == (6, hi - lo, hi - lo)
@@ -850,12 +850,15 @@ def test_bilstm_infer_on_distinct_rows_takes_no_time_major_inputs():
 
 
 def passes(layer, x, upstream) -> dict[str, np.ndarray]:
-    """Forward rows, infer rows, the input gradient and every parameter
-    gradient, by name; ``input_grad=False`` must give the same parameter
-    gradients, bytes and all."""
+    """Forward rows, infer rows, an attention layer's ``blocks(cache)``, the
+    input gradient and every parameter gradient, by name;
+    ``input_grad=False`` must give the same parameter gradients, bytes and
+    all."""
     out, cache = layer.forward(x)
     got = {"forward": out.rows, "infer": layer.infer(x).rows,
            "input": layer.backward(cache, upstream)}
+    if hasattr(layer, "blocks"):
+        got["blocks"] = np.concatenate([block.ravel() for block in layer.blocks(cache)])
     got.update((p.name, p.grad.copy()) for p in layer.params())
     assert layer.backward(cache, upstream, input_grad=False) is None
     for p in layer.params():
@@ -937,16 +940,41 @@ def test_bilstm_cache_keeps_only_a_batch_with_distinct_rows_alive():
         assert layer.backward(cache, upstream).shape == (15, 6)
 
 
+def test_multi_head_cache_keeps_q_k_v_per_distinct_row():
+    # at the para300 shape, after forward on a batch with its distinct rows,
+    # the layer holds the (N, D) output rows, three (U, 304) tables (Q, K
+    # and V of the distinct rows, padded to a multiple of 8 columns) and
+    # headers; not three (N, D) arrays of Q, K and V per token.  2 KiB covers
+    # the headers of the output, the tuples, and each table's padded product
+    # and its view of the first D columns (1,184 bytes measured)
+    rng = np.random.default_rng(319)
+    layer = MultiHeadSelfAttention(300, 6, rng)
+    words = 49
+    x, _ = distinct_batch(rng, para300_lengths(rng, 1), 300, words)
+    assert x.projects_distinct(layer.w_q.value)
+    layer.forward(x)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        out, cache = layer.forward(x)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    n, d = x.rows.shape
+    assert held <= 8 * (n * d + 3 * words * 304) + 2048, held
+
+
 def test_multi_head_infer_on_distinct_rows_peaks_no_higher_than_on_plain_rows():
-    # at the para300 shape Q, K and V of a pair batch are taken from a slice
-    # of the padded (49, 304) product: the projection allocates its (N, D)
-    # result, the padded weight and (49, 304)-sized arrays, and no other
-    # (N, D) array, so infer peaks no higher than on the same plain rows
+    # at the para300 shape a pair batch's Q, K and V stay (49, 304) tables,
+    # and each sequence takes its rows from them: infer allocates no (N, D)
+    # array of Q, K or V, where the same plain rows need three (N, 304)
+    # products, so it peaks at least two (N, D) arrays lower
     rng = np.random.default_rng(314)
     layer = MultiHeadSelfAttention(300, 6, rng)
     with_pair, plain = distinct_batch(rng, para300_lengths(rng, 1), 300, words=49)
     assert with_pair.projects_distinct(layer.w_q.value)
     layer.infer(plain)
-    assert traced_peak(lambda: layer.infer(with_pair)) <= traced_peak(lambda: layer.infer(plain))
+    saved = traced_peak(lambda: layer.infer(plain)) - traced_peak(lambda: layer.infer(with_pair))
+    assert saved >= 2 * plain.rows.nbytes, saved
     result = with_pair.rows.nbytes
     assert result <= traced_peak(lambda: with_pair.times(layer.w_q.value)) < 2 * result

@@ -169,6 +169,23 @@ class TestDistinctRows:
         assert bt.times(w, order, out=out) is out
         assert out.tobytes() == expected[1].tobytes()
 
+    # (depth, width, distinct rows, whether they are projected)
+    @pytest.mark.parametrize("depth,width,words,projects", [
+        (300, 300, 49, True), (300, 256, 49, True), (400, 20, 49, False), (16, 16, 1, False)])
+    def test_project_gives_times_in_factored_form(self, depth, width, words, projects):
+        rng = np.random.default_rng(depth * width + words)
+        rows, lengths, pair = pair_batch(rng, [int(n) for n in rng.integers(0, 45, 64)],
+                                         depth, words)
+        bt = BatchTensor(rows, lengths, pair)
+        w = rng.standard_normal((depth, width))
+        order = rng.permutation(len(rows))
+        for args in ((), (order,)):
+            table, ids = bt.project(w, *args)
+            assert (ids is not None) is projects
+            assert table.shape == ((words if projects else len(rows)), width)
+            got = table if ids is None else table[ids]
+            assert got.tobytes() == bt.times(w, *args).tobytes()
+
     def test_rows_stand_alone_at_random_sizes(self):
         # the measured property the distinct product rests on, at 40 random
         # sizes inside it, at any width: times pads it to a multiple of 8
