@@ -42,7 +42,7 @@ from .files import atomic_write, read_text
 from .metrics import REPORT_CSV_HEADER, report_csv_row
 from .models import ArchitectureId, ModelSpec, build_model, load_checkpoint, save_checkpoint
 from .selftest import run_selftest
-from .training import TrainConfig, evaluate, generalization_gap, lr_search, train
+from .training import DTYPES, TrainConfig, evaluate, generalization_gap, lr_search, train
 
 ARCH_CHOICES = [a.value for a in ArchitectureId]
 
@@ -186,7 +186,8 @@ def cmd_train(args: argparse.Namespace) -> int:
     model_spec = ModelSpec(arch, input_dim=emb.expected_dim, hidden=args.hidden,
                            seed=args.seed)
     cfg = TrainConfig(batch_size=args.batch_size, max_epochs=args.max_epochs,
-                      patience=args.patience, learning_rate=args.lr, seed=args.seed)
+                      patience=args.patience, learning_rate=args.lr, seed=args.seed,
+                      dtype=args.dtype)
 
     vocabulary = []
     for i, src in enumerate(emb.sources):
@@ -322,6 +323,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-epochs", type=int, default=TrainConfig.max_epochs)
     p.add_argument("--patience", type=int, default=TrainConfig.patience)
     p.add_argument("--hidden", type=int, default=ModelSpec.hidden)
+    p.add_argument("--dtype", choices=DTYPES, default=TrainConfig.dtype,
+                   help="compute dtype of training and of the saved model, which "
+                        "evaluate then uses (default %(default)s; float64 is about "
+                        "half as fast and gives the results of earlier versions)")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_train)
 

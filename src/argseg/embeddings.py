@@ -3,7 +3,7 @@
 The two sources are an ``EmbeddingTable`` and a ``PrecomputedStore``.  Each
 has a ``dim`` and a ``write_rows`` that writes the rows of a batch's
 sequences straight into its columns of one (tokens, dim) array that the
-caller allocates: a table in one ``np.take``, a store one read of each
+caller allocates: a table in one gather, a store one read of each
 covering run of records at a time.  A text table is one matrix whose last
 row is all zeros: its keys and every query are lowercased, out-of-vocabulary
 words take the zero row, and the miss rate is reported per run rather than
@@ -66,18 +66,18 @@ class EmbeddingTable:
 
     def write_rows(self, sequences: list[LabeledSequence], out: np.ndarray):
         """Write the sequences' rows, one after another, into ``out``, a
-        (tokens, dim) float64 array, in one take; words are lowercased first,
-        and unknown words get the zero row."""
+        (tokens, dim) float array, in one gather; words are lowercased
+        first, and unknown words get the zero row."""
         self.write_keys((word.lower() for seq in sequences for word in seq.words), out)
 
     def write_keys(self, keys, out: np.ndarray):
         """Write the rows of lowercased ``keys`` into ``out``, a (keys, dim)
-        float64 array, in one take; unknown keys get the zero row."""
+        float array, in one gather; unknown keys get the zero row.  The
+        table's float64 rows are cast to ``out``'s dtype as they are written."""
         oov = len(self.index)
-        # every index is in range by construction; "clip" lets take write into
-        # a contiguous ``out`` directly, where "raise" goes through a buffer
-        np.take(self.vectors, [self.index.get(key, oov) for key in keys],
-                axis=0, out=out, mode="clip")
+        # gathered, then written: np.take into an ``out`` of another dtype
+        # casts through a buffer, and was seen to warn of invalid values there
+        out[...] = self.vectors[[self.index.get(key, oov) for key in keys]]
 
 
 def load_glove(content) -> EmbeddingTable:
@@ -193,8 +193,8 @@ class PrecomputedStore:
 
     def rows(self, essay_id: str, start: int, out: np.ndarray):
         """Read the vectors of token ordinals ``start .. start + len(out) - 1``
-        into ``out``, a (count, dim) float64 array that may be strided, such as
-        a batch's columns.
+        into ``out``, a (count, dim) float array that may be strided, such as
+        a batch's columns; the stored float64 values are cast to its dtype.
 
         Each run of records that lie together is read in pieces of at most
         ``_CHUNK`` bytes (or one record) into the reader's one reused buffer,
@@ -219,7 +219,7 @@ class PrecomputedStore:
 
     def write_rows(self, sequences: list[LabeledSequence], out: np.ndarray):
         """Read each sequence's records straight into its slice of ``out``, a
-        (tokens, dim) float64 array, one sequence after another."""
+        (tokens, dim) float array, one sequence after another."""
         lo = 0
         for seq in sequences:
             self.rows(seq.essay_id, seq.token_ordinal_start, out[lo : lo + len(seq)])
@@ -553,7 +553,7 @@ class EmbeddingSpec:
 
     def write_rows(self, sequences: list[LabeledSequence], out: np.ndarray) -> np.ndarray:
         """Write the rows of ``sequences``, one sequence after another, into
-        ``out``, a float64 (total tokens, expected_dim) array, and return it.
+        ``out``, a float (total tokens, expected_dim) array, and return it.
         Each source writes its own columns in place, in order, so no
         per-sequence or per-source array is made."""
         col = 0
@@ -562,30 +562,33 @@ class EmbeddingSpec:
             col += src.dim
         return out
 
-    def batch(self, sequences: list[LabeledSequence]) -> BatchTensor:
-        """The batch of the sequences' rows, one sequence after another.
+    def batch(self, sequences: list[LabeledSequence], dtype=np.float64) -> BatchTensor:
+        """The batch of the sequences' rows, one sequence after another, in
+        ``dtype``.
 
         When every source is a word table, a token's row depends only on its
         lowercased word.  One pass over the tokens then gives each word a
         distinct id, each table writes its columns of the distinct words'
-        rows only, and one take writes the tokens' rows from them; the batch
-        carries the distinct rows and the ids (see ``BatchTensor``).  With
-        any precomputed store, the rows are written by ``write_rows`` and the
-        batch carries no distinct rows.
+        rows only, cast to ``dtype`` there, and one take writes the tokens'
+        rows from them; the batch carries the distinct rows and the ids (see
+        ``BatchTensor``).  With any precomputed store, the rows are written
+        by ``write_rows`` and the batch carries no distinct rows.
         """
         lengths = [len(seq) for seq in sequences]
-        rows = np.empty((sum(lengths), self.expected_dim))
+        rows = np.empty((sum(lengths), self.expected_dim), dtype)
         if not all(isinstance(src, EmbeddingTable) for src in self.sources):
             return BatchTensor(self.write_rows(sequences, rows), lengths)
         ids: dict[str, int] = {}
         inverse = np.array([ids.setdefault(word.lower(), len(ids))
                             for seq in sequences for word in seq.words], dtype=np.intp)
-        distinct = np.empty((len(ids), self.expected_dim))
+        distinct = np.empty((len(ids), self.expected_dim), dtype)
         col = 0
         for table in self.sources:
             table.write_keys(ids, distinct[:, col : col + table.dim])
             col += table.dim
-        np.take(distinct, inverse, axis=0, out=rows, mode="clip")  # see write_keys
+        # both of ``dtype``; every index is in range by construction, and "clip"
+        # lets take write into ``rows`` directly, where "raise" goes through a buffer
+        np.take(distinct, inverse, axis=0, out=rows, mode="clip")
         return BatchTensor(rows, lengths, (distinct, inverse))
 
     def vectorize(self, seq: LabeledSequence) -> np.ndarray:

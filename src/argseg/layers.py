@@ -15,8 +15,11 @@ caches of a model's forward.  ``infer(x)`` is the inference pass, which
 It is ``forward(x)[0]`` itself except for the BiLSTM, whose ``infer``
 allocates no training cache at all.  A model ends in a linear map to
 per-token B/I/O logits; the softmax is applied once, inside the loss.
-Forwards allocate in their input rows' dtype, so that ``grad_check`` can
-run them on complex rows; backward is float64 only.
+A layer computes in its parameters' dtype, float32 or float64, and its input
+rows must have that dtype (``Model.forward`` and ``Model.logits`` cast a
+batch once, on entry): every buffer, cache and gradient follows it, and no
+constant promotes a float32 array to float64.  Forwards allocate in their
+input rows' dtype, so that ``grad_check`` can run them on complex rows.
 
 Shape convention: a batch is a :class:`~argseg.numeric.BatchTensor`, its
 tokens packed sequence-major into one (N, F) array of rows plus the
@@ -156,9 +159,11 @@ class LstmCell:
         """Copies of W, U and b with the sigmoid columns (i|f|o) halved.
 
         One tanh over pre-activations built from them gives every gate, since
-        sigmoid(a) = (1 + tanh(a/2)) / 2.  Halving is exact in binary.
+        sigmoid(a) = (1 + tanh(a/2)) / 2.  Halving is exact in binary.  The
+        scale row has the values' real dtype, so float32 values stay float32.
         """
-        scale = np.repeat([0.5, 1.0], [3 * self.hidden, self.hidden])
+        scale = np.repeat(np.array([0.5, 1.0], self.w.value.real.dtype),
+                          [3 * self.hidden, self.hidden])
         return [p.value * scale for p in self.params()]
 
 
@@ -231,8 +236,10 @@ def _run_direction(halved, pos: _Positions, acts, states, reverse: bool):
     hdim = hs.shape[1]
     sig = 3 * hdim
     # i|f|o become 0.5 tanh + 0.5 (see LstmCell.halved) and g stays tanh, by
-    # whole-row operations: x * 1 and x + -0.0 give x back, bit for bit
-    scale, offset = (np.repeat([0.5, g], [sig, hdim]) for g in (1.0, -0.0))
+    # whole-row operations: x * 1 and x + -0.0 give x back, bit for bit.  The
+    # rows have the activations' real dtype: float64 rows would promote float32
+    scale, offset = (np.repeat(np.array([0.5, g], acts.real.dtype), [sig, hdim])
+                     for g in (1.0, -0.0))
     acts += b
     z = np.empty((pos.widest, 4 * hdim), acts.dtype)
     ig = np.empty((pos.widest, hdim), acts.dtype)
@@ -279,12 +286,9 @@ def _direction_backward(cell: LstmCell, cache, grad_run, pos: _Positions, work, 
     hdim = hs.shape[1]
     sig = 3 * hdim
     u_t = cell.u.value.T
-    dh = np.zeros((pos.widest, hdim))
-    dc = np.zeros((pos.widest, hdim))
-    gh = np.empty((pos.widest, hdim))
-    gc = np.empty((pos.widest, hdim))
-    dsig = np.empty((pos.widest, sig))
-    tanh_c = np.empty((pos.widest, hdim))
+    dh, dc = (np.zeros((pos.widest, hdim), acts.dtype) for _ in range(2))
+    gh, gc, tanh_c = (np.empty((pos.widest, hdim), acts.dtype) for _ in range(3))
+    dsig = np.empty((pos.widest, sig), acts.dtype)
     entering, written = _state_rows(pos, reverse)
     tlen = len(pos.starts) - 1
     for t in (range(tlen) if reverse else reversed(range(tlen))):
@@ -415,13 +419,14 @@ class BiLstm(Layer):
     def backward(self, cache, grad_out: np.ndarray, input_grad: bool = True):
         inputs, pos, caches = cache
         n_run, h = len(pos.packed), self.hidden
+        dtype = caches[0][0].dtype  # the gate activations'
         grad_run = np.take(grad_out, pos.packed, axis=0)
-        d_acts, h_in = np.empty((n_run, 4 * h)), np.empty((n_run, h))
+        d_acts, h_in = np.empty((n_run, 4 * h), dtype), np.empty((n_run, h), dtype)
         # both directions' input gradients in one (2, M, D) block; the result
         # is its second half and keeps it alive.  With two separate arrays,
         # glibc's dynamic mmap threshold settled lower, and bl-i's evaluate
         # faulted about 10x as often
-        dx_runs = np.empty((2, n_run, self.input_dim)) if input_grad else (None, None)
+        dx_runs = np.empty((2, n_run, self.input_dim), dtype) if input_grad else (None, None)
         for k, (cell, reverse) in enumerate(((self.fwd, False), (self.bwd, True))):
             _direction_backward(cell, caches[k], grad_run[:, k * h : (k + 1) * h], pos,
                                 (d_acts, h_in, dx_runs[k]), reverse)
@@ -545,7 +550,7 @@ class AdditiveSelfAttention(Layer):
         dxv = np.empty_like(xv) if input_grad else None
         dq = np.empty_like(q)
         dk = np.zeros_like(k)
-        dv = np.zeros(self.attn_dim)
+        dv = np.zeros(self.attn_dim, q.dtype)
         for (lo, hi), block in zip(spans, weights):
             g = grad_out[lo:hi]
             if input_grad:
@@ -612,6 +617,8 @@ class MultiHeadSelfAttention(Layer):
         self.dim = dim
         self.heads = heads
         self.head_dim = dim // heads
+        # a Python float: an np.float64 scale would promote float32 logits to float64
+        self.scale = 1.0 / math.sqrt(self.head_dim)
         self.w_q = Parameter(f"{name}.W_q", glorot_uniform(rng, dim, dim))
         self.w_k = Parameter(f"{name}.W_k", glorot_uniform(rng, dim, dim))
         self.w_v = Parameter(f"{name}.W_v", glorot_uniform(rng, dim, dim))
@@ -626,12 +633,14 @@ class MultiHeadSelfAttention(Layer):
 
     def _block(self, qb: np.ndarray, kb: np.ndarray) -> np.ndarray:
         """The (h, n, n) weights of one sequence from its (h, n, d_k) Q and K."""
-        return softmax_rows((qb @ kb.transpose(0, 2, 1)) * (1.0 / np.sqrt(self.head_dim)))
+        return softmax_rows((qb @ kb.transpose(0, 2, 1)) * self.scale)
 
     def _sequence(self, table: np.ndarray, ids, lo: int, hi: int) -> np.ndarray:
         """Rows lo:hi of a projection in factored form (see
-        :meth:`BatchTensor.project`) as an (h, n, d_k) view."""
-        return self._heads(table[lo:hi] if ids is None else np.take(table, ids[lo:hi], axis=0))
+        :meth:`BatchTensor.project`) as an (h, n, d_k) view.  The rows are
+        taken by fancy indexing: ``table`` may be a strided view, whose
+        whole source ``np.take`` would copy first."""
+        return self._heads(table[lo:hi] if ids is None else table[ids[lo:hi]])
 
     def blocks(self, cache):
         """Yield each sequence's (h, n_b, n_b) weights, rebuilt from Q and K."""
@@ -654,7 +663,6 @@ class MultiHeadSelfAttention(Layer):
         x, ids, q, k, v = cache
         d_ctx = grad_out @ self.w_o.value.T
 
-        scale = 1.0 / np.sqrt(self.head_dim)
         ctx, dq, dk, dv = (np.empty_like(x.rows) for _ in range(4))
         for lo, hi in x.spans:
             qb, kb, vb = (self._sequence(m, ids, lo, hi) for m in (q, k, v))
@@ -665,8 +673,8 @@ class MultiHeadSelfAttention(Layer):
             self._heads(dv[lo:hi])[...] = block.transpose(0, 2, 1) @ dcb
             d_alpha -= (block * d_alpha).sum(axis=2, keepdims=True)
             d_logits = block * d_alpha
-            self._heads(dq[lo:hi])[...] = (d_logits @ kb) * scale
-            self._heads(dk[lo:hi])[...] = (d_logits.transpose(0, 2, 1) @ qb) * scale
+            self._heads(dq[lo:hi])[...] = (d_logits @ kb) * self.scale
+            self._heads(dk[lo:hi])[...] = (d_logits.transpose(0, 2, 1) @ qb) * self.scale
 
         np.matmul(ctx.T, grad_out, out=self.w_o.grad)
         del ctx  # freed before the input-gradient GEMMs allocate

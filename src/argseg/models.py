@@ -16,9 +16,13 @@ Every model ends in a linear head that emits per-token logits over
 A model maps a packed :class:`~argseg.numeric.BatchTensor` of (N, D) token
 rows to (N, 3) logit rows, one per token.
 
-A checkpoint is the text lines of :func:`_header`, then per parameter its
-:func:`_tensor_line` and its values as little-endian float64;
-:func:`load_checkpoint` accepts exactly what :func:`save_checkpoint` writes.
+A model computes in its parameters' dtype (:attr:`Model.dtype`):
+:func:`build_model` gives float64, and ``train`` casts to its run's dtype,
+float32 by default (:meth:`Model.cast`).  A checkpoint is the text lines of
+:func:`_header`, then per parameter its :func:`_tensor_line` and its values
+as little-endian float64, which holds a float32 value exactly;
+:func:`load_checkpoint` accepts exactly what :func:`save_checkpoint` writes,
+and gives float32 parameters where every stored value is a float32.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ from enum import Enum
 import numpy as np
 
 from .corpus import LABELS
-from .errors import ConfigurationError, ContractViolation, FormatError
+from .errors import ConfigurationError, ContractViolation, FormatError, NumericError
 from .files import atomic_write
 from .layers import (
     HEADS_CAP,
@@ -107,6 +111,7 @@ class Model:
     back to ``backward``, which consumes them; ``logits`` is the forward of
     inference, which runs each layer's ``infer`` and keeps no cache.  A
     trainer passes ``input_grad=False``, since nothing trains the input rows.
+    Both forwards first cast a batch of another dtype to :attr:`dtype`.
     """
 
     def __init__(self, spec: ModelSpec, layers: list[Layer]):
@@ -119,12 +124,37 @@ class Model:
             out.extend(layer.params())
         return out
 
+    @property
+    def dtype(self) -> np.dtype:
+        """The parameters' dtype, which batches, buffers and gradients follow."""
+        return self.layers[0].params()[0].value.dtype
+
+    def cast(self, dtype):
+        """Cast every parameter, value and gradient, to ``dtype`` in place;
+        a model of that dtype is left as it is.
+
+        A value that is not finite after the cast, such as a float64 value
+        beyond float32's range, raises :class:`NumericError` naming its
+        parameter, and then no parameter has changed.
+        """
+        dtype = np.dtype(dtype)
+        if dtype == self.dtype:
+            return
+        params = self.params()
+        with np.errstate(over="ignore"):  # an overflow is reported below
+            values = [p.value.astype(dtype) for p in params]
+        for p, value in zip(params, values):
+            if not np.isfinite(value).all():
+                raise NumericError(f"parameter {p.name} is not finite in {dtype}")
+        for p, value in zip(params, values):
+            p.value, p.grad = value, np.zeros_like(value)
+
     def forward(self, batch: BatchTensor):
         """(logits, caches): the caches, one per layer in order, stay valid
         until they are handed to ``backward``, and hold every layer's
         activations until then."""
         caches = []
-        x = batch
+        x = batch.astype(self.dtype)
         for layer in self.layers:
             x, cache = layer.forward(x)
             caches.append(cache)
@@ -134,7 +164,7 @@ class Model:
         """The logits of ``forward``, byte for byte, from each layer's
         ``infer``: no cache is kept, and each layer's output is dropped as
         soon as the next layer has returned its own."""
-        x = batch
+        x = batch.astype(self.dtype)
         for layer in self.layers:
             x = layer.infer(x)
         return x
@@ -259,6 +289,9 @@ def save_checkpoint(model: Model, path):
 def load_checkpoint(path) -> Model:
     """Rebuild the model that :func:`save_checkpoint` wrote; round-trips byte-exactly.
 
+    The parameters are float32 when every stored value is exactly a float32,
+    as a float32 model's are, and float64 otherwise.
+
     Only format 3 is read.  The spec comes from the ``arch``, ``input_dim``,
     ``hidden``, ``seed`` and ``attn_dim`` lines, and the header must then be
     :func:`_header`'s lines for it, in order.  Any other file, and a header
@@ -316,4 +349,8 @@ def load_checkpoint(path) -> Model:
                 p.value.byteswap(inplace=True)
         if fh.read(1):
             raise FormatError("trailing bytes after the last tensor block")
+    with np.errstate(over="ignore"):  # a value beyond float32's range is simply not one
+        single = all(np.array_equal(p.value.astype(np.float32), p.value) for p in params)
+    if single:
+        model.cast(np.float32)
     return model

@@ -1,8 +1,11 @@
-"""Float64 core: stable softmax, parameters, packed batches, and gradient checks.
+"""Numeric core: stable softmax, parameters, packed batches, and gradient checks.
 
 Everything downstream (layers, models, training) is built on the primitives
-here.  Parameters, batches and gradients are float64; only ``grad_check``
-runs forwards on complex copies.  A :class:`BatchTensor` holds only tokens:
+here.  Parameters, batches and gradients are float32 or float64, all of one
+dtype within a model: :func:`as_array` keeps float32 and makes everything
+else float64, so models are built in float64 and ``train`` casts them to its
+run's dtype (float32 by default).  Only ``grad_check`` runs forwards on
+complex copies.  A :class:`BatchTensor` holds only tokens:
 one (N, F) array of rows, sequence after sequence, plus each sequence's
 length, and, for a batch built from word tables, its distinct rows with the
 index of each token's row among them.  :meth:`BatchTensor.project` gives
@@ -27,7 +30,10 @@ from .errors import ContractViolation, DimensionError, NumericError
 
 
 def as_array(values) -> np.ndarray:
-    return np.ascontiguousarray(values, dtype=np.float64)
+    """``values`` as a contiguous float array: float32 stays float32, and
+    anything else becomes float64."""
+    dtype = np.float32 if getattr(values, "dtype", None) == np.float32 else np.float64
+    return np.ascontiguousarray(values, dtype=dtype)
 
 
 # ---------------------------------------------------------------------------
@@ -185,6 +191,8 @@ class BatchTensor:
         (|rows|^T |g|) for M rows of ``g``.  The sums are taken by
         ``np.bincount`` over a (row, column) index, :data:`_SUM_COLUMNS`
         columns of ``g`` at a time, so the index stays an (M, 32) array.
+        ``np.bincount`` always sums in float64; each block of sums is
+        rounded to ``g``'s dtype as it is stored.
         """
         if self._distinct is None:
             rows = self.rows if order is None else np.take(self.rows, order, axis=0)
@@ -195,13 +203,26 @@ class BatchTensor:
         step = min(width, _SUM_COLUMNS)
         # the bin of each entry of a block of g: its row's distinct row, then its column
         bins = (ids * step)[:, None] + np.arange(step)
-        sums = np.empty((words, width))
+        sums = np.empty((words, width), g.dtype)
         for lo in range(0, width, step):
             cols = min(step, width - lo)
             binned = np.bincount(bins[:, :cols].ravel(), g[:, lo : lo + cols].ravel(),
                                  words * step)
             sums[:, lo : lo + cols] = binned.reshape(words, step)[:, :cols]
         return np.matmul(distinct.T, sums, out=out)
+
+    def astype(self, dtype) -> "BatchTensor":
+        """The same batch with its rows, and its distinct rows, cast to
+        ``dtype``; the batch itself if they already have it."""
+        if self.rows.dtype == dtype:
+            return self
+        out = self.with_rows(self.rows.astype(dtype))
+        if self._distinct is not None:
+            distinct, inverse = self._distinct
+            distinct = distinct.astype(dtype)
+            distinct.flags.writeable = False
+            out._distinct = distinct, inverse
+        return out
 
     def with_rows(self, rows: np.ndarray) -> "BatchTensor":
         """The same sequences with new per-token features (layers keep the
@@ -305,7 +326,7 @@ def grad_check(layer, x: BatchTensor, rng=None) -> float:
     A forward must be analytic in its values for this to hold: no ``abs``,
     ``maximum`` or comparison on values (the max that
     :func:`softmax_rows` subtracts cancels out).  The parameters get
-    complex copies for the probes, and their float64 arrays are put back
+    complex copies for the probes, and their real arrays are put back
     whether the check returns or raises.
 
     ``layer`` must expose params(), forward(BatchTensor) -> (BatchTensor,

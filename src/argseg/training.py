@@ -13,6 +13,12 @@ and ``evaluate`` run the layers through ``Model.logits``, which keeps no
 cache.  Validation essays are split off by essay id (never by sequence) so
 no essay leaks across the train/validation boundary.  Early stopping watches
 validation loss and always restores the best parameters seen.
+
+A run computes in ``TrainConfig.dtype``, float32 by default: ``train`` casts
+the model's parameters to it before the first step, and batches, layer
+buffers, gradients and Adam's moments follow the parameters.  ``evaluate``
+builds its batches in the model's dtype, so it needs no option.  float64
+runs the same arithmetic in double precision, about half as fast.
 """
 
 from __future__ import annotations
@@ -31,6 +37,9 @@ from .models import Model, ModelSpec, build_model, predict_labels
 from .numeric import BatchTensor, Parameter
 
 
+DTYPES = ("float32", "float64")  # the compute dtypes a run may choose
+
+
 @dataclass
 class TrainConfig:
     batch_size: int = 64
@@ -39,6 +48,7 @@ class TrainConfig:
     learning_rate: float = 1e-3
     val_fraction: float = 0.1
     seed: int = 0
+    dtype: str = "float32"  # one of DTYPES
 
     def __post_init__(self):
         for name in ("batch_size", "max_epochs", "patience", "seed"):
@@ -61,6 +71,8 @@ class TrainConfig:
             raise ContractViolation("max_epochs >= 1, patience >= 0, learning_rate > 0")
         if self.seed < 0:
             raise ContractViolation(f"seed must be >= 0, got {self.seed}")
+        if self.dtype not in DTYPES:
+            raise ContractViolation(f"dtype must be one of {DTYPES}, got {self.dtype!r}")
 
 
 @dataclass
@@ -137,7 +149,8 @@ def adam_step(params: list[Parameter], state: AdamState, lr: float):
 
     A gradient that is not finite, or whose square overflows, raises
     :class:`NumericError` naming its parameter before that parameter's
-    moments or value change.
+    moments or value change.  The square overflows above about 1.3e154
+    in float64 and about 1.8e19 in float32.
     """
     state.step_count += 1
     t = state.step_count
@@ -146,7 +159,7 @@ def adam_step(params: list[Parameter], state: AdamState, lr: float):
         g = p.grad
         with np.errstate(over="ignore"):
             g2 = g * g
-        if not np.isfinite(g2).all():  # g is not finite, or |g| is above ~1.3e154
+        if not np.isfinite(g2).all():  # g is not finite, or g * g overflows
             what = "non-finite" if not np.isfinite(g).all() else "overflowing"
             raise NumericError(f"{what} gradient for parameter {p.name}")
         state.m[i] += (1 - b1) * (g - state.m[i])
@@ -161,16 +174,17 @@ def adam_step(params: list[Parameter], state: AdamState, lr: float):
 # ---------------------------------------------------------------------------
 
 
-def _assemble(sequences: list[LabeledSequence], spec: EmbeddingSpec):
-    """One batch of the sequences, vectorized now, and their gold labels."""
-    batch = spec.batch(sequences)
+def _assemble(sequences: list[LabeledSequence], spec: EmbeddingSpec, dtype):
+    """One batch of the sequences, vectorized now in ``dtype``, and their gold labels."""
+    batch = spec.batch(sequences, dtype)
     gold = [LABELS.index(lab) for seq in sequences for lab in seq.labels]
     return batch, np.array(gold, dtype=np.int64)
 
 
-def _batches(sequences: list[LabeledSequence], order, spec: EmbeddingSpec, batch_size: int):
+def _batches(sequences: list[LabeledSequence], order, spec: EmbeddingSpec, batch_size: int,
+             dtype):
     for lo in range(0, len(order), batch_size):
-        yield _assemble([sequences[i] for i in order[lo : lo + batch_size]], spec)
+        yield _assemble([sequences[i] for i in order[lo : lo + batch_size]], spec, dtype)
 
 
 def _dataset_loss(model: Model, batches) -> float:
@@ -232,7 +246,10 @@ def train(model: Model, train_sequences: list[LabeledSequence],
     The input rows are fixed vectors that nothing trains, so the backward
     pass forms no gradient for them (``Model.backward(..., input_grad=False)``).
     They are read batch by batch; a sequence the spec does not cover raises
-    ``CoverageError`` before the first step.
+    ``CoverageError`` before the first step.  The model is then cast to
+    ``cfg.dtype`` (:meth:`Model.cast`), which it keeps; a parameter that is
+    not finite after the cast raises :class:`NumericError`, also before the
+    first step.
 
     Training stops once more than ``cfg.patience`` epochs follow the best
     one, the first of the lowest validation losses on the curve.  A
@@ -246,6 +263,7 @@ def train(model: Model, train_sequences: list[LabeledSequence],
         raise ContractViolation("no training sequences")
     train_seqs, val_seqs = split_by_essay(train_sequences, cfg.val_fraction, cfg.seed)
     spec.check_coverage(train_seqs + val_seqs)
+    model.cast(cfg.dtype)
 
     rng = np.random.default_rng(cfg.seed)
     params = model.params()
@@ -254,14 +272,15 @@ def train(model: Model, train_sequences: list[LabeledSequence],
     last_finite = best_values = model.get_values()  # set_values copies, so they may alias
 
     for epoch in range(1, cfg.max_epochs + 1):
-        batches = _batches(train_seqs, rng.permutation(len(train_seqs)), spec, cfg.batch_size)
+        batches = _batches(train_seqs, rng.permutation(len(train_seqs)), spec, cfg.batch_size,
+                           model.dtype)
         try:
             train_loss = _train_epoch(model, params, state, cfg.learning_rate, batches)
             for p in params:
                 if not np.isfinite(p.value).all():
                     raise NumericError(f"parameter {p.name} is not finite")
-            val_loss = _dataset_loss(
-                model, _batches(val_seqs, np.arange(len(val_seqs)), spec, cfg.batch_size))
+            val_loss = _dataset_loss(model, _batches(val_seqs, np.arange(len(val_seqs)), spec,
+                                                     cfg.batch_size, model.dtype))
             if not math.isfinite(val_loss):
                 raise NumericError(f"validation loss is {val_loss}")
         except NumericError as exc:
@@ -285,7 +304,8 @@ def train(model: Model, train_sequences: list[LabeledSequence],
 def evaluate(model: Model, sequences: list[LabeledSequence],
              spec: EmbeddingSpec, batch_size: int = TrainConfig.batch_size) -> MetricsReport:
     """Metrics of a frozen model over the given sequences, vectorized batch by
-    batch; a sequence the spec does not cover raises ``CoverageError`` first."""
+    batch in the model's dtype; a sequence the spec does not cover raises
+    ``CoverageError`` first."""
     if type(batch_size) is not int:  # also rejects bool
         raise ContractViolation(f"batch_size must be an int, got {batch_size!r}")
     if batch_size < 1:
@@ -294,7 +314,8 @@ def evaluate(model: Model, sequences: list[LabeledSequence],
         raise ContractViolation("no sequences to evaluate")
     spec.check_coverage(sequences)
     total = np.zeros((len(LABELS), len(LABELS)), dtype=np.int64)
-    for batch, gold in _batches(sequences, np.arange(len(sequences)), spec, batch_size):
+    for batch, gold in _batches(sequences, np.arange(len(sequences)), spec, batch_size,
+                                model.dtype):
         predicted = predict_labels(model, batch)
         total += confusion_matrix(gold, predicted)
     return metrics_from_confusion(total)

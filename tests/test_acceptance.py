@@ -197,7 +197,7 @@ def test_criterion_7_overfit_sanity(toy_embeddings):
         model, _ = train(build_model(spec), sequences, toy_embeddings, cfg)
         trained, _ = split_by_essay(sequences, cfg.val_fraction, cfg.seed)
         assert len(trained) == 10
-        batch, gold = _assemble(trained, toy_embeddings)
+        batch, gold = _assemble(trained, toy_embeddings, model.dtype)
         predicted = predict_labels(model, batch)
         acc = float((predicted == gold).mean())
         accuracies[arch.value] = acc

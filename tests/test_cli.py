@@ -36,7 +36,7 @@ def train_artifacts_digest(out: Path, arch: str) -> dict[str, str]:
 # train_artifacts_digest of test_lr_search_flag's run
 LR_SEARCH_DIGEST = {
     "checkpoint and curve": "74907cf3dc8a150e9891f25453f8a98e7465319dee0cb8b487b6132252751259",
-    "manifest": "9cbb301e7a8445353634d6e60282f563dcf8523a439e798d6aeadb969cd394a8",
+    "manifest": "d725b335921b9aa79f2a5f4eb10d3321c13b157fdef0e42c6e7eeaa758f508c8",
 }
 
 
@@ -159,6 +159,8 @@ class TestTrainCommand:
         assert err.endswith("; last finite checkpoint kept\n"), err
         model = load_checkpoint(out / "sb.ckpt")
         fresh = build_model(ModelSpec(ArchitectureId.SB, input_dim=16, hidden=4, seed=2))
+        fresh.cast(np.float32)  # the run's default dtype, which the checkpoint keeps
+        assert model.dtype == np.float32
         for p, q in zip(model.params(), fresh.params(), strict=True):
             assert np.isfinite(p.value).all(), p.name
             assert np.array_equal(p.value, q.value), p.name
@@ -220,7 +222,7 @@ class TestTrainCommand:
             "--arch", "sb", "--embeddings", str(toy_embeddings_file),
             "--hidden", "4", "--max-epochs", "2", "--patience", "5",
             "--lr-search", "2", "--seed", "3", "--batch-size", "8",
-            "--out", str(out),
+            "--dtype", "float64", "--out", str(out),
         ])
         assert rc == 0
         manifest = json.loads((out / "manifest-train.json").read_text())
@@ -397,8 +399,10 @@ def test_selftest_command_passes(capsys):
     assert time.time() - started < 60.0
     out = capsys.readouterr().out
     assert out.count("PASS") >= 5
-    assert ("PASS  distinct rows (0 of 8 shapes differ, 7 projected through the distinct rows, "
-            "summed gradients off by ") in out
+    for dtype in ("(float64: ", "; float32: "):
+        assert (f"{dtype}0 of 8 shapes differ, 7 projected through the distinct rows, "
+                "summed gradients off by ") in out
+    assert "PASS  distinct rows (float64: " in out
     assert "FAIL" not in out
 
 

@@ -471,7 +471,7 @@ class TestSpecBatch:
         assert_same_bytes(batch.rows, oracle)
 
     def test_training_batches_carry_the_distinct_rows(self, toy_embeddings, toy_sequences):
-        batch, _ = _assemble(toy_sequences[:8], toy_embeddings)
+        batch, _ = _assemble(toy_sequences[:8], toy_embeddings, np.float64)
         distinct, inverse = batch._distinct
         assert len(distinct) < len(batch.rows)
         assert_same_bytes(distinct[inverse], batch.rows)
@@ -523,7 +523,7 @@ def test_batch_built_in_place_equals_the_per_sequence_oracle(store_file, case, c
         sources = [table, store]
         spec = EmbeddingSpec(sources[::-1] if store_first else sources,
                              expected_dim=table.dim + store_dim)
-        batch, gold = _assemble(sequences, spec)
+        batch, gold = _assemble(sequences, spec, np.float64)
         alone = [spec.vectorize(seq) for seq in sequences]
     oracle = [np.concatenate([glove_oracle(table, seq), store_oracle(records, seq)][
         ::-1 if store_first else 1], axis=1) for seq in sequences]

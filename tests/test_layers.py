@@ -978,3 +978,24 @@ def test_multi_head_infer_on_distinct_rows_peaks_no_higher_than_on_plain_rows():
     assert saved >= 2 * plain.rows.nbytes, saved
     result = with_pair.rows.nbytes
     assert result <= traced_peak(lambda: with_pair.times(layer.w_q.value)) < 2 * result
+
+
+def test_multi_head_sequence_gathers_its_rows_without_copying_the_table():
+    # Q, K and V of a batch with distinct rows are strided views: the first
+    # 300 columns of (U, 304) padded products.  One sequence's rows, taken
+    # from such a table by its ids, allocate about n x D values, not a copy
+    # of the whole U x D table (np.take on a strided view copies its source)
+    rng = np.random.default_rng(320)
+    layer = MultiHeadSelfAttention(300, 6, rng)
+    x, _ = distinct_batch(rng, para300_lengths(rng, 1), 300, 490)
+    _, (_, ids, q, _, _) = layer.forward(x)
+    assert not q.flags.c_contiguous and ids is not None
+    lo, hi = x.spans[int(np.argmax(x.lengths))]
+    tracemalloc.start()
+    try:
+        taken = layer._sequence(q, ids, lo, hi)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < q.shape[0] * q.shape[1] * q.itemsize, peak
+    assert taken.tobytes() == layer._heads(np.take(q, ids[lo:hi], axis=0)).tobytes()

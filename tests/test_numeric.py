@@ -13,6 +13,7 @@ from argseg.selftest import (
     DISTINCT_SHAPES,
     GRAD_TOLERANCE,
     SUMMED_TOLERANCE,
+    SUMMED_TOLERANCE_F32,
     check_distinct_rows,
     check_layer_gradients,
     check_model_gradients,
@@ -202,7 +203,7 @@ class TestDistinctRows:
 
     def test_selftest_distinct_rows_check_passes(self):
         # every shape but depth 385 is inside the gate
-        differ, projected, summed = check_distinct_rows()
+        differ, projected, summed = check_distinct_rows(np.float64)
         assert (differ, projected) == (0, len(DISTINCT_SHAPES) - 1)
         assert 0.0 < summed <= SUMMED_TOLERANCE
 
@@ -210,7 +211,7 @@ class TestDistinctRows:
             self, monkeypatch):
         monkeypatch.setattr(numeric, "_rows_stand_alone",
                             lambda rows, w: rows > 1 and w.shape[0] <= 385)
-        assert check_distinct_rows()[:2] == (1, len(DISTINCT_SHAPES))
+        assert check_distinct_rows(np.float64)[:2] == (1, len(DISTINCT_SHAPES))
 
     def test_selftest_distinct_rows_check_fails_when_one_word_is_not_summed(self, monkeypatch):
         summed = BatchTensor.t_times
@@ -222,7 +223,16 @@ class TestDistinctRows:
             return summed(self, g, order, out)
 
         monkeypatch.setattr(BatchTensor, "t_times", drops_a_word)
-        assert check_distinct_rows()[2] > SUMMED_TOLERANCE
+        assert check_distinct_rows(np.float64)[2] > SUMMED_TOLERANCE
+        assert check_distinct_rows(np.float32)[2] > SUMMED_TOLERANCE_F32
+
+    def test_selftest_distinct_rows_check_passes_in_float32(self):
+        # float32 rows and weights: SGEMM gives every shape inside the gate
+        # the same bytes with and without the distinct rows, and the summed
+        # gradients lie at float32's scale
+        differ, projected, summed = check_distinct_rows(np.float32)
+        assert (differ, projected) == (0, len(DISTINCT_SHAPES) - 1)
+        assert SUMMED_TOLERANCE < summed <= SUMMED_TOLERANCE_F32
 
 
 def longdouble_t_times(rows, order, g):

@@ -1,7 +1,8 @@
 """SHA-256 pins of every layer's passes and of every architecture's training.
 
 A change that moves one bit of a layer's forward, inference pass, input
-gradient or parameter gradients, or of a seeded training run, fails here.
+gradient or parameter gradients, or of a seeded training run in float64 or
+in float32, fails here.
 The digests hold for numpy 2.4.6 and the OpenBLAS it ships with (0.3.31,
 scipy-openblas64) on the x86-64 host they were taken on; OpenBLAS picks
 its kernels by CPU and by size, so another build may give other bits.  A
@@ -124,11 +125,12 @@ def test_layer_bits_are_pinned(name, shape, one_thread_layer_digests):
     assert one_thread_layer_digests[name, shape] == LAYER_DIGESTS[name, shape]
 
 
-def training_digest(arch, sequences, embeddings) -> str:
-    """A seeded 2-epoch train: its parameters, its loss curve, and the
-    confusion matrix of evaluating it on every sequence."""
+def training_digest(arch, sequences, embeddings, dtype) -> str:
+    """A seeded 2-epoch train in ``dtype``: its parameters, its loss curve,
+    and the confusion matrix of evaluating it on every sequence."""
     spec = ModelSpec(arch, input_dim=16, hidden=8, attn_dim=8, seed=6)
-    cfg = TrainConfig(batch_size=8, max_epochs=2, patience=5, learning_rate=3e-3, seed=6)
+    cfg = TrainConfig(batch_size=8, max_epochs=2, patience=5, learning_rate=3e-3, seed=6,
+                      dtype=dtype)
     model, curve = train(build_model(spec), sequences, embeddings, cfg)
     digest = hashlib.sha256()
     for p in model.params():
@@ -149,4 +151,20 @@ TRAINING_DIGESTS = {
 
 @pytest.mark.parametrize("arch", TRAINING_DIGESTS, ids=[a.value for a in TRAINING_DIGESTS])
 def test_training_bits_are_pinned(arch, toy_sequences, toy_embeddings):
-    assert training_digest(arch, toy_sequences, toy_embeddings) == TRAINING_DIGESTS[arch]
+    assert training_digest(arch, toy_sequences, toy_embeddings, "float64") == TRAINING_DIGESTS[arch]
+
+
+# training_digest of the same runs in float32, the default dtype
+TRAINING_DIGESTS_F32 = {
+    ArchitectureId.BL: "605ff685247f398dc530d519bcfbc7fc26f4725c7a9872132f0cefa486ef7e8d",
+    ArchitectureId.BL_I: "12c37a26e58291d1e6cc8a196c1f909254c007f90f3c6ec1b559b1dc6cfaba29",
+    ArchitectureId.BL_E: "7767fbc9a7b0d8cc33ac4de67087b75d091889d62361adf875c3fa9b47f065d3",
+    ArchitectureId.SB: "cb52bf1a238d054ab1c9e8c62b2ad40c068c9533b3d7c4b04a5e6adc7a153b85",
+    ArchitectureId.SB_I: "e43c013bb842cc9572f84dd78f4d0e22ba4d42be311195e6c27f0a725a61aaa9",
+}
+
+
+@pytest.mark.parametrize("arch", TRAINING_DIGESTS_F32, ids=[a.value for a in TRAINING_DIGESTS_F32])
+def test_float32_training_bits_are_pinned(arch, toy_sequences, toy_embeddings):
+    assert training_digest(arch, toy_sequences, toy_embeddings,
+                           "float32") == TRAINING_DIGESTS_F32[arch]

@@ -160,6 +160,20 @@ class TestAdam:
         assert np.array_equal(params[0].value, [[1.0, 2.0]])
         assert not state.m[0].any() and not state.v[0].any()
 
+    def test_overflowing_square_names_parameter_and_changes_nothing_in_float32(self):
+        # float32's largest value is about 3.4e38, so g * g overflows above about 1.8e19
+        params = [Parameter("head.W", np.array([[1.0, 2.0]], dtype=np.float32))]
+        params[0].grad[...] = np.array([[1e19, 3.0]])
+        state = AdamState(params)
+        adam_step(params, state, lr=0.1)  # 1e38 still fits
+        values = params[0].value.copy()
+        moments = state.m[0].copy(), state.v[0].copy()
+        params[0].grad[...] = np.array([[1e20, 3.0]])
+        with pytest.raises(NumericError, match=r"^overflowing gradient for parameter head\.W$"):
+            adam_step(params, state, lr=0.1)
+        assert params[0].value.tobytes() == values.tobytes()
+        assert (state.m[0].tobytes(), state.v[0].tobytes()) == tuple(m.tobytes() for m in moments)
+
 
 class TestMetrics:
     def test_perfect_diagonal(self):
@@ -236,7 +250,8 @@ class TestTrainLoop:
                           learning_rate=1e-2, seed=7)
         model, curve = train(build_model(spec), toy_sequences, toy_embeddings, cfg)
         _, val_seqs = split_by_essay(toy_sequences, cfg.val_fraction, cfg.seed)
-        batches = _batches(val_seqs, np.arange(len(val_seqs)), toy_embeddings, cfg.batch_size)
+        batches = _batches(val_seqs, np.arange(len(val_seqs)), toy_embeddings, cfg.batch_size,
+                           model.dtype)
         assert _dataset_loss(model, batches) == pytest.approx(min(curve.val), abs=1e-12)
 
     def test_divergence_restores_finite_state(self, toy_sequences, toy_embeddings):
@@ -248,19 +263,65 @@ class TestTrainLoop:
         head.w.value[...] = 1e308
         head.b.value[...] = 1e308
         cfg = TrainConfig(batch_size=8, max_epochs=3, patience=5,
-                          learning_rate=1e-3, seed=0)
+                          learning_rate=1e-3, seed=0, dtype="float64")
         with np.errstate(over="ignore", invalid="ignore"), \
                 pytest.raises(TrainingDiverged, match="epoch 1"):
             train(model, toy_sequences, toy_embeddings, cfg)
         for p in model.params():
             assert np.isfinite(p.value).all()
 
+    def test_divergence_restores_finite_state_in_float32(self, toy_sequences, toy_embeddings):
+        model = build_model(ModelSpec(ArchitectureId.SB, input_dim=16, hidden=4, seed=5))
+        # the float32 twin: 3e38 fits float32, but 3e38 * (1 + sum of BiLSTM
+        # outputs) overflows wherever that sum exceeds 0.13
+        head = model.layers[-1]
+        head.w.value[...] = 3e38
+        head.b.value[...] = 3e38
+        cfg = TrainConfig(batch_size=8, max_epochs=3, patience=5, learning_rate=1e-3, seed=0)
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(TrainingDiverged, match="^epoch 1: training loss is nan"):
+            train(model, toy_sequences, toy_embeddings, cfg)
+        assert model.dtype == np.float32
+        for p in model.params():
+            assert np.isfinite(p.value).all()
+        assert (head.w.value == np.float32(3e38)).all()
+
+    def test_overflowing_gradient_diverges_and_restores_in_float32(self, toy_sequences,
+                                                                   toy_embeddings):
+        model = build_model(ModelSpec(ArchitectureId.SB, input_dim=16, hidden=4, seed=5))
+        # the loss stays finite in float32, but the gradient reaching the
+        # BiLSTM squares past float32's largest value, about 3.4e38
+        model.layers[-1].w.value[...] *= 1e24
+        model.cast(np.float32)
+        start = model.get_values()
+        cfg = TrainConfig(batch_size=8, max_epochs=3, patience=5, seed=0)
+        with pytest.raises(TrainingDiverged,
+                           match=r"^epoch 1: overflowing gradient for parameter bilstm_1\.fwd\.W; "
+                                 r"model restored to its last finite state$"):
+            train(model, toy_sequences, toy_embeddings, cfg)
+        for p, value in zip(model.params(), start, strict=True):
+            assert p.value.tobytes() == value.tobytes(), p.name
+
+    def test_parameter_that_overflows_the_cast_fails_before_any_step(self, toy_sequences,
+                                                                     toy_embeddings,
+                                                                     monkeypatch):
+        steps = []
+        monkeypatch.setattr(training, "adam_step", lambda *args: steps.append(args))
+        model = build_model(ModelSpec(ArchitectureId.SB, input_dim=16, hidden=4, seed=5))
+        model.layers[-1].w.value[0, 0] = 1e39  # beyond float32's range
+        start = model.get_values()
+        with pytest.raises(NumericError, match=r"^parameter head\.W is not finite in float32$"):
+            train(model, toy_sequences, toy_embeddings, TrainConfig(batch_size=8, max_epochs=1))
+        assert not steps
+        for p, value in zip(model.params(), start, strict=True):
+            assert p.value.tobytes() == value.tobytes(), p.name
+
     def test_overflowing_gradient_diverges_and_restores(self, toy_sequences, toy_embeddings):
         model = build_model(ModelSpec(ArchitectureId.SB, input_dim=16, hidden=4, seed=5))
         # the loss stays finite, but the gradient reaching the BiLSTM squares past 1e308
         model.layers[-1].w.value[...] *= 1e160
         start = model.get_values()
-        cfg = TrainConfig(batch_size=8, max_epochs=3, patience=5, seed=0)
+        cfg = TrainConfig(batch_size=8, max_epochs=3, patience=5, seed=0, dtype="float64")
         with pytest.raises(TrainingDiverged,
                            match=r"^epoch 1: overflowing gradient for parameter bilstm_1\.fwd\.W; "
                                  r"model restored to its last finite state$"):
@@ -277,7 +338,7 @@ class TestTrainLoop:
         head = model.layers[-1]
         head.w.value[...] = 0.0
         head.b.value[...] = np.array([2000.0, -2000.0, -2000.0])
-        batch, gold = _assemble(toy_sequences[:8], toy_embeddings)
+        batch, gold = _assemble(toy_sequences[:8], toy_embeddings, model.dtype)
         assert (gold != LABELS.index("B")).any()
         logits, caches = model.forward(batch)
         loss, grad = masked_cross_entropy(logits, gold)
@@ -347,8 +408,8 @@ class TestTrainLoop:
         made = []  # a weak reference to the rows of every batch built
         assemble = training._assemble
 
-        def tracked(sequences, spec):
-            batch, gold = assemble(sequences, spec)
+        def tracked(sequences, spec, dtype):
+            batch, gold = assemble(sequences, spec, dtype)
             made.append(weakref.ref(batch.rows))
             return batch, gold
 
@@ -501,10 +562,32 @@ class TestLrSearch:
 
         monkeypatch.setattr(training, "build_model", build)
         spec = ModelSpec(ArchitectureId.SB, input_dim=16, hidden=4)
-        cfg = TrainConfig(batch_size=8, max_epochs=2, patience=5, seed=24)
+        cfg = TrainConfig(batch_size=8, max_epochs=2, patience=5, seed=24, dtype="float64")
         best, model, curve, results = lr_search(spec, toy_sequences, toy_embeddings, cfg,
                                                 trials=2)
         assert model is built[1]
+        assert best.seed == trial_seed(24, 1)
+        assert results[0].best_val_loss is None
+        assert "overflowing gradient for parameter" in results[0].error
+        assert results[1].best_val_loss == min(curve.val)
+
+    def test_trial_whose_gradient_overflows_in_float32_is_recorded(self, toy_sequences,
+                                                                   toy_embeddings, monkeypatch):
+        built = []
+
+        def build(spec):
+            model = build_model(spec)
+            if not built:  # trial 0, at float32's scale
+                model.layers[-1].w.value[...] *= 1e24
+            built.append(model)
+            return model
+
+        monkeypatch.setattr(training, "build_model", build)
+        spec = ModelSpec(ArchitectureId.SB, input_dim=16, hidden=4)
+        cfg = TrainConfig(batch_size=8, max_epochs=2, patience=5, seed=24)
+        best, model, curve, results = lr_search(spec, toy_sequences, toy_embeddings, cfg,
+                                                trials=2)
+        assert model is built[1] and model.dtype == np.float32
         assert best.seed == trial_seed(24, 1)
         assert results[0].best_val_loss is None
         assert "overflowing gradient for parameter" in results[0].error
@@ -567,6 +650,6 @@ class TestOverfitTwoSequences:
 
         trained, _ = split_by_essay(chosen, cfg.val_fraction, cfg.seed)
         assert len(trained) == 2
-        batch, gold = _assemble(trained, toy_embeddings)
+        batch, gold = _assemble(trained, toy_embeddings, model.dtype)
         predicted = predict_labels(model, batch)
         assert np.array_equal(predicted, gold)
