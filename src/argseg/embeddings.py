@@ -22,7 +22,9 @@ An embedding spec stacks one or more sources in a fixed order; the declared
 total dimension must match the sum of the source dimensions exactly.  It
 builds each batch (``EmbeddingSpec.batch``); when every source is a table,
 the batch carries its distinct words' rows, which the first layer's input
-projections multiply in place of every token's row.
+projections multiply in place of every token's row.  Every source notes, as
+it is loaded, the vectors holding a value that float32 cannot hold, so that
+a float32 run names such a vector before it starts (``check_coverage``).
 """
 
 from __future__ import annotations
@@ -33,12 +35,13 @@ import struct
 import weakref
 import zlib
 from dataclasses import dataclass
+from itertools import chain, count
 from pathlib import Path
 
 import numpy as np
 
 from .corpus import LabeledSequence
-from .errors import ConfigurationError, CoverageError, FormatError
+from .errors import ConfigurationError, CoverageError, FormatError, NumericError
 from .numeric import BatchTensor
 
 STORE_MAGIC = b"ARGSEGPV"
@@ -53,16 +56,35 @@ _HEADER = struct.Struct("<IIQ")  # version, dim, record count; follows the magic
 
 class EmbeddingTable:
     """Vocabulary -> vector table held as one (V + 1, dim) matrix plus an index;
-    the last row, all zeros, is the row of every word the index lacks."""
+    the last row, all zeros, is the row of every word the index lacks.
+    ``beyond_float32`` holds the words whose vectors hold a value that
+    rounds to inf in float32."""
 
     def __init__(self, vectors: np.ndarray, index: dict[str, int], duplicates_skipped: int = 0):
         self.dim = vectors.shape[1]
         self.vectors = vectors
         self.index = index
         self.duplicates_skipped = duplicates_skipped
+        # each row's largest magnitude, by two reductions: no temporary the
+        # size of the table
+        peak = np.maximum(vectors.max(axis=1, initial=0.0), -vectors.min(axis=1, initial=0.0))
+        with np.errstate(over="ignore"):  # a value float32 cannot hold becomes inf
+            wide = np.isinf(peak.astype(np.float32))
+        self.beyond_float32 = set()
+        if wide.any():
+            self.beyond_float32 = {word for word, row in index.items() if wide[row]}
 
     def __contains__(self, word: str) -> bool:
         return word.lower() in self.index
+
+    def check_float32(self, seq: LabeledSequence):
+        """Raise ``NumericError`` naming the first word of ``seq`` in
+        ``beyond_float32``."""
+        for i, word in enumerate(seq.words):
+            if word.lower() in self.beyond_float32:
+                raise NumericError(f"the vector of word {word.lower()!r} holds a value beyond "
+                                   f"float32's range (essay {seq.essay_id!r}, sequence "
+                                   f"{seq.sequence_index}, token {i})")
 
     def write_rows(self, sequences: list[LabeledSequence], out: np.ndarray):
         """Write the sequences' rows, one after another, into ``out``, a
@@ -163,13 +185,17 @@ class PrecomputedStore:
     no vector: each essay is an index of its records' offsets in key order,
     as runs of records that lie next to each other in the file, plus the
     essay's last (sentence, token) key.  An essay whose records sit together
-    in key order is one run.
+    in key order is one run.  ``beyond_float32`` maps each essay with vectors
+    holding a value that rounds to inf in float32 to their token ordinals
+    and keys.
     """
 
     def __init__(self, dim: int, essays: dict[str, "_EssayIndex"], reader):
         self.dim = dim
         self._essays = essays
         self._reader = reader
+        self.beyond_float32 = {essay_id: essay.beyond_float32
+                               for essay_id, essay in essays.items() if essay.beyond_float32}
 
     def __len__(self) -> int:
         return sum(essay.length for essay in self._essays.values())
@@ -217,6 +243,15 @@ class PrecomputedStore:
             if ordinal == bounds[run + 1]:
                 run += 1
 
+    def check_float32(self, seq: LabeledSequence):
+        """Raise ``NumericError`` naming the first token of ``seq`` in
+        ``beyond_float32``."""
+        start = seq.token_ordinal_start
+        for ordinal, (sentence, token) in sorted(self.beyond_float32.get(seq.essay_id, {}).items()):
+            if start <= ordinal < start + len(seq):
+                raise NumericError(f"essay {seq.essay_id!r}: the vector at sentence {sentence}, "
+                                   f"token {token} holds a value beyond float32's range")
+
     def write_rows(self, sequences: list[LabeledSequence], out: np.ndarray):
         """Read each sequence's records straight into its slice of ``out``, a
         (tokens, dim) float array, one sequence after another."""
@@ -233,6 +268,7 @@ class _EssayIndex:
     layout: np.dtype  # one record: fields head (id length and id bytes), key, vec
     run_bounds: np.ndarray  # (runs + 1,) first token ordinal of each run, then length
     run_offset: np.ndarray  # (runs,) file offset of each run's first record
+    beyond_float32: dict[int, tuple[int, int]]  # ordinal -> key of each vector float32 overflows
 
 
 def write_precomputed(fh, dim: int, records):
@@ -349,7 +385,8 @@ class _Scan:
     those of reading the records one by one.  A record cut by the end of a
     window starts the next window.  For each essay the scan keeps, in record
     order, its layout, its keys, its records' offsets and the keys of its
-    records holding a non-finite value.  The first record error stops the
+    records holding a non-finite value and of those holding a value that
+    rounds to inf in float32.  The first record error stops the
     parsing, and the CRC, which the reference checks first, still runs to
     the end.
     """
@@ -358,7 +395,7 @@ class _Scan:
         self.dim, self.count, self.start, self.end = dim, count, start, end
         self.crc = 0
         self.error: FormatError | None = None
-        self.essays: dict[str, tuple[np.dtype, list, list, list]] = {}
+        self.essays: dict[str, tuple[np.dtype, list, list, list, list]] = {}
         self._layouts: dict[int, np.dtype] = {}  # record dtype by id length
 
     def run(self, reader):
@@ -410,13 +447,18 @@ class _Scan:
                                     count=min(self.count, (len(window) - pos) // stride))
             n = _leading_equal(records["head"])
             records = records[:n]
-            _, keys, offsets, bad = self.essays.setdefault(
-                essay_id, (self._layouts[id_len], [], [], []))
+            _, keys, offsets, bad, wide = self.essays.setdefault(
+                essay_id, (self._layouts[id_len], [], [], [], []))
             keys.append(records["key"].copy())
             offsets.append(base + pos + stride * np.arange(n, dtype=np.int64))
-            finite = np.isfinite(records["vec"]).all(axis=1)
-            if not finite.all():
-                bad.append(records["key"][~finite])
+            with np.errstate(over="ignore"):  # a value float32 cannot hold becomes inf
+                fits = np.isfinite(records["vec"].astype(np.float32)).all(axis=1)
+            if not fits.all():
+                finite = np.isfinite(records["vec"][~fits]).all(axis=1)
+                misfits = records["key"][~fits]
+                if not finite.all():
+                    bad.append(misfits[~finite])
+                wide.append(misfits[finite])
             pos += n * stride
             self.count -= n
         return pos, 0
@@ -453,9 +495,11 @@ def _first_gap(keys: np.ndarray) -> int | None:
 
 
 def _index_essay(essay_id: str, layout: np.dtype, keys: list[np.ndarray],
-                 offsets: list[np.ndarray], bad: list[np.ndarray]) -> _EssayIndex:
+                 offsets: list[np.ndarray], bad: list[np.ndarray],
+                 wide: list[np.ndarray]) -> _EssayIndex:
     """The essay's records in key order as runs, checked for duplicate keys,
-    then for gaps, then for non-finite values."""
+    then for gaps, then for non-finite values, with the ordinals of the
+    ``wide`` keys."""
     keys = np.concatenate(keys).astype(np.int64)
     offsets = np.concatenate(offsets)
     if _first_gap(keys) is not None:  # not already in key order
@@ -473,9 +517,13 @@ def _index_essay(essay_id: str, layout: np.dtype, keys: list[np.ndarray],
         sentence, token = bad[np.lexsort((bad[:, 1], bad[:, 0]))[0]]
         raise FormatError(f"essay {essay_id!r}: non-finite vector value at "
                           f"sentence {sentence}, token {token}")
+    beyond = {}
+    for sentence, token in (np.concatenate(wide) if wide else ()):
+        ordinal = np.flatnonzero((keys[:, 0] == sentence) & (keys[:, 1] == token))[0]
+        beyond[int(ordinal)] = (int(sentence), int(token))
     run_start = np.flatnonzero(np.r_[True, np.diff(offsets) != layout.itemsize])
     return _EssayIndex((int(keys[-1, 0]), int(keys[-1, 1])), len(keys), layout,
-                       np.r_[run_start, len(keys)], offsets[run_start])
+                       np.r_[run_start, len(keys)], offsets[run_start], beyond)
 
 
 # ---------------------------------------------------------------------------
@@ -543,13 +591,21 @@ class EmbeddingSpec:
                                   f"{entry['path']!r} ({exc})") from exc
         return cls(sources, expected, label=label, paths=paths)
 
-    def check_coverage(self, sequences: list[LabeledSequence]):
+    def check_coverage(self, sequences: list[LabeledSequence], dtype):
         """Raise ``CoverageError`` for the first sequence that a precomputed
-        source has no vectors for, from the stores' indexes, reading nothing."""
+        source has no vectors for, from the stores' indexes, reading nothing.
+        In float32, then raise ``NumericError`` naming the first token whose
+        vector holds a value that rounds to inf in float32, from what each
+        source noted at load."""
         stores = [src for src in self.sources if isinstance(src, PrecomputedStore)]
         for seq in sequences:
             for store in stores:
                 store.locate(seq.essay_id, seq.token_ordinal_start, len(seq))
+        if np.dtype(dtype) == np.float32:
+            wide = [src for src in self.sources if src.beyond_float32]
+            for seq in sequences:
+                for src in wide:
+                    src.check_float32(seq)
 
     def write_rows(self, sequences: list[LabeledSequence], out: np.ndarray) -> np.ndarray:
         """Write the rows of ``sequences``, one sequence after another, into
@@ -578,9 +634,10 @@ class EmbeddingSpec:
         rows = np.empty((sum(lengths), self.expected_dim), dtype)
         if not all(isinstance(src, EmbeddingTable) for src in self.sources):
             return BatchTensor(self.write_rows(sequences, rows), lengths)
-        ids: dict[str, int] = {}
-        inverse = np.array([ids.setdefault(word.lower(), len(ids))
-                            for seq in sequences for word in seq.words], dtype=np.intp)
+        keys = list(map(str.lower, chain.from_iterable(seq.words for seq in sequences)))
+        # dict.fromkeys keeps first appearances in order: word k is distinct row k
+        ids = dict(zip(dict.fromkeys(keys), count()))
+        inverse = np.fromiter(map(ids.__getitem__, keys), np.intp, len(keys))
         distinct = np.empty((len(ids), self.expected_dim), dtype)
         col = 0
         for table in self.sources:

@@ -28,20 +28,16 @@ in backward, (N, F_out) gradients to (N, F_in); no layer sees padding.
 The input projections ask the batch for its rows times W
 (:meth:`~argseg.numeric.BatchTensor.times`, or its factored form
 :meth:`~argseg.numeric.BatchTensor.project`): the BiLSTM's W, additive
-attention's W_t and W_x and multi-head attention's W_q, W_k and W_v.  Each
-W is padded with zero columns to a multiple of 8 wide for the product, so a
-300-wide projection's last 4 columns may get other last bits than an
-unpadded product's.  A batch built from word tables carries its distinct
-rows, and for it only those are multiplied, with the bits of the same rows
-without them; multi-head attention at D=300 uses them too, and keeps Q, K
-and V as one row per distinct row.  A layer's
-output carries none, so only the first layer's projections use them.  The
-weight gradients of those projections come from the transpose twin
-(:meth:`~argseg.numeric.BatchTensor.t_times`), which for a batch with
-distinct rows first sums the gradient's rows per distinct row: they get
-other last bits than the same rows' without them, and every other output
-and gradient keeps its bytes.  Such a batch is cached as it is, so the
-BiLSTM then gathers no time-major copy of its rows.
+attention's W_t and W_x and multi-head attention's W_q, W_k and W_v.  A
+batch built from word tables carries its distinct rows, and for it only
+those are multiplied; multi-head attention keeps Q, K and V as one row per
+distinct row.  A layer's output carries none, so only the first layer's
+projections use them.  The weight gradients of those projections come from
+the transpose twin (:meth:`~argseg.numeric.BatchTensor.t_times`), which for
+a batch with distinct rows first sums the gradient's rows per distinct row.
+Outputs and gradients with distinct rows agree with the same rows' without
+them to rounding.  Such a batch is cached as it is, so the BiLSTM then
+gathers no time-major copy of its rows.
 
 ``backward(cache, grad_out, input_grad=True)``: with ``input_grad=False`` a
 layer writes the same parameter gradients, returns ``None`` and skips
@@ -342,8 +338,8 @@ class BiLstm(Layer):
     the time-major inputs.  The two directions run one after the other on
     the calling thread, through the same recurrence (:func:`_run_direction`).
 
-    ``forward`` caches (the batch where its distinct rows were projected,
-    else the time-major inputs; positions; per direction (gate activations
+    ``forward`` caches (a batch with distinct rows, else the time-major
+    inputs; positions; per direction (gate activations
     at the tokens, hidden states, cell states)).  It never holds both, nor
     the rows of a batch without distinct rows, which may be the previous
     layer's output.  Backward computes tanh of each step's cell states
@@ -367,15 +363,14 @@ class BiLstm(Layer):
     def _run(self, x: BatchTensor, keep: bool):
         """(output, time-major inputs, positions, caches); with ``keep`` each
         direction gets arrays of its own, kept as its cache, and without it
-        the directions share theirs and ``caches`` is empty.  A batch whose
-        distinct rows are projected takes no time-major inputs, and they are
-        ``None``."""
+        the directions share theirs and ``caches`` is empty.  A batch with
+        distinct rows takes no time-major inputs, and they are ``None``."""
         self._check_input(x, self.input_dim)
         h = self.hidden
         pos = _positions(x.lengths)
         n_run = len(pos.packed)
         n_state = n_run + pos.widest
-        distinct = x.projects_distinct(self.fwd.w.value)
+        distinct = x.has_distinct_rows
         x_run = None if distinct else np.take(x.rows, pos.packed, axis=0)
         dtype = x.rows.dtype
         if keep:
@@ -408,8 +403,8 @@ class BiLstm(Layer):
 
     def forward(self, x: BatchTensor):
         out, x_run, pos, caches = self._run(x, keep=True)
-        # the batch itself where its distinct rows were projected, else the
-        # time-major inputs: never both, and never the rows of a batch without
+        # the batch itself where it has distinct rows, else the time-major
+        # inputs: never both, and never the rows of a batch without
         # distinct rows, so the previous layer's output can be freed
         return out, (x if x_run is None else x_run, pos, caches)
 
@@ -589,11 +584,10 @@ class MultiHeadSelfAttention(Layer):
     anywhere.
 
     Q, K and V come from :meth:`BatchTensor.project` in factored form, a
-    table and ids: for a batch whose distinct rows it projects, a (U, D)
-    table of their rows and each token's row in it, and otherwise the (N, D)
-    product and no ids.  Each sequence takes its Q, K and V rows from the
-    tables, by its ids or as a slice; they are the bytes of the full
-    product.  W_q's, W_k's and W_v's gradients come from
+    table and ids: for a batch with distinct rows, a (U, D) table of their
+    rows and each token's row in it, and otherwise the (N, D) product and no
+    ids.  Each sequence takes its Q, K and V rows from the tables, by its
+    ids or as a slice.  W_q's, W_k's and W_v's gradients come from
     :meth:`BatchTensor.t_times`, which sums per distinct row.  W_o and the
     other gradient GEMMs run over all tokens of the batch, and each
     sequence b forms just its own (h, n_b, n_b) logits.  The cache is (the
@@ -637,9 +631,7 @@ class MultiHeadSelfAttention(Layer):
 
     def _sequence(self, table: np.ndarray, ids, lo: int, hi: int) -> np.ndarray:
         """Rows lo:hi of a projection in factored form (see
-        :meth:`BatchTensor.project`) as an (h, n, d_k) view.  The rows are
-        taken by fancy indexing: ``table`` may be a strided view, whose
-        whole source ``np.take`` would copy first."""
+        :meth:`BatchTensor.project`) as an (h, n, d_k) view."""
         return self._heads(table[lo:hi] if ids is None else table[ids[lo:hi]])
 
     def blocks(self, cache):

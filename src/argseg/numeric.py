@@ -9,15 +9,15 @@ complex copies.  A :class:`BatchTensor` holds only tokens:
 one (N, F) array of rows, sequence after sequence, plus each sequence's
 length, and, for a batch built from word tables, its distinct rows with the
 index of each token's row among them.  :meth:`BatchTensor.project` gives
-the rows times a weight padded to a multiple of 8 columns in factored form,
-a table and each token's row in it: where the products' rows stand alone it
-multiplies only the distinct rows, and otherwise the table is the product
-itself.  :meth:`BatchTensor.times` takes the table's rows for the tokens.
-These are the first layer's projections, multi-head attention's 300 x 300
-ones included; multi-head attention keeps the tables.  Its transpose
-twin :meth:`BatchTensor.t_times` gives those projections' weight gradients;
-with distinct rows it sums the gradient's rows per distinct row first, so
-those gradients get other last bits than the same rows' without them.
+the rows times a weight in factored form, a table and each token's row in
+it: with distinct rows the table is their product, and otherwise the
+product itself.  :meth:`BatchTensor.times` takes the table's rows for the
+tokens.  These are the first layer's projections, multi-head attention's
+ones included; multi-head attention keeps the tables.  Its transpose twin
+:meth:`BatchTensor.t_times` gives those projections' weight gradients; with
+distinct rows it sums the gradient's rows per distinct row first.  Products
+and gradients with distinct rows agree with the same rows' without them to
+rounding, not bit for bit.
 """
 
 from __future__ import annotations
@@ -130,38 +130,25 @@ class BatchTensor:
         mask.flags.writeable = False
         return mask
 
-    def projects_distinct(self, w: np.ndarray) -> bool:
-        """Whether :meth:`project` multiplies only the distinct rows by ``w``:
-        the batch has them and the product's rows stand alone (see
-        :func:`_rows_stand_alone`)."""
-        return self._distinct is not None and _rows_stand_alone(len(self._distinct[0]), w)
+    @property
+    def has_distinct_rows(self) -> bool:
+        """Whether the batch carries its distinct rows."""
+        return self._distinct is not None
 
     def project(self, w: np.ndarray, order=None) -> tuple[np.ndarray, np.ndarray | None]:
         """``rows[order] @ w`` (``rows @ w`` without an ``order``) in factored
         form: ``(table, ids)`` with the product equal to ``table[ids]``, or to
         ``table`` itself where ``ids`` is ``None``.
 
-        ``w`` is first padded with zero columns to a multiple of 8 wide, and
-        ``table`` is a view of the product's first ``width`` columns.  The
-        rule depends only on ``w``'s shape, so a batch with distinct rows and
-        one without give the same bits; at a width that is a multiple of 8 it
-        is the plain product.  Where :meth:`projects_distinct` holds, ``table`` is the
-        (U, width) product of the distinct rows and ``ids`` their inverse,
-        taken in ``order``: each row of ``table`` has the bits it has in the
-        product of every row.  Otherwise ``ids`` is ``None`` and ``table`` is
-        the product of the rows, gathered in ``order`` first.
+        With distinct rows, ``table`` is their (U, width) product and ``ids``
+        their inverse, taken in ``order``.  Otherwise ``ids`` is ``None`` and
+        ``table`` is the product of the rows, gathered in ``order`` first.
         """
-        depth, width = w.shape
-        if width % 8:
-            padded = np.zeros((depth, width + -width % 8), w.dtype)
-            padded[:, :width] = w
-        else:
-            padded = w
-        if self.projects_distinct(w):
+        if self._distinct is not None:
             distinct, inverse = self._distinct
-            return (distinct @ padded)[:, :width], inverse if order is None else inverse[order]
+            return distinct @ w, inverse if order is None else inverse[order]
         rows = self.rows if order is None else np.take(self.rows, order, axis=0)
-        return (rows @ padded)[:, :width], None
+        return rows @ w, None
 
     def times(self, w: np.ndarray, order=None, out=None) -> np.ndarray:
         """``rows[order] @ w``, or ``rows @ w`` without an ``order``, written
@@ -249,25 +236,6 @@ class BatchTensor:
 
 
 _SUM_COLUMNS = 32  # columns of g that one ``np.bincount`` of :meth:`BatchTensor.t_times` sums
-
-
-def _rows_stand_alone(rows: int, w: np.ndarray) -> bool:
-    """Whether each row of a ``rows``-row product with ``w``, padded to a
-    multiple of 8 columns as :meth:`BatchTensor.times` pads it, gets the bits
-    it has in a product with any other rows.
-
-    OpenBLAS picks its GEMM kernels, and so the order of each row's sums, by
-    the operands' sizes.  With numpy 2.4.6's OpenBLAS 0.3.31 on x86-64 with
-    AVX-512, a row's bits were measured not to depend on the other rows when
-    ``w`` is at most 384 deep (the depth is summed in one block) and a
-    multiple of 8 wide (no narrow column tail), with two rows or more (one
-    row goes to GEMV).  :meth:`BatchTensor.times` pads every width, so only
-    the depth and the row count are left to check.  Past them the bits do
-    depend on the other rows: at depth 385 a 32-wide product's rows differ
-    in their last bits.  ``argseg selftest`` checks this at the architectures' shapes
-    (:func:`argseg.selftest.check_distinct_rows`).
-    """
-    return rows > 1 and w.shape[0] <= 384
 
 
 def _distinct_pair(rows: np.ndarray, distinct, inverse) -> tuple[np.ndarray, np.ndarray]:

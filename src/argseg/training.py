@@ -26,6 +26,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, field, replace
+from itertools import chain
 
 import numpy as np
 
@@ -174,11 +175,14 @@ def adam_step(params: list[Parameter], state: AdamState, lr: float):
 # ---------------------------------------------------------------------------
 
 
+_LABEL_IDS = {label: k for k, label in enumerate(LABELS)}
+
+
 def _assemble(sequences: list[LabeledSequence], spec: EmbeddingSpec, dtype):
     """One batch of the sequences, vectorized now in ``dtype``, and their gold labels."""
     batch = spec.batch(sequences, dtype)
-    gold = [LABELS.index(lab) for seq in sequences for lab in seq.labels]
-    return batch, np.array(gold, dtype=np.int64)
+    labels = chain.from_iterable(seq.labels for seq in sequences)
+    return batch, np.fromiter(map(_LABEL_IDS.__getitem__, labels), np.int64, len(batch.rows))
 
 
 def _batches(sequences: list[LabeledSequence], order, spec: EmbeddingSpec, batch_size: int,
@@ -246,7 +250,9 @@ def train(model: Model, train_sequences: list[LabeledSequence],
     The input rows are fixed vectors that nothing trains, so the backward
     pass forms no gradient for them (``Model.backward(..., input_grad=False)``).
     They are read batch by batch; a sequence the spec does not cover raises
-    ``CoverageError`` before the first step.  The model is then cast to
+    ``CoverageError`` before the first step, and in float32 so does a token
+    whose vector float32 cannot hold, with :class:`NumericError` naming it
+    (:meth:`EmbeddingSpec.check_coverage`).  The model is then cast to
     ``cfg.dtype`` (:meth:`Model.cast`), which it keeps; a parameter that is
     not finite after the cast raises :class:`NumericError`, also before the
     first step.
@@ -262,7 +268,7 @@ def train(model: Model, train_sequences: list[LabeledSequence],
     if not train_sequences:
         raise ContractViolation("no training sequences")
     train_seqs, val_seqs = split_by_essay(train_sequences, cfg.val_fraction, cfg.seed)
-    spec.check_coverage(train_seqs + val_seqs)
+    spec.check_coverage(train_seqs + val_seqs, cfg.dtype)
     model.cast(cfg.dtype)
 
     rng = np.random.default_rng(cfg.seed)
@@ -305,14 +311,15 @@ def evaluate(model: Model, sequences: list[LabeledSequence],
              spec: EmbeddingSpec, batch_size: int = TrainConfig.batch_size) -> MetricsReport:
     """Metrics of a frozen model over the given sequences, vectorized batch by
     batch in the model's dtype; a sequence the spec does not cover raises
-    ``CoverageError`` first."""
+    ``CoverageError`` first, and in float32 so does a token whose vector
+    float32 cannot hold, with :class:`NumericError` naming it."""
     if type(batch_size) is not int:  # also rejects bool
         raise ContractViolation(f"batch_size must be an int, got {batch_size!r}")
     if batch_size < 1:
         raise ContractViolation(f"batch_size must be >= 1, got {batch_size}")
     if not sequences:
         raise ContractViolation("no sequences to evaluate")
-    spec.check_coverage(sequences)
+    spec.check_coverage(sequences, model.dtype)
     total = np.zeros((len(LABELS), len(LABELS)), dtype=np.int64)
     for batch, gold in _batches(sequences, np.arange(len(sequences)), spec, batch_size,
                                 model.dtype):
@@ -354,6 +361,8 @@ def lr_search(model_spec: ModelSpec, sequences: list[LabeledSequence],
     best validation loss wins.  Returns (best TrainConfig, its trained Model,
     its LossCurve, [TrialResult]); the winner is kept, not trained again.
     """
+    if type(trials) is not int:  # also rejects bool
+        raise ContractViolation(f"trials must be an int, got {trials!r}")
     if trials < 1:
         raise ContractViolation(f"need at least one trial, got {trials}")
     results: list[TrialResult] = []

@@ -117,6 +117,14 @@ class TestLoadGlove:
         with pytest.raises(FormatError, match="line 2: non-finite"):
             load_glove(f"a 1 2\nb {value} 4\n")
 
+    def test_words_float32_cannot_hold_are_noted(self):
+        # 2**128 - 2**103 is the smallest magnitude that rounds to inf in float32
+        edge = 2.0**128 - 2.0**103
+        table = load_glove(f"Edge {edge} 0\nbelow {np.nextafter(edge, 0)} 0\n"
+                           f"neg 1 {-edge}\nsmall 1 2\n")
+        assert table.beyond_float32 == {"edge", "neg"}
+        assert load_glove("a 3e38 1\n").beyond_float32 == set()
+
 
 class TestLookup:
     def test_in_vocabulary(self):
@@ -247,6 +255,16 @@ class TestPrecomputedStore:
                    ("e2", 1, 0, np.array([0.5, np.nan])), ("e2", 1, 1, np.array([np.inf, 0.0]))]
         with pytest.raises(FormatError, match="essay 'e2': non-finite .* sentence 1, token 0"):
             load_precomputed_file(write_store(tmp_path / "v.pv", 2, records))
+
+    def test_vectors_float32_cannot_hold_are_noted(self, tmp_path):
+        # e2's records out of key order: ordinals follow the keys, not the file
+        records = [("e1", 0, 0, np.ones(2)), ("e2", 1, 0, np.array([1.0, -1e39])),
+                   ("e2", 0, 1, np.array([1e39, 0.0])), ("e2", 0, 0, np.ones(2))]
+        store = load_precomputed_file(write_store(tmp_path / "v.pv", 2, records))
+        assert store.beyond_float32 == {"e2": {1: (0, 1), 2: (1, 0)}}
+        records.append(("e2", 1, 1, np.array([np.nan, 1e39])))
+        with pytest.raises(FormatError, match="essay 'e2': non-finite .* sentence 1, token 1"):
+            load_precomputed_file(write_store(tmp_path / "w.pv", 2, records))
 
 
 class TestEmbeddingSpec:

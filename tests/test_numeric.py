@@ -5,15 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from argseg import numeric
 from argseg.errors import ContractViolation, DimensionError, NumericError
 from argseg.layers import TimeDistributedLinear
 from argseg.numeric import BatchTensor, Parameter, grad_check, softmax_rows
 from argseg.selftest import (
-    DISTINCT_SHAPES,
+    DISTINCT_TOLERANCE,
+    DISTINCT_TOLERANCE_F32,
     GRAD_TOLERANCE,
-    SUMMED_TOLERANCE,
-    SUMMED_TOLERANCE_F32,
     check_distinct_rows,
     check_layer_gradients,
     check_model_gradients,
@@ -140,78 +138,67 @@ class TestDistinctRows:
 
     def test_new_rows_drop_the_pair(self):
         bt = BatchTensor(*pair_batch(np.random.default_rng(5), [2, 3], 8, 3))
-        w = np.ones((8, 8))
-        assert bt.projects_distinct(w)
-        assert not bt.with_rows(bt.rows * 2.0).projects_distinct(w)
+        assert bt.has_distinct_rows
+        assert not bt.with_rows(bt.rows * 2.0).has_distinct_rows
 
-    # (depth, width, distinct rows): inside the sizes at which a product's
-    # rows stand alone, with and without a column tail that times pads, then
-    # past the depth and with one distinct row, where the plain product is
-    # kept, padded too
-    @pytest.mark.parametrize("depth,width,words,projects", [
-        (4, 8, 2, True), (300, 256, 49, True), (384, 64, 120, True),
-        (400, 64, 49, False), (300, 300, 49, True), (16, 20, 49, True), (16, 16, 1, False),
-        (400, 20, 49, False)])
-    def test_times_gives_the_bytes_of_the_plain_product(self, depth, width, words, projects):
+    # (depth, width, distinct rows): the architectures' 300-deep projections,
+    # widths that are not a multiple of 8 (20, 300), depths past 384 (400)
+    # and a single distinct row
+    @pytest.mark.parametrize("depth,width,words", [
+        (4, 8, 2), (300, 256, 49), (384, 64, 120), (400, 64, 49), (300, 300, 49), (16, 20, 49),
+        (16, 16, 1), (400, 20, 49), (400, 20, 1)])
+    def test_times_gives_the_bytes_of_the_plain_product(self, depth, width, words):
         rng = np.random.default_rng(depth + width + words)
         rows, lengths, pair = pair_batch(rng, [int(n) for n in rng.integers(0, 45, 64)],
                                          depth, words)
+        distinct, inverse = pair
         bt = BatchTensor(rows, lengths, pair)
         w = rng.standard_normal((depth, width))
         order = rng.permutation(len(rows))
-        assert bt.projects_distinct(w) is projects
-        if width % 8:  # w with zero columns to a multiple of 8, then the first width
-            w8 = np.hstack([w, np.zeros((depth, -width % 8))])
-            expected = (rows @ w8)[:, :width], (rows[order] @ w8)[:, :width]
-        else:
-            expected = rows @ w, rows[order] @ w
-        assert bt.times(w).tobytes() == expected[0].tobytes()
+        table = distinct @ w
+        assert bt.times(w).tobytes() == table[inverse].tobytes()
         out = np.empty((len(rows), width))
         assert bt.times(w, order, out=out) is out
-        assert out.tobytes() == expected[1].tobytes()
+        assert out.tobytes() == table[inverse[order]].tobytes()
+        for got, plain in ((bt.times(w), rows @ w), (out, rows[order] @ w)):
+            assert np.linalg.norm(got - plain) <= 1e-12 * np.linalg.norm(plain)
 
-    # (depth, width, distinct rows, whether they are projected)
-    @pytest.mark.parametrize("depth,width,words,projects", [
-        (300, 300, 49, True), (300, 256, 49, True), (400, 20, 49, False), (16, 16, 1, False)])
-    def test_project_gives_times_in_factored_form(self, depth, width, words, projects):
+    @pytest.mark.parametrize("depth,width,words", [
+        (300, 300, 49), (300, 256, 49), (400, 20, 49), (16, 16, 1), (400, 300, 1)])
+    def test_project_gives_times_in_factored_form(self, depth, width, words):
         rng = np.random.default_rng(depth * width + words)
         rows, lengths, pair = pair_batch(rng, [int(n) for n in rng.integers(0, 45, 64)],
                                          depth, words)
-        bt = BatchTensor(rows, lengths, pair)
+        bt, plain = BatchTensor(rows, lengths, pair), BatchTensor(rows, lengths)
         w = rng.standard_normal((depth, width))
         order = rng.permutation(len(rows))
         for args in ((), (order,)):
             table, ids = bt.project(w, *args)
-            assert (ids is not None) is projects
-            assert table.shape == ((words if projects else len(rows)), width)
-            got = table if ids is None else table[ids]
-            assert got.tobytes() == bt.times(w, *args).tobytes()
-
-    def test_rows_stand_alone_at_random_sizes(self):
-        # the measured property the distinct product rests on, at 40 random
-        # sizes inside it, at any width: times pads it to a multiple of 8
-        rng = np.random.default_rng(6)
-        for _ in range(40):
-            depth, width = int(rng.integers(1, 385)), int(rng.integers(1, 513))
-            words = int(rng.integers(2, 121))
-            rows, lengths, pair = pair_batch(rng, [int(rng.integers(words, 2001))], depth, words)
-            w = rng.standard_normal((depth, width))
-            w8 = np.hstack([w, np.zeros((depth, -width % 8))])
-            bt = BatchTensor(rows, lengths, pair)
-            assert bt.projects_distinct(w)
-            assert bt.times(w).tobytes() == (rows @ w8)[:, :width].tobytes(), (depth, width, words)
+            assert table.shape == (words, width) and table.tobytes() == (pair[0] @ w).tobytes()
+            assert table[ids].tobytes() == bt.times(w, *args).tobytes()
+            expected, no_ids = plain.project(w, *args)
+            assert no_ids is None and expected.shape == (len(rows), width)
+            assert np.linalg.norm(table[ids] - expected) <= 1e-12 * np.linalg.norm(expected)
 
     def test_selftest_distinct_rows_check_passes(self):
-        # every shape but depth 385 is inside the gate
-        differ, projected, summed = check_distinct_rows(np.float64)
-        assert (differ, projected) == (0, len(DISTINCT_SHAPES) - 1)
-        assert 0.0 < summed <= SUMMED_TOLERANCE
+        times, summed = check_distinct_rows(np.float64)
+        assert times <= DISTINCT_TOLERANCE
+        assert 0.0 < summed <= DISTINCT_TOLERANCE
 
-    def test_selftest_distinct_rows_check_fails_with_a_gate_that_admits_depth_385(
+    def test_selftest_distinct_rows_check_fails_when_one_word_is_projected_wrongly(
             self, monkeypatch):
-        monkeypatch.setattr(numeric, "_rows_stand_alone",
-                            lambda rows, w: rows > 1 and w.shape[0] <= 385)
-        assert check_distinct_rows(np.float64)[:2] == (1, len(DISTINCT_SHAPES))
+        project = BatchTensor.project
+
+        def shifts_a_word(self, w, order=None):
+            table, ids = project(self, w, order)
+            if ids is not None:  # the first word's row of the product is off by 1e-3
+                table = table.copy()
+                table[0] += 1e-3 * np.abs(table).max()
+            return table, ids
+
+        monkeypatch.setattr(BatchTensor, "project", shifts_a_word)
+        assert check_distinct_rows(np.float64)[0] > DISTINCT_TOLERANCE
+        assert check_distinct_rows(np.float32)[0] > DISTINCT_TOLERANCE_F32
 
     def test_selftest_distinct_rows_check_fails_when_one_word_is_not_summed(self, monkeypatch):
         summed = BatchTensor.t_times
@@ -223,16 +210,15 @@ class TestDistinctRows:
             return summed(self, g, order, out)
 
         monkeypatch.setattr(BatchTensor, "t_times", drops_a_word)
-        assert check_distinct_rows(np.float64)[2] > SUMMED_TOLERANCE
-        assert check_distinct_rows(np.float32)[2] > SUMMED_TOLERANCE_F32
+        assert check_distinct_rows(np.float64)[1] > DISTINCT_TOLERANCE
+        assert check_distinct_rows(np.float32)[1] > DISTINCT_TOLERANCE_F32
 
     def test_selftest_distinct_rows_check_passes_in_float32(self):
-        # float32 rows and weights: SGEMM gives every shape inside the gate
-        # the same bytes with and without the distinct rows, and the summed
-        # gradients lie at float32's scale
-        differ, projected, summed = check_distinct_rows(np.float32)
-        assert (differ, projected) == (0, len(DISTINCT_SHAPES) - 1)
-        assert SUMMED_TOLERANCE < summed <= SUMMED_TOLERANCE_F32
+        # float32 rows, weights and gradients: the deviations lie at
+        # float32's scale
+        times, summed = check_distinct_rows(np.float32)
+        assert times <= DISTINCT_TOLERANCE_F32
+        assert DISTINCT_TOLERANCE < summed <= DISTINCT_TOLERANCE_F32
 
 
 def longdouble_t_times(rows, order, g):

@@ -95,13 +95,13 @@ LAYER_DIGESTS = {
     ("multi_head", "small"):
         "f876748cb7be5ed8f56da32d7167166cb897318c26fa666aef1b9a0ac5ee481c",
     ("multi_head", "para300"):
-        "76102abfe82ddae187123e7564ec0754028bf075e7d72574fca0705468bf991d",
+        "1e4f909c03198b4590d12f1cf8fcff526f49a40a487e639ab1c73bda09112c83",
     ("bilstm", "para300-distinct"):
         "70ae51c64102554f9c7fa8d0c8ed6bc417e62bfb305194050907b85d1437c9e2",
     ("additive", "para300-distinct"):
         "8b04dbfa512e9e7bf23cae18e26a83f254eb8db6b9d18cd8b1168f6c643ea2b8",
     ("multi_head", "para300-distinct"):
-        "d3b598bd98e968f3f63a35f62f0e9966aec640a7d1cc7cb81766aebbea2eafbb",
+        "35f4e89f26bc51a7452c7db18cbda37ba548dd1fd3bf7119c09fb241cb614f75",
 }
 
 

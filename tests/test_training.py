@@ -1,12 +1,13 @@
 import io
 import math
 import re
+import warnings
 import weakref
 
 import numpy as np
 import pytest
 
-from argseg.corpus import LABELS
+from argseg.corpus import LABELS, LabeledSequence
 from argseg import training
 from argseg.errors import ContractViolation, DimensionError, NumericError, TrainingDiverged
 from argseg.metrics import confusion_matrix, metrics_from_confusion
@@ -445,6 +446,45 @@ class TestTrainLoop:
         with pytest.raises(CoverageError, match=repr(missing.essay_id)):
             evaluate(model, toy_sequences, spec)
 
+    @pytest.mark.parametrize("source,named", [
+        ("table", "the vector of word 'big' holds a value beyond float32's range"),
+        ("store", "essay 'e2': the vector at sentence 0, token 1 holds a value beyond "
+                  "float32's range"),
+    ], ids=["table", "store"])
+    def test_vector_beyond_float32_named_before_any_step(self, tmp_path, monkeypatch,
+                                                         source, named):
+        from argseg.embeddings import EmbeddingSpec, load_glove, load_precomputed_file
+
+        # 1e39 is finite in float64 and inf in float32
+        sequences = [LabeledSequence(f"e{k}", 0, ["small", "Big", "small"], [0, 6, 10],
+                                     [5, 9, 15], ["B", "I", "O"]) for k in range(4)]
+        if source == "table":
+            spec = EmbeddingSpec([load_glove("big 1e39 0\nsmall 1 2\n")], 2)
+        else:
+            records = [(seq.essay_id, 0, t, [1e39 if (seq.essay_id, t) == ("e2", 1) else 1.0, 2.0])
+                       for seq in sequences for t in range(3)]
+            spec = EmbeddingSpec([load_precomputed_file(write_store(tmp_path / "v.pv", 2,
+                                                                    records))], 2)
+        spec_model = ModelSpec(ArchitectureId.SB, input_dim=2, hidden=3, seed=0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            # float64 holds the vector: training and evaluating run as before
+            model, curve = train(build_model(spec_model), sequences, spec,
+                                 TrainConfig(batch_size=2, max_epochs=1, dtype="float64"))
+            assert np.isfinite(curve.train + curve.val).all()
+            evaluate(model, sequences, spec)
+            steps = []
+            monkeypatch.setattr(training, "adam_step", lambda *args: steps.append(args))
+            model = build_model(spec_model)
+            before = model.get_values()
+            with pytest.raises(NumericError, match=re.escape(named)):
+                train(model, sequences, spec, TrainConfig(batch_size=2, max_epochs=1))
+            assert not steps
+            assert all(a.tobytes() == b.tobytes() for a, b in zip(before, model.get_values()))
+            model.cast(np.float32)
+            with pytest.raises(NumericError, match=re.escape(named)):
+                evaluate(model, sequences, spec)
+
     def test_config_validation(self):
         with pytest.raises(ContractViolation):
             TrainConfig(batch_size=0)
@@ -548,6 +588,14 @@ class TestLrSearch:
         assert min(r.best_val_loss for r in finite) == pytest.approx(
             next(r.best_val_loss for r in finite if r.learning_rate == best.learning_rate)
         )
+
+    @pytest.mark.parametrize("trials", [2.0, True, "2", None])
+    def test_trial_count_must_be_an_int(self, toy_sequences, toy_embeddings, trials):
+        spec = ModelSpec(ArchitectureId.SB, input_dim=16, hidden=4)
+        with pytest.raises(ContractViolation,
+                           match=f"^trials must be an int, got {re.escape(repr(trials))}$"):
+            lr_search(spec, toy_sequences, toy_embeddings, TrainConfig(max_epochs=1),
+                      trials=trials)
 
     def test_trial_whose_gradient_overflows_is_recorded(self, toy_sequences, toy_embeddings,
                                                          monkeypatch):
